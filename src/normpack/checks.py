@@ -201,14 +201,17 @@ def check_logconcavity(
             f1 = float(exact_intersection_volume(body, t1 * y))
             f2 = float(exact_intersection_volume(body, t2 * y))
             fm = float(exact_intersection_volume(body, tm * y))
+            rhs = f1**lam * f2 ** (1.0 - lam)
             sig = 1e-12
         else:
             e1 = intersection_volume(body, t1 * y, mc_samples, rng)
             e2 = intersection_volume(body, t2 * y, mc_samples, rng)
             em = intersection_volume(body, tm * y, mc_samples, rng)
             f1, f2, fm = e1.value, e2.value, em.value
-            sig = em.std_error + abs(f2) * e1.std_error + abs(f1) * e2.std_error
-        rhs = f1**lam * f2 ** (1.0 - lam)
+            rhs = f1**lam * f2 ** (1.0 - lam)
+            sig = em.std_error
+            if rhs > 0.0:  # first-order error: d rhs / d f1 = lam rhs / f1, likewise f2
+                sig += rhs * (lam * e1.std_error / f1 + (1.0 - lam) * e2.std_error / f2)
         if fm < rhs - 3.0 * sig - 1e-12:
             viol += 1
     slope_fail = 0

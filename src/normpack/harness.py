@@ -195,13 +195,13 @@ def run_pipeline(config: ExperimentConfig) -> RunRecord:
         lambda: sample_poisson(domain, config.Delta, child_rng(seed, "poisson"), seed=seed),
     )
     graph = _stage("build_graph", timings, lambda: build_graph(points, body, domain))
-    stats_pre = degree_codegree_stats(graph)
+    stats_pre = _stage("stats_pre", timings, lambda: degree_codegree_stats(graph))
     pruned, report = _stage(
         "prune",
         timings,
         lambda: prune(graph, body, ik, config.Delta, config.codegree_coeff, domain, child_rng(seed, "prune")),
     )
-    stats_post = degree_codegree_stats(pruned)
+    stats_post = _stage("stats_post", timings, lambda: degree_codegree_stats(pruned))
     indep = _stage(
         "greedy",
         timings,
@@ -312,6 +312,9 @@ def sweep(
                 "status": "ok",
             }
         except Exception as exc:
+            stage, cause = "run_pipeline", exc  # raised outside any stage
+            if isinstance(exc, PipelineStageError):
+                stage, cause = exc.stage, exc.__cause__
             return {
                 "d": cfg.d,
                 "Delta": cfg.Delta,
@@ -321,7 +324,7 @@ def sweep(
                 "density": None,
                 "trivial_bound": 2.0**-cfg.d,
                 "log_delta_over_delta": None,
-                "status": f"error: {exc}",
+                "status": f"error: {stage}: {type(cause).__name__}: {cause}",
             }
 
     if workers and workers > 1:

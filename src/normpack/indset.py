@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import ConvexBody
-from .packing import PackingGraph, TorusDomain, _CellIndex, _pairs_within_gauge
+from .packing import PackingGraph, TorusDomain, pairs_within_gauge
 
 DISJOINT_TOL = 1e-12
 
@@ -74,8 +74,10 @@ def local_search_improve(
     """(1,2)-swap local search: replace one vertex by two of its private
     neighbors when they are mutually non-adjacent.
 
-    Never shrinks the set; independence is re-verified after every
-    accepted move.  ``budget`` caps the number of accepted swaps.
+    Never shrinks the set; every accepted move is checked at the two
+    vertices it adds, and the result is re-verified in full.  Raises
+    RuntimeError if either check fails.  ``budget`` caps the number of
+    accepted swaps.
     """
     if not is_independent(graph, seed_set):
         raise ValueError("seed_set is not independent")
@@ -109,7 +111,9 @@ def local_search_improve(
             for u in (a, b):
                 current.add(u)
                 conflicts[graph.neighbors[u]] += 1
-            assert is_independent(graph, current), "swap broke independence"
+            # a swap can only create an edge at the two vertices it adds
+            if any(current.intersection(graph.neighbors[u].tolist()) for u in (a, b)):
+                raise RuntimeError(f"swap of {v} for {a}, {b} broke independence")
             moves += 1
             improved = True
             if moves >= budget:
@@ -119,7 +123,8 @@ def local_search_improve(
         if v not in current and conflicts[v] == 0:
             current.add(v)
             conflicts[graph.neighbors[v]] += 1
-    assert is_independent(graph, current)
+    if not is_independent(graph, current):
+        raise RuntimeError("local search result is not independent")
     return np.asarray(sorted(current), dtype=np.int64)
 
 
@@ -155,22 +160,21 @@ def verify_packing(
     """Check pairwise disjointness of translates and measure density.
 
     Every pair must satisfy gauge(min image difference) >= 2 - tol
-    (closed translates may touch).  Raises :class:`OverlapError` on the
-    first violation, naming the pair.
+    (closed translates may touch).  Raises :class:`OverlapError` naming
+    the pair of smallest gauge when any pair violates this.
     """
     centers = np.asarray(centers, dtype=float)
     m = len(centers)
     min_gauge = math.inf
     if m > 1:
-        index = _CellIndex(centers, domain, body.scaled(2.0).circumradius())
         # search slightly beyond 2 so min_pairwise_gauge is informative
-        for gi, gj in _pairs_within_gauge(centers, body, domain, 2.5, index):
-            diffs = domain.min_image(centers[gj] - centers[gi])
-            g = np.asarray(body.gauge(diffs))
+        gi, gj = pairs_within_gauge(centers, body, domain, 2.5).T
+        g = np.asarray(body.gauge(domain.min_image(centers[gj] - centers[gi])))
+        if len(g):
             worst = int(np.argmin(g))
             if g[worst] < 2.0 - DISJOINT_TOL * 2.0:
                 raise OverlapError(int(gi[worst]), int(gj[worst]), float(g[worst]))
-            min_gauge = min(min_gauge, float(g[worst]))
+            min_gauge = float(g[worst])
     density = m * body_volume / domain.volume
     target = None
     if n_candidates is not None and Delta is not None and Delta > 1.0:

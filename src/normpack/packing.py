@@ -2,7 +2,8 @@
 
 The pipeline here mirrors the probabilistic construction: sample a
 Poisson point set, connect points whose body translates intersect
-(gauge of the minimal-image difference at most 2), then remove
+(gauge of the minimal-image difference at most 2: periodic KD-tree
+pairs, CSR graph), then remove
 
 * X1: points whose degree exceeds Delta + Delta^(2/3),
 * X2: endpoints of pairs whose difference lies in 2 I_K (deep overlap),
@@ -17,9 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from .bodies import ConvexBody
 from .volumetrics import IkProfile, OverlapClassifier, ik_gauge_radius
@@ -87,160 +90,112 @@ def sample_poisson(
 
 @dataclass
 class PackingGraph:
-    """Intersection graph over a point set, with its spatial hash."""
+    """Intersection graph over a point set, stored as a CSR adjacency.
+
+    ``adj`` is symmetric with sorted indices, no diagonal and unit data.
+    """
 
     points: np.ndarray
-    neighbors: list  # list of sorted int arrays
+    adj: sp.csr_matrix
     domain: TorusDomain
-    cell_side: float
     original_indices: np.ndarray | None = None
+
+    @classmethod
+    def from_pairs(cls, points, pairs, domain: TorusDomain) -> "PackingGraph":
+        """Graph on ``points`` whose edges are the rows (i, j) of ``pairs``;
+        repeated and reversed pairs give one edge."""
+        n = len(points)
+        i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+        adj = sp.csr_matrix(
+            (np.ones(len(rows), dtype=np.float32), (rows, cols)), shape=(n, n)
+        )
+        adj.sum_duplicates()
+        adj.data.fill(1.0)
+        return cls(points=points, adj=adj, domain=domain)
 
     @property
     def n(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def neighbors(self) -> list:
+        """Read-only per-vertex views of the sorted CSR neighbor indices."""
+        indices = self.adj.indices.view()
+        indices.flags.writeable = False
+        return np.split(indices, self.adj.indptr[1:-1])
+
     def degree(self) -> np.ndarray:
-        return np.asarray([len(a) for a in self.neighbors], dtype=int)
+        return np.diff(self.adj.indptr)
 
     def edge_count(self) -> int:
-        return int(self.degree().sum()) // 2
+        return self.adj.nnz // 2
 
     def adjacency_csr(self) -> sp.csr_matrix:
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([len(a) for a in self.neighbors])
-        indices = (
-            np.concatenate(self.neighbors)
-            if self.n and indptr[-1]
-            else np.empty(0, dtype=np.int64)
-        )
-        data = np.ones(len(indices), dtype=np.float32)
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+        return self.adj
 
     def subgraph(self, keep_mask: np.ndarray) -> "PackingGraph":
         keep = np.flatnonzero(keep_mask)
-        remap = -np.ones(self.n, dtype=np.int64)
-        remap[keep] = np.arange(len(keep))
-        nbrs = []
-        for i in keep:
-            m = remap[self.neighbors[i]]
-            nbrs.append(np.sort(m[m >= 0]))
+        adj = self.adj[keep][:, keep]
+        adj.sort_indices()
         orig = keep if self.original_indices is None else self.original_indices[keep]
         return PackingGraph(
-            points=self.points[keep],
-            neighbors=nbrs,
-            domain=self.domain,
-            cell_side=self.cell_side,
-            original_indices=orig,
+            points=self.points[keep], adj=adj, domain=self.domain, original_indices=orig
         )
 
 
-class _CellIndex:
-    """Spatial hash on the torus with an integer number of cells per axis."""
+def pairs_within_gauge(
+    points: np.ndarray, body: ConvexBody, domain: TorusDomain, gauge_limit: float
+) -> np.ndarray:
+    """(m, 2) array of pairs i < j, sorted by (i, j), whose minimal-image
+    difference has gauge at most ``gauge_limit``.
 
-    def __init__(self, points: np.ndarray, domain: TorusDomain, min_side: float):
-        self.domain = domain
-        self.ncells = max(1, int(math.floor(domain.L / min_side)))
-        self.side = domain.L / self.ncells
-        self.d = domain.d
-        codes = np.floor(points / self.side).astype(np.int64) % self.ncells
-        self.flat = self._flatten(codes)
-        order = np.argsort(self.flat, kind="stable")
-        self.order = order
-        self.sorted_flat = self.flat[order]
-        self.uniq, self.starts = np.unique(self.sorted_flat, return_index=True)
-        self.ends = np.append(self.starts[1:], len(points))
-        self.lookup = dict(zip(self.uniq.tolist(), range(len(self.uniq))))
-
-    def _flatten(self, codes: np.ndarray) -> np.ndarray:
-        flat = np.zeros(len(codes), dtype=np.int64)
-        for j in range(self.d):
-            flat = flat * self.ncells + codes[:, j]
-        return flat
-
-    def cell_members(self, flat_code: int) -> np.ndarray:
-        k = self.lookup.get(flat_code)
-        if k is None:
-            return np.empty(0, dtype=np.int64)
-        return self.order[self.starts[k] : self.ends[k]]
-
-    def neighborhood(self, flat_code: int, reach: int) -> np.ndarray:
-        """Member indices of all cells within `reach` cells (torus wrap)."""
-        code = []
-        c = flat_code
-        for _ in range(self.d):
-            code.append(c % self.ncells)
-            c //= self.ncells
-        code = code[::-1]
-        offsets = np.arange(-reach, reach + 1)
-        grids = np.meshgrid(*([offsets] * self.d), indexing="ij")
-        shifts = np.stack([g.ravel() for g in grids], axis=1)
-        cells = (np.asarray(code)[None, :] + shifts) % self.ncells
-        flats = np.zeros(len(cells), dtype=np.int64)
-        for j in range(self.d):
-            flats = flats * self.ncells + cells[:, j]
-        members = [self.cell_members(fc) for fc in np.unique(flats)]
-        return np.concatenate(members) if members else np.empty(0, dtype=np.int64)
-
-
-def _pairs_within_gauge(
-    points: np.ndarray,
-    body: ConvexBody,
-    domain: TorusDomain,
-    gauge_limit: float,
-    index: _CellIndex,
-):
-    """Yield (i_array, j_array) chunks of pairs with gauge(min image) <= limit."""
-    radius = gauge_limit * body.circumradius()
-    reach = max(1, int(math.ceil(radius / index.side)))
-    for k, fc in enumerate(index.uniq.tolist()):
-        mine = index.order[index.starts[k] : index.ends[k]]
-        cand = index.neighborhood(fc, reach)
-        if len(cand) == 0:
-            continue
-        diffs = domain.min_image(points[mine][:, None, :] - points[cand][None, :, :])
-        g = body.gauge(diffs)
-        ii, jj = np.nonzero(g <= gauge_limit)
-        gi, gj = mine[ii], cand[jj]
-        keep = gi < gj
-        if keep.any():
-            yield gi[keep], gj[keep]
+    A periodic KD tree finds the candidates within Euclidean distance
+    ``gauge_limit * circumradius``; the gauge filter then runs on the
+    original coordinates.  The tree alone sees coordinates wrapped into
+    [0, L), so points outside the box are accepted.
+    """
+    points = np.asarray(points, dtype=float)
+    wrapped = points % domain.L
+    wrapped[wrapped >= domain.L] = 0.0  # -1e-17 % L rounds to L
+    # slack keeps pairs at exactly the gauge limit despite rounding
+    radius = gauge_limit * body.circumradius() * (1.0 + 1e-9)
+    pairs = cKDTree(wrapped, boxsize=domain.L).query_pairs(radius, output_type="ndarray")
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    g = body.gauge(domain.min_image(points[pairs[:, 0]] - points[pairs[:, 1]]))
+    return pairs[np.asarray(g) <= gauge_limit]
 
 
 def build_graph(points: PointSet, body: ConvexBody, domain: TorusDomain) -> PackingGraph:
     """Intersection graph: edge iff gauge(min image(x - y)) <= 2.
 
-    Built via a spatial hash with cell side at least circumradius(2K),
-    scanning the surrounding cell neighborhood only.
+    Edges are the periodic KD-tree pairs within gauge 2; the graph is
+    stored as a CSR adjacency.
     """
     domain.validate_for_body(body)
     pts = points.points
-    min_side = body.scaled(2.0).circumradius()
-    index = _CellIndex(pts, domain, min_side)
-    halves: list[list] = [[] for _ in range(len(pts))]
-    for gi, gj in _pairs_within_gauge(pts, body, domain, 2.0, index):
-        for a, b in zip(gi.tolist(), gj.tolist()):
-            halves[a].append(b)
-            halves[b].append(a)
-    nbrs = [np.unique(np.asarray(h, dtype=np.int64)) for h in halves]
-    return PackingGraph(points=pts, neighbors=nbrs, domain=domain, cell_side=index.side)
+    return PackingGraph.from_pairs(pts, pairs_within_gauge(pts, body, domain, 2.0), domain)
 
 
 def brute_force_graph(points: PointSet, body: ConvexBody, domain: TorusDomain) -> PackingGraph:
     """O(n^2) reference adjacency; oracle for build_graph."""
     pts = points.points
     n = len(pts)
-    nbrs = [np.empty(0, dtype=np.int64) for _ in range(n)]
+    pairs = np.empty((0, 2), dtype=np.int64)
     if n:
         diffs = domain.min_image(pts[:, None, :] - pts[None, :, :])
         g = body.gauge(diffs)
         np.fill_diagonal(g, np.inf)
-        adj = g <= 2.0
-        nbrs = [np.flatnonzero(adj[i]).astype(np.int64) for i in range(n)]
-    return PackingGraph(points=pts, neighbors=nbrs, domain=domain, cell_side=domain.L)
+        pairs = np.argwhere(g <= 2.0)
+    return PackingGraph.from_pairs(pts, pairs, domain)
 
 
 def graphs_equal(a: PackingGraph, b: PackingGraph) -> bool:
-    return a.n == b.n and all(np.array_equal(x, y) for x, y in zip(a.neighbors, b.neighbors))
+    return (
+        a.n == b.n
+        and np.array_equal(a.adj.indptr, b.adj.indptr)
+        and np.array_equal(a.adj.indices, b.adj.indices)
+    )
 
 
 @dataclass(frozen=True)
@@ -305,15 +260,12 @@ def prune(
     mark_x2 = np.zeros(n, dtype=bool)
     pair_in_2i: dict[tuple[int, int], bool] = {}
     g_ik = ik_gauge_radius(body, ik.delta)
-    index = _CellIndex(pts, domain, body.scaled(2.0).circumradius())
     if g_ik > 0.0:
-        for gi, gj in _pairs_within_gauge(pts, body, domain, 2.0 * g_ik, index):
-            diffs = domain.min_image(pts[gj] - pts[gi])
-            inside = clf.inside(diffs / 2.0)
-            for a, b, flag in zip(gi.tolist(), gj.tolist(), inside.tolist()):
-                pair_in_2i[(a, b)] = flag
-                if flag:
-                    mark_x2[a] = mark_x2[b] = True
+        gi, gj = pairs_within_gauge(pts, body, domain, 2.0 * g_ik).T
+        if len(gi):
+            inside = clf.inside(domain.min_image(pts[gj] - pts[gi]) / 2.0)
+            mark_x2[gi[inside]] = mark_x2[gj[inside]] = True
+            pair_in_2i = dict(zip(zip(gi.tolist(), gj.tolist()), inside.tolist()))
 
     # X3: pairs outside 2I with codegree >= coeff * Delta; candidate pairs
     # must share a neighbor, so they are exactly the nonzeros of A^2.
@@ -373,9 +325,7 @@ def brute_force_max_codegree(graph: PackingGraph) -> int:
     """Dense boolean-matmul codegree maximum; oracle for prune postconditions."""
     if graph.n == 0:
         return 0
-    A = np.zeros((graph.n, graph.n), dtype=np.float32)
-    for i, nb in enumerate(graph.neighbors):
-        A[i, nb] = 1.0
+    A = graph.adj.toarray()
     C = A @ A
     np.fill_diagonal(C, 0.0)
     return int(C.max())
@@ -404,11 +354,5 @@ def import_graph(path, domain: TorusDomain) -> PackingGraph:
                 verts[int(parts[1])] = [float(c) for c in parts[2:]]
             elif parts[0] == "e":
                 edges.append((int(parts[1]), int(parts[2])))
-    n = len(verts)
-    pts = np.asarray([verts[i] for i in range(n)])
-    halves: list[list] = [[] for _ in range(n)]
-    for i, j in edges:
-        halves[i].append(j)
-        halves[j].append(i)
-    nbrs = [np.unique(np.asarray(h, dtype=np.int64)) for h in halves]
-    return PackingGraph(points=pts, neighbors=nbrs, domain=domain, cell_side=domain.L)
+    pts = np.asarray([verts[i] for i in range(len(verts))])
+    return PackingGraph.from_pairs(pts, edges, domain)

@@ -329,16 +329,7 @@ def test_c10_independent_set_vs_exhaustive(conclude):
         edges = [
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35
         ]
-        halves = [[] for _ in range(n)]
-        for i, j in edges:
-            halves[i].append(j)
-            halves[j].append(i)
-        graph = PackingGraph(
-            points=np.zeros((n, 2)),
-            neighbors=[np.unique(np.asarray(h, dtype=np.int64)) for h in halves],
-            domain=TorusDomain(2, 100.0),
-            cell_side=1.0,
-        )
+        graph = PackingGraph.from_pairs(np.zeros((n, 2)), edges, TorusDomain(2, 100.0))
         opt = exhaustive_max(n, set(edges))
         seed_set = greedy_independent_set(graph, "random", rng)
         out = local_search_improve(graph, seed_set, budget=100)

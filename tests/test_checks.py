@@ -64,6 +64,14 @@ class TestLogconcavity:
         rep = check_logconcavity(body, 30, np.random.default_rng(2), mc_samples=5_000)
         assert rep.violations == 0
 
+    def test_mc_error_propagation(self):
+        # rhs = f1^lam f2^(1-lam) carries the errors of f1 and f2 weighted by
+        # lam rhs / f1 and (1-lam) rhs / f2; weighting them by f2 and f1
+        # made the slack too narrow and flagged one ray of this seed
+        body = normalize_to_unit_volume(simplex_difference(3))
+        rep = check_logconcavity(body, 50, np.random.default_rng(1023923122))
+        assert rep.violations == 0
+
     def test_slope_identity(self):
         body = normalize_to_unit_volume(lp_ball(3, 2))
         rep = check_logconcavity(

@@ -148,7 +148,7 @@ class TestSweep:
         template = replace(default_config(2), L=20.0)
         rows = sweep(template, deltas=[20.0, 1e9])  # second exceeds point cap
         assert rows[0]["status"] == "ok"
-        assert rows[1]["status"].startswith("error:")
+        assert rows[1]["status"].startswith("error: sample_poisson: ValueError: ")
         assert rows[1]["density"] is None
 
     def test_worker_count_invariant(self):

@@ -19,13 +19,7 @@ from normpack.packing import PackingGraph, TorusDomain
 
 def graph_from_edges(n, edges):
     """Synthetic graph with dummy coordinates (indset code never reads them)."""
-    halves = [[] for _ in range(n)]
-    for i, j in edges:
-        halves[i].append(j)
-        halves[j].append(i)
-    nbrs = [np.unique(np.asarray(h, dtype=np.int64)) for h in halves]
-    pts = np.zeros((n, 2))
-    return PackingGraph(points=pts, neighbors=nbrs, domain=TorusDomain(2, 100.0), cell_side=1.0)
+    return PackingGraph.from_pairs(np.zeros((n, 2)), edges, TorusDomain(2, 100.0))
 
 
 def exhaustive_max_independent(n, edges):

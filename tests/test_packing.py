@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normpack.bodies import cube, lp_ball
+from normpack.indset import verify_packing
 from normpack.packing import (
     PointSet,
     TorusDomain,
@@ -152,6 +153,18 @@ class TestBuildGraph:
             slow = brute_force_graph(ps, body, dom)
             assert graphs_equal(fast, slow), f"trial {trial} body {body.describe()}"
 
+    def test_corner_contacts_match_brute_force(self):
+        # a pair at gauge ~2 along the cube diagonal is ~2 circumradii apart,
+        # at the edge of the KD-tree search radius
+        dom = TorusDomain(3, 20.0)
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            side = rng.uniform(0.5, 2.0)
+            p = rng.uniform(0.0, dom.L, size=3)
+            ps = make_pointset([p, p + side])
+            body = cube(3, side=side)
+            assert graphs_equal(build_graph(ps, body, dom), brute_force_graph(ps, body, dom))
+
     def test_degree_near_delta(self):
         # E[deg] = Delta * vol(2K)/2^d = Delta for a ball of gauge radius 1...
         # with intensity lam = Delta/2^d the mean degree is lam * vol(2K)
@@ -202,6 +215,36 @@ def test_min_image_gauge_symmetric(seed):
     assert body.gauge(dom.min_image(x - y)) == pytest.approx(
         body.gauge(dom.min_image(y - x)), abs=1e-12
     )
+
+
+class TestOutOfBoxCoordinates:
+    """Coordinates outside [0, L) name the same torus points."""
+
+    DOM = TorusDomain(2, 22.0)
+    BODY = lp_ball(2, 2, scale=1.0)
+
+    def moved(self, pts):
+        # -1e-17 % L rounds to L, which a periodic KD tree rejects
+        edge = pts.copy()
+        edge[0, 0] = -1e-17
+        return [pts - self.DOM.L, edge]
+
+    def test_build_graph(self):
+        pts = np.random.default_rng(7).uniform(0.0, self.DOM.L, size=(400, 2))
+        pts[0, 0] = 0.0
+        ref = build_graph(make_pointset(pts), self.BODY, self.DOM)
+        assert ref.edge_count() > 0
+        for moved in self.moved(pts):
+            assert graphs_equal(build_graph(make_pointset(moved), self.BODY, self.DOM), ref)
+
+    def test_verify_packing(self):
+        grid = np.arange(10) * 2.2
+        centers = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+        ref = verify_packing(centers, self.BODY, self.DOM, math.pi)
+        for moved in self.moved(centers):
+            res = verify_packing(moved, self.BODY, self.DOM, math.pi)
+            assert (res.count, res.density) == (ref.count, ref.density)
+            assert res.min_pairwise_gauge == pytest.approx(ref.min_pairwise_gauge)
 
 
 class TestPrune:
