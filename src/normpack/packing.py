@@ -131,9 +131,6 @@ class PackingGraph:
     def edge_count(self) -> int:
         return self.adj.nnz // 2
 
-    def adjacency_csr(self) -> sp.csr_matrix:
-        return self.adj
-
     def subgraph(self, keep_mask: np.ndarray) -> "PackingGraph":
         keep = np.flatnonzero(keep_mask)
         adj = self.adj[keep][:, keep]
@@ -258,31 +255,27 @@ def prune(
 
     # X2: endpoints of pairs with difference in 2I (f of half-difference > delta)
     mark_x2 = np.zeros(n, dtype=bool)
-    pair_in_2i: dict[tuple[int, int], bool] = {}
+    gi = gj = np.empty(0, dtype=np.int64)
+    x2_inside = np.empty(0, dtype=bool)
     g_ik = ik_gauge_radius(body, ik.delta)
     if g_ik > 0.0:
         gi, gj = pairs_within_gauge(pts, body, domain, 2.0 * g_ik).T
         if len(gi):
-            inside = clf.inside(domain.min_image(pts[gj] - pts[gi]) / 2.0)
-            mark_x2[gi[inside]] = mark_x2[gj[inside]] = True
-            pair_in_2i = dict(zip(zip(gi.tolist(), gj.tolist()), inside.tolist()))
+            x2_inside = clf.inside(domain.min_image(pts[gj] - pts[gi]) / 2.0)
+            mark_x2[gi[x2_inside]] = mark_x2[gj[x2_inside]] = True
 
-    # X3: pairs outside 2I with codegree >= coeff * Delta; candidate pairs
-    # must share a neighbor, so they are exactly the nonzeros of A^2.
+    # X3: pairs outside 2I with codegree >= coeff * Delta.  Pairs X2 already
+    # classified reuse its decision; the rest go to the classifier in one batch.
     mark_x3 = np.zeros(n, dtype=bool)
-    threshold = codegree_coeff * Delta
-    A = graph.adjacency_csr()
-    C = (A @ A).tocoo()
-    hot = (C.data >= threshold) & (C.row < C.col)
-    for a, b in zip(C.row[hot].tolist(), C.col[hot].tolist()):
-        key = (a, b)
-        if key in pair_in_2i:
-            inside = pair_in_2i[key]
-        else:
-            diff = domain.min_image(pts[b] - pts[a])
-            inside = bool(clf.inside(diff[None, :] / 2.0)[0])
-        if not inside:
-            mark_x3[a] = mark_x3[b] = True
+    hi, hj, _ = codegree_pairs(graph, codegree_coeff * Delta)
+    x2_codes, hot_codes = gi * n + gj, hi * n + hj  # X2 pairs are sorted by (i, j)
+    known = np.isin(hot_codes, x2_codes)
+    inside = np.empty(len(hi), dtype=bool)
+    inside[known] = x2_inside[np.searchsorted(x2_codes, hot_codes[known])]
+    new = ~known
+    if new.any():
+        inside[new] = clf.inside(domain.min_image(pts[hj[new]] - pts[hi[new]]) / 2.0)
+    mark_x3[hi[~inside]] = mark_x3[hj[~inside]] = True
 
     removed = mark_x1 | mark_x2 | mark_x3
     first_x1 = int(mark_x1.sum())
@@ -302,21 +295,45 @@ def prune(
     return pruned, report
 
 
+def codegree_pairs(graph: PackingGraph, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs i < j with codegree at least ``t`` (floored at 1), sorted by
+    (i, j): (rows, cols, codegrees).
+
+    Both endpoints of such a pair have degree at least t, so the pairs are
+    the off-diagonal entries >= t of B B^T with B the rows of A at the
+    vertices of degree >= t.  The product still sums over every vertex, so
+    each count is exact; A^2 over all rows is never formed.
+    """
+    t = max(t, 1)
+    hot = np.flatnonzero(graph.degree() >= t)
+    B = graph.adj[hot]
+    C = (B @ B.T).tocoo()
+    keep = (C.row < C.col) & (C.data >= t)
+    rows, cols = hot[C.row[keep]], hot[C.col[keep]]
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], C.data[keep][order].astype(np.int64)
+
+
 def degree_codegree_stats(graph: PackingGraph) -> dict:
-    """Degree histogram plus max degree/codegree diagnostics."""
+    """Degree histogram plus max degree/codegree diagnostics.
+
+    The maximum codegree comes from at most two ``codegree_pairs`` calls.
+    The first takes t at the 90th percentile of the degrees; any pair it
+    finds has codegree >= t, so its maximum is the global one.  If it finds
+    none, every codegree is below t and a second call at t = 1 counts all.
+    """
     deg = graph.degree()
     if graph.n == 0:
         return {"n": 0, "max_degree": 0, "mean_degree": 0.0, "max_codegree": 0, "degree_histogram": {}}
-    A = graph.adjacency_csr()
-    C = (A @ A).tocoo()
-    off = C.row != C.col
-    max_codeg = int(C.data[off].max()) if off.any() else 0
+    codeg = codegree_pairs(graph, np.quantile(deg, 0.9))[2]
+    if not len(codeg):
+        codeg = codegree_pairs(graph, 1)[2]
     hist = {int(k): int(v) for k, v in zip(*np.unique(deg, return_counts=True))}
     return {
         "n": graph.n,
         "max_degree": int(deg.max()),
         "mean_degree": float(deg.mean()),
-        "max_codegree": max_codeg,
+        "max_codegree": int(codeg.max(initial=0)),
         "degree_histogram": hist,
     }
 

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from normpack.bodies import (
     ball_volume,
@@ -87,10 +88,16 @@ def _pipeline_stages(d, seed):
 
 
 def _brute_force_degree_codegree(pruned: PackingGraph, body, domain):
-    """Chunked O(n^2) adjacency rebuild; also re-verifies stored neighbors."""
+    """Chunked O(n^2) adjacency rebuild; also re-verifies stored neighbors.
+
+    The codegrees come from the exact sparse product of the rebuilt
+    matrix with itself, independent of the pipeline's codegree path.
+    """
     pts = pruned.points
     n = pruned.n
-    A = np.zeros((n, n), dtype=np.float32)
+    if n == 0:
+        return 0, 0
+    blocks = []
     for start in range(0, n, 256):
         chunk = pts[start : start + 256]
         diffs = domain.min_image(chunk[:, None, :] - pts[None, :, :])
@@ -101,13 +108,11 @@ def _brute_force_degree_codegree(pruned: PackingGraph, body, domain):
                 np.flatnonzero(adj[i]).astype(np.int64), pruned.neighbors[start + i]
             ):
                 raise AssertionError("stored adjacency disagrees with brute force")
-        A[start : start + len(chunk)] = adj
-    if n == 0:
-        return 0, 0
-    deg = A.sum(axis=1)
-    C = A @ A
-    np.fill_diagonal(C, 0.0)
-    return int(deg.max(initial=0)), int(C.max(initial=0))
+        blocks.append(sp.csr_matrix(adj, dtype=np.int64))
+    A = sp.vstack(blocks, format="csr")
+    C = (A @ A).tocoo()
+    off = C.row != C.col
+    return int(A.sum(axis=1).max()), int(C.data[off].max(initial=0))
 
 
 # -- criteria ----------------------------------------------------------

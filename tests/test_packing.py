@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from normpack.bodies import cube, lp_ball
 from normpack.indset import verify_packing
+import normpack.packing as packing
 from normpack.packing import (
+    PackingGraph,
     PointSet,
     TorusDomain,
     brute_force_graph,
     brute_force_max_codegree,
     build_graph,
+    codegree_pairs,
     degree_codegree_stats,
     export_graph,
     graphs_equal,
@@ -20,7 +23,7 @@ from normpack.packing import (
     prune,
     sample_poisson,
 )
-from normpack.volumetrics import estimate_ik
+from normpack.volumetrics import OverlapClassifier, estimate_ik
 
 
 def make_pointset(pts):
@@ -271,8 +274,37 @@ class TestPrune:
         assert rep.n_initial == g.n
         deg_cap = Delta + Delta ** (2.0 / 3.0)
         assert pruned.degree().max(initial=0) <= deg_cap
-        assert brute_force_max_codegree(pruned) <= degree_codegree_stats(pruned)["max_codegree"] + 0
         assert brute_force_max_codegree(pruned) == degree_codegree_stats(pruned)["max_codegree"]
+
+    def test_marks_match_full_product_reference(self):
+        # X2 over every edge and X3 from the full A @ A; the unit cube has a
+        # vectorized exact f, so every edge can be classified
+        dom = TorusDomain(2, 20.0)
+        body = lp_ball(2, math.inf, scale=0.5)
+        rng = np.random.default_rng(2)
+        Delta = 30.0
+        ik = estimate_ik(body, 0.95, 20_000, 500, rng)
+        g = build_graph(sample_poisson(dom, Delta, rng), body, dom)
+        pruned, rep = prune(g, body, ik, Delta, 1.2, dom, rng)
+        clf = OverlapClassifier(body, ik.delta)
+        pts = g.points
+
+        def inside(i, j):
+            return clf.inside(dom.min_image(pts[j] - pts[i]) / 2.0)
+
+        mark_x1 = g.degree() > Delta + Delta ** (2.0 / 3.0)
+        A = g.adj.toarray().astype(np.float64)  # BLAS product, exact for counts
+        ei, ej = np.nonzero(np.triu(A))
+        deep = inside(ei, ej)
+        mark_x2 = np.zeros(g.n, dtype=bool)
+        mark_x2[ei[deep]] = mark_x2[ej[deep]] = True
+        ci, cj = np.nonzero(np.triu(A @ A >= 1.2 * Delta, k=1))
+        out = ~inside(ci, cj)
+        mark_x3 = np.zeros(g.n, dtype=bool)
+        mark_x3[ci[out]] = mark_x3[cj[out]] = True
+        assert rep.removed_x3 == int((mark_x3 & ~mark_x1 & ~mark_x2).sum()) > 0
+        assert rep.removed_x2 == int((mark_x2 & ~mark_x1).sum()) > 0
+        assert np.array_equal(pruned.original_indices, np.flatnonzero(~(mark_x1 | mark_x2 | mark_x3)))
 
     def test_cluster_removed_by_x2(self):
         # a tight cluster has differences deep in 2I, so X2 clears it
@@ -361,3 +393,98 @@ class TestStats:
         ps = make_pointset([[2.0, 2.0], [3.5, 2.0], [5.0, 2.0], [6.5, 2.0]])
         g = build_graph(ps, body, dom)
         assert brute_force_max_codegree(g) == 1
+
+
+def graph_of(n, pairs):
+    return PackingGraph.from_pairs(np.zeros((n, 2)), pairs, TorusDomain(2, 10.0))
+
+
+def full_product_pairs(g, t):
+    """Pairs i < j, in (i, j) order, whose entry of the full A @ A reaches
+    max(t, 1), with those entries."""
+    A = g.adj.toarray().astype(np.int64)
+    C = A @ A
+    i, j = np.nonzero(np.triu(C >= max(t, 1), k=1))
+    return i, j, C[i, j]
+
+
+def random_graph(seed):
+    # sparse random edges plus a few dense blocks, so that codegrees spread
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    pairs = [rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))]
+    for _ in range(int(rng.integers(0, 3))):
+        block = rng.choice(n, size=min(n, int(rng.integers(2, 12))), replace=False)
+        pairs.append(np.array([(a, b) for a in block for b in block]))
+    pairs = np.concatenate(pairs)
+    return graph_of(n, pairs[pairs[:, 0] != pairs[:, 1]])
+
+
+class TestCodegreePairs:
+    THRESHOLDS = (-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.7, 8.0, 100.0)
+
+    @staticmethod
+    def assert_matches_full(g, t):
+        got = codegree_pairs(g, t)
+        want = full_product_pairs(g, t)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_graphs_match_full_product(self, seed):
+        g = random_graph(seed)
+        for t in self.THRESHOLDS:
+            self.assert_matches_full(g, t)
+        full_max = full_product_pairs(g, 1)[2].max(initial=0)
+        assert degree_codegree_stats(g)["max_codegree"] == full_max
+        assert brute_force_max_codegree(g) == full_max
+
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_no_edges(self, n):
+        g = graph_of(n, np.empty((0, 2), dtype=np.int64))
+        for t in self.THRESHOLDS:
+            rows, cols, counts = codegree_pairs(g, t)
+            assert len(rows) == len(cols) == len(counts) == 0
+        assert degree_codegree_stats(g)["max_codegree"] == 0
+
+    def test_threshold_at_most_zero_selects_shared_neighbors_only(self):
+        # path 0-1-2 plus the isolated vertex 3: only (0, 2) shares a neighbor
+        g = graph_of(4, [(0, 1), (1, 2)])
+        for t in (0.0, -5.0, 0.3):
+            rows, cols, counts = codegree_pairs(g, t)
+            assert rows.tolist() == [0] and cols.tolist() == [2] and counts.tolist() == [1]
+
+    def test_non_integer_threshold(self):
+        # K5: every pair has codegree 3
+        g = graph_of(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+        assert len(codegree_pairs(g, 2.01)[0]) == 10
+        assert len(codegree_pairs(g, 3.0)[0]) == 10
+        assert len(codegree_pairs(g, 3.01)[0]) == 0
+
+    @pytest.fixture
+    def thresholds_seen(self, monkeypatch):
+        seen = []
+        real = packing.codegree_pairs
+
+        def spy(graph, t):
+            seen.append(t)
+            return real(graph, t)
+
+        monkeypatch.setattr(packing, "codegree_pairs", spy)
+        return seen
+
+    def test_second_round_when_quantile_misses(self, thresholds_seen):
+        # a K5 (degree 4, codegree 3) beside a 20-leaf star (leaf pairs have
+        # codegree 1): the 90th degree percentile is 4, above every codegree
+        clique = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+        star = [(5, leaf) for leaf in range(6, 26)]
+        g = graph_of(26, clique + star)
+        assert degree_codegree_stats(g)["max_codegree"] == 3 == brute_force_max_codegree(g)
+        assert thresholds_seen == [pytest.approx(4.0), 1]
+
+    def test_first_round_suffices_on_pipeline_graph(self, thresholds_seen):
+        dom = TorusDomain(2, 20.0)
+        body = lp_ball(2, 2, scale=1.0)
+        g = build_graph(sample_poisson(dom, 30.0, np.random.default_rng(3)), body, dom)
+        assert degree_codegree_stats(g)["max_codegree"] == brute_force_max_codegree(g)
+        assert len(thresholds_seen) == 1
