@@ -158,7 +158,7 @@ def pairs_within_gauge(
     # slack keeps pairs at exactly the gauge limit despite rounding
     radius = gauge_limit * body.circumradius() * (1.0 + 1e-9)
     pairs = cKDTree(wrapped, boxsize=domain.L).query_pairs(radius, output_type="ndarray")
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    pairs = pairs[np.argsort(pairs[:, 0] * len(points) + pairs[:, 1])]  # unique codes: (i, j) order
     g = body.gauge(domain.min_image(points[pairs[:, 0]] - points[pairs[:, 1]]))
     return pairs[np.asarray(g) <= gauge_limit]
 
@@ -310,7 +310,7 @@ def codegree_pairs(graph: PackingGraph, t: float) -> tuple[np.ndarray, np.ndarra
     C = (B @ B.T).tocoo()
     keep = (C.row < C.col) & (C.data >= t)
     rows, cols = hot[C.row[keep]], hot[C.col[keep]]
-    order = np.lexsort((cols, rows))
+    order = np.argsort(rows * graph.n + cols)  # unique codes: (i, j) order
     return rows[order], cols[order], C.data[keep][order].astype(np.int64)
 
 

@@ -92,14 +92,29 @@ def exact_intersection_volume(body: ConvexBody, x: np.ndarray) -> np.ndarray | f
         return None
     x = np.asarray(x, dtype=float)
     if body.p == 2.0:
-        r = body.scale
-        s = np.sqrt((x * x).sum(axis=-1))
-        if s.ndim == 0:
-            return ball_lens_volume(body.d, r, float(s))
-        return np.asarray([ball_lens_volume(body.d, r, si) for si in s])
-    side = 2.0 * body.scale
-    out = np.prod(np.maximum(side - np.abs(x), 0.0), axis=-1)
+        out = _ball_lens_volumes(body.d, body.scale, np.sqrt((x * x).sum(axis=-1)))
+    else:
+        side = 2.0 * body.scale
+        out = np.prod(np.maximum(side - np.abs(x), 0.0), axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+def _ball_lens_volumes(d: int, r: float, s: np.ndarray) -> np.ndarray:
+    """``ball_lens_volume`` over an array of center distances s >= 0.
+
+    One ``betainc`` call, with the scalar function's operations in the
+    same order, so each element equals the scalar value bit for bit.
+    ``float_power`` calls libm ``pow`` per element as the scalar ``**``
+    does; an array ``** 2`` squares instead and differs in the last bit.
+    """
+    s = np.asarray(s, dtype=float)
+    a = 0.5 * s
+    out = np.zeros(s.shape)
+    lens = a < r
+    half = 0.5 * ball_volume(d) * r**d
+    x = 1.0 - np.float_power(a[lens] / r, 2.0)
+    out[lens] = 2.0 * (half * betainc(0.5 * (d + 1), 0.5, x))
+    return out
 
 
 def has_exact_intersection(body: ConvexBody) -> bool:
@@ -291,8 +306,11 @@ def _orthonormal_complement(u: np.ndarray) -> np.ndarray:
 def _line_hits_body(body: ConvexBody, base: np.ndarray, u: np.ndarray, t_max: float) -> np.ndarray:
     """For each base point z, does the line z + t*u meet the body?
 
-    Closed-form interval tests for balls, boxes and H-polytopes;
-    vectorized golden-section minimization of gauge(z + t*u) otherwise.
+    Closed-form interval tests for balls, boxes and H-polytopes (whose
+    support costs one LP per row).  Other bodies go to
+    ``_line_hits_convex``: an exact hit certificate from the gauge at z,
+    an exact miss certificate from the support at z/|z|, and a search
+    only for the rows neither settles.
     """
     if body.kind == "lp" and body.p == 2.0:
         # |z|^2 + 2t z.u + t^2 <= r^2 with z orthogonal-ish to u handled generally
@@ -334,15 +352,47 @@ def _line_hits_body(body: ConvexBody, base: np.ndarray, u: np.ndarray, t_max: fl
             else:
                 lo = np.maximum(lo, t)
         return lo <= hi
-    # generic convex 1-D search (gauge along a line is convex)
-    a = np.full(len(base), -t_max)
-    b = np.full(len(base), t_max)
+    return _line_hits_convex(body, base, u, t_max)
+
+
+def _line_hits_convex(body: ConvexBody, base: np.ndarray, u: np.ndarray, t_max: float) -> np.ndarray:
+    """Is min over |t| <= t_max of gauge(z + t*u) at most 1 + 1e-10, per row z?
+
+    Needs only the body's gauge and support, and rows z orthogonal to u.
+    Two exact certificates settle most rows without a search:
+
+    * hit: gauge(z) <= 1 + 1e-10, so the line meets the body at t = 0;
+    * miss: |z| > h(z/|z|) (1 + 1e-10).  Every point of the line has
+      inner product |z| with the unit normal z/|z|, which is orthogonal
+      to u, so that supporting halfspace separates the whole line.
+
+    The other rows go to a golden-section minimization of the convex
+    function t -> gauge(z + t*u), 80 steps over [-t_max, t_max].  A row
+    leaves the search as a hit once a probe has gauge <= 1 + 1e-10; rows
+    left after 80 steps are hits if their last probes are.
+    """
+    tol = 1.0 + 1e-10
+    hit = body.gauge(base) <= tol
+    rows = np.flatnonzero(~hit)
+    base = base[rows]
+    norm = np.sqrt((base * base).sum(axis=1))  # > 0: gauge(0) = 0
+    miss = norm > body.support(base / norm[:, None]) * tol
+    rows, base = rows[~miss], base[~miss]
+    a = np.full(len(rows), -t_max)
+    b = np.full(len(rows), t_max)
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
     f1 = body.gauge(base + x1[:, None] * u)
     f2 = body.gauge(base + x2[:, None] * u)
     for _ in range(80):
+        found = np.minimum(f1, f2) <= tol
+        if found.any():
+            hit[rows[found]] = True
+            keep = ~found
+            rows, base, a, b, x1, x2, f1, f2 = (v[keep] for v in (rows, base, a, b, x1, x2, f1, f2))
+        if not len(rows):
+            return hit
         left = f1 <= f2
         b = np.where(left, x2, b)
         a = np.where(left, a, x1)
@@ -350,7 +400,8 @@ def _line_hits_body(body: ConvexBody, base: np.ndarray, u: np.ndarray, t_max: fl
         x2 = a + phi * (b - a)
         f1 = body.gauge(base + x1[:, None] * u)
         f2 = body.gauge(base + x2[:, None] * u)
-    return np.minimum(f1, f2) <= 1.0 + 1e-10
+    hit[rows] = np.minimum(f1, f2) <= tol
+    return hit
 
 
 def proj_body_support(
@@ -364,7 +415,11 @@ def proj_body_support(
 
     Analytic for balls and cubes; otherwise Monte Carlo over a bounding
     box of the shadow, testing whether the line through each candidate
-    point in direction u meets the body.
+    point in direction u meets the body.  H-polytopes test each line by
+    its facet intervals.  Other bodies settle most lines with an exact
+    certificate from their gauge (hit at the candidate point) or their
+    support (a separating halfspace whose normal is orthogonal to u) and
+    search only the rest; see ``_line_hits_convex``.
     """
     u = np.asarray(u, dtype=float)
     nrm = np.linalg.norm(u)
@@ -413,7 +468,8 @@ def polar_proj_ball_volume(d: int) -> PolarProjBall:
     )
     value = math.exp(d * log_ratio)
     bound = (2.0 * math.pi / d) ** (0.5 * d)
-    assert value <= bound * (1.0 + 1e-12)
+    if not value <= bound * (1.0 + 1e-12):
+        raise RuntimeError(f"polar projection ball volume {value!r} exceeds its bound {bound!r} at d={d}")
     return PolarProjBall(d=d, value=value, bound=bound)
 
 

@@ -8,6 +8,10 @@ from normpack.bodies import ball_volume, cube, lp_ball, simplex_difference
 from normpack.volumetrics import (
     McEstimate,
     OverlapClassifier,
+    _ball_lens_volumes,
+    _line_hits_body,
+    _line_hits_convex,
+    _orthonormal_complement,
     analytic_polar_proj_volume,
     analytic_proj_support,
     ball_cap_volume,
@@ -238,8 +242,6 @@ class TestProjSupport:
         # project the cube vertices and take the exact 2-D hull area
         from scipy.spatial import ConvexHull
 
-        from normpack.volumetrics import _orthonormal_complement
-
         u = np.ones(3) / math.sqrt(3.0)
         verts = np.array(
             [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
@@ -272,6 +274,111 @@ class TestProjSupport:
         assert 0.0 < est.value < 2.0 * simplex_difference(2).circumradius()
 
 
+def golden_section_line_hits(body, base, u, t_max):
+    """Reference: 80 golden-section steps on every row, no certificates."""
+    a = np.full(len(base), -t_max)
+    b = np.full(len(base), t_max)
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - phi * (b - a)
+    x2 = a + phi * (b - a)
+    f1 = body.gauge(base + x1[:, None] * u)
+    f2 = body.gauge(base + x2[:, None] * u)
+    for _ in range(80):
+        left = f1 <= f2
+        b = np.where(left, x2, b)
+        a = np.where(left, a, x1)
+        x1 = b - phi * (b - a)
+        x2 = a + phi * (b - a)
+        f1 = body.gauge(base + x1[:, None] * u)
+        f2 = body.gauge(base + x2[:, None] * u)
+    return np.minimum(f1, f2) <= 1.0 + 1e-10
+
+
+def shadow_lines(body, u, rows, rng):
+    """Base points orthogonal to u, uniform over the shadow's bounding box,
+    as ``proj_body_support`` draws them, and the search half-length."""
+    V = _orthonormal_complement(u)
+    half = np.asarray([body.support(V[:, j]) for j in range(body.d - 1)])
+    z = rng.uniform(-half, half, size=(rows, body.d - 1))
+    return z @ V.T, float(body.support(u)) + 1e-9
+
+
+def random_directions(d, n, rng):
+    u = rng.normal(size=(n, d))
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+class TestLineHits:
+    @pytest.mark.parametrize(
+        "body",
+        [lp_ball(3, 3), lp_ball(4, 1.5), lp_ball(3, 4), simplex_difference(3)],
+        ids=["lp3_d3", "lp1.5_d4", "lp4_d3", "simplex_diff_d3"],
+    )
+    def test_certified_route_matches_golden_section(self, body):
+        rng = np.random.default_rng(21)
+        for u in random_directions(body.d, 10, rng):
+            base, t_max = shadow_lines(body, u, 3000, rng)
+            hits = _line_hits_body(body, base, u, t_max)
+            assert 0 < hits.sum() < len(base)
+            np.testing.assert_array_equal(hits, golden_section_line_hits(body, base, u, t_max))
+
+    @pytest.mark.parametrize("body", [lp_ball(3, 2, scale=0.8), cube(3, side=1.4)], ids=["lp2", "lpinf"])
+    def test_generic_path_matches_interval_branch(self, body):
+        rng = np.random.default_rng(22)
+        dirs = np.vstack([np.eye(3), random_directions(3, 10, rng)])
+        misses = 0
+        for u in dirs:
+            base, t_max = shadow_lines(body, u, 3000, rng)
+            expected = _line_hits_body(body, base, u, t_max)
+            assert expected.any()
+            misses += int(np.count_nonzero(~expected))
+            np.testing.assert_array_equal(_line_hits_convex(body, base, u, t_max), expected)
+        assert misses > 0
+
+    @pytest.mark.parametrize("body", [lp_ball(3, 3), simplex_difference(3)], ids=["lp3", "simplex_diff"])
+    def test_degenerate_rows(self, body):
+        rng = np.random.default_rng(23)
+        for u in np.vstack([np.eye(3), -np.eye(3)[:1]]):
+            base, t_max = shadow_lines(body, u, 500, rng)
+            base[:5] = 0.0
+            hits = _line_hits_convex(body, base, u, t_max)
+            assert hits[:5].all()
+            np.testing.assert_array_equal(hits, golden_section_line_hits(body, base, u, t_max))
+
+    def test_no_row_left_to_search(self):
+        # every row is certified: near the origin (hit) or far out (miss)
+        body = lp_ball(3, 3)
+        u = np.array([0.0, 0.0, 1.0])
+        V = _orthonormal_complement(u)
+        z = np.vstack([np.full((4, 2), 0.1), np.full((4, 2), 5.0)])
+        hits = _line_hits_convex(body, z @ V.T, u, body.support(u) + 1e-9)
+        np.testing.assert_array_equal(hits, [True] * 4 + [False] * 4)
+        assert _line_hits_convex(body, np.zeros((0, 3)), u, 1.0).shape == (0,)
+
+
+class TestLensVectorized:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+    def test_equals_scalar_elementwise(self, d):
+        rng = np.random.default_rng(d)
+        for r in (0.3, 0.62, 1.0, 1.7):
+            edges = [0.0, 2.0 * r, np.nextafter(2.0 * r, 0.0), np.nextafter(2.0 * r, 5.0), 3.0 * r]
+            s = np.concatenate([edges, rng.uniform(0.0, 2.5 * r, 5000)])
+            got = _ball_lens_volumes(d, r, s)
+            for si, gi in zip(s, got):
+                assert gi == ball_lens_volume(d, r, si)
+            assert got[0] == ball_lens_volume(d, r, 0.0) > 0.0
+            assert got[1] == got[4] == 0.0
+
+    def test_exact_intersection_volume_uses_it(self):
+        b = lp_ball(3, 2, scale=0.7)
+        xs = np.random.default_rng(5).normal(scale=0.5, size=(200, 3))
+        f = exact_intersection_volume(b, xs)
+        expected = [ball_lens_volume(3, 0.7, si) for si in np.sqrt((xs * xs).sum(axis=1))]
+        assert f.tolist() == expected
+        assert exact_intersection_volume(b, xs[0]) == expected[0]
+        assert isinstance(exact_intersection_volume(b, xs[0]), float)
+
+
 class TestPolarProjVolumes:
     def test_ball_small_d_values(self):
         assert polar_proj_ball_volume(1).value == pytest.approx(2.0)
@@ -283,6 +390,14 @@ class TestPolarProjVolumes:
         for d in range(1, 65):
             pb = polar_proj_ball_volume(d)
             assert pb.value <= pb.bound * (1 + 1e-12)
+
+    def test_bound_violation_raises(self, monkeypatch):
+        # a raise, not an assert, so that python -O keeps the check
+        from normpack import volumetrics
+
+        monkeypatch.setattr(volumetrics, "gammaln", lambda x: 5.0 if x < 1.9 else 0.0)
+        with pytest.raises(RuntimeError, match="exceeds its bound"):
+            polar_proj_ball_volume(2)
 
     def test_cube_analytic_value(self):
         # unit cube: Pi = 2 [-1,1]^d at side 2, polar is an l1 ball
