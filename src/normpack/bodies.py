@@ -53,11 +53,6 @@ def ball_volume(k: int) -> float:
     return math.exp(0.5 * k * math.log(math.pi) - gammaln(0.5 * k + 1.0))
 
 
-def unit_volume_ball_radius(d: int) -> float:
-    """Radius r_d of the unit-volume Euclidean ball in R^d."""
-    return ball_volume(d) ** (-1.0 / d)
-
-
 @dataclass(frozen=True, eq=False)
 class ConvexBody:
     """A centrally symmetric convex body: ``scale`` times a canonical body.

@@ -17,14 +17,11 @@ from scipy.special import gammaln
 
 from .bodies import (
     ConvexBody,
-    closed_form_volume,
     helmert_basis,
-    normalize_to_unit_volume,
     sample_uniform,
     simplex_difference,
 )
 from .volumetrics import (
-    OverlapClassifier,
     analytic_polar_proj_volume,
     analytic_proj_support,
     exact_intersection_volume,

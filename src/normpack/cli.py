@@ -3,11 +3,13 @@
 Three commands are installed:
 
 * ``pack run <config> [--seed S] [--out DIR]`` and
-  ``pack sweep <config> --grid <spec>`` for pipeline runs,
+  ``pack sweep <config> --grid <spec>`` for pipeline runs; with an output
+  directory, ``pack run`` writes the record and the packing's centers,
 * ``vol body-info <body>`` and ``vol intersection <body> --x <vec>``
   for one-off volumetrics,
-* ``verify all|schmuck|logconc|petty|rs|minkowski|poisson [--level]``
-  for the verification suite.
+* ``verify all|schmuck|logconc|petty|rs|minkowski|poisson [--level]
+  [--out PATH]`` for the verification suite; PATH ending in ``.csv``
+  gets CSV, any other PATH JSON lines.
 
 Grid specs look like ``Delta=20,30,40`` or ``d=2:4``.
 """
@@ -16,23 +18,25 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .bodies import VolumeUnavailableError, body_from_spec, closed_form_volume, normalize_to_unit_volume
+from .bodies import VolumeUnavailableError, body_from_spec, body_to_spec, closed_form_volume, normalize_to_unit_volume
 from .harness import (
     OUTPUT_DIR_ENV,
+    SUITE_CHECKS,
     ExperimentConfig,
-    run_pipeline,
+    output_dir,
+    run_stages,
     sweep,
     verify_suite,
     write_sweep_csv,
 )
-from .checks import write_reports_jsonl
+from .checks import write_reports_csv, write_reports_jsonl
+from .indset import export_packing
 from .volumetrics import intersection_volume, mc_volume
 
 
@@ -78,8 +82,12 @@ def pack_main(argv=None) -> int:
 
     cfg = _load_config(args.config, args.seed, args.out)
     if args.cmd == "run":
-        rec = run_pipeline(cfg)
-        print(rec.to_json())
+        run = run_stages(cfg)
+        out_dir = output_dir(cfg)
+        if out_dir:  # run_stages wrote the record there
+            path = os.path.join(out_dir, f"packing_{run.record.config_hash[:12]}.txt")
+            export_packing(run.packing, body_to_spec(run.body), run.domain.L, path)
+        print(run.record.to_json())
         return 0
     axis, grid = _parse_grid(args.grid)
     rows = sweep(
@@ -88,7 +96,7 @@ def pack_main(argv=None) -> int:
         ds=grid if axis == "d" else None,
         workers=args.workers,
     )
-    out_dir = cfg.out_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
+    out_dir = output_dir(cfg) or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sweep.csv")
     write_sweep_csv(rows, path)
@@ -115,13 +123,12 @@ def vol_main(argv=None) -> int:
     with open(args.body) as fh:
         body = body_from_spec(json.load(fh))
     rng = np.random.default_rng(args.seed)
+    try:
+        vol, vol_se = closed_form_volume(body), 0.0
+    except VolumeUnavailableError:
+        est = mc_volume(body, args.samples, rng)
+        vol, vol_se = est.value, est.std_error
     if args.cmd == "body-info":
-        try:
-            vol = closed_form_volume(body)
-            vol_se = 0.0
-        except VolumeUnavailableError:
-            est = mc_volume(body, args.samples, rng)
-            vol, vol_se = est.value, est.std_error
         unit = normalize_to_unit_volume(body, vol)
         print(
             json.dumps(
@@ -138,10 +145,6 @@ def vol_main(argv=None) -> int:
         )
         return 0
     x = np.asarray([float(v) for v in args.x.split(",")])
-    try:
-        vol = closed_form_volume(body)
-    except VolumeUnavailableError:
-        vol = mc_volume(body, args.samples, rng).value
     est = intersection_volume(body, x, args.samples, rng, volume=vol)
     print(json.dumps({"x": list(map(float, x)), "value": est.value, "std_error": est.std_error}, sort_keys=True))
     return 0
@@ -149,13 +152,10 @@ def vol_main(argv=None) -> int:
 
 def verify_main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="verify", description="numerical verification suite")
-    ap.add_argument(
-        "which",
-        choices=["all", "schmuck", "logconc", "petty", "rs", "minkowski", "poisson"],
-    )
+    ap.add_argument("which", choices=SUITE_CHECKS)
     ap.add_argument("--level", choices=["fast", "full"], default="fast")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--out", default=None, help="write reports as JSON lines")
+    ap.add_argument("--out", default=None, help="write reports: CSV if PATH ends in .csv, else JSON lines")
     args = ap.parse_args(argv)
     reports = verify_suite(args.level, args.seed, args.which)
     bad = 0
@@ -166,7 +166,8 @@ def verify_main(argv=None) -> int:
         bad += rep.violations
         print(f"{rep.check:24s} {rep.body:32s} d={rep.d} violations={rep.violations} [{status}]")
     if args.out:
-        write_reports_jsonl(reports, args.out)
+        write = write_reports_csv if args.out.endswith(".csv") else write_reports_jsonl
+        write(reports, args.out)
     print(f"total violations: {bad}")
     return 0 if bad == 0 else 1
 

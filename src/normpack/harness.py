@@ -19,18 +19,17 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import checks as checks_mod
-from .bodies import ConvexBody, body_from_spec, body_to_spec, closed_form_volume, cube, lp_ball, normalize_to_unit_volume
+from .bodies import ConvexBody, VolumeUnavailableError, body_from_spec, cube, lp_ball, normalize_to_unit_volume
 from .checks import CheckReport
-from .indset import greedy_independent_set, local_search_improve, verify_packing
+from .indset import PackingResult, greedy_independent_set, local_search_improve, verify_packing
 from .packing import (
-    PruneReport,
+    PackingGraph,
     TorusDomain,
     build_graph,
     degree_codegree_stats,
     prune,
     sample_poisson,
 )
-from .bodies import VolumeUnavailableError
 from .volumetrics import estimate_ik, mc_volume
 
 OUTPUT_DIR_ENV = "PACK_OUTPUT_DIR"
@@ -66,8 +65,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("L", "Delta", "ik_delta", "codegree_coeff", "mc_samples"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails this test too
                 raise ValueError(f"{name} must be positive")
+        if not self.ik_outer_samples >= 1:
+            raise ValueError("ik_outer_samples must be at least 1")
+        if not self.local_search_budget >= 0:
+            raise ValueError("local_search_budget must be nonnegative")
         if not isinstance(self.seed, int):
             raise ValueError("seed must be an integer (wall-clock seeding is not allowed)")
 
@@ -163,9 +166,34 @@ def _stage(name, timings, fn):
     return out
 
 
-def run_pipeline(config: ExperimentConfig) -> RunRecord:
+@dataclass(frozen=True)
+class PipelineRun:
+    """One run's record beside what its stages produced.
+
+    The stage timings are ``record.timing``.  Callers that keep many
+    records (sweeps, benchmarks) call :func:`run_pipeline`, which drops
+    the pruned graph and the packing here.
+    """
+
+    record: RunRecord
+    body: ConvexBody  # the unit-volume body every stage used
+    domain: TorusDomain
+    pruned: PackingGraph
+    packing: PackingResult
+
+
+def output_dir(config: ExperimentConfig) -> str | None:
+    """Where a run writes its files: ``config.out_dir``, else $PACK_OUTPUT_DIR."""
+    return config.out_dir or os.environ.get(OUTPUT_DIR_ENV)
+
+
+def run_stages(config: ExperimentConfig) -> PipelineRun:
     """normalize -> estimate_ik -> sample -> graph -> prune -> independent
-    set -> verify; deterministic given the config."""
+    set -> verify; deterministic given the config.
+
+    The only place that knows the order of the stages.  With an output
+    directory, the record is written there as ``run_<hash12>.jsonl``.
+    """
     timings: dict[str, float] = {}
     seed = config.seed
 
@@ -235,29 +263,25 @@ def run_pipeline(config: ExperimentConfig) -> RunRecord:
             "delta_k": ik.delta_k if math.isfinite(ik.delta_k) else None,
             "degenerate": ik.degenerate,
         },
-        prune_report={
-            "n_initial": report.n_initial,
-            "removed_x1": report.removed_x1,
-            "removed_x2": report.removed_x2,
-            "removed_x3": report.removed_x3,
-            "removed_union": report.removed_union,
-            "retained": report.retained,
-            "boundary_pairs": report.boundary_pairs,
-            "expected_sizes": report.expected_sizes,
-        },
+        prune_report=asdict(report),
         stats_pre=stats_pre,
         stats_post=stats_post,
         packing=result.summary(),
         preconditions=preconditions,
         timing=timings,
     )
-    out_dir = config.out_dir or os.environ.get(OUTPUT_DIR_ENV)
+    out_dir = output_dir(config)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"run_{config.hash()[:12]}.jsonl")
         with open(path, "w") as fh:
             fh.write(record.to_json() + "\n")
-    return record
+    return PipelineRun(record=record, body=body, domain=domain, pruned=pruned, packing=result)
+
+
+def run_pipeline(config: ExperimentConfig) -> RunRecord:
+    """The record of :func:`run_stages`, without the graphs it produced."""
+    return run_stages(config).record
 
 
 SWEEP_COLUMNS = [
@@ -284,6 +308,12 @@ def sweep(
     Exactly one of ``deltas`` / ``ds`` selects the grid axis.  Each grid
     point gets its own child seed, so results do not depend on worker
     count or completion order.
+
+    A ``deltas`` point is the template with its Delta replaced.  A ``ds``
+    point is ``default_config(d)`` (unit-volume l2 ball, default L and
+    Delta) with the template's ``ik_delta``, ``codegree_coeff`` and
+    ``out_dir``; since it runs the l2 ball, the template body must be an
+    l2 ball too.
     """
     if (deltas is None) == (ds is None):
         raise ValueError("specify exactly one of deltas / ds")
@@ -292,9 +322,13 @@ def sweep(
         for i, D in enumerate(deltas):
             points.append(replace(template, Delta=float(D), seed=child_seed(template.seed, f"sweep:{i}") % 2**31))
     else:
+        body = body_from_spec(template.body)
+        if body.kind != "lp" or body.p != 2:
+            raise ValueError(f"a sweep over d runs l2 balls, not the template body {body.describe()}")
+        kept = {k: getattr(template, k) for k in ("ik_delta", "codegree_coeff", "out_dir")}
         for i, d in enumerate(ds):
             base = default_config(int(d), seed=child_seed(template.seed, f"sweep:{i}") % 2**31)
-            points.append(replace(base, ik_delta=template.ik_delta, codegree_coeff=template.codegree_coeff))
+            points.append(replace(base, **kept))
     workers = workers or template.workers
 
     def run_one(cfg):
@@ -316,14 +350,10 @@ def sweep(
             if isinstance(exc, PipelineStageError):
                 stage, cause = exc.stage, exc.__cause__
             return {
+                **dict.fromkeys(SWEEP_COLUMNS),
                 "d": cfg.d,
                 "Delta": cfg.Delta,
-                "n_pre": None,
-                "n_post": None,
-                "independent_set": None,
-                "density": None,
                 "trivial_bound": 2.0**-cfg.d,
-                "log_delta_over_delta": None,
                 "status": f"error: {stage}: {type(cause).__name__}: {cause}",
             }
 
@@ -347,13 +377,18 @@ def write_sweep_csv(rows: list[dict], path) -> None:
 
 FAST = "fast"
 FULL = "full"
+SUITE_CHECKS = ("all", "schmuck", "logconc", "petty", "rs", "minkowski", "poisson")
 
 
 def verify_suite(level: str = FAST, seed: int = 1, which: str = "all") -> list[CheckReport]:
     """Run the volumetric verifiers plus the Minkowski equivalence and
-    Poisson tail checks; verdicts live in the reports, never exceptions."""
+    Poisson tail checks; verdicts live in the reports, never exceptions.
+
+    ``which`` is one of :data:`SUITE_CHECKS`."""
     if level not in (FAST, FULL):
         raise ValueError("level must be 'fast' or 'full'")
+    if which not in SUITE_CHECKS:
+        raise ValueError(f"which must be one of {SUITE_CHECKS}, got {which!r}")
     big = level == FULL
     trials = 1000 if big else 200
     rays = 200 if big else 50

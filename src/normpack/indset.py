@@ -7,6 +7,7 @@ from raw coordinates rather than trusting the graph.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -191,8 +192,6 @@ def verify_packing(
 
 def export_packing(result: PackingResult, body_spec: dict, L: float, path) -> None:
     """Coordinate file: header line with body spec and L, one center per line."""
-    import json
-
     with open(path, "w") as fh:
         fh.write("# " + json.dumps({"body": body_spec, "L": L}, sort_keys=True) + "\n")
         for c in result.centers:
@@ -201,8 +200,6 @@ def export_packing(result: PackingResult, body_spec: dict, L: float, path) -> No
 
 def import_packing(path) -> tuple[np.ndarray, dict, float]:
     """Inverse of :func:`export_packing`; returns (centers, body_spec, L)."""
-    import json
-
     centers = []
     header = None
     with open(path) as fh:

@@ -174,27 +174,6 @@ def build_graph(points: PointSet, body: ConvexBody, domain: TorusDomain) -> Pack
     return PackingGraph.from_pairs(pts, pairs_within_gauge(pts, body, domain, 2.0), domain)
 
 
-def brute_force_graph(points: PointSet, body: ConvexBody, domain: TorusDomain) -> PackingGraph:
-    """O(n^2) reference adjacency; oracle for build_graph."""
-    pts = points.points
-    n = len(pts)
-    pairs = np.empty((0, 2), dtype=np.int64)
-    if n:
-        diffs = domain.min_image(pts[:, None, :] - pts[None, :, :])
-        g = body.gauge(diffs)
-        np.fill_diagonal(g, np.inf)
-        pairs = np.argwhere(g <= 2.0)
-    return PackingGraph.from_pairs(pts, pairs, domain)
-
-
-def graphs_equal(a: PackingGraph, b: PackingGraph) -> bool:
-    return (
-        a.n == b.n
-        and np.array_equal(a.adj.indptr, b.adj.indptr)
-        and np.array_equal(a.adj.indices, b.adj.indices)
-    )
-
-
 @dataclass(frozen=True)
 class PruneReport:
     """Removal accounting for one prune pass.
@@ -336,40 +315,3 @@ def degree_codegree_stats(graph: PackingGraph) -> dict:
         "max_codegree": int(codeg.max(initial=0)),
         "degree_histogram": hist,
     }
-
-
-def brute_force_max_codegree(graph: PackingGraph) -> int:
-    """Dense boolean-matmul codegree maximum; oracle for prune postconditions."""
-    if graph.n == 0:
-        return 0
-    A = graph.adj.toarray()
-    C = A @ A
-    np.fill_diagonal(C, 0.0)
-    return int(C.max())
-
-
-def export_graph(graph: PackingGraph, path) -> None:
-    """Plain-text export: `v <idx> <coords...>` then `e <i> <j>` lines."""
-    with open(path, "w") as fh:
-        for i, pt in enumerate(graph.points):
-            fh.write("v " + str(i) + " " + " ".join(repr(float(c)) for c in pt) + "\n")
-        for i, nb in enumerate(graph.neighbors):
-            for j in nb:
-                if i < j:
-                    fh.write(f"e {i} {int(j)}\n")
-
-
-def import_graph(path, domain: TorusDomain) -> PackingGraph:
-    verts = {}
-    edges = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                verts[int(parts[1])] = [float(c) for c in parts[2:]]
-            elif parts[0] == "e":
-                edges.append((int(parts[1]), int(parts[2])))
-    pts = np.asarray([verts[i] for i in range(len(verts))])
-    return PackingGraph.from_pairs(pts, edges, domain)

@@ -20,7 +20,6 @@ from .bodies import (
     ball_volume,
     closed_form_volume,
     sample_uniform,
-    unit_volume_ball_radius,
 )
 
 MC_MIN_SAMPLES = 1_000

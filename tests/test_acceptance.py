@@ -5,7 +5,6 @@ before asserting, so a `pytest -v` run shows a line per criterion even
 with output capture enabled.
 """
 
-import itertools
 import math
 import time
 from dataclasses import replace
@@ -15,8 +14,6 @@ import pytest
 import scipy.sparse as sp
 
 from normpack.bodies import (
-    ball_volume,
-    body_from_spec,
     closed_form_volume,
     cube,
     hpolytope,
@@ -30,27 +27,19 @@ from normpack.checks import (
     check_rogers_shephard,
     check_schmuckenschlager,
 )
-from normpack.harness import child_rng, default_config, run_pipeline, sweep
-from normpack.indset import greedy_independent_set, local_search_improve, verify_packing
-from normpack.packing import (
-    PackingGraph,
-    TorusDomain,
-    brute_force_graph,
-    build_graph,
-    graphs_equal,
-    prune,
-    sample_poisson,
-)
+from normpack.harness import child_rng, default_config, run_pipeline, run_stages, sweep
+from normpack.indset import greedy_independent_set, local_search_improve
+from normpack.packing import PackingGraph, PointSet, TorusDomain, build_graph
 from normpack.volumetrics import (
     analytic_polar_proj_volume,
     ball_lens_volume,
-    estimate_ik,
-    exact_intersection_volume,
     intersection_volume,
     mc_volume,
     polar_proj_ball_volume,
     polar_proj_volume_mc,
 )
+
+from graph_oracles import brute_force_graph, exhaustive_max_independent, graph_from_edges, graphs_equal
 
 
 @pytest.fixture
@@ -61,30 +50,6 @@ def conclude(capsys):
         assert ok, f"{name}: {detail}"
 
     return _conclude
-
-
-# -- pipeline stage replay (shared by criteria 7, 8, 14) ---------------
-
-_PIPE_CACHE = {}
-
-
-def _pipeline_stages(d, seed):
-    """Deterministic replay of the pipeline stages, keeping the graphs."""
-    key = (d, seed)
-    if key not in _PIPE_CACHE:
-        cfg = default_config(d, seed=seed)
-        body = normalize_to_unit_volume(body_from_spec(cfg.body))
-        domain = TorusDomain(cfg.d, cfg.L)
-        ik = estimate_ik(
-            body, cfg.ik_delta, cfg.ik_outer_samples, cfg.mc_samples, child_rng(seed, "ik")
-        )
-        points = sample_poisson(domain, cfg.Delta, child_rng(seed, "poisson"), seed=seed)
-        graph = build_graph(points, body, domain)
-        pruned, report = prune(
-            graph, body, ik, cfg.Delta, cfg.codegree_coeff, domain, child_rng(seed, "prune")
-        )
-        _PIPE_CACHE[key] = (cfg, body, domain, pruned, report)
-    return _PIPE_CACHE[key]
 
 
 def _brute_force_degree_codegree(pruned: PackingGraph, body, domain):
@@ -257,10 +222,11 @@ def test_c07_prune_bounds_brute_force(conclude):
     assert len(runs) == 50
     violations = 0
     for d, seed in runs:
-        cfg, body, domain, pruned, _ = _pipeline_stages(d, seed)
+        cfg = default_config(d, seed=seed)
+        run = run_stages(cfg)
         deg_cap = cfg.Delta + cfg.Delta ** (2.0 / 3.0)
         codeg_cap = cfg.codegree_coeff * cfg.Delta
-        max_deg, max_codeg = _brute_force_degree_codegree(pruned, body, domain)
+        max_deg, max_codeg = _brute_force_degree_codegree(run.pruned, run.body, run.domain)
         if max_deg > deg_cap or max_codeg > codeg_cap:
             violations += 1
     conclude(
@@ -274,14 +240,10 @@ def test_c08_packing_verifies_and_beats_trivial(conclude):
     worst = {2: math.inf, 3: math.inf, 4: math.inf}
     for d in (2, 3, 4):
         for seed in range(1, 21):
-            cfg, body, domain, pruned, _ = _pipeline_stages(d, seed)
-            indep = greedy_independent_set(pruned, "random", child_rng(seed, "greedy"))
-            indep = local_search_improve(pruned, indep, cfg.local_search_budget)
-            result = verify_packing(
-                pruned.points[indep], body, domain, 1.0, n_candidates=pruned.n, Delta=cfg.Delta
-            )
-            worst[d] = min(worst[d], result.density)
-            assert result.density >= 2.0**-d, f"d={d} seed={seed}: {result.density}"
+            # run_pipeline re-verifies the packing from raw coordinates
+            density = run_pipeline(default_config(d, seed=seed)).packing["density"]
+            worst[d] = min(worst[d], density)
+            assert density >= 2.0**-d, f"d={d} seed={seed}: {density}"
     conclude(
         "criterion-8 packing-density",
         True,
@@ -305,8 +267,6 @@ def test_c09_spatial_hash_equals_brute_force(conclude):
         L = 12.0 if body.d == 2 else 9.0
         domain = TorusDomain(body.d, L)
         n = int(rng.integers(100, 2001))
-        from normpack.packing import PointSet
-
         ps = PointSet(points=rng.uniform(0.0, L, size=(n, body.d)), seed=None, intensity=0.0)
         if not graphs_equal(build_graph(ps, body, domain), brute_force_graph(ps, body, domain)):
             mismatches += 1
@@ -318,15 +278,6 @@ def test_c09_spatial_hash_equals_brute_force(conclude):
 
 
 def test_c10_independent_set_vs_exhaustive(conclude):
-    def exhaustive_max(n, edge_set):
-        for r in range(n, 0, -1):
-            for combo in itertools.combinations(range(n), r):
-                if all(
-                    (a, b) not in edge_set for a, b in itertools.combinations(combo, 2)
-                ):
-                    return r
-        return 0
-
     rng = np.random.default_rng(1010)
     bad = 0
     for trial in range(50):
@@ -334,8 +285,8 @@ def test_c10_independent_set_vs_exhaustive(conclude):
         edges = [
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35
         ]
-        graph = PackingGraph.from_pairs(np.zeros((n, 2)), edges, TorusDomain(2, 100.0))
-        opt = exhaustive_max(n, set(edges))
+        graph = graph_from_edges(n, edges)
+        opt = exhaustive_max_independent(n, edges)
         seed_set = greedy_independent_set(graph, "random", rng)
         out = local_search_improve(graph, seed_set, budget=100)
         dmax = int(graph.degree().max(initial=0))

@@ -1,11 +1,11 @@
 import json
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from normpack.bodies import body_from_spec, body_to_spec, normalize_to_unit_volume
 from normpack.cli import pack_main, verify_main, vol_main
 from normpack.harness import (
     OUTPUT_DIR_ENV,
@@ -17,10 +17,13 @@ from normpack.harness import (
     child_seed,
     default_config,
     run_pipeline,
+    run_stages,
     sweep,
     verify_suite,
     write_sweep_csv,
 )
+from normpack.indset import import_packing, verify_packing
+from normpack.packing import TorusDomain
 
 
 class TestChildSeed:
@@ -64,6 +67,14 @@ class TestConfig:
             replace(cfg, ik_delta=0.0)
         with pytest.raises(ValueError, match="seed"):
             replace(cfg, seed=1.5)
+        for name in ("L", "Delta", "ik_delta", "codegree_coeff", "mc_samples"):
+            with pytest.raises(ValueError, match=name):
+                replace(cfg, **{name: math.nan})
+        with pytest.raises(ValueError, match="ik_outer_samples"):
+            replace(cfg, ik_outer_samples=0)
+        with pytest.raises(ValueError, match="local_search_budget"):
+            replace(cfg, local_search_budget=-5)
+        assert replace(cfg, ik_outer_samples=1, local_search_budget=0).local_search_budget == 0
 
     def test_default_config_unknown_d(self):
         with pytest.raises(ValueError):
@@ -124,6 +135,14 @@ class TestRunPipeline:
         run_pipeline(cfg)
         assert (tmp_path / f"run_{cfg.hash()[:12]}.jsonl").exists()
 
+    def test_stages_match_record(self):
+        cfg = default_config(2, seed=6)
+        run = run_stages(cfg)
+        assert run.record.to_json() == run_pipeline(cfg).to_json()
+        assert run.pruned.n == run.record.prune_report["retained"]
+        assert run.packing.summary() == run.record.packing
+        assert run.domain == TorusDomain(2, cfg.L)
+
 
 class TestSweep:
     def test_single_point_matches_run(self):
@@ -162,6 +181,16 @@ class TestSweep:
         assert [r["d"] for r in rows] == [2, 3]
         assert all(r["status"] == "ok" for r in rows)
 
+    def test_dimension_axis_keeps_out_dir(self, tmp_path):
+        sweep(replace(default_config(2, seed=11), out_dir=str(tmp_path)), ds=[2])
+        assert len(list(tmp_path.glob("run_*.jsonl"))) == 1
+
+    def test_dimension_axis_rejects_other_bodies(self):
+        cube = {"kind": "lp", "d": 2, "p": "inf", "scale": 1.0}
+        for body in (cube, {"kind": "lp", "d": 2, "p": 3, "scale": 1.0}, {"kind": "simplex_diff", "d": 2}):
+            with pytest.raises(ValueError, match="l2"):
+                sweep(replace(default_config(2), body=body), ds=[2, 3])
+
     def test_csv(self, tmp_path):
         rows = sweep(default_config(2, seed=12), deltas=[20.0])
         path = tmp_path / "sweep.csv"
@@ -186,6 +215,10 @@ class TestVerifySuite:
         with pytest.raises(ValueError):
             verify_suite("medium")
 
+    def test_unknown_check(self):
+        with pytest.raises(ValueError, match="petyy"):
+            verify_suite("fast", which="petyy")
+
 
 class TestCli:
     def _write_config(self, tmp_path):
@@ -203,6 +236,22 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["packing"]["count"] > 0
+
+    def test_pack_run_writes_record_and_packing(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        rc = pack_main(["run", self._write_config(tmp_path), "--out", str(out_dir)])
+        assert rc == 0
+        rec = json.loads(capsys.readouterr().out)
+        tag = rec["config_hash"][:12]
+        assert json.loads((out_dir / f"run_{tag}.jsonl").read_text()) == rec
+        # the packing file alone re-verifies: it carries the unit-volume body
+        centers, spec, L = import_packing(out_dir / f"packing_{tag}.txt")
+        body = normalize_to_unit_volume(body_from_spec(rec["config"]["body"]))
+        assert spec == body_to_spec(body)
+        assert L == rec["config"]["L"]
+        result = verify_packing(centers, body_from_spec(spec), TorusDomain(spec["d"], L), 1.0)
+        assert result.count == rec["packing"]["count"]
+        assert result.density == rec["packing"]["density"]
 
     def test_pack_sweep(self, tmp_path, capsys):
         rc = pack_main(
@@ -235,6 +284,20 @@ class TestCli:
         assert "total violations: 0" in text
         assert out_path.exists()
 
+    def test_verify_csv(self, tmp_path, capsys):
+        out_path = tmp_path / "r.csv"
+        assert verify_main(["poisson", "--out", str(out_path)]) == 0
+        header, row = out_path.read_text().splitlines()
+        assert header == "check,body,d,value,std_error,bound,violations,trials,seed,conclusive,params"
+        assert row.startswith("poisson_tail,")
+
     def test_bad_grid_axis(self, tmp_path):
         with pytest.raises(SystemExit):
             pack_main(["sweep", self._write_config(tmp_path), "--grid", "gamma=1,2"])
+
+    def test_sweep_d_grid_rejects_cube(self, tmp_path):
+        path = tmp_path / "cube.json"
+        cfg = replace(default_config(2), body={"kind": "lp", "d": 2, "p": "inf", "scale": 1.0})
+        path.write_text(cfg.to_json())
+        with pytest.raises(ValueError, match="l2"):
+            pack_main(["sweep", str(path), "--grid", "d=2:3", "--out", str(tmp_path)])

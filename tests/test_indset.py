@@ -14,25 +14,9 @@ from normpack.indset import (
     local_search_improve,
     verify_packing,
 )
-from normpack.packing import PackingGraph, TorusDomain
+from normpack.packing import TorusDomain
 
-
-def graph_from_edges(n, edges):
-    """Synthetic graph with dummy coordinates (indset code never reads them)."""
-    return PackingGraph.from_pairs(np.zeros((n, 2)), edges, TorusDomain(2, 100.0))
-
-
-def exhaustive_max_independent(n, edges):
-    edge_set = set(map(tuple, map(sorted, edges)))
-    best = 0
-    for r in range(n, -1, -1):
-        for combo in itertools.combinations(range(n), r):
-            s = set(combo)
-            if all(tuple(sorted(e)) not in edge_set for e in itertools.combinations(s, 2)):
-                return r
-        if best:
-            break
-    return 0
+from graph_oracles import exhaustive_max_independent, graph_from_edges
 
 
 def random_graph(rng, n, p):

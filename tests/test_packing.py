@@ -9,21 +9,17 @@ from normpack.bodies import cube, lp_ball
 from normpack.indset import verify_packing
 import normpack.packing as packing
 from normpack.packing import (
-    PackingGraph,
     PointSet,
     TorusDomain,
-    brute_force_graph,
-    brute_force_max_codegree,
     build_graph,
     codegree_pairs,
     degree_codegree_stats,
-    export_graph,
-    graphs_equal,
-    import_graph,
     prune,
     sample_poisson,
 )
 from normpack.volumetrics import OverlapClassifier, estimate_ik
+
+from graph_oracles import brute_force_graph, brute_force_max_codegree, graph_from_edges, graphs_equal
 
 
 def make_pointset(pts):
@@ -194,17 +190,6 @@ class TestBuildGraph:
         assert sub.neighbors[0].tolist() == [1]
         assert sub.neighbors[1].tolist() == [0]
         assert sub.original_indices.tolist() == [0, 2]
-
-    def test_export_import_round_trip(self, tmp_path):
-        dom = TorusDomain(2, 15.0)
-        body = lp_ball(2, 2, scale=0.9)
-        ps = sample_poisson(dom, 8.0, np.random.default_rng(3))
-        g = build_graph(ps, body, dom)
-        path = tmp_path / "graph.txt"
-        export_graph(g, path)
-        g2 = import_graph(path, dom)
-        assert graphs_equal(g, g2)
-        assert np.allclose(g.points, g2.points)
 
 
 @given(st.integers(0, 10_000))
@@ -395,10 +380,6 @@ class TestStats:
         assert brute_force_max_codegree(g) == 1
 
 
-def graph_of(n, pairs):
-    return PackingGraph.from_pairs(np.zeros((n, 2)), pairs, TorusDomain(2, 10.0))
-
-
 def full_product_pairs(g, t):
     """Pairs i < j, in (i, j) order, whose entry of the full A @ A reaches
     max(t, 1), with those entries."""
@@ -417,7 +398,7 @@ def random_graph(seed):
         block = rng.choice(n, size=min(n, int(rng.integers(2, 12))), replace=False)
         pairs.append(np.array([(a, b) for a in block for b in block]))
     pairs = np.concatenate(pairs)
-    return graph_of(n, pairs[pairs[:, 0] != pairs[:, 1]])
+    return graph_from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
 
 
 class TestCodegreePairs:
@@ -441,7 +422,7 @@ class TestCodegreePairs:
 
     @pytest.mark.parametrize("n", [0, 6])
     def test_no_edges(self, n):
-        g = graph_of(n, np.empty((0, 2), dtype=np.int64))
+        g = graph_from_edges(n, np.empty((0, 2), dtype=np.int64))
         for t in self.THRESHOLDS:
             rows, cols, counts = codegree_pairs(g, t)
             assert len(rows) == len(cols) == len(counts) == 0
@@ -449,14 +430,14 @@ class TestCodegreePairs:
 
     def test_threshold_at_most_zero_selects_shared_neighbors_only(self):
         # path 0-1-2 plus the isolated vertex 3: only (0, 2) shares a neighbor
-        g = graph_of(4, [(0, 1), (1, 2)])
+        g = graph_from_edges(4, [(0, 1), (1, 2)])
         for t in (0.0, -5.0, 0.3):
             rows, cols, counts = codegree_pairs(g, t)
             assert rows.tolist() == [0] and cols.tolist() == [2] and counts.tolist() == [1]
 
     def test_non_integer_threshold(self):
         # K5: every pair has codegree 3
-        g = graph_of(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+        g = graph_from_edges(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
         assert len(codegree_pairs(g, 2.01)[0]) == 10
         assert len(codegree_pairs(g, 3.0)[0]) == 10
         assert len(codegree_pairs(g, 3.01)[0]) == 0
@@ -478,7 +459,7 @@ class TestCodegreePairs:
         # codegree 1): the 90th degree percentile is 4, above every codegree
         clique = [(a, b) for a in range(5) for b in range(a + 1, 5)]
         star = [(5, leaf) for leaf in range(6, 26)]
-        g = graph_of(26, clique + star)
+        g = graph_from_edges(26, clique + star)
         assert degree_codegree_stats(g)["max_codegree"] == 3 == brute_force_max_codegree(g)
         assert thresholds_seen == [pytest.approx(4.0), 1]
 
