@@ -9,6 +9,9 @@ Three built-in families are supported:
   realized exactly as the central hyperplane section of the
   (d+1)-dimensional cross-polytope.
 
+The polytope kinds share their canonical body's Qhull vertices and hull
+facets (:class:`Polytope`) with every scaled copy.
+
 All gauge/support evaluations are vectorized over a leading batch axis.
 """
 
@@ -19,12 +22,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 from scipy.special import gammaln
-
-
-class VolumeUnavailableError(Exception):
-    """No closed-form volume exists for this body; use Monte Carlo."""
 
 
 class RejectionEfficiencyError(Exception):
@@ -54,6 +53,32 @@ def ball_volume(k: int) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class Polytope:
+    """Vertices, volume and hull facets of a canonical (scale 1) polytope; the
+    facets are Qhull's simplices, by outward unit normal and (d-1)-volume."""
+
+    vertices: np.ndarray  # (n, d)
+    volume: float
+    normals: np.ndarray  # (m, d)
+    areas: np.ndarray  # (m,)
+
+
+def _polytope(points: np.ndarray) -> Polytope:
+    """Hull data of conv(points).  Qhull needs d >= 2, so d = 1 is the
+    segment [min, max], whose two facets are points of 0-volume 1."""
+    if points.shape[1] == 1:
+        lo, hi = points.min(), points.max()
+        return Polytope(np.array([[lo], [hi]]), float(hi - lo), np.array([[-1.0], [1.0]]), np.ones(2))
+    hull = ConvexHull(points)
+    normals = hull.equations[:, :-1]
+    # a simplex's (d-1)-volume is |det(edges from one corner, unit normal)| / (d-1)!
+    corners = points[hull.simplices]
+    frames = np.concatenate([corners[:, 1:] - corners[:, :1], normals[:, None, :]], axis=1)
+    areas = np.abs(np.linalg.det(frames)) / math.factorial(points.shape[1] - 1)
+    return Polytope(points[hull.vertices], float(hull.volume), normals, areas)
+
+
+@dataclass(frozen=True, eq=False)
 class ConvexBody:
     """A centrally symmetric convex body: ``scale`` times a canonical body.
 
@@ -68,6 +93,7 @@ class ConvexBody:
     normals: np.ndarray | None = None
     offsets: np.ndarray | None = None
     embedding: np.ndarray | None = field(default=None, repr=False)
+    polytope: Polytope | None = field(default=None, repr=False)  # shared by scaled copies
 
     # -- evaluation ----------------------------------------------------
 
@@ -90,7 +116,7 @@ class ConvexBody:
         if self.kind == "lp":
             h = _lp_norm(u, _dual_exponent(self.p))
         elif self.kind == "hpoly":
-            h = _hpoly_support(self.normals, self.offsets, u)
+            h = (u @ self.polytope.vertices.T).max(axis=-1)
         else:
             w = u @ self.embedding.T
             h = 0.5 * (w.max(axis=-1) - w.min(axis=-1))
@@ -100,17 +126,13 @@ class ConvexBody:
     # -- geometry ------------------------------------------------------
 
     def circumradius(self) -> float:
-        """R with body contained in the Euclidean ball of radius R."""
+        """Smallest R with the body contained in the Euclidean ball of radius R."""
         if self.kind == "lp":
             if self.p >= 2.0:
                 expo = 0.5 - (0.0 if math.isinf(self.p) else 1.0 / self.p)
                 return self.scale * self.d**expo
             return self.scale
-        if self.kind == "simplex_diff":
-            # extreme points are (e_i - e_j)/2 in the embedded picture
-            return self.scale / math.sqrt(2.0)
-        # certified upper bound: diagonal of the support bounding box
-        return float(np.sqrt(np.sum(self.bounding_halfwidths() ** 2)))
+        return self.scale * float(np.sqrt((self.polytope.vertices**2).sum(axis=1)).max())
 
     def bounding_halfwidths(self) -> np.ndarray:
         """Half-widths of the tight axis-aligned bounding box."""
@@ -155,8 +177,8 @@ def hpolytope(normals, offsets, scale: float = 1.0, tol: float = 1e-9) -> Convex
     """Symmetric H-polytope {x : a_i . x <= b_i}, facets in +/- pairs.
 
     Normals are renormalized to unit length (offsets rescaled to keep the
-    same halfspaces).  Raises if offsets are not positive or if some facet
-    lacks its antipodal partner.
+    same halfspaces).  Raises if offsets are not positive, if some facet
+    lacks its antipodal partner, or if the normals do not span R^d (unbounded).
     """
     A = np.asarray(normals, dtype=float)
     b = np.asarray(offsets, dtype=float)
@@ -173,7 +195,14 @@ def hpolytope(normals, offsets, scale: float = 1.0, tol: float = 1e-9) -> Convex
         match = np.all(np.abs(A + A[i]) <= tol, axis=1) & (np.abs(b - b[i]) <= tol)
         if not match.any():
             raise ValueError(f"facet {i} has no antipodal partner: not centrally symmetric")
-    return ConvexBody(kind="hpoly", d=A.shape[1], scale=scale, normals=A, offsets=b)
+    d = A.shape[1]
+    if np.linalg.matrix_rank(A) < d:
+        raise ValueError("facet normals do not span R^d: the polytope is unbounded")
+    if d == 1:  # normals are +/-1 with equal offsets
+        vertices = np.array([[-b.min()], [b.min()]])
+    else:  # the origin is interior; repeated vertices of non-simple polytopes drop out of the hull
+        vertices = HalfspaceIntersection(np.column_stack([A, -b]), np.zeros(d)).intersections
+    return ConvexBody(kind="hpoly", d=d, scale=scale, normals=A, offsets=b, polytope=_polytope(vertices))
 
 
 def simplex_difference(d: int, scale: float = 1.0) -> ConvexBody:
@@ -186,7 +215,9 @@ def simplex_difference(d: int, scale: float = 1.0) -> ConvexBody:
     """
     if d < 1 or scale <= 0:
         raise ValueError("need d >= 1 and scale > 0")
-    return ConvexBody(kind="simplex_diff", d=d, scale=scale, embedding=helmert_basis(d))
+    return ConvexBody(
+        kind="simplex_diff", d=d, scale=scale, embedding=helmert_basis(d), polytope=_simplex_diff_polytope(d)
+    )
 
 
 def _lp_norm(x: np.ndarray, p: float) -> np.ndarray:
@@ -212,55 +243,30 @@ def _dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _hpoly_support(A: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
-    flat = np.atleast_2d(u.reshape(-1, A.shape[1]))
-    vals = np.empty(len(flat))
-    for i, ui in enumerate(flat):
-        res = linprog(-ui, A_ub=A, b_ub=b, bounds=[(None, None)] * A.shape[1], method="highs")
-        if not res.success:
-            raise RuntimeError(f"support LP failed: {res.message}")
-        vals[i] = -res.fun
-    return vals.reshape(u.shape[:-1])
-
-
 @lru_cache(maxsize=None)
-def _simplex_diff_canonical_volume(d: int) -> float:
-    # Monte Carlo rejection estimate, computed once per dimension with a
-    # fixed internal seed and cached.  Deliberately does not assume the
-    # Rogers-Shephard equality, which the verifiers test independently.
-    body = simplex_difference(d)
-    rng = np.random.default_rng(0x5D1F + d)
-    half = body.bounding_halfwidths()
-    total = 4_000_000
-    hits = 0
-    for _ in range(4):
-        pts = rng.uniform(-half, half, size=(total // 4, d))
-        hits += int(np.count_nonzero(body.gauge(pts) <= 1.0))
-    return float(np.prod(2.0 * half)) * hits / total
+def _simplex_diff_polytope(d: int) -> Polytope:
+    """Hull of the vertices (E_i - E_j)/2, i != j, for the rows E_i of the embedding."""
+    E = helmert_basis(d)
+    i, j = np.nonzero(~np.eye(d + 1, dtype=bool))
+    return _polytope(0.5 * (E[i] - E[j]))
 
 
 def closed_form_volume(body: ConvexBody) -> float:
-    """Exact volume where a formula exists (l_p balls), or the cached
-    Monte Carlo value for the simplex difference body.
-
-    Raises :class:`VolumeUnavailableError` for general H-polytopes.
-    """
-    if body.kind == "lp":
-        d, p, s = body.d, body.p, body.scale
-        if math.isinf(p):
-            return (2.0 * s) ** d
-        logv = d * math.log(2.0) + d * gammaln(1.0 + 1.0 / p) - gammaln(1.0 + d / p)
-        return math.exp(logv) * s**d
-    if body.kind == "simplex_diff":
-        return _simplex_diff_canonical_volume(body.d) * body.scale**body.d
-    raise VolumeUnavailableError("no closed-form volume for a general H-polytope; use mc_volume")
+    """Exact volume: the l_p ball formula, or the Qhull volume of a
+    polytope's vertex hull."""
+    if body.polytope is not None:
+        return body.polytope.volume * body.scale**body.d
+    d, p, s = body.d, body.p, body.scale
+    if math.isinf(p):
+        return (2.0 * s) ** d
+    logv = d * math.log(2.0) + d * gammaln(1.0 + 1.0 / p) - gammaln(1.0 + d / p)
+    return math.exp(logv) * s**d
 
 
 def normalize_to_unit_volume(body: ConvexBody, volume: float | None = None) -> ConvexBody:
     """Rescale so the body has volume 1.
 
-    ``volume`` overrides the closed-form value (pass a Monte Carlo
-    estimate for H-polytopes).
+    ``volume`` overrides the exact value of :func:`closed_form_volume`.
     """
     v = closed_form_volume(body) if volume is None else volume
     if v <= 0:

@@ -258,8 +258,9 @@ def check_petty(
     """vol(Pi* K) <= vol(Pi* B) for the unit-volume ball B of equal volume.
 
     Uses the closed form for balls and cubes, a direction-net Monte Carlo
-    estimate otherwise.  Reports inconclusive (never pass) when the noise
-    band straddles the bound.
+    estimate otherwise.  On polytopes each h_{Pi K} in that net is exact
+    (Cauchy's formula), so only the net itself is random.  Reports
+    inconclusive (never pass) when the noise band straddles the bound.
     """
     bound = polar_proj_ball_volume(body.d).value
     analytic = analytic_polar_proj_volume(body)

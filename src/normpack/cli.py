@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bodies import VolumeUnavailableError, body_from_spec, body_to_spec, closed_form_volume, normalize_to_unit_volume
+from .bodies import body_from_spec, body_to_spec, closed_form_volume, normalize_to_unit_volume
 from .harness import (
     OUTPUT_DIR_ENV,
     SUITE_CHECKS,
@@ -37,7 +37,7 @@ from .harness import (
 )
 from .checks import write_reports_csv, write_reports_jsonl
 from .indset import export_packing
-from .volumetrics import intersection_volume, mc_volume
+from .volumetrics import intersection_volume
 
 
 def _load_config(path: str, seed: int | None, out: str | None) -> ExperimentConfig:
@@ -90,12 +90,11 @@ def pack_main(argv=None) -> int:
         print(run.record.to_json())
         return 0
     axis, grid = _parse_grid(args.grid)
-    rows = sweep(
-        cfg,
-        deltas=grid if axis == "Delta" else None,
-        ds=grid if axis == "d" else None,
-        workers=args.workers,
-    )
+    deltas, ds = (grid, None) if axis == "Delta" else (None, grid)
+    try:  # a grid the template cannot take; failed runs become rows instead
+        rows = sweep(cfg, deltas=deltas, ds=ds, workers=args.workers)
+    except ValueError as exc:
+        raise SystemExit(f"pack sweep: {exc}") from exc
     out_dir = output_dir(cfg) or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sweep.csv")
@@ -111,8 +110,6 @@ def vol_main(argv=None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
     info_p = sub.add_parser("body-info", help="volume, circumradius, unit-volume scale")
     info_p.add_argument("body", help="body specification JSON file")
-    info_p.add_argument("--samples", type=int, default=1_000_000)
-    info_p.add_argument("--seed", type=int, default=1)
     int_p = sub.add_parser("intersection", help="vol(K cap (K + x))")
     int_p.add_argument("body")
     int_p.add_argument("--x", required=True, help="comma-separated translation vector")
@@ -122,12 +119,7 @@ def vol_main(argv=None) -> int:
 
     with open(args.body) as fh:
         body = body_from_spec(json.load(fh))
-    rng = np.random.default_rng(args.seed)
-    try:
-        vol, vol_se = closed_form_volume(body), 0.0
-    except VolumeUnavailableError:
-        est = mc_volume(body, args.samples, rng)
-        vol, vol_se = est.value, est.std_error
+    vol = closed_form_volume(body)
     if args.cmd == "body-info":
         unit = normalize_to_unit_volume(body, vol)
         print(
@@ -136,7 +128,6 @@ def vol_main(argv=None) -> int:
                     "body": body.describe(),
                     "d": body.d,
                     "volume": vol,
-                    "volume_std_error": vol_se,
                     "circumradius": body.circumradius(),
                     "unit_volume_scale": unit.scale,
                 },
@@ -145,7 +136,7 @@ def vol_main(argv=None) -> int:
         )
         return 0
     x = np.asarray([float(v) for v in args.x.split(",")])
-    est = intersection_volume(body, x, args.samples, rng, volume=vol)
+    est = intersection_volume(body, x, args.samples, np.random.default_rng(args.seed), volume=vol)
     print(json.dumps({"x": list(map(float, x)), "value": est.value, "std_error": est.std_error}, sort_keys=True))
     return 0
 

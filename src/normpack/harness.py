@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import checks as checks_mod
-from .bodies import ConvexBody, VolumeUnavailableError, body_from_spec, cube, lp_ball, normalize_to_unit_volume
+from .bodies import ConvexBody, body_from_spec, cube, lp_ball, normalize_to_unit_volume
 from .checks import CheckReport
 from .indset import PackingResult, greedy_independent_set, local_search_improve, verify_packing
 from .packing import (
@@ -30,7 +30,7 @@ from .packing import (
     prune,
     sample_poisson,
 )
-from .volumetrics import estimate_ik, mc_volume
+from .volumetrics import estimate_ik
 
 OUTPUT_DIR_ENV = "PACK_OUTPUT_DIR"
 
@@ -201,11 +201,7 @@ def run_stages(config: ExperimentConfig) -> PipelineRun:
         body = body_from_spec(config.body)
         if body.d != config.d:
             raise ValueError("config d does not match body dimension")
-        try:
-            return normalize_to_unit_volume(body)
-        except VolumeUnavailableError:
-            est = mc_volume(body, max(config.mc_samples, 100_000), child_rng(seed, "normalize"))
-            return normalize_to_unit_volume(body, est.value)
+        return normalize_to_unit_volume(body)
 
     body = _stage("normalize", timings, normalize)
     domain = TorusDomain(config.d, config.L)

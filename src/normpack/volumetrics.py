@@ -220,6 +220,7 @@ def estimate_ik(
 ) -> IkProfile:
     """Estimate vol(I_K) by sampling translations uniformly in 2K.
 
+    vol(2K) is exact for every body kind (:func:`closed_form_volume`).
     ``inner_samples`` seeds the escalating MC classifier (ignored for
     bodies with exact intersection formulas unless ``force_mc``).
     Degenerate all-hit / no-hit outcomes are flagged rather than raised.
@@ -229,7 +230,7 @@ def estimate_ik(
             est = McEstimate(0.0, 0.0, 0, None)
             return IkProfile(body, delta, est, math.inf, degenerate=True)
         raise ValueError("delta must be positive")
-    vol2k = closed_form_volume(body.scaled(2.0)) if _volume_known(body) else 2.0**body.d
+    vol2k = closed_form_volume(body.scaled(2.0))
     xs = sample_uniform(body.scaled(2.0), rng, outer_samples)
     clf = OverlapClassifier(body, delta, rng, base_samples=inner_samples, force_mc=force_mc)
     hits = int(np.count_nonzero(clf.inside(xs)))
@@ -269,21 +270,19 @@ def ik_gauge_radius(body: ConvexBody, delta: float, tol: float = 1e-9) -> float:
     return 2.0
 
 
-def _volume_known(body: ConvexBody) -> bool:
-    return body.kind != "hpoly"
-
-
 # -- projection bodies ------------------------------------------------
 
 
 def analytic_proj_support(body: ConvexBody, u: np.ndarray) -> float | None:
-    """h_{Pi K}(u) in closed form for balls and cubes, else None.
+    """h_{Pi K}(u) in closed form for balls, cubes and polytopes, else None.
 
-    1-homogeneous in u.
+    Polytopes use Cauchy's formula h_{Pi K}(u) = 1/2 sum_F |u . n_F|
+    vol_{d-1}(F) over the facets of their vertex hull.  1-homogeneous in u.
     """
-    if body.kind != "lp":
-        return None
     u = np.asarray(u, dtype=float)
+    P = body.polytope
+    if P is not None:
+        return 0.5 * float(np.abs(P.normals @ u) @ P.areas) * body.scale ** (body.d - 1)
     if body.p == 2.0:
         r = body.scale
         return ball_volume(body.d - 1) * r ** (body.d - 1) * float(np.linalg.norm(u))
@@ -305,11 +304,11 @@ def _orthonormal_complement(u: np.ndarray) -> np.ndarray:
 def _line_hits_body(body: ConvexBody, base: np.ndarray, u: np.ndarray, t_max: float) -> np.ndarray:
     """For each base point z, does the line z + t*u meet the body?
 
-    Closed-form interval tests for balls, boxes and H-polytopes (whose
-    support costs one LP per row).  Other bodies go to
+    Closed-form interval tests for balls and boxes.  Other bodies go to
     ``_line_hits_convex``: an exact hit certificate from the gauge at z,
     an exact miss certificate from the support at z/|z|, and a search
-    only for the rows neither settles.
+    only for the rows neither settles.  Polytopes get here only under
+    ``force_mc``, since their shadow volume is exact by Cauchy's formula.
     """
     if body.kind == "lp" and body.p == 2.0:
         # |z|^2 + 2t z.u + t^2 <= r^2 with z orthogonal-ish to u handled generally
@@ -331,25 +330,6 @@ def _line_hits_body(body: ConvexBody, base: np.ndarray, u: np.ndarray, t_max: fl
             t2 = (s - base[:, i]) / ui
             lo = np.maximum(lo, np.minimum(t1, t2))
             hi = np.minimum(hi, np.maximum(t1, t2))
-        return lo <= hi
-    if body.kind == "hpoly":
-        A = body.normals
-        b = body.offsets * body.scale
-        num = b[None, :] - base @ A.T
-        den = A @ u
-        lo = np.full(len(base), -np.inf)
-        hi = np.full(len(base), np.inf)
-        for j in range(len(b)):
-            dj = den[j]
-            if abs(dj) < 1e-15:
-                ok = num[:, j] >= 0.0
-                lo = np.where(ok, lo, np.inf)
-                continue
-            t = num[:, j] / dj
-            if dj > 0:
-                hi = np.minimum(hi, t)
-            else:
-                lo = np.maximum(lo, t)
         return lo <= hi
     return _line_hits_convex(body, base, u, t_max)
 
@@ -412,13 +392,13 @@ def proj_body_support(
 ) -> McEstimate:
     """Shadow volume vol_{d-1} of the projection of the body onto u-perp.
 
-    Analytic for balls and cubes; otherwise Monte Carlo over a bounding
-    box of the shadow, testing whether the line through each candidate
-    point in direction u meets the body.  H-polytopes test each line by
-    its facet intervals.  Other bodies settle most lines with an exact
-    certificate from their gauge (hit at the candidate point) or their
-    support (a separating halfspace whose normal is orthogonal to u) and
-    search only the rest; see ``_line_hits_convex``.
+    Exact for balls, cubes and polytopes (:func:`analytic_proj_support`);
+    otherwise, or with ``force_mc``, Monte Carlo over a bounding box of
+    the shadow, testing whether the line through each candidate point in
+    direction u meets the body.  Bodies other than balls and cubes settle
+    most lines with an exact certificate from their gauge (hit) or their
+    support (a separating halfspace) and search only the rest; see
+    ``_line_hits_convex``.
     """
     u = np.asarray(u, dtype=float)
     nrm = np.linalg.norm(u)

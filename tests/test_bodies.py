@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from normpack.bodies import (
     RejectionEfficiencyError,
-    VolumeUnavailableError,
     body_from_spec,
     body_to_spec,
     closed_form_volume,
@@ -19,6 +18,8 @@ from normpack.bodies import (
     sample_uniform,
     simplex_difference,
 )
+from normpack.checks import regular_simplex_volume
+from polytope_oracles import criterion4_hpolytope, lp_support, random_symmetric_hpolytope
 
 
 def unit_cube_hpoly(d):
@@ -82,6 +83,29 @@ class TestSupport:
             assert body.support(u) == pytest.approx(oracle, abs=1e-8)
             assert body.support(u) == pytest.approx(np.abs(u).sum(), abs=1e-8)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_hpoly_vertices_vs_lp_oracle(self, d):
+        rng = np.random.default_rng(30 + d)
+        for _ in range(3):
+            body = random_symmetric_hpolytope(rng, d, d + 3).scaled(rng.uniform(0.5, 2.0))
+            for u in rng.normal(size=(10, d)):
+                assert body.support(u) == pytest.approx(lp_support(body, u), rel=1e-9, abs=1e-12)
+
+    def test_criterion4_vertices_vs_lp_oracle(self):
+        body = criterion4_hpolytope()
+        rng = np.random.default_rng(31)
+        us = rng.normal(size=(50, 3))
+        gaps = np.abs(body.support(us) - [lp_support(body, u) for u in us])
+        assert gaps.max() <= 1e-12
+
+    def test_non_simple_hpoly(self):
+        # the octahedron written by its 8 facets: 4 facets meet at each vertex
+        signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float)
+        body = hpolytope(signs, np.ones(8))
+        assert len(body.polytope.vertices) == 6
+        assert closed_form_volume(body) == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert body.support([0.2, -0.7, 0.1]) == pytest.approx(0.7)
+
 
 class TestVolume:
     def test_disk(self):
@@ -108,9 +132,21 @@ class TestVolume:
         se = 16.0 * math.sqrt(p * (1 - p) / n)
         assert abs(est - closed_form_volume(body)) <= 3 * se
 
-    def test_hpoly_unavailable(self):
-        with pytest.raises(VolumeUnavailableError):
-            closed_form_volume(unit_cube_hpoly(2))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_simplex_diff_hull_vs_rogers_shephard(self, d):
+        # vol((S - S)/2) = binom(2d, d) vol(S) / 2^d for the regular simplex S
+        truth = math.comb(2 * d, d) * regular_simplex_volume(d) / 2.0**d
+        assert closed_form_volume(simplex_difference(d)) == pytest.approx(truth, rel=1e-12)
+        assert closed_form_volume(simplex_difference(d, scale=1.5)) == pytest.approx(truth * 1.5**d, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_hpoly_cube_hull(self, d):
+        assert closed_form_volume(unit_cube_hpoly(d)) == pytest.approx(2.0**d, rel=1e-12)
+        assert closed_form_volume(unit_cube_hpoly(d).scaled(0.5)) == pytest.approx(1.0, rel=1e-12)
+
+    def test_scaled_copies_share_the_hull(self):
+        body = unit_cube_hpoly(3)
+        assert normalize_to_unit_volume(body).polytope is body.polytope
 
 
 class TestNormalize:
@@ -143,9 +179,12 @@ class TestCircumradius:
         assert lp_ball(6, 1).circumradius() == pytest.approx(1.0)
 
     def test_certified_for_hpoly(self):
-        body = unit_cube_hpoly(3)
-        r = body.circumradius()
-        assert r >= math.sqrt(3) - 1e-9  # true circumradius of the cube
+        assert unit_cube_hpoly(3).circumradius() == pytest.approx(math.sqrt(3))
+        assert unit_cube_hpoly(3).scaled(2.0).circumradius() == pytest.approx(2.0 * math.sqrt(3))
+
+    def test_simplex_diff(self):
+        for d in (1, 2, 5):
+            assert simplex_difference(d, scale=2.0).circumradius() == pytest.approx(math.sqrt(2.0))
 
     def test_contains_samples(self):
         rng = np.random.default_rng(1)
@@ -208,7 +247,7 @@ def test_gauge_support_duality(xt, ut):
     # x . u <= gauge(x) * support(u), the generalized Cauchy-Schwarz
     x, u = np.asarray(xt), np.asarray(ut)
     for b in BODIES:
-        if b.d != 3 or b.kind == "hpoly":  # LP solves are slow under hypothesis
+        if b.d != 3:
             continue
         assert float(x @ u) <= b.gauge(x) * b.support(u) + 1e-12
 
@@ -279,3 +318,11 @@ class TestSpecFiles:
     def test_nonpositive_offset_rejected(self):
         with pytest.raises(ValueError):
             hpolytope([[1.0, 0.0], [-1.0, 0.0]], [1.0, -1.0])
+
+    def test_unbounded_rejected(self):
+        # a slab in R^2, and a prism over a square in R^3: normals span too little
+        with pytest.raises(ValueError, match="unbounded"):
+            hpolytope([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0])
+        square = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, -1.0, -1.0]]
+        with pytest.raises(ValueError, match="unbounded"):
+            hpolytope(square, np.ones(4))

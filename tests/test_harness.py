@@ -1,11 +1,12 @@
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from normpack.bodies import body_from_spec, body_to_spec, normalize_to_unit_volume
+from normpack.bodies import body_from_spec, body_to_spec, closed_form_volume, normalize_to_unit_volume
 from normpack.cli import pack_main, verify_main, vol_main
 from normpack.harness import (
     OUTPUT_DIR_ENV,
@@ -24,6 +25,24 @@ from normpack.harness import (
 )
 from normpack.indset import import_packing, verify_packing
 from normpack.packing import TorusDomain
+from polytope_oracles import criterion4_hpolytope
+
+
+def hpoly_config() -> ExperimentConfig:
+    """A tiny pipeline on the criterion-4 H-polytope: L just above the
+    no-self-wrap floor 8 R of the unit-volume body (R = 1.16)."""
+    body = criterion4_hpolytope()
+    return ExperimentConfig(
+        body=body_to_spec(body),
+        d=3,
+        L=9.5,
+        Delta=0.5,
+        ik_delta=0.95,
+        codegree_coeff=1.2,
+        mc_samples=1000,
+        seed=1,
+        ik_outer_samples=50,
+    )
 
 
 class TestChildSeed:
@@ -135,6 +154,14 @@ class TestRunPipeline:
         run_pipeline(cfg)
         assert (tmp_path / f"run_{cfg.hash()[:12]}.jsonl").exists()
 
+    def test_hpoly_end_to_end(self):
+        cfg = hpoly_config()
+        t0 = time.perf_counter()
+        rec = run_pipeline(cfg)
+        assert time.perf_counter() - t0 < 2.0
+        assert rec.packing["count"] > 0
+        assert rec.packing["density"] == rec.packing["count"] / cfg.L**3
+
     def test_stages_match_record(self):
         cfg = default_config(2, seed=6)
         run = run_stages(cfg)
@@ -231,15 +258,9 @@ class TestCli:
         path.write_text(json.dumps({"kind": "lp", "d": 2, "p": 2, "scale": 1.0}))
         return str(path)
 
-    def test_pack_run(self, tmp_path, capsys):
-        rc = pack_main(["run", self._write_config(tmp_path)])
-        assert rc == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["packing"]["count"] > 0
-
-    def test_pack_run_writes_record_and_packing(self, tmp_path, capsys):
+    def _check_record_and_packing(self, tmp_path, capsys, cfg_path):
         out_dir = tmp_path / "out"
-        rc = pack_main(["run", self._write_config(tmp_path), "--out", str(out_dir)])
+        rc = pack_main(["run", cfg_path, "--out", str(out_dir)])
         assert rc == 0
         rec = json.loads(capsys.readouterr().out)
         tag = rec["config_hash"][:12]
@@ -252,6 +273,20 @@ class TestCli:
         result = verify_packing(centers, body_from_spec(spec), TorusDomain(spec["d"], L), 1.0)
         assert result.count == rec["packing"]["count"]
         assert result.density == rec["packing"]["density"]
+
+    def test_pack_run(self, tmp_path, capsys):
+        rc = pack_main(["run", self._write_config(tmp_path)])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["packing"]["count"] > 0
+
+    def test_pack_run_writes_record_and_packing(self, tmp_path, capsys):
+        self._check_record_and_packing(tmp_path, capsys, self._write_config(tmp_path))
+
+    def test_pack_run_hpoly_packing_reverifies(self, tmp_path, capsys):
+        path = tmp_path / "hpoly_cfg.json"
+        path.write_text(hpoly_config().to_json())
+        self._check_record_and_packing(tmp_path, capsys, str(path))
 
     def test_pack_sweep(self, tmp_path, capsys):
         rc = pack_main(
@@ -268,6 +303,18 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["volume"] == pytest.approx(math.pi)
         assert out["unit_volume_scale"] == pytest.approx(math.pi**-0.5)
+
+    def test_vol_body_info_hpoly(self, tmp_path, capsys):
+        path = tmp_path / "hpoly.json"
+        body = criterion4_hpolytope()
+        path.write_text(json.dumps(body_to_spec(body)))
+        assert vol_main(["body-info", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["volume"] == closed_form_volume(body)
+        assert out["circumradius"] == body.circumradius()
+        assert "volume_std_error" not in out
+        with pytest.raises(SystemExit):
+            vol_main(["body-info", str(path), "--samples", "1000"])
 
     def test_vol_intersection(self, tmp_path, capsys):
         rc = vol_main(["intersection", self._write_body(tmp_path), "--x", "0,0", "--samples", "10000"])
@@ -299,5 +346,5 @@ class TestCli:
         path = tmp_path / "cube.json"
         cfg = replace(default_config(2), body={"kind": "lp", "d": 2, "p": "inf", "scale": 1.0})
         path.write_text(cfg.to_json())
-        with pytest.raises(ValueError, match="l2"):
+        with pytest.raises(SystemExit, match="l2"):
             pack_main(["sweep", str(path), "--grid", "d=2:3", "--out", str(tmp_path)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from normpack.bodies import ball_volume, cube, lp_ball, simplex_difference
+from normpack.bodies import ball_volume, cube, hpolytope, lp_ball, normalize_to_unit_volume, simplex_difference
 from normpack.volumetrics import (
     McEstimate,
     OverlapClassifier,
@@ -26,6 +26,7 @@ from normpack.volumetrics import (
     polar_proj_volume_mc,
     proj_body_support,
 )
+from polytope_oracles import criterion4_hpolytope
 
 
 class TestMcVolume:
@@ -267,6 +268,28 @@ class TestProjSupport:
         with pytest.raises(ValueError):
             proj_body_support(lp_ball(2, 2), np.array([1.0, 1.0]), 1000, np.random.default_rng(0))
 
+    def test_cauchy_formula_on_hpoly_cube(self):
+        eye = np.eye(3)
+        body = hpolytope(np.vstack([eye, -eye]), np.ones(6), scale=0.7)
+        rng = np.random.default_rng(15)
+        for u in np.vstack([eye, rng.normal(size=(10, 3))]):
+            assert analytic_proj_support(body, u) == pytest.approx(
+                analytic_proj_support(cube(3, side=1.4), u), rel=1e-12
+            )
+
+    @pytest.mark.parametrize(
+        "body",
+        [normalize_to_unit_volume(criterion4_hpolytope()), simplex_difference(3)],
+        ids=["criterion4_hpoly", "simplex_diff_d3"],
+    )
+    def test_cauchy_formula_vs_shadow_mc(self, body):
+        rng = np.random.default_rng(16)
+        for u in random_directions(3, 3, rng):
+            exact = proj_body_support(body, u, 1000, rng)
+            assert exact.std_error == 0.0 and exact.value == analytic_proj_support(body, u)
+            est = proj_body_support(body, u, 400_000, rng, force_mc=True)
+            assert est.brackets(exact.value)
+
     def test_simplex_diff_shadow_positive(self):
         rng = np.random.default_rng(14)
         u = np.array([1.0, 0.0])
@@ -311,8 +334,8 @@ def random_directions(d, n, rng):
 class TestLineHits:
     @pytest.mark.parametrize(
         "body",
-        [lp_ball(3, 3), lp_ball(4, 1.5), lp_ball(3, 4), simplex_difference(3)],
-        ids=["lp3_d3", "lp1.5_d4", "lp4_d3", "simplex_diff_d3"],
+        [lp_ball(3, 3), lp_ball(4, 1.5), lp_ball(3, 4), simplex_difference(3), criterion4_hpolytope()],
+        ids=["lp3_d3", "lp1.5_d4", "lp4_d3", "simplex_diff_d3", "criterion4_hpoly"],
     )
     def test_certified_route_matches_golden_section(self, body):
         rng = np.random.default_rng(21)
