@@ -1,17 +1,23 @@
-"""Golden run records: a fixed config must give a byte-identical record.
+"""Golden run records and verifier reports: fixed inputs must give
+byte-identical output.
 
-The hashes pin ``RunRecord.to_json()`` of the default l2-ball configs.
-A refactor must keep them; re-pin one only when a change fixes a bug in
-the record, and say why in CHANGES.md.  Bodies whose pair classification
-draws Monte Carlo samples are not pinned here: their records depend on
-the order in which candidate pairs are visited.
+The run hashes pin ``RunRecord.to_json()`` of the default l2-ball configs.
+The report hashes pin the ``write_reports_jsonl`` bytes of the verify
+suite and of two Monte Carlo checks.  A refactor must keep them; re-pin
+one only when a change fixes a bug in the output, and say why in
+CHANGES.md.  Bodies whose pair classification draws Monte Carlo samples
+are not pinned among the runs: their records depend on the order in which
+candidate pairs are visited.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from normpack.harness import default_config, run_pipeline
+from normpack.bodies import lp_ball, normalize_to_unit_volume
+from normpack.checks import check_rogers_shephard, check_schmuckenschlager, write_reports_jsonl
+from normpack.harness import default_config, run_pipeline, verify_suite
 
 GOLDEN = {
     (2, 1): "078afe91e01bb583154fc33422cdeb9eed736c29cd95ffad772eb7f7fab2ba4f",
@@ -22,8 +28,32 @@ GOLDEN = {
     (4, 2): "bd2d06ab37495138aa6734b2285aac90c31142aba22d019312f9eba1f924a237",
 }
 
+GOLDEN_REPORTS = {
+    "suite_full_1": "9f8dc1e767b5ab23be058745130adf19700f8a824bd5191dae0a677dac8e6174",
+    "suite_full_2": "c022f7ca744bc71dd22f450f73e0093cdbe0cae06f7b4eec523fbad6e4e2a73b",
+    "schmuck_lp3_d3": "94b9b1c0ae95171c6f2d4ff68bececc4ebccee829f8de0ff356c0824fd54ff85",
+    "rogers_shephard_d4": "0663785177307525185b537464f5a8095f0f971a4630d8a05e3993df54ac3898",
+}
+
+
+def _reports(name):
+    if name.startswith("suite_full_"):
+        return verify_suite("full", seed=int(name.rsplit("_", 1)[1]))
+    rng = np.random.default_rng(7)
+    if name == "schmuck_lp3_d3":
+        body = normalize_to_unit_volume(lp_ball(3, 3))
+        return [check_schmuckenschlager(body, 0.5, 10, rng, seed=7)]
+    return [check_rogers_shephard(4, 1_000_000, rng, seed=7)]
+
 
 @pytest.mark.parametrize("d,seed", sorted(GOLDEN))
 def test_default_record_hash(d, seed):
     record = run_pipeline(default_config(d, seed)).to_json()
     assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN[(d, seed)]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_report_hash(name, tmp_path):
+    path = tmp_path / "reports.jsonl"
+    write_reports_jsonl(_reports(name), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_REPORTS[name]
