@@ -106,7 +106,8 @@ class ConvexBody:
             g = np.max(x @ self.normals.T / self.offsets, axis=-1)
             g = np.maximum(g, 0.0)
         else:  # simplex_diff
-            g = np.abs(x @ self.embedding.T).sum(axis=-1)
+            w = x @ self.embedding.T
+            g = np.abs(w, out=w).sum(axis=-1)
         out = g / self.scale
         return float(out) if out.ndim == 0 else out
 
@@ -274,6 +275,20 @@ def normalize_to_unit_volume(body: ConvexBody, volume: float | None = None) -> C
     return body.scaled(v ** (-1.0 / body.d))
 
 
+def uniform_box(rng: np.random.Generator, half: np.ndarray, n: int) -> np.ndarray:
+    """n points uniform in the box [-half, half], one row per point.
+
+    The same numbers as ``rng.uniform(-half, half, size=(n, len(half)))``,
+    bit for bit, and the generator ends in the same state; scaling
+    ``rng.random`` in place skips the broadcast of the bounds.
+    """
+    half = np.asarray(half, dtype=float)
+    pts = rng.random((n, len(half)))
+    pts *= 2.0 * half
+    pts += -half
+    return pts
+
+
 def sample_uniform(
     body: ConvexBody,
     rng: np.random.Generator,
@@ -282,7 +297,8 @@ def sample_uniform(
 ) -> np.ndarray:
     """n points uniform in the body, by rejection from its bounding box.
 
-    Deterministic given the generator state.  Raises
+    Draws batches of :func:`uniform_box` points.  Deterministic given the
+    generator state.  Raises
     :class:`RejectionEfficiencyError` if the acceptance rate drops below
     ``efficiency_floor`` (the body is too thin for rejection sampling).
     """
@@ -294,7 +310,7 @@ def sample_uniform(
     drawn = 0
     batch = max(4 * n, 1 << 14)
     while got < n:
-        pts = rng.uniform(-half, half, size=(batch, body.d))
+        pts = uniform_box(rng, half, batch)
         acc = pts[body.gauge(pts) <= 1.0]
         take = min(n - got, len(acc))
         out[got : got + take] = acc[:take]

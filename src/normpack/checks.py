@@ -31,6 +31,7 @@ from .volumetrics import (
     polar_proj_ball_volume,
     polar_proj_volume_mc,
     proj_body_support,
+    row_norms,
 )
 
 
@@ -86,21 +87,10 @@ def write_reports_csv(reports, path) -> None:
             w.writerow(row)
 
 
-def _f_estimator(body, rng, mc_samples):
-    """Return (f, sigma) callables; exact formulas when available."""
-    if has_exact_intersection(body):
-        return (lambda x: float(exact_intersection_volume(body, x))), (lambda x: 0.0)
-
-    def f(x):
-        return intersection_volume(body, x, mc_samples, rng).value
-
-    def sig(x):
-        return math.sqrt(0.25 / mc_samples)  # worst-case binomial
-
-    return f, sig
-
-
 def _h_proj(body, rng, support_samples):
+    """h_{Pi K}(x) one point per call: the closed form where there is one,
+    else the shadow Monte Carlo, at x/|x| and rescaled."""
+
     def h(x):
         n = np.linalg.norm(x)
         if n == 0:
@@ -110,6 +100,16 @@ def _h_proj(body, rng, support_samples):
             return a * n
         return proj_body_support(body, x / n, support_samples, rng).value * n
 
+    return h
+
+
+def _h_proj_rows(body, xs):
+    """``_h_proj`` of a closed-form body over the rows of xs in one call,
+    each value equal to the one-point value bit for bit."""
+    n = row_norms(xs)
+    h = np.zeros(len(xs))
+    nz = n != 0
+    h[nz] = analytic_proj_support(body, xs[nz] / n[nz, None]) * n[nz]
     return h
 
 
@@ -126,26 +126,28 @@ def check_schmuckenschlager(
 
     Outer: f(x) > delta must imply h_{Pi K}(x) <= log(1/delta)(1+slack).
     Inner: h_{Pi K}(x) <= (1-delta)(1-slack) must imply f(x) > delta.
+
+    The trial points x are uniform in 2K.  Balls and cubes take f and
+    h_{Pi K} at all of them in one closed-form call each.  Other bodies
+    run one point at a time, its f estimate then its h_{Pi K}, so their
+    Monte Carlo draws keep that order.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta in (0,1) required")
-    f, _ = _f_estimator(body, rng, mc_samples)
-    h = _h_proj(body, rng, mc_samples)
     xs = sample_uniform(body.scaled(2.0), rng, trials)
-    log_bound = math.log(1.0 / delta)
-    outer_viol = inner_viol = 0
-    outer_checked = inner_checked = 0
-    for x in xs:
-        fx = f(x)
-        hx = h(x)
-        if fx > delta:
-            outer_checked += 1
-            if hx > log_bound * (1.0 + slack):
-                outer_viol += 1
-        if hx <= (1.0 - delta) * (1.0 - slack):
-            inner_checked += 1
-            if not fx > delta:
-                inner_viol += 1
+    if has_exact_intersection(body):
+        fx = exact_intersection_volume(body, xs)
+        hx = _h_proj_rows(body, xs)
+    else:
+        h = _h_proj(body, rng, mc_samples)
+        fx, hx = np.empty(trials), np.empty(trials)
+        for i, x in enumerate(xs):
+            fx[i] = intersection_volume(body, x, mc_samples, rng).value
+            hx[i] = h(x)
+    outer = fx > delta
+    inner = hx <= (1.0 - delta) * (1.0 - slack)
+    outer_viol = int(np.count_nonzero(outer & (hx > math.log(1.0 / delta) * (1.0 + slack))))
+    inner_viol = int(np.count_nonzero(inner & ~outer))
     return CheckReport(
         check="schmuckenschlager",
         body=body.describe(),
@@ -160,8 +162,8 @@ def check_schmuckenschlager(
         extra={
             "outer_violations": outer_viol,
             "inner_violations": inner_viol,
-            "outer_checked": outer_checked,
-            "inner_checked": inner_checked,
+            "outer_checked": int(np.count_nonzero(outer)),
+            "inner_checked": int(np.count_nonzero(inner)),
         },
     )
 
@@ -179,6 +181,9 @@ def check_logconcavity(
 
     For each ray, picks 0 <= t1 < t2 inside the support and checks
     f(tm) >= f(t1)^lam f(t2)^(1-lam) up to 3-sigma Monte Carlo slack.
+    Every ray draws its direction, t1, t2 and lam in turn.  Balls and
+    cubes then take the three exact f values of all rays in one call;
+    other bodies estimate them ray by ray, between the draws.
     With ``slope_directions`` > 0, additionally compares the one-sided
     finite-difference slope of log f at 0 against -h_{Pi K} (within
     ``slope_tol`` relative); the slope check uses exact f when available.
@@ -187,6 +192,7 @@ def check_logconcavity(
         raise ValueError("rays >= 1 required")
     exact = has_exact_intersection(body)
     viol = 0
+    ray_points, lams = [], []
     for _ in range(rays):
         y = rng.normal(size=body.d)
         y /= np.linalg.norm(y)
@@ -195,22 +201,25 @@ def check_logconcavity(
         lam = rng.uniform(0.1, 0.9)
         tm = lam * t1 + (1.0 - lam) * t2
         if exact:
-            f1 = float(exact_intersection_volume(body, t1 * y))
-            f2 = float(exact_intersection_volume(body, t2 * y))
-            fm = float(exact_intersection_volume(body, tm * y))
-            rhs = f1**lam * f2 ** (1.0 - lam)
-            sig = 1e-12
-        else:
-            e1 = intersection_volume(body, t1 * y, mc_samples, rng)
-            e2 = intersection_volume(body, t2 * y, mc_samples, rng)
-            em = intersection_volume(body, tm * y, mc_samples, rng)
-            f1, f2, fm = e1.value, e2.value, em.value
-            rhs = f1**lam * f2 ** (1.0 - lam)
-            sig = em.std_error
-            if rhs > 0.0:  # first-order error: d rhs / d f1 = lam rhs / f1, likewise f2
-                sig += rhs * (lam * e1.std_error / f1 + (1.0 - lam) * e2.std_error / f2)
+            ray_points += [t1 * y, t2 * y, tm * y]
+            lams.append(lam)
+            continue
+        e1 = intersection_volume(body, t1 * y, mc_samples, rng)
+        e2 = intersection_volume(body, t2 * y, mc_samples, rng)
+        em = intersection_volume(body, tm * y, mc_samples, rng)
+        f1, f2, fm = e1.value, e2.value, em.value
+        rhs = f1**lam * f2 ** (1.0 - lam)
+        sig = em.std_error
+        if rhs > 0.0:  # first-order error: d rhs / d f1 = lam rhs / f1, likewise f2
+            sig += rhs * (lam * e1.std_error / f1 + (1.0 - lam) * e2.std_error / f2)
         if fm < rhs - 3.0 * sig - 1e-12:
             viol += 1
+    if exact:
+        fs = exact_intersection_volume(body, np.array(ray_points)).reshape(rays, 3).tolist()
+        for (f1, f2, fm), lam in zip(fs, lams):
+            # the Monte Carlo test with sig = 1e-12
+            if fm < f1**lam * f2 ** (1.0 - lam) - 3.0 * 1e-12 - 1e-12:
+                viol += 1
     slope_fail = 0
     slope_errs = []
     if slope_directions > 0:

@@ -123,7 +123,8 @@ class PackingGraph:
         """Read-only per-vertex views of the sorted CSR neighbor indices."""
         indices = self.adj.indices.view()
         indices.flags.writeable = False
-        return np.split(indices, self.adj.indptr[1:-1])
+        ptr = self.adj.indptr.tolist()
+        return [indices[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
     def degree(self) -> np.ndarray:
         return np.diff(self.adj.indptr)
@@ -274,44 +275,62 @@ def prune(
     return pruned, report
 
 
+def _hot_codegrees(graph: PackingGraph, t: float) -> tuple[np.ndarray, sp.coo_matrix]:
+    """(hot, C): the vertices of degree at least ``t``, and B B^T in COO
+    form for B the rows of A at those vertices.
+
+    The off-diagonal entries of C are the codegrees of the hot pairs.  The
+    product still sums over every vertex, so each count is exact; A^2 over
+    all rows is never formed.
+    """
+    hot = np.flatnonzero(graph.degree() >= t)
+    B = graph.adj[hot]
+    return hot, (B @ B.T).tocoo()
+
+
 def codegree_pairs(graph: PackingGraph, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairs i < j with codegree at least ``t`` (floored at 1), sorted by
     (i, j): (rows, cols, codegrees).
 
-    Both endpoints of such a pair have degree at least t, so the pairs are
-    the off-diagonal entries >= t of B B^T with B the rows of A at the
-    vertices of degree >= t.  The product still sums over every vertex, so
-    each count is exact; A^2 over all rows is never formed.
+    Both endpoints of such a pair have degree at least t, so
+    :func:`_hot_codegrees` at t holds them all.
     """
     t = max(t, 1)
-    hot = np.flatnonzero(graph.degree() >= t)
-    B = graph.adj[hot]
-    C = (B @ B.T).tocoo()
+    hot, C = _hot_codegrees(graph, t)
     keep = (C.row < C.col) & (C.data >= t)
     rows, cols = hot[C.row[keep]], hot[C.col[keep]]
     order = np.argsort(rows * graph.n + cols)  # unique codes: (i, j) order
     return rows[order], cols[order], C.data[keep][order].astype(np.int64)
 
 
+def _max_hot_codegree(graph: PackingGraph, t: float) -> int:
+    """Largest codegree among the pairs of vertices of degree >= t (0 if none)."""
+    C = _hot_codegrees(graph, t)[1]
+    return int(C.data[C.row != C.col].max(initial=0))
+
+
 def degree_codegree_stats(graph: PackingGraph) -> dict:
     """Degree histogram plus max degree/codegree diagnostics.
 
-    The maximum codegree comes from at most two ``codegree_pairs`` calls.
-    The first takes t at the 90th percentile of the degrees; any pair it
-    finds has codegree >= t, so its maximum is the global one.  If it finds
-    none, every codegree is below t and a second call at t = 1 counts all.
+    The maximum codegree M comes from at most two products.  The first
+    covers the vertices of degree at least t, the 90th percentile of the
+    degrees (floored at 1); its largest codegree m1 is a real pair, so
+    m1 <= M.  Every pair of codegree >= t lies among those vertices, so
+    M = m1 once m1 + 1 >= t.  Otherwise M < t, and a second product over
+    the vertices of degree >= m1 + 1 holds every pair that beats m1.
     """
     deg = graph.degree()
     if graph.n == 0:
         return {"n": 0, "max_degree": 0, "mean_degree": 0.0, "max_codegree": 0, "degree_histogram": {}}
-    codeg = codegree_pairs(graph, np.quantile(deg, 0.9))[2]
-    if not len(codeg):
-        codeg = codegree_pairs(graph, 1)[2]
+    t = max(np.quantile(deg, 0.9), 1)
+    max_codeg = _max_hot_codegree(graph, t)
+    if max_codeg + 1 < t:
+        max_codeg = max(max_codeg, _max_hot_codegree(graph, max_codeg + 1))
     hist = {int(k): int(v) for k, v in zip(*np.unique(deg, return_counts=True))}
     return {
         "n": graph.n,
         "max_degree": int(deg.max()),
         "mean_degree": float(deg.mean()),
-        "max_codegree": int(codeg.max(initial=0)),
+        "max_codegree": max_codeg,
         "degree_histogram": hist,
     }

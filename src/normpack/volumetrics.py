@@ -20,6 +20,7 @@ from .bodies import (
     ball_volume,
     closed_form_volume,
     sample_uniform,
+    uniform_box,
 )
 
 MC_MIN_SAMPLES = 1_000
@@ -40,7 +41,10 @@ class McEstimate:
 
 
 def mc_volume(body: ConvexBody, samples: int, rng: np.random.Generator, seed: int | None = None) -> McEstimate:
-    """Volume by rejection from the support bounding box."""
+    """Volume by rejection from the support bounding box.
+
+    Draws :func:`uniform_box` points in chunks of at most 2^20 rows.
+    """
     if samples < MC_MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MC_MIN_SAMPLES}")
     half = body.bounding_halfwidths()
@@ -49,7 +53,7 @@ def mc_volume(body: ConvexBody, samples: int, rng: np.random.Generator, seed: in
     left = samples
     while left > 0:
         m = min(left, _CHUNK)
-        pts = rng.uniform(-half, half, size=(m, body.d))
+        pts = uniform_box(rng, half, m)
         hits += int(np.count_nonzero(body.gauge(pts) <= 1.0))
         left -= m
     p = hits / samples
@@ -273,23 +277,37 @@ def ik_gauge_radius(body: ConvexBody, delta: float, tol: float = 1e-9) -> float:
 # -- projection bodies ------------------------------------------------
 
 
-def analytic_proj_support(body: ConvexBody, u: np.ndarray) -> float | None:
+def analytic_proj_support(body: ConvexBody, u: np.ndarray) -> np.ndarray | float | None:
     """h_{Pi K}(u) in closed form for balls, cubes and polytopes, else None.
 
-    Polytopes use Cauchy's formula h_{Pi K}(u) = 1/2 sum_F |u . n_F|
-    vol_{d-1}(F) over the facets of their vertex hull.  1-homogeneous in u.
+    ``u`` is one vector (a float comes back) or an (m, d) array (one value
+    per row).  Polytopes use Cauchy's formula h_{Pi K}(u) = 1/2 sum_F
+    |u . n_F| vol_{d-1}(F) over the facets of their vertex hull.
+    1-homogeneous in u, so it takes vectors of any length.
     """
     u = np.asarray(u, dtype=float)
+    d = body.d
     P = body.polytope
     if P is not None:
-        return 0.5 * float(np.abs(P.normals @ u) @ P.areas) * body.scale ** (body.d - 1)
-    if body.p == 2.0:
-        r = body.scale
-        return ball_volume(body.d - 1) * r ** (body.d - 1) * float(np.linalg.norm(u))
-    if math.isinf(body.p):
-        side = 2.0 * body.scale
-        return side ** (body.d - 1) * float(np.abs(u).sum())
-    return None
+        h = 0.5 * (np.abs(P.normals @ u.T).T @ P.areas) * body.scale ** (d - 1)
+    elif body.p == 2.0:
+        h = ball_volume(d - 1) * body.scale ** (d - 1) * row_norms(u)
+    elif math.isinf(body.p):
+        h = (2.0 * body.scale) ** (d - 1) * np.abs(u).sum(axis=-1)
+    else:
+        return None
+    return float(h) if h.ndim == 0 else h
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis.
+
+    Each equals ``np.linalg.norm`` of its row bit for bit: a stacked
+    vector @ vector product runs the same BLAS dot, while a sum of
+    squares rounds differently in some rows.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
 def _orthonormal_complement(u: np.ndarray) -> np.ndarray:
@@ -413,7 +431,7 @@ def proj_body_support(
     half = np.asarray([body.support(V[:, j]) for j in range(body.d - 1)])
     area = float(np.prod(2.0 * half))
     t_max = float(body.support(u)) + 1e-9
-    z = rng.uniform(-half, half, size=(samples, body.d - 1))
+    z = uniform_box(rng, half, samples)
     base = z @ V.T
     hits = int(np.count_nonzero(_line_hits_body(body, base, u, t_max)))
     p = hits / samples

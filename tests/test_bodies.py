@@ -17,6 +17,7 @@ from normpack.bodies import (
     normalize_to_unit_volume,
     sample_uniform,
     simplex_difference,
+    uniform_box,
 )
 from normpack.checks import regular_simplex_volume
 from polytope_oracles import criterion4_hpolytope, lp_support, random_symmetric_hpolytope
@@ -222,6 +223,20 @@ class TestSampleUniform:
     def test_efficiency_floor(self):
         with pytest.raises(RejectionEfficiencyError):
             sample_uniform(lp_ball(12, 1), np.random.default_rng(0), 10, efficiency_floor=1e-3)
+
+
+class TestUniformBox:
+    @pytest.mark.parametrize("n", [1, 7, 100_000])
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_equals_broadcast_uniform(self, d, n):
+        half = np.random.default_rng(d).uniform(0.1, 3.0, size=d)
+        a, b = np.random.default_rng(n + d), np.random.default_rng(n + d)
+        got = uniform_box(a, half, n)
+        want = b.uniform(-half, half, size=(n, d))
+        assert got.shape == (n, d)
+        assert np.array_equal(got, want)
+        # the generator is left in the same state
+        assert np.array_equal(a.random(3), b.random(3))
 
 
 vec = st.integers(-100, 100).map(lambda k: k / 25.0)

@@ -17,7 +17,10 @@ from normpack.checks import (
     simplex_diff_membership_dual,
     write_reports_csv,
     write_reports_jsonl,
+    _h_proj_rows,
 )
+from normpack.volumetrics import exact_intersection_volume
+from verifier_oracles import h_proj_point, logconcavity_per_point, schmuckenschlager_per_point
 
 
 class TestSchmuckenschlager:
@@ -83,6 +86,50 @@ class TestLogconcavity:
     def test_rays_required(self):
         with pytest.raises(ValueError):
             check_logconcavity(cube(2), 0, np.random.default_rng(0))
+
+
+def closed_form_body(kind, d):
+    return normalize_to_unit_volume(lp_ball(d, 2)) if kind == "ball" else cube(d)
+
+
+class TestBatchedMatchesPerPoint:
+    """Balls and cubes take f and h_PiK in one call; the reports must equal
+    those of the per-point loops in ``verifier_oracles``."""
+
+    @pytest.mark.parametrize("delta", [0.05, 0.5])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["ball", "cube"])
+    def test_schmuckenschlager(self, kind, d, delta):
+        body = closed_form_body(kind, d)
+        for seed in range(3):
+            # a negative slack makes both tests fail on some points, so
+            # nonzero violation counts are compared too
+            for slack in (0.05, -0.5):
+                got = check_schmuckenschlager(body, delta, 300, np.random.default_rng(seed), slack=slack, seed=seed)
+                want = schmuckenschlager_per_point(body, delta, 300, np.random.default_rng(seed), slack=slack, seed=seed)
+                assert got.to_record() == want.to_record()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["ball", "cube"])
+    def test_logconcavity(self, kind, d):
+        body = closed_form_body(kind, d)
+        for seed in range(3):
+            got = check_logconcavity(body, 100, np.random.default_rng(seed), slope_directions=5, seed=seed)
+            want = logconcavity_per_point(body, 100, np.random.default_rng(seed), slope_directions=5, seed=seed)
+            assert got.to_record() == want.to_record()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["ball", "cube"])
+    def test_zero_row(self, kind, d):
+        body = closed_form_body(kind, d)
+        xs = np.random.default_rng(d).uniform(-1.0, 1.0, size=(6, d))
+        xs[2] = 0.0
+        h = _h_proj_rows(body, xs)
+        assert h[2] == 0.0
+        assert h.tolist() == [h_proj_point(body, x) for x in xs]
+        f = exact_intersection_volume(body, xs)
+        assert f.tolist() == [float(exact_intersection_volume(body, x)) for x in xs]
+        assert f[2] == pytest.approx(1.0, rel=1e-12)  # f(0) = vol K
 
 
 class TestPetty:

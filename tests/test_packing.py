@@ -444,24 +444,48 @@ class TestCodegreePairs:
 
     @pytest.fixture
     def thresholds_seen(self, monkeypatch):
+        """Thresholds of every codegree product formed, in order."""
         seen = []
-        real = packing.codegree_pairs
+        real = packing._hot_codegrees
 
         def spy(graph, t):
             seen.append(t)
             return real(graph, t)
 
-        monkeypatch.setattr(packing, "codegree_pairs", spy)
+        monkeypatch.setattr(packing, "_hot_codegrees", spy)
         return seen
 
     def test_second_round_when_quantile_misses(self, thresholds_seen):
         # a K5 (degree 4, codegree 3) beside a 20-leaf star (leaf pairs have
-        # codegree 1): the 90th degree percentile is 4, above every codegree
+        # codegree 1): the 90th degree percentile is 4, above every codegree.
+        # The first product over the degree-4+ rows finds the K5 pairs at 3,
+        # and 3 + 1 >= 4 leaves no room for a larger codegree elsewhere.
         clique = [(a, b) for a in range(5) for b in range(a + 1, 5)]
         star = [(5, leaf) for leaf in range(6, 26)]
         g = graph_from_edges(26, clique + star)
         assert degree_codegree_stats(g)["max_codegree"] == 3 == brute_force_max_codegree(g)
-        assert thresholds_seen == [pytest.approx(4.0), 1]
+        assert thresholds_seen == [pytest.approx(4.0)]
+
+    @staticmethod
+    def centers_and_clique(k):
+        """Four degree-8 centers on a cycle, consecutive ones sharing a block
+        of 4 leaves (codegree 4), beside a K_k (codegree k - 2)."""
+        edges = []
+        for i in range(4):
+            block = range(4 + 4 * i, 8 + 4 * i)
+            edges += [(c, leaf) for leaf in block for c in (i, (i + 1) % 4)]
+        clique = range(20, 20 + k)
+        edges += [(a, b) for a in clique for b in clique if a < b]
+        return graph_from_edges(20 + k, edges)
+
+    @pytest.mark.parametrize("k,want", [(5, 4), (7, 5)])
+    def test_second_round_above_first_maximum(self, thresholds_seen, k, want):
+        # the 90th degree percentile is 8 and the centers' codegree 4 leaves
+        # 5..7 open; the second product at 5 finds the K7 pairs, and finds
+        # nothing beside the K5, whose codegree 3 is below the centers' 4
+        g = self.centers_and_clique(k)
+        assert degree_codegree_stats(g)["max_codegree"] == want == brute_force_max_codegree(g)
+        assert thresholds_seen == [pytest.approx(8.0), 5]
 
     def test_first_round_suffices_on_pipeline_graph(self, thresholds_seen):
         dom = TorusDomain(2, 20.0)

@@ -25,6 +25,7 @@ from normpack.volumetrics import (
     polar_proj_ball_volume,
     polar_proj_volume_mc,
     proj_body_support,
+    row_norms,
 )
 from polytope_oracles import criterion4_hpolytope
 
@@ -232,6 +233,27 @@ class TestProjSupport:
     def test_cube_analytic(self):
         h = analytic_proj_support(cube(3, side=2.0), np.array([1.0, 1.0, 0.0]))
         assert h == pytest.approx(4.0 * 2.0)
+
+    @pytest.mark.parametrize(
+        "body",
+        [lp_ball(3, 2, scale=0.8), cube(3, side=1.3), normalize_to_unit_volume(criterion4_hpolytope())],
+        ids=["ball", "cube", "criterion4_hpoly"],
+    )
+    def test_rows_match_one_vector(self, body):
+        # rows of any length, the zero row included: h is 1-homogeneous
+        us = np.random.default_rng(17).normal(size=(50, 3)) * np.geomspace(1e-3, 1e3, 50)[:, None]
+        us[7] = 0.0
+        rows = analytic_proj_support(body, us)
+        assert rows.shape == (50,) and rows[7] == 0.0
+        one = [analytic_proj_support(body, u) for u in us]
+        assert all(type(h) is float for h in one)
+        assert rows == pytest.approx(one, rel=1e-12, abs=0.0)
+
+    def test_row_norms_equal_linalg_norm(self):
+        # bit for bit, so batched and one-point h_PiK of the ball agree exactly
+        xs = np.random.default_rng(18).uniform(-2.0, 2.0, size=(2000, 3))
+        assert row_norms(xs).tolist() == [np.linalg.norm(x) for x in xs]
+        assert row_norms(xs[0]) == np.linalg.norm(xs[0])
 
     def test_mc_ball_matches_analytic(self):
         rng = np.random.default_rng(11)

@@ -1,0 +1,103 @@
+"""Per-point reference loops for the verifiers on closed-form bodies.
+
+``check_schmuckenschlager`` and ``check_logconcavity`` take the exact f
+and h_{Pi K} of a ball or cube in one call over all points.  These loops
+evaluate one point per call, in the order the rng draws them, and must
+give the same report.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from normpack.bodies import sample_uniform
+from normpack.checks import CheckReport
+from normpack.volumetrics import analytic_proj_support, exact_intersection_volume
+
+
+def h_proj_point(body, x):
+    """h_{Pi K}(x) of a closed-form body, at x/|x| and rescaled."""
+    n = np.linalg.norm(x)
+    if n == 0:
+        return 0.0
+    return analytic_proj_support(body, x / n) * n
+
+
+def schmuckenschlager_per_point(body, delta, trials, rng, slack=0.05, seed=None):
+    xs = sample_uniform(body.scaled(2.0), rng, trials)
+    log_bound = math.log(1.0 / delta)
+    outer_viol = inner_viol = outer_checked = inner_checked = 0
+    for x in xs:
+        fx = float(exact_intersection_volume(body, x))
+        hx = h_proj_point(body, x)
+        if fx > delta:
+            outer_checked += 1
+            if hx > log_bound * (1.0 + slack):
+                outer_viol += 1
+        if hx <= (1.0 - delta) * (1.0 - slack):
+            inner_checked += 1
+            if not fx > delta:
+                inner_viol += 1
+    return CheckReport(
+        check="schmuckenschlager",
+        body=body.describe(),
+        d=body.d,
+        params={"delta": delta, "slack": slack},
+        value=float(outer_viol + inner_viol),
+        std_error=0.0,
+        bound=0.0,
+        violations=outer_viol + inner_viol,
+        trials=trials,
+        seed=seed,
+        extra={
+            "outer_violations": outer_viol,
+            "inner_violations": inner_viol,
+            "outer_checked": outer_checked,
+            "inner_checked": inner_checked,
+        },
+    )
+
+
+def logconcavity_per_point(body, rays, rng, slope_directions=0, slope_tol=0.05, mc_samples=10_000, seed=None):
+    viol = 0
+    for _ in range(rays):
+        y = rng.normal(size=body.d)
+        y /= np.linalg.norm(y)
+        t_sup = 2.0 / body.gauge(y)
+        t1, t2 = np.sort(rng.uniform(0.0, 0.9 * t_sup, size=2))
+        lam = rng.uniform(0.1, 0.9)
+        tm = lam * t1 + (1.0 - lam) * t2
+        f1 = float(exact_intersection_volume(body, t1 * y))
+        f2 = float(exact_intersection_volume(body, t2 * y))
+        fm = float(exact_intersection_volume(body, tm * y))
+        if fm < f1**lam * f2 ** (1.0 - lam) - 3.0 * 1e-12 - 1e-12:
+            viol += 1
+    slope_fail = 0
+    slope_errs = []
+    for _ in range(slope_directions):
+        y = rng.normal(size=body.d)
+        y /= np.linalg.norm(y)
+        hy = h_proj_point(body, y)
+        eps = 0.05 / hy
+        rel = abs(math.log(float(exact_intersection_volume(body, eps * y))) / eps + hy) / hy
+        slope_errs.append(rel)
+        if rel > slope_tol:
+            slope_fail += 1
+    return CheckReport(
+        check="logconcavity",
+        body=body.describe(),
+        d=body.d,
+        params={"mc_samples": mc_samples, "slope_tol": slope_tol},
+        value=float(viol),
+        std_error=0.0,
+        bound=0.0,
+        violations=viol + slope_fail,
+        trials=rays + slope_directions,
+        seed=seed,
+        extra={
+            "slope_failures": slope_fail,
+            "max_slope_rel_err": max(slope_errs) if slope_errs else 0.0,
+        },
+    )
