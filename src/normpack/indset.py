@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import ConvexBody
-from .packing import PackingGraph, TorusDomain, pairs_within_gauge
+from .packing import PackingGraph, TorusDomain, pairs_within_gauge, sort_pairs
 
 DISJOINT_TOL = 1e-12
 
@@ -62,8 +62,12 @@ def greedy_independent_set(
 
 
 def is_independent(graph: PackingGraph, vertices) -> bool:
-    chosen = set(int(v) for v in vertices)
-    return all(not chosen.intersection(graph.neighbors[v].tolist()) for v in chosen)
+    """True when no edge of ``graph`` joins two of ``vertices`` (an iterable
+    of vertex indices; repeats allowed)."""
+    chosen = np.zeros(graph.n, dtype=bool)
+    chosen[np.fromiter(vertices, dtype=np.int64)] = True
+    # the neighbors listed in the CSR rows of the chosen vertices
+    return not chosen[graph.adj.indices[np.repeat(chosen, graph.degree())]].any()
 
 
 def local_search_improve(
@@ -93,7 +97,9 @@ def local_search_improve(
         improved = False
         for v in sorted(current):
             nb_v = graph.neighbors[v]
-            private = [int(u) for u in nb_v if conflicts[u] == 1 and u not in current]
+            # neighbors whose only selected neighbor is v; none is selected,
+            # since the set stays independent
+            private = nb_v[conflicts[nb_v] == 1].tolist()
             found = None
             for ai in range(len(private)):
                 a = private[ai]
@@ -169,7 +175,7 @@ def verify_packing(
     min_gauge = math.inf
     if m > 1:
         # search slightly beyond 2 so min_pairwise_gauge is informative
-        gi, gj = pairs_within_gauge(centers, body, domain, 2.5).T
+        gi, gj = sort_pairs(pairs_within_gauge(centers, body, domain, 2.5), m).T
         g = np.asarray(body.gauge(domain.min_image(centers[gj] - centers[gi])))
         if len(g):
             worst = int(np.argmin(g))

@@ -46,9 +46,15 @@ class TorusDomain:
         return self.L**self.d
 
     def min_image(self, v: np.ndarray) -> np.ndarray:
-        """Coordinate-wise representative of v in (-L/2, L/2]^d."""
-        w = v - self.L * np.round(np.asarray(v, dtype=float) / self.L)
-        return np.where(w <= -0.5 * self.L, w + self.L, w)
+        """Coordinate-wise representative of v in (-L/2, L/2]^d, as a new
+        array: v - L * round(v / L), then + L where that is <= -L/2."""
+        v = np.asarray(v, dtype=float)
+        w = np.divide(v, self.L, out=np.empty_like(v))
+        np.round(w, out=w)
+        w *= self.L
+        np.subtract(v, w, out=w)
+        w[w <= -0.5 * self.L] += self.L
+        return w
 
     def validate_for_body(self, body: ConvexBody) -> None:
         """No self-wrap: a 2K translate must not meet itself around the torus."""
@@ -102,15 +108,14 @@ class PackingGraph:
 
     @classmethod
     def from_pairs(cls, points, pairs, domain: TorusDomain) -> "PackingGraph":
-        """Graph on ``points`` whose edges are the rows (i, j) of ``pairs``;
-        repeated and reversed pairs give one edge."""
+        """Graph on ``points`` whose edges are the rows (i, j) of ``pairs``,
+        in any order; repeated and reversed pairs give one edge."""
         n = len(points)
         i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
-        adj = sp.csr_matrix(
-            (np.ones(len(rows), dtype=np.float32), (rows, cols)), shape=(n, n)
-        )
-        adj.sum_duplicates()
+        # U holds each pair once (the upper triangle when i < j); U + U^T is
+        # symmetric whatever the orientation, and canonical
+        half = sp.csr_matrix((np.ones(len(i), dtype=np.float32), (i, j)), shape=(n, n))
+        adj = half + half.T
         adj.data.fill(1.0)
         return cls(points=points, adj=adj, domain=domain)
 
@@ -145,30 +150,46 @@ class PackingGraph:
 def pairs_within_gauge(
     points: np.ndarray, body: ConvexBody, domain: TorusDomain, gauge_limit: float
 ) -> np.ndarray:
-    """(m, 2) array of pairs i < j, sorted by (i, j), whose minimal-image
-    difference has gauge at most ``gauge_limit``.
+    """(m, 2) array of pairs i < j, in the KD tree's query order, whose
+    minimal-image difference has gauge at most ``gauge_limit``.  Callers
+    that need the (i, j) order sort with :func:`sort_pairs`.
 
-    A periodic KD tree finds the candidates within Euclidean distance
-    ``gauge_limit * circumradius``; the gauge filter then runs on the
-    original coordinates.  The tree alone sees coordinates wrapped into
-    [0, L), so points outside the box are accepted.
+    A periodic KD tree finds the candidates: for an lp body with p in
+    {1, 2, inf}, those within lp distance ``gauge_limit * scale``, which is
+    the gauge itself; otherwise those within Euclidean distance
+    ``gauge_limit * circumradius``.  The gauge filter then runs on the
+    original coordinates, so the result does not depend on the query.  The
+    tree alone sees coordinates wrapped into [0, L), so points outside the
+    box are accepted.
     """
     points = np.asarray(points, dtype=float)
     wrapped = points % domain.L
     wrapped[wrapped >= domain.L] = 0.0  # -1e-17 % L rounds to L
+    if body.kind == "lp" and body.p in (1.0, 2.0, math.inf):
+        # the KD tree has its own distance for these p; any other p costs a
+        # pow per coordinate, ~4x the Euclidean query at d = 2..4
+        p, radius = body.p, gauge_limit * body.scale
+    else:
+        p, radius = 2.0, gauge_limit * body.circumradius()
     # slack keeps pairs at exactly the gauge limit despite rounding
-    radius = gauge_limit * body.circumradius() * (1.0 + 1e-9)
-    pairs = cKDTree(wrapped, boxsize=domain.L).query_pairs(radius, output_type="ndarray")
-    pairs = pairs[np.argsort(pairs[:, 0] * len(points) + pairs[:, 1])]  # unique codes: (i, j) order
-    g = body.gauge(domain.min_image(points[pairs[:, 0]] - points[pairs[:, 1]]))
-    return pairs[np.asarray(g) <= gauge_limit]
+    tree = cKDTree(wrapped, boxsize=domain.L)
+    pairs = tree.query_pairs(radius * (1.0 + 1e-9), p=p, output_type="ndarray")
+    i, j = pairs.T.copy()  # contiguous columns gather faster
+    g = body.gauge(domain.min_image(points.take(i, axis=0) - points.take(j, axis=0)))
+    within = np.asarray(g) <= gauge_limit
+    return pairs if within.all() else pairs[within]
+
+
+def sort_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Rows of an (m, 2) array of pairs over ``n`` vertices, in (i, j) order."""
+    return pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]  # unique codes
 
 
 def build_graph(points: PointSet, body: ConvexBody, domain: TorusDomain) -> PackingGraph:
     """Intersection graph: edge iff gauge(min image(x - y)) <= 2.
 
-    Edges are the periodic KD-tree pairs within gauge 2; the graph is
-    stored as a CSR adjacency.
+    Edges are the periodic KD-tree pairs within gauge 2, taken in query
+    order; the graph is stored as a CSR adjacency.
     """
     domain.validate_for_body(body)
     pts = points.points
@@ -239,7 +260,7 @@ def prune(
     x2_inside = np.empty(0, dtype=bool)
     g_ik = ik_gauge_radius(body, ik.delta)
     if g_ik > 0.0:
-        gi, gj = pairs_within_gauge(pts, body, domain, 2.0 * g_ik).T
+        gi, gj = sort_pairs(pairs_within_gauge(pts, body, domain, 2.0 * g_ik), n).T
         if len(gi):
             x2_inside = clf.inside(domain.min_image(pts[gj] - pts[gi]) / 2.0)
             mark_x2[gi[x2_inside]] = mark_x2[gj[x2_inside]] = True

@@ -1,12 +1,15 @@
 """Brute-force graph oracles for the tests: dense O(n^2) adjacency, dense
 A @ A codegrees and exhaustive independent sets, independent of the
-KD-tree, codegree and local-search paths."""
+KD-tree, codegree and local-search paths; plus the plain first versions of
+the minimal image, the CSR build, the independence test and the local
+search, which the rewritten primitives must match exactly."""
 
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 from normpack.bodies import ConvexBody
 from normpack.packing import PackingGraph, PointSet, TorusDomain
@@ -56,3 +59,67 @@ def exhaustive_max_independent(n, edges) -> int:
             if all(pair not in edge_set for pair in itertools.combinations(combo, 2)):
                 return r
     return 0
+
+
+def min_image_reference(domain: TorusDomain, v) -> np.ndarray:
+    """Out-of-place minimal image: v - L round(v / L), + L where <= -L/2."""
+    w = v - domain.L * np.round(np.asarray(v, dtype=float) / domain.L)
+    return np.where(w <= -0.5 * domain.L, w + domain.L, w)
+
+
+def adjacency_reference(n, pairs) -> sp.csr_matrix:
+    """Symmetric CSR adjacency from COO entries in both directions,
+    duplicates summed, then unit data."""
+    i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    adj = sp.csr_matrix((np.ones(len(rows), dtype=np.float32), (rows, cols)), shape=(n, n))
+    adj.sum_duplicates()
+    adj.data.fill(1.0)
+    return adj
+
+
+def is_independent_reference(graph: PackingGraph, vertices) -> bool:
+    chosen = set(int(v) for v in vertices)
+    return all(not chosen.intersection(graph.neighbors[v].tolist()) for v in chosen)
+
+
+def local_search_reference(graph: PackingGraph, seed_set, budget: int) -> np.ndarray:
+    """(1,2)-swap local search with a per-neighbor scan for private neighbors."""
+    current = set(int(v) for v in seed_set)
+    conflicts = np.zeros(graph.n, dtype=np.int64)
+    for v in current:
+        conflicts[graph.neighbors[v]] += 1
+    moves = 0
+    improved = True
+    while improved and moves < budget:
+        improved = False
+        for v in sorted(current):
+            nb_v = graph.neighbors[v]
+            private = [int(u) for u in nb_v if conflicts[u] == 1 and u not in current]
+            found = None
+            for ai in range(len(private)):
+                a = private[ai]
+                nb_a = set(graph.neighbors[a].tolist())
+                for b in private[ai + 1 :]:
+                    if b not in nb_a:
+                        found = (a, b)
+                        break
+                if found:
+                    break
+            if found is None:
+                continue
+            a, b = found
+            current.remove(v)
+            conflicts[nb_v] -= 1
+            for u in (a, b):
+                current.add(u)
+                conflicts[graph.neighbors[u]] += 1
+            moves += 1
+            improved = True
+            if moves >= budget:
+                break
+    for v in range(graph.n):
+        if v not in current and conflicts[v] == 0:
+            current.add(v)
+            conflicts[graph.neighbors[v]] += 1
+    return np.asarray(sorted(current), dtype=np.int64)

@@ -65,6 +65,32 @@ class TestGauge:
         out = b.gauge(np.ones((5, 4, 3)))
         assert out.shape == (5, 4)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 9])
+    def test_equals_reduction_sum(self, d):
+        # the gauges add columns one by one; numpy's row sums are the reference
+        def lp_reference(x, p):
+            a = np.abs(x)
+            if p == 1.0:
+                return a.sum(axis=-1)
+            if p == 2.0:
+                return np.sqrt((a * a).sum(axis=-1))
+            m = a.max(axis=-1, keepdims=True)
+            return m[..., 0] * ((a / np.where(m > 0, m, 1.0)) ** p).sum(axis=-1) ** (1.0 / p)
+
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((2000, d)) * rng.uniform(1e-3, 1e3, size=(2000, 1))
+        x[:20] = 0.0
+        x[20:40, 0] = 0.0
+        bodies = [(lp_ball(d, p, scale=0.7), lambda v, p=p: lp_reference(v, p)) for p in (1.0, 1.5, 2.0, 3.0)]
+        if d <= 5:
+            sd = simplex_difference(d, scale=0.7)
+            bodies.append((sd, lambda v: np.abs(v @ sd.embedding.T).sum(axis=-1)))
+        for body, reference in bodies:
+            for v in (x, np.asfortranarray(x), x.reshape(40, 50, d), x[25], x[3]):
+                got, want = np.asarray(body.gauge(v)), np.asarray(reference(v) / 0.7)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), body.describe()
+
 
 class TestSupport:
     def test_ball_homogeneity(self):

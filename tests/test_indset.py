@@ -16,7 +16,12 @@ from normpack.indset import (
 )
 from normpack.packing import TorusDomain
 
-from graph_oracles import exhaustive_max_independent, graph_from_edges
+from graph_oracles import (
+    exhaustive_max_independent,
+    graph_from_edges,
+    is_independent_reference,
+    local_search_reference,
+)
 
 
 def random_graph(rng, n, p):
@@ -88,7 +93,44 @@ class TestGreedy:
         assert np.array_equal(a, b)
 
 
+class TestIsIndependent:
+    def test_matches_set_reference(self):
+        rng = np.random.default_rng(8)
+        for trial in range(40):
+            n = int(rng.integers(1, 40))
+            g = graph_from_edges(n, random_graph(rng, n, 0.15))
+            greedy = greedy_independent_set(g, "random", rng)
+            subsets = [
+                greedy,
+                set(greedy.tolist()),
+                np.concatenate([greedy, greedy[:2]]),  # repeated vertices
+                rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False),
+                rng.integers(0, n, size=5).tolist(),
+                [],
+            ]
+            for vs in subsets:
+                assert is_independent(g, vs) == is_independent_reference(g, vs)
+
+    def test_dependent_and_empty(self):
+        g = graph_from_edges(4, [(0, 1), (2, 3)])
+        assert not is_independent(g, [0, 1])
+        assert not is_independent(g, {3, 0, 2})
+        assert is_independent(g, [0, 2, 0, 2])
+        assert is_independent(g, [])
+        assert is_independent(graph_from_edges(0, []), [])
+
+
 class TestLocalSearch:
+    def test_matches_per_neighbor_reference(self):
+        rng = np.random.default_rng(6)
+        for trial in range(40):
+            n = int(rng.integers(4, 60))
+            g = graph_from_edges(n, random_graph(rng, n, float(rng.uniform(0.05, 0.4))))
+            seed = greedy_independent_set(g, "random", rng)
+            budget = int(rng.integers(0, 20))
+            out = local_search_improve(g, seed, budget)
+            assert np.array_equal(out, local_search_reference(g, seed, budget))
+
     def test_path_swap(self):
         # path 0-1-2: seeding with the center swaps to the two endpoints
         g = graph_from_edges(3, [(0, 1), (1, 2)])

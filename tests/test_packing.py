@@ -9,6 +9,7 @@ from normpack.bodies import cube, lp_ball
 from normpack.indset import verify_packing
 import normpack.packing as packing
 from normpack.packing import (
+    PackingGraph,
     PointSet,
     TorusDomain,
     build_graph,
@@ -19,7 +20,14 @@ from normpack.packing import (
 )
 from normpack.volumetrics import OverlapClassifier, estimate_ik
 
-from graph_oracles import brute_force_graph, brute_force_max_codegree, graph_from_edges, graphs_equal
+from graph_oracles import (
+    adjacency_reference,
+    brute_force_graph,
+    brute_force_max_codegree,
+    graph_from_edges,
+    graphs_equal,
+    min_image_reference,
+)
 
 
 def make_pointset(pts):
@@ -49,6 +57,34 @@ class TestTorusDomain:
         out = dom.min_image(np.full((3, 5, 2), 3.5))
         assert out.shape == (3, 5, 2)
         assert np.allclose(out, -0.5)
+
+    @pytest.mark.parametrize("L", [1.0, 6.0, 20.0, 22.0 / 7.0])
+    def test_min_image_matches_reference(self, L):
+        # bit for bit, on random input and on the rounding edges
+        dom = TorusDomain(3, L)
+        rng = np.random.default_rng(int(L * 7))
+        edges = np.array([0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -3.0, 0.0, -0.0]) * L
+        cases = [
+            rng.uniform(-3 * L, 3 * L, size=(1000, 3)),
+            rng.uniform(-L, L, size=(7, 5, 3)),
+            edges.reshape(-1, 1) + np.zeros(3),
+            np.array([-1e-17, 1e-17, -L / 2 * (1 - 1e-16)]),
+            np.asarray(edges[0]),
+            np.asarray(-1e-17),
+            edges,
+            [1.0, -L, 0.5 * L],
+            -0.5 * L,
+        ]
+        for v in cases:
+            got, want = dom.min_image(v), min_image_reference(dom, v)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_min_image_leaves_input(self):
+        dom = TorusDomain(2, 4.0)
+        v = np.array([[3.5, -2.0]])
+        dom.min_image(v)
+        assert v.tolist() == [[3.5, -2.0]]
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -98,6 +134,38 @@ class TestSamplePoisson:
         a = sample_poisson(dom, 20.0, np.random.default_rng(5))
         b = sample_poisson(dom, 20.0, np.random.default_rng(5))
         assert np.array_equal(a.points, b.points)
+
+
+class TestFromPairs:
+    @staticmethod
+    def assert_same_csr(got, want):
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.has_canonical_format
+
+    def test_matches_coo_reference(self):
+        # repeats, reversed pairs and isolated vertices, in random order
+        rng = np.random.default_rng(3)
+        for trial in range(30):
+            n = int(rng.integers(1, 60))
+            m = int(rng.integers(0, 4 * n))
+            i = rng.integers(0, n, size=m)
+            j = (i + rng.integers(1, n + 1, size=m)) % n if n > 1 else i
+            pairs = np.stack([i, j], axis=1)
+            pairs = np.concatenate([pairs, pairs[: m // 3, ::-1], pairs[: m // 4]])
+            pairs = pairs[rng.permutation(len(pairs))]
+            if n == 1:
+                pairs = pairs[:0]
+            g = PackingGraph.from_pairs(np.zeros((n, 2)), pairs, TorusDomain(2, 10.0))
+            self.assert_same_csr(g.adj, adjacency_reference(n, pairs))
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_empty(self, n):
+        for pairs in ([], np.empty((0, 2), dtype=np.int64)):
+            g = PackingGraph.from_pairs(np.zeros((n, 2)), pairs, TorusDomain(2, 10.0))
+            self.assert_same_csr(g.adj, adjacency_reference(n, pairs))
+            assert g.edge_count() == 0
 
 
 class TestBuildGraph:
@@ -163,6 +231,25 @@ class TestBuildGraph:
             ps = make_pointset([p, p + side])
             body = cube(3, side=side)
             assert graphs_equal(build_graph(ps, body, dom), brute_force_graph(ps, body, dom))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lp_query_matches_brute_force(self, d, p):
+        # the pair query (in the lp distance for p = 1, inf; in the
+        # circumscribed ball otherwise) must keep every pair of gauge <= 2,
+        # also pairs placed at gauge 2 exactly, across the periodic boundary
+        dom = TorusDomain(d, 10.0)
+        rng = np.random.default_rng(int(10 * p) if math.isfinite(p) else 99)
+        body = lp_ball(d, p, scale=0.7)
+        for _ in range(3):
+            pts = rng.uniform(0.0, dom.L, size=(600, d))
+            u = rng.standard_normal((100, d))
+            u /= np.asarray(body.gauge(u))[:, None]
+            contacts = (pts[:100] + 2.0 * u) % dom.L
+            ps = make_pointset(np.concatenate([pts, contacts]))
+            fast, slow = build_graph(ps, body, dom), brute_force_graph(ps, body, dom)
+            assert graphs_equal(fast, slow)
+            assert fast.edge_count() >= 100
 
     def test_degree_near_delta(self):
         # E[deg] = Delta * vol(2K)/2^d = Delta for a ball of gauge radius 1...
