@@ -22,7 +22,7 @@ from .bodies import (
 )
 from .harness import ExperimentConfig, default_config, run_pipeline, sweep, verify_suite
 from .indset import PackingResult, greedy_independent_set, local_search_improve, verify_packing
-from .packing import PackingGraph, PointSet, TorusDomain, build_graph, prune, sample_poisson
+from .packing import PackingGraph, TorusDomain, build_graph, prune, sample_poisson
 from .volumetrics import (
     IkProfile,
     McEstimate,
@@ -40,7 +40,6 @@ __all__ = [
     "McEstimate",
     "PackingGraph",
     "PackingResult",
-    "PointSet",
     "TorusDomain",
     "body_from_spec",
     "body_to_spec",

@@ -88,16 +88,14 @@ def write_reports_csv(reports, path) -> None:
 
 
 def _h_proj(body, rng, support_samples):
-    """h_{Pi K}(x) one point per call: the closed form where there is one,
-    else the shadow Monte Carlo, at x/|x| and rescaled."""
+    """h_{Pi K}(x) one point per call: :func:`proj_body_support` (the
+    closed form where there is one, else the shadow Monte Carlo) at x/|x|,
+    rescaled."""
 
     def h(x):
         n = np.linalg.norm(x)
         if n == 0:
             return 0.0
-        a = analytic_proj_support(body, x / n)
-        if a is not None:
-            return a * n
         return proj_body_support(body, x / n, support_samples, rng).value * n
 
     return h

@@ -3,8 +3,10 @@
 Three commands are installed:
 
 * ``pack run <config> [--seed S] [--out DIR]`` and
-  ``pack sweep <config> --grid <spec>`` for pipeline runs; with an output
-  directory, ``pack run`` writes the record and the packing's centers,
+  ``pack sweep <config> --grid <spec> [--workers N]`` for pipeline runs;
+  with an output directory, ``pack run`` writes the record and the
+  packing's centers; a config or grid they cannot read ends them with a
+  message,
 * ``vol body-info <body>`` and ``vol intersection <body> --x <vec>``
   for one-off volumetrics,
 * ``verify all|schmuck|logconc|petty|rs|minkowski|poisson [--level]
@@ -55,11 +57,14 @@ def _parse_grid(spec: str):
     name = name.strip()
     if name not in ("Delta", "d"):
         raise SystemExit(f"grid axis must be Delta or d, got {name!r}")
-    if ":" in values:
-        lo, hi = values.split(":")
-        grid = list(range(int(lo), int(hi) + 1))
-    else:
-        grid = [float(v) for v in values.split(",") if v.strip()]
+    try:
+        if ":" in values:
+            lo, hi = values.split(":")
+            grid = list(range(int(lo), int(hi) + 1))
+        else:
+            grid = [float(v) for v in values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise SystemExit(f"bad grid values for {name}: {values!r} ({exc})") from exc
     if not grid:
         raise SystemExit("empty grid")
     return name, grid
@@ -77,10 +82,13 @@ def pack_main(argv=None) -> int:
     sweep_p.add_argument("--grid", required=True, help="e.g. Delta=20,30,40 or d=2:4")
     sweep_p.add_argument("--seed", type=int, default=None)
     sweep_p.add_argument("--out", default=None)
-    sweep_p.add_argument("--workers", type=int, default=None)
+    sweep_p.add_argument("--workers", type=int, default=1, help="sweep threads (default 1)")
     args = ap.parse_args(argv)
 
-    cfg = _load_config(args.config, args.seed, args.out)
+    try:  # malformed JSON, unknown or missing keys, invalid values
+        cfg = _load_config(args.config, args.seed, args.out)
+    except ValueError as exc:
+        raise SystemExit(f"pack {args.cmd}: {args.config}: {exc}") from exc
     if args.cmd == "run":
         run = run_stages(cfg)
         out_dir = output_dir(cfg)

@@ -1,8 +1,9 @@
 """Experiment orchestration: configs, the full pipeline, sweeps, suites.
 
 Every stochastic stage draws from a child generator derived by hashing
-the stage label into the master seed, so results are independent of
-worker count and bitwise reproducible for a given config.
+the stage label into the master seed, so results are bitwise
+reproducible for a given config.  The worker count is an argument of
+:func:`sweep` alone; no config field or record depends on it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,8 +48,8 @@ def child_rng(master: int, label: str) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One pipeline run.  ``workers`` and ``out_dir`` are execution
-    details excluded from the config hash and the persisted record."""
+    """One pipeline run.  ``out_dir`` is an execution detail excluded from
+    the config hash and the persisted record."""
 
     body: dict
     d: int
@@ -60,7 +61,6 @@ class ExperimentConfig:
     seed: int
     ik_outer_samples: int = 20_000
     local_search_budget: int = 100
-    workers: int = 1
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -76,7 +76,6 @@ class ExperimentConfig:
 
     def canonical(self) -> dict:
         d = asdict(self)
-        d.pop("workers")
         d.pop("out_dir")
         return d
 
@@ -88,6 +87,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
+        """Raises ValueError naming any unknown or missing keys."""
+        known = fields(ExperimentConfig)
+        unknown = sorted(set(data) - {f.name for f in known})
+        missing = [f.name for f in known if f.default is MISSING and f.name not in data]
+        problems = [f"{kind} keys: {', '.join(names)}" for kind, names in (("unknown", unknown), ("missing", missing)) if names]
+        if problems:
+            raise ValueError("config has " + "; ".join(problems))
         return ExperimentConfig(**data)
 
     @staticmethod
@@ -114,16 +120,6 @@ def default_config(d: int, seed: int = 1) -> ExperimentConfig:
         mc_samples=20_000,
         seed=seed,
     )
-
-
-def asymptotic_ik_delta(d: int) -> float:
-    """The literal threshold d^-10, floored at 1e-6."""
-    return max(d**-10.0, 1e-6)
-
-
-def asymptotic_codegree_coeff(d: int) -> float:
-    """The literal coefficient d^-9, floored at 1e-3."""
-    return max(d**-9.0, 1e-3)
 
 
 @dataclass
@@ -216,20 +212,20 @@ def run_stages(config: ExperimentConfig) -> PipelineRun:
     points = _stage(
         "sample_poisson",
         timings,
-        lambda: sample_poisson(domain, config.Delta, child_rng(seed, "poisson"), seed=seed),
+        lambda: sample_poisson(domain, config.Delta, child_rng(seed, "poisson")),
     )
     graph = _stage("build_graph", timings, lambda: build_graph(points, body, domain))
     stats_pre = _stage("stats_pre", timings, lambda: degree_codegree_stats(graph))
     pruned, report = _stage(
         "prune",
         timings,
-        lambda: prune(graph, body, ik, config.Delta, config.codegree_coeff, domain, child_rng(seed, "prune")),
+        lambda: prune(graph, ik, config.Delta, config.codegree_coeff, child_rng(seed, "prune")),
     )
     stats_post = _stage("stats_post", timings, lambda: degree_codegree_stats(pruned))
     indep = _stage(
         "greedy",
         timings,
-        lambda: greedy_independent_set(pruned, "random", child_rng(seed, "greedy")),
+        lambda: greedy_independent_set(pruned, child_rng(seed, "greedy")),
     )
     indep = _stage(
         "local_search",
@@ -297,13 +293,13 @@ def sweep(
     template: ExperimentConfig,
     deltas=None,
     ds=None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[dict]:
     """One pipeline run per grid point; failures become flagged rows.
 
     Exactly one of ``deltas`` / ``ds`` selects the grid axis.  Each grid
-    point gets its own child seed, so results do not depend on worker
-    count or completion order.
+    point gets its own child seed, so results do not depend on
+    ``workers`` (the size of the thread pool) or completion order.
 
     A ``deltas`` point is the template with its Delta replaced.  A ``ds``
     point is ``default_config(d)`` (unit-volume l2 ball, default L and
@@ -325,7 +321,6 @@ def sweep(
         for i, d in enumerate(ds):
             base = default_config(int(d), seed=child_seed(template.seed, f"sweep:{i}") % 2**31)
             points.append(replace(base, **kept))
-    workers = workers or template.workers
 
     def run_one(cfg):
         try:
@@ -353,7 +348,7 @@ def sweep(
                 "status": f"error: {stage}: {type(cause).__name__}: {cause}",
             }
 
-    if workers and workers > 1:
+    if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_one, points))
     else:

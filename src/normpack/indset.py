@@ -1,8 +1,9 @@
 """Independent-set extraction and packing verification.
 
-Greedy construction plus a (1,2)-swap local search stand in for the
-existential graph-theoretic bound; the verifier re-derives disjointness
-from raw coordinates rather than trusting the graph.
+Greedy insertion in a random order plus a (1,2)-swap local search
+stand in for the existential graph-theoretic bound; the verifier
+re-derives disjointness from raw coordinates rather than trusting the
+graph.
 """
 
 from __future__ import annotations
@@ -28,32 +29,19 @@ class OverlapError(Exception):
         super().__init__(f"centers {i} and {j} overlap: gauge {gauge_value:.6g} < 2")
 
 
-def greedy_independent_set(
-    graph: PackingGraph,
-    order_policy: str = "random",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Maximal independent set by sequential insertion.
+def greedy_independent_set(graph: PackingGraph, rng: np.random.Generator) -> np.ndarray:
+    """Maximal independent set by sequential insertion in the order of
+    ``rng.permutation``.
 
-    ``order_policy`` is "random" (needs rng) or "min_degree" with
-    (degree, index) lexicographic tie-breaking.  The greedy guarantee
-    |A| >= n / (max_degree + 1) always holds for the maximal output.
+    The greedy guarantee |A| >= n / (max_degree + 1) always holds for the
+    maximal output.
     """
     n = graph.n
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if order_policy == "random":
-        if rng is None:
-            raise ValueError("random order policy needs an rng")
-        order = rng.permutation(n)
-    elif order_policy == "min_degree":
-        deg = graph.degree()
-        order = np.lexsort((np.arange(n), deg))
-    else:
-        raise ValueError(f"unknown order policy {order_policy!r}")
     blocked = np.zeros(n, dtype=bool)
     chosen = []
-    for v in order:
+    for v in rng.permutation(n):
         if not blocked[v]:
             chosen.append(int(v))
             blocked[v] = True
@@ -70,12 +58,7 @@ def is_independent(graph: PackingGraph, vertices) -> bool:
     return not chosen[graph.adj.indices[np.repeat(chosen, graph.degree())]].any()
 
 
-def local_search_improve(
-    graph: PackingGraph,
-    seed_set,
-    budget: int,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def local_search_improve(graph: PackingGraph, seed_set, budget: int) -> np.ndarray:
     """(1,2)-swap local search: replace one vertex by two of its private
     neighbors when they are mutually non-adjacent.
 

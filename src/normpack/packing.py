@@ -1,17 +1,18 @@
 """Poisson sampling on a flat torus, intersection graphs, and pruning.
 
-The pipeline here mirrors the probabilistic construction: sample a
-Poisson point set, connect points whose body translates intersect
-(gauge of the minimal-image difference at most 2: periodic KD-tree
-pairs, CSR graph), then remove
+The pipeline here mirrors the probabilistic construction: sample
+Poisson points (an (n, d) array), connect points whose body translates
+intersect (gauge of the minimal-image difference at most 2: periodic
+KD-tree pairs, CSR graph that keeps its points and domain), then remove
 
 * X1: points whose degree exceeds Delta + Delta^(2/3),
 * X2: endpoints of pairs whose difference lies in 2 I_K (deep overlap),
 * X3: endpoints of pairs outside 2 I_K whose codegree reaches
   codegree_coeff * Delta.
 
-By construction the surviving graph satisfies both the degree and the
-codegree bound; tests re-verify this by brute force.
+:func:`prune` takes the body from the I_K profile and the domain from
+the graph.  By construction the surviving graph satisfies both the
+degree and the codegree bound; tests re-verify this by brute force.
 """
 
 from __future__ import annotations
@@ -65,24 +66,14 @@ class TorusDomain:
             )
 
 
-@dataclass(frozen=True)
-class PointSet:
-    points: np.ndarray  # (n, d) in [0, L)^d
-    seed: int | None
-    intensity: float
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 def sample_poisson(
     domain: TorusDomain,
     Delta: float,
     rng: np.random.Generator,
-    seed: int | None = None,
     point_cap: int = DEFAULT_POINT_CAP,
-) -> PointSet:
-    """Poisson point process with intensity 2^-d Delta on the domain."""
+) -> np.ndarray:
+    """(n, d) points in [0, L)^d of a Poisson process with intensity
+    2^-d Delta on the domain."""
     if Delta < 0:
         raise ValueError("Delta must be nonnegative")
     lam = Delta / 2.0**domain.d
@@ -90,8 +81,7 @@ def sample_poisson(
     if mean > point_cap:
         raise ValueError(f"expected count {mean:.3g} exceeds cap {point_cap}")
     n = int(rng.poisson(mean))
-    pts = rng.uniform(0.0, domain.L, size=(n, domain.d))
-    return PointSet(points=pts, seed=seed, intensity=lam)
+    return rng.uniform(0.0, domain.L, size=(n, domain.d))
 
 
 @dataclass
@@ -185,14 +175,15 @@ def sort_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
     return pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]  # unique codes
 
 
-def build_graph(points: PointSet, body: ConvexBody, domain: TorusDomain) -> PackingGraph:
-    """Intersection graph: edge iff gauge(min image(x - y)) <= 2.
+def build_graph(points: np.ndarray, body: ConvexBody, domain: TorusDomain) -> PackingGraph:
+    """Intersection graph on the (n, d) ``points``: edge iff
+    gauge(min image(x - y)) <= 2.
 
     Edges are the periodic KD-tree pairs within gauge 2, taken in query
     order; the graph is stored as a CSR adjacency.
     """
     domain.validate_for_body(body)
-    pts = points.points
+    pts = np.asarray(points, dtype=float)
     return PackingGraph.from_pairs(pts, pairs_within_gauge(pts, body, domain, 2.0), domain)
 
 
@@ -228,23 +219,21 @@ def _expectation_bounds(n, d, Delta, vol_ik, delta, coeff) -> dict:
 
 def prune(
     graph: PackingGraph,
-    body: ConvexBody,
     ik: IkProfile,
     Delta: float,
     codegree_coeff: float,
-    domain: TorusDomain,
     rng: np.random.Generator | None = None,
 ) -> tuple[PackingGraph, PruneReport]:
     """Apply the X1/X2/X3 removal rules and return the pruned graph.
 
+    The body is the one ``ik`` was estimated for, the domain the graph's.
     Membership of a pair difference in 2 I_K is decided by the
     threshold test f((y - x)/2) > delta; boundary-ambiguous Monte Carlo
     classifications count as inside (removal), keeping the codegree
     guarantee sound.  Marking is a read-only pass over the original
     graph; the sweep rebuilds the subgraph afterwards.
     """
-    if ik.body.d != body.d or ik.body.kind != body.kind:
-        raise ValueError("IkProfile computed for a different body")
+    body, domain = ik.body, graph.domain
     n = graph.n
     if n == 0:
         report = PruneReport(0, 0, 0, 0, 0, 0, 0, _expectation_bounds(0, body.d, Delta, ik.vol_ik, ik.delta, codegree_coeff))

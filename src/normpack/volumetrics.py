@@ -24,6 +24,7 @@ from .bodies import (
 )
 
 MC_MIN_SAMPLES = 1_000
+MAX_ESCALATIONS = 4  # 4x sample increases before the MC classifier says "boundary"
 _CHUNK = 1 << 20
 
 
@@ -34,13 +35,12 @@ class McEstimate:
     value: float
     std_error: float
     samples: int
-    seed: int | None = None
 
     def brackets(self, truth: float, sigmas: float = 3.0) -> bool:
         return abs(self.value - truth) <= sigmas * self.std_error + 1e-15
 
 
-def mc_volume(body: ConvexBody, samples: int, rng: np.random.Generator, seed: int | None = None) -> McEstimate:
+def mc_volume(body: ConvexBody, samples: int, rng: np.random.Generator) -> McEstimate:
     """Volume by rejection from the support bounding box.
 
     Draws :func:`uniform_box` points in chunks of at most 2^20 rows.
@@ -61,7 +61,6 @@ def mc_volume(body: ConvexBody, samples: int, rng: np.random.Generator, seed: in
         value=box_vol * p,
         std_error=box_vol * math.sqrt(p * (1.0 - p) / samples),
         samples=samples,
-        seed=seed,
     )
 
 
@@ -91,7 +90,7 @@ def exact_intersection_volume(body: ConvexBody, x: np.ndarray) -> np.ndarray | f
     Euclidean balls use the lens formula; cubes the separable product
     prod(side - |x_i|)_+.  Returns None for other bodies.
     """
-    if body.kind != "lp" or (body.p != 2.0 and not math.isinf(body.p)):
+    if not has_exact_intersection(body):
         return None
     x = np.asarray(x, dtype=float)
     if body.p == 2.0:
@@ -152,10 +151,10 @@ def intersection_volume(
 class OverlapClassifier:
     """Decides whether f(x) > delta, exactly or by escalating Monte Carlo.
 
-    The MC route starts at ``base_samples`` and multiplies by 4 until the
-    3-sigma band excludes delta or the cap is reached; still-ambiguous
-    points are labeled boundary and, per the conservative convention,
-    treated as inside I_K.
+    The MC route starts at ``base_samples`` and multiplies by 4, at most
+    :data:`MAX_ESCALATIONS` times, until the 3-sigma band excludes delta;
+    still-ambiguous points are labeled boundary and, per the conservative
+    convention, treated as inside I_K.
     """
 
     def __init__(
@@ -164,32 +163,27 @@ class OverlapClassifier:
         delta: float,
         rng: np.random.Generator | None = None,
         base_samples: int = 2_000,
-        max_escalations: int = 4,
         force_mc: bool = False,
     ):
         self.body = body
         self.delta = float(delta)
         self.rng = rng
         self.base_samples = base_samples
-        self.max_escalations = max_escalations
         self.exact = has_exact_intersection(body) and not force_mc
         self.boundary_count = 0
         if not self.exact and rng is None:
             raise ValueError("MC classification needs an rng")
 
-    def f_exact(self, x: np.ndarray):
-        return exact_intersection_volume(self.body, x)
-
     def inside(self, x: np.ndarray) -> np.ndarray:
         """Vectorized membership x in I_K (boundary counts as inside)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.exact:
-            return np.asarray(self.f_exact(x)) > self.delta
+            return np.asarray(exact_intersection_volume(self.body, x)) > self.delta
         return np.asarray([self._classify_one(xi) for xi in x])
 
     def _classify_one(self, x: np.ndarray) -> bool:
         n = self.base_samples
-        for _ in range(self.max_escalations + 1):
+        for _ in range(MAX_ESCALATIONS + 1):
             est = intersection_volume(self.body, x, n, self.rng)
             if abs(est.value - self.delta) > 3.0 * est.std_error:
                 return est.value > self.delta
@@ -220,23 +214,22 @@ def estimate_ik(
     outer_samples: int,
     inner_samples: int,
     rng: np.random.Generator,
-    force_mc: bool = False,
 ) -> IkProfile:
     """Estimate vol(I_K) by sampling translations uniformly in 2K.
 
     vol(2K) is exact for every body kind (:func:`closed_form_volume`).
     ``inner_samples`` seeds the escalating MC classifier (ignored for
-    bodies with exact intersection formulas unless ``force_mc``).
+    bodies with exact intersection formulas).
     Degenerate all-hit / no-hit outcomes are flagged rather than raised.
     """
     if not (0.0 < delta < 1.0):
         if delta >= 1.0:
-            est = McEstimate(0.0, 0.0, 0, None)
+            est = McEstimate(0.0, 0.0, 0)
             return IkProfile(body, delta, est, math.inf, degenerate=True)
         raise ValueError("delta must be positive")
     vol2k = closed_form_volume(body.scaled(2.0))
     xs = sample_uniform(body.scaled(2.0), rng, outer_samples)
-    clf = OverlapClassifier(body, delta, rng, base_samples=inner_samples, force_mc=force_mc)
+    clf = OverlapClassifier(body, delta, rng, base_samples=inner_samples)
     hits = int(np.count_nonzero(clf.inside(xs)))
     p = hits / outer_samples
     est = McEstimate(
@@ -513,8 +506,3 @@ def polar_proj_volume_mc(
         std_error=gd * float(r_d.std(ddof=1)) / math.sqrt(n_directions),
         samples=n_directions,
     )
-
-
-def gamma_ratio(x: float) -> float:
-    """x! / (x - 1/2)! for real x >= 1/2 (log-gamma evaluation)."""
-    return math.exp(gammaln(x + 1.0) - gammaln(x + 0.5))

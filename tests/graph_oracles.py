@@ -12,12 +12,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from normpack.bodies import ConvexBody
-from normpack.packing import PackingGraph, PointSet, TorusDomain
+from normpack.packing import PackingGraph, TorusDomain
 
 
-def brute_force_graph(points: PointSet, body: ConvexBody, domain: TorusDomain) -> PackingGraph:
+def brute_force_graph(points: np.ndarray, body: ConvexBody, domain: TorusDomain) -> PackingGraph:
     """O(n^2) reference adjacency; oracle for build_graph."""
-    pts = points.points
+    pts = np.asarray(points, dtype=float)
     n = len(pts)
     pairs = np.empty((0, 2), dtype=np.int64)
     if n:

@@ -12,8 +12,6 @@ from normpack.harness import (
     OUTPUT_DIR_ENV,
     ExperimentConfig,
     PipelineStageError,
-    asymptotic_codegree_coeff,
-    asymptotic_ik_delta,
     child_rng,
     child_seed,
     default_config,
@@ -71,7 +69,9 @@ class TestConfig:
 
     def test_hash_ignores_workers_and_out_dir(self):
         cfg = default_config(2)
-        assert replace(cfg, workers=8, out_dir="/tmp/x").hash() == cfg.hash()
+        assert replace(cfg, out_dir="/tmp/x").hash() == cfg.hash()
+        # the worker count is an argument of sweep, never part of a config
+        assert "workers" not in json.loads(cfg.to_json())
 
     def test_hash_sensitive_to_science_fields(self):
         cfg = default_config(2)
@@ -99,11 +99,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             default_config(7)
 
-    def test_asymptotic_thresholds(self):
-        assert asymptotic_ik_delta(2) == pytest.approx(2.0**-10)
-        assert asymptotic_ik_delta(100) == 1e-6
-        assert asymptotic_codegree_coeff(2) == pytest.approx(2.0**-9)
-        assert asymptotic_codegree_coeff(100) == 1e-3
+    def test_from_dict_names_unknown_and_missing_keys(self):
+        data = json.loads(default_config(2).to_json())
+        with pytest.raises(ValueError, match="unknown keys: workers$"):
+            ExperimentConfig.from_dict({**data, "workers": 1})
+        del data["seed"], data["L"]
+        with pytest.raises(ValueError, match="unknown keys: extra; missing keys: L, seed"):
+            ExperimentConfig.from_dict({**data, "extra": 0})
 
 
 class TestRunPipeline:
@@ -341,6 +343,20 @@ class TestCli:
     def test_bad_grid_axis(self, tmp_path):
         with pytest.raises(SystemExit):
             pack_main(["sweep", self._write_config(tmp_path), "--grid", "gamma=1,2"])
+
+    @pytest.mark.parametrize("grid, value", [("Delta=abc", "'abc'"), ("d=2:x", "'2:x'")])
+    def test_bad_grid_value(self, tmp_path, grid, value):
+        with pytest.raises(SystemExit, match=value):
+            pack_main(["sweep", self._write_config(tmp_path), "--grid", grid])
+
+    @pytest.mark.parametrize("cmd", [["run"], ["sweep", "--grid", "Delta=15"]])
+    def test_config_with_unknown_key(self, tmp_path, cmd):
+        # e.g. a config file that still carries the sweep's worker count
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**json.loads(default_config(2).to_json()), "workers": 1}))
+        with pytest.raises(SystemExit, match="unknown keys: workers"):
+            pack_main([cmd[0], str(path), *cmd[1:], "--out", str(tmp_path)])
+        assert not list(tmp_path.glob("run_*.jsonl"))
 
     def test_sweep_d_grid_rejects_cube(self, tmp_path):
         path = tmp_path / "cube.json"

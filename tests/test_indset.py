@@ -37,31 +37,17 @@ def random_graph(rng, n, p):
 class TestGreedy:
     def test_edgeless(self):
         g = graph_from_edges(5, [])
-        out = greedy_independent_set(g, "min_degree")
+        out = greedy_independent_set(g, np.random.default_rng(0))
         assert out.tolist() == [0, 1, 2, 3, 4]
 
     def test_complete(self):
         g = graph_from_edges(4, list(itertools.combinations(range(4), 2)))
-        out = greedy_independent_set(g, "random", np.random.default_rng(0))
+        out = greedy_independent_set(g, np.random.default_rng(0))
         assert len(out) == 1
 
     def test_empty_graph(self):
         g = graph_from_edges(0, [])
-        assert len(greedy_independent_set(g, "min_degree")) == 0
-
-    def test_random_needs_rng(self):
-        with pytest.raises(ValueError):
-            greedy_independent_set(graph_from_edges(3, []), "random")
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            greedy_independent_set(graph_from_edges(3, []), "biggest")
-
-    def test_min_degree_star(self):
-        # star: center has max degree, min_degree picks all leaves
-        g = graph_from_edges(5, [(0, i) for i in range(1, 5)])
-        out = greedy_independent_set(g, "min_degree")
-        assert out.tolist() == [1, 2, 3, 4]
+        assert len(greedy_independent_set(g, np.random.default_rng(0))) == 0
 
     def test_output_independent_and_maximal(self):
         rng = np.random.default_rng(1)
@@ -69,7 +55,7 @@ class TestGreedy:
             n = int(rng.integers(5, 30))
             edges = random_graph(rng, n, 0.25)
             g = graph_from_edges(n, edges)
-            out = greedy_independent_set(g, "random", rng)
+            out = greedy_independent_set(g, rng)
             assert is_independent(g, out)
             chosen = set(out.tolist())
             for v in range(n):  # maximality
@@ -81,15 +67,15 @@ class TestGreedy:
         for trial in range(20):
             n = int(rng.integers(5, 40))
             g = graph_from_edges(n, random_graph(rng, n, 0.3))
-            out = greedy_independent_set(g, "min_degree")
+            out = greedy_independent_set(g, rng)
             dmax = int(g.degree().max())
             assert len(out) >= n / (dmax + 1)
 
     def test_deterministic_given_seed(self):
         edges = random_graph(np.random.default_rng(3), 25, 0.2)
         g = graph_from_edges(25, edges)
-        a = greedy_independent_set(g, "random", np.random.default_rng(7))
-        b = greedy_independent_set(g, "random", np.random.default_rng(7))
+        a = greedy_independent_set(g, np.random.default_rng(7))
+        b = greedy_independent_set(g, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
 
@@ -99,7 +85,7 @@ class TestIsIndependent:
         for trial in range(40):
             n = int(rng.integers(1, 40))
             g = graph_from_edges(n, random_graph(rng, n, 0.15))
-            greedy = greedy_independent_set(g, "random", rng)
+            greedy = greedy_independent_set(g, rng)
             subsets = [
                 greedy,
                 set(greedy.tolist()),
@@ -126,7 +112,7 @@ class TestLocalSearch:
         for trial in range(40):
             n = int(rng.integers(4, 60))
             g = graph_from_edges(n, random_graph(rng, n, float(rng.uniform(0.05, 0.4))))
-            seed = greedy_independent_set(g, "random", rng)
+            seed = greedy_independent_set(g, rng)
             budget = int(rng.integers(0, 20))
             out = local_search_improve(g, seed, budget)
             assert np.array_equal(out, local_search_reference(g, seed, budget))
@@ -142,7 +128,7 @@ class TestLocalSearch:
         for trial in range(30):
             n = int(rng.integers(4, 25))
             g = graph_from_edges(n, random_graph(rng, n, 0.3))
-            seed = greedy_independent_set(g, "random", rng)
+            seed = greedy_independent_set(g, rng)
             out = local_search_improve(g, seed, budget=50)
             assert len(out) >= len(seed)
             assert is_independent(g, out)
@@ -165,7 +151,7 @@ class TestLocalSearch:
             edges = random_graph(rng, n, 0.35)
             g = graph_from_edges(n, edges)
             opt = exhaustive_max_independent(n, edges)
-            seed = greedy_independent_set(g, "min_degree")
+            seed = greedy_independent_set(g, rng)
             out = local_search_improve(g, seed, budget=100)
             dmax = int(g.degree().max(initial=0))
             assert n / (dmax + 1) <= len(out) <= opt

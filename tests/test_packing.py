@@ -10,7 +10,6 @@ from normpack.indset import verify_packing
 import normpack.packing as packing
 from normpack.packing import (
     PackingGraph,
-    PointSet,
     TorusDomain,
     build_graph,
     codegree_pairs,
@@ -28,11 +27,6 @@ from graph_oracles import (
     graphs_equal,
     min_image_reference,
 )
-
-
-def make_pointset(pts):
-    pts = np.asarray(pts, dtype=float)
-    return PointSet(points=pts, seed=None, intensity=0.0)
 
 
 class TestTorusDomain:
@@ -113,8 +107,8 @@ class TestSamplePoisson:
     def test_points_in_box(self):
         dom = TorusDomain(3, 7.0)
         ps = sample_poisson(dom, 30.0, np.random.default_rng(0))
-        assert np.all(ps.points >= 0.0) and np.all(ps.points < 7.0)
-        assert ps.intensity == pytest.approx(30.0 / 8.0)
+        assert ps.shape == (len(ps), 3)
+        assert np.all(ps >= 0.0) and np.all(ps < 7.0)
 
     def test_zero_intensity(self):
         dom = TorusDomain(2, 5.0)
@@ -133,7 +127,7 @@ class TestSamplePoisson:
         dom = TorusDomain(2, 10.0)
         a = sample_poisson(dom, 20.0, np.random.default_rng(5))
         b = sample_poisson(dom, 20.0, np.random.default_rng(5))
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a, b)
 
 
 class TestFromPairs:
@@ -172,7 +166,7 @@ class TestBuildGraph:
     def test_two_touching_points(self):
         dom = TorusDomain(2, 20.0)
         body = lp_ball(2, 2, scale=1.0)
-        ps = make_pointset([[5.0, 5.0], [6.5, 5.0], [12.0, 12.0]])
+        ps = np.asarray([[5.0, 5.0], [6.5, 5.0], [12.0, 12.0]])
         g = build_graph(ps, body, dom)
         assert g.neighbors[0].tolist() == [1]
         assert g.neighbors[1].tolist() == [0]
@@ -181,13 +175,13 @@ class TestBuildGraph:
     def test_wraparound_edge(self):
         dom = TorusDomain(2, 20.0)
         body = lp_ball(2, 2, scale=1.0)
-        ps = make_pointset([[0.5, 10.0], [19.5, 10.0]])
+        ps = np.asarray([[0.5, 10.0], [19.5, 10.0]])
         g = build_graph(ps, body, dom)
         assert g.neighbors[0].tolist() == [1]
 
     def test_empty(self):
         dom = TorusDomain(2, 20.0)
-        g = build_graph(make_pointset(np.empty((0, 2))), lp_ball(2, 2), dom)
+        g = build_graph(np.empty((0, 2)), lp_ball(2, 2), dom)
         assert g.n == 0 and g.edge_count() == 0
 
     def test_cluster_complete(self):
@@ -196,7 +190,7 @@ class TestBuildGraph:
         body = lp_ball(2, 2, scale=1.0)
         rng = np.random.default_rng(1)
         pts = 10.0 + rng.uniform(-0.4, 0.4, size=(12, 2))
-        g = build_graph(make_pointset(pts), body, dom)
+        g = build_graph(pts, body, dom)
         assert g.edge_count() == 12 * 11 // 2
 
     def test_matches_brute_force_mixed_bodies(self):
@@ -215,9 +209,8 @@ class TestBuildGraph:
             dom = TorusDomain(body.d, L)
             n = int(rng.integers(50, 2001))
             pts = rng.uniform(0.0, L, size=(n, body.d))
-            ps = make_pointset(pts)
-            fast = build_graph(ps, body, dom)
-            slow = brute_force_graph(ps, body, dom)
+            fast = build_graph(pts, body, dom)
+            slow = brute_force_graph(pts, body, dom)
             assert graphs_equal(fast, slow), f"trial {trial} body {body.describe()}"
 
     def test_corner_contacts_match_brute_force(self):
@@ -228,7 +221,7 @@ class TestBuildGraph:
         for _ in range(100):
             side = rng.uniform(0.5, 2.0)
             p = rng.uniform(0.0, dom.L, size=3)
-            ps = make_pointset([p, p + side])
+            ps = np.asarray([p, p + side])
             body = cube(3, side=side)
             assert graphs_equal(build_graph(ps, body, dom), brute_force_graph(ps, body, dom))
 
@@ -246,7 +239,7 @@ class TestBuildGraph:
             u = rng.standard_normal((100, d))
             u /= np.asarray(body.gauge(u))[:, None]
             contacts = (pts[:100] + 2.0 * u) % dom.L
-            ps = make_pointset(np.concatenate([pts, contacts]))
+            ps = np.concatenate([pts, contacts])
             fast, slow = build_graph(ps, body, dom), brute_force_graph(ps, body, dom)
             assert graphs_equal(fast, slow)
             assert fast.edge_count() >= 100
@@ -269,7 +262,7 @@ class TestBuildGraph:
     def test_subgraph_remap(self):
         dom = TorusDomain(2, 20.0)
         body = lp_ball(2, 2, scale=1.0)
-        ps = make_pointset([[5.0, 5.0], [6.0, 5.0], [7.0, 5.0]])
+        ps = np.asarray([[5.0, 5.0], [6.0, 5.0], [7.0, 5.0]])
         g = build_graph(ps, body, dom)
         sub = g.subgraph(np.array([True, False, True]))
         assert sub.n == 2
@@ -307,10 +300,10 @@ class TestOutOfBoxCoordinates:
     def test_build_graph(self):
         pts = np.random.default_rng(7).uniform(0.0, self.DOM.L, size=(400, 2))
         pts[0, 0] = 0.0
-        ref = build_graph(make_pointset(pts), self.BODY, self.DOM)
+        ref = build_graph(pts, self.BODY, self.DOM)
         assert ref.edge_count() > 0
         for moved in self.moved(pts):
-            assert graphs_equal(build_graph(make_pointset(moved), self.BODY, self.DOM), ref)
+            assert graphs_equal(build_graph(moved, self.BODY, self.DOM), ref)
 
     def test_verify_packing(self):
         grid = np.arange(10) * 2.2
@@ -334,13 +327,13 @@ class TestPrune:
 
     def test_empty_graph(self):
         dom, body, rng, ik, _, Delta = self._setup()
-        g = build_graph(make_pointset(np.empty((0, 2))), body, dom)
-        pruned, rep = prune(g, body, ik, Delta, 1.2, dom, rng)
+        g = build_graph(np.empty((0, 2)), body, dom)
+        pruned, rep = prune(g, ik, Delta, 1.2, rng)
         assert pruned.n == 0 and rep.retained == 0
 
     def test_postconditions_brute_force(self):
         dom, body, rng, ik, g, Delta = self._setup(seed=2)
-        pruned, rep = prune(g, body, ik, Delta, 1.2, dom, rng)
+        pruned, rep = prune(g, ik, Delta, 1.2, rng)
         assert rep.retained == pruned.n
         assert rep.removed_x1 + rep.removed_x2 + rep.removed_x3 == rep.removed_union
         assert rep.n_initial == g.n
@@ -357,7 +350,7 @@ class TestPrune:
         Delta = 30.0
         ik = estimate_ik(body, 0.95, 20_000, 500, rng)
         g = build_graph(sample_poisson(dom, Delta, rng), body, dom)
-        pruned, rep = prune(g, body, ik, Delta, 1.2, dom, rng)
+        pruned, rep = prune(g, ik, Delta, 1.2, rng)
         clf = OverlapClassifier(body, ik.delta)
         pts = g.points
 
@@ -385,8 +378,8 @@ class TestPrune:
         rng = np.random.default_rng(4)
         ik = estimate_ik(body, 0.95, 20_000, 500, rng)
         pts = 10.0 + rng.uniform(-0.05, 0.05, size=(8, 2))
-        g = build_graph(make_pointset(pts), body, dom)
-        pruned, rep = prune(g, body, ik, 30.0, 1.2, dom, rng)
+        g = build_graph(pts, body, dom)
+        pruned, rep = prune(g, ik, 30.0, 1.2, rng)
         assert pruned.n == 0
         assert rep.removed_x2 + rep.removed_x1 == 8
 
@@ -396,20 +389,13 @@ class TestPrune:
         rng = np.random.default_rng(5)
         ik = estimate_ik(body, 0.95, 20_000, 500, rng)
         pts = np.array([[2.0, 2.0], [10.0, 10.0], [17.0, 4.0]])
-        g = build_graph(make_pointset(pts), body, dom)
-        pruned, rep = prune(g, body, ik, 30.0, 1.2, dom, rng)
+        g = build_graph(pts, body, dom)
+        pruned, rep = prune(g, ik, 30.0, 1.2, rng)
         assert pruned.n == 3 and rep.removed_union == 0
-
-    def test_wrong_body_rejected(self):
-        from normpack.bodies import simplex_difference
-
-        dom, body, rng, ik, g, Delta = self._setup()
-        with pytest.raises(ValueError, match="different body"):
-            prune(g, simplex_difference(2), ik, Delta, 1.2, dom, rng)
 
     def test_expectation_bounds_present(self):
         dom, body, rng, ik, g, Delta = self._setup(seed=6)
-        _, rep = prune(g, body, ik, Delta, 1.2, dom, rng)
+        _, rep = prune(g, ik, Delta, 1.2, rng)
         for key in ("x1_bound", "x2_bound", "s3_bound"):
             assert key in rep.expected_sizes
             assert rep.expected_sizes[key] >= 0.0
@@ -435,7 +421,7 @@ class TestPrune:
         outs = []
         for _ in range(2):
             dom, body, rng, ik, g, Delta = self._setup(seed=7)
-            pruned, rep = prune(g, body, ik, Delta, 1.2, dom, rng)
+            pruned, rep = prune(g, ik, Delta, 1.2, rng)
             outs.append((pruned.n, rep.removed_x1, rep.removed_x2, rep.removed_x3,
                          tuple(pruned.original_indices.tolist())))
         assert outs[0] == outs[1]
@@ -445,7 +431,7 @@ class TestStats:
     def test_triangle(self):
         dom = TorusDomain(2, 20.0)
         body = lp_ball(2, 2, scale=1.0)
-        ps = make_pointset([[5.0, 5.0], [6.0, 5.0], [5.5, 5.8]])
+        ps = np.asarray([[5.0, 5.0], [6.0, 5.0], [5.5, 5.8]])
         g = build_graph(ps, body, dom)
         st = degree_codegree_stats(g)
         assert st["max_degree"] == 2
@@ -454,7 +440,7 @@ class TestStats:
 
     def test_empty(self):
         st = degree_codegree_stats(
-            build_graph(make_pointset(np.empty((0, 2))), lp_ball(2, 2), TorusDomain(2, 20.0))
+            build_graph(np.empty((0, 2)), lp_ball(2, 2), TorusDomain(2, 20.0))
         )
         assert st == {"n": 0, "max_degree": 0, "mean_degree": 0.0, "max_codegree": 0, "degree_histogram": {}}
 
@@ -462,7 +448,7 @@ class TestStats:
         # path a-b-c-d: max codegree is 1 (a,c share b; b,d share c)
         dom = TorusDomain(2, 20.0)
         body = lp_ball(2, 2, scale=1.0)
-        ps = make_pointset([[2.0, 2.0], [3.5, 2.0], [5.0, 2.0], [6.5, 2.0]])
+        ps = np.asarray([[2.0, 2.0], [3.5, 2.0], [5.0, 2.0], [6.5, 2.0]])
         g = build_graph(ps, body, dom)
         assert brute_force_max_codegree(g) == 1
 

@@ -18,7 +18,6 @@ from normpack.volumetrics import (
     ball_lens_volume,
     estimate_ik,
     exact_intersection_volume,
-    gamma_ratio,
     ik_gauge_radius,
     intersection_volume,
     mc_volume,
@@ -468,19 +467,6 @@ class TestPolarProjVolumes:
         est = polar_proj_volume_mc(cube(3), rng, n_directions=200, support_samples=0)
         truth = analytic_polar_proj_volume(cube(3))
         assert est.value == pytest.approx(truth, rel=3.5 * est.std_error / truth + 0.02)
-
-
-class TestGammaRatio:
-    def test_exact_half_integer(self):
-        # 1! / (1/2)! = 2 / sqrt(pi)
-        assert gamma_ratio(1.0) == pytest.approx(2.0 / math.sqrt(math.pi))
-
-    def test_lower_bound_sqrt(self):
-        for x in (0.5, 1.0, 2.5, 10.0, 100.0):
-            assert gamma_ratio(x) >= math.sqrt(x)
-
-    def test_asymptotic(self):
-        assert gamma_ratio(1e6) == pytest.approx(math.sqrt(1e6), rel=1e-5)
 
 
 class TestMcEstimate:
