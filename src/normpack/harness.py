@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -46,6 +47,13 @@ def child_rng(master: int, label: str) -> np.random.Generator:
     return np.random.default_rng(child_seed(master, label))
 
 
+# (fields, type, name of the type); bool is neither here
+_FIELD_TYPES = (
+    (("d", "seed", "mc_samples", "ik_outer_samples", "local_search_budget"), numbers.Integral, "an integer"),
+    (("L", "Delta", "ik_delta", "codegree_coeff"), numbers.Real, "a real number"),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One pipeline run.  ``out_dir`` is an execution detail excluded from
@@ -64,6 +72,11 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for names, kind, label in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} must be {label}, got {value!r}")
         for name in ("L", "Delta", "ik_delta", "codegree_coeff", "mc_samples"):
             if not getattr(self, name) > 0:  # NaN fails this test too
                 raise ValueError(f"{name} must be positive")
@@ -71,8 +84,6 @@ class ExperimentConfig:
             raise ValueError("ik_outer_samples must be at least 1")
         if not self.local_search_budget >= 0:
             raise ValueError("local_search_budget must be nonnegative")
-        if not isinstance(self.seed, int):
-            raise ValueError("seed must be an integer (wall-clock seeding is not allowed)")
 
     def canonical(self) -> dict:
         d = asdict(self)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import ConvexBody
-from .packing import PackingGraph, TorusDomain, pairs_within_gauge, sort_pairs
+from .packing import PackingGraph, TorusDomain, pair_order, pairs_within_gauge
 
 DISJOINT_TOL = 1e-12
 
@@ -31,36 +31,36 @@ class OverlapError(Exception):
 
 def greedy_independent_set(graph: PackingGraph, rng: np.random.Generator) -> np.ndarray:
     """Maximal independent set by sequential insertion in the order of
-    ``rng.permutation``.
+    ``rng.permutation``, sorted.
 
     The greedy guarantee |A| >= n / (max_degree + 1) always holds for the
     maximal output.
     """
     n = graph.n
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
+    ptr, indices = graph.adj.indptr.tolist(), graph.adj.indices
     blocked = np.zeros(n, dtype=bool)
-    chosen = []
-    for v in rng.permutation(n):
+    chosen = np.zeros(n, dtype=bool)
+    for v in rng.permutation(n).tolist():  # each v comes once
         if not blocked[v]:
-            chosen.append(int(v))
-            blocked[v] = True
-            blocked[graph.neighbors[v]] = True
-    return np.asarray(sorted(chosen), dtype=np.int64)
+            chosen[v] = True
+            blocked[indices[ptr[v] : ptr[v + 1]]] = True
+    return np.flatnonzero(chosen)
 
 
 def is_independent(graph: PackingGraph, vertices) -> bool:
     """True when no edge of ``graph`` joins two of ``vertices`` (an iterable
     of vertex indices; repeats allowed)."""
+    idx = np.fromiter(vertices, dtype=np.int64)
     chosen = np.zeros(graph.n, dtype=bool)
-    chosen[np.fromiter(vertices, dtype=np.int64)] = True
+    chosen[idx] = True
     # the neighbors listed in the CSR rows of the chosen vertices
-    return not chosen[graph.adj.indices[np.repeat(chosen, graph.degree())]].any()
+    return not chosen[graph.adj[idx].indices].any()
 
 
 def local_search_improve(graph: PackingGraph, seed_set, budget: int) -> np.ndarray:
     """(1,2)-swap local search: replace one vertex by two of its private
-    neighbors when they are mutually non-adjacent.
+    neighbors when they are mutually non-adjacent, then add every vertex
+    left free.  Returns the set sorted.
 
     Never shrinks the set; every accepted move is checked at the two
     vertices it adds, and the result is re-verified in full.  Raises
@@ -69,24 +69,28 @@ def local_search_improve(graph: PackingGraph, seed_set, budget: int) -> np.ndarr
     """
     if not is_independent(graph, seed_set):
         raise ValueError("seed_set is not independent")
-    current = set(int(v) for v in seed_set)
-    # conflict count: number of selected neighbors per outside vertex
-    conflicts = np.zeros(graph.n, dtype=np.int64)
-    for v in current:
-        conflicts[graph.neighbors[v]] += 1
+    ptr, indices = graph.adj.indptr.tolist(), graph.adj.indices
+
+    def nb(v):
+        return indices[ptr[v] : ptr[v + 1]]
+
+    chosen = np.zeros(graph.n, dtype=bool)
+    chosen[np.fromiter(seed_set, dtype=np.int64)] = True
+    # conflict count: number of selected neighbors per vertex
+    conflicts = np.bincount(graph.adj[np.flatnonzero(chosen)].indices, minlength=graph.n)
     moves = 0
     improved = True
     while improved and moves < budget:
         improved = False
-        for v in sorted(current):
-            nb_v = graph.neighbors[v]
+        for v in np.flatnonzero(chosen).tolist():
+            nb_v = nb(v)
             # neighbors whose only selected neighbor is v; none is selected,
             # since the set stays independent
             private = nb_v[conflicts[nb_v] == 1].tolist()
             found = None
             for ai in range(len(private)):
                 a = private[ai]
-                nb_a = set(graph.neighbors[a].tolist())
+                nb_a = set(nb(a).tolist())
                 for b in private[ai + 1 :]:
                     if b not in nb_a:
                         found = (a, b)
@@ -96,26 +100,28 @@ def local_search_improve(graph: PackingGraph, seed_set, budget: int) -> np.ndarr
             if found is None:
                 continue
             a, b = found
-            current.remove(v)
+            chosen[v] = False
             conflicts[nb_v] -= 1
             for u in (a, b):
-                current.add(u)
-                conflicts[graph.neighbors[u]] += 1
+                chosen[u] = True
+                conflicts[nb(u)] += 1
             # a swap can only create an edge at the two vertices it adds
-            if any(current.intersection(graph.neighbors[u].tolist()) for u in (a, b)):
+            if chosen[nb(a)].any() or chosen[nb(b)].any():
                 raise RuntimeError(f"swap of {v} for {a}, {b} broke independence")
             moves += 1
             improved = True
             if moves >= budget:
                 break
-    # maximalize: sweep in free vertices
-    for v in range(graph.n):
-        if v not in current and conflicts[v] == 0:
-            current.add(v)
-            conflicts[graph.neighbors[v]] += 1
-    if not is_independent(graph, current):
+    # maximalize: add the free vertices in ascending order; an addition only
+    # raises conflicts, so no vertex outside this list becomes free
+    for v in np.flatnonzero((conflicts == 0) & ~chosen).tolist():
+        if conflicts[v] == 0:
+            chosen[v] = True
+            conflicts[nb(v)] += 1
+    result = np.flatnonzero(chosen)
+    if not is_independent(graph, result):
         raise RuntimeError("local search result is not independent")
-    return np.asarray(sorted(current), dtype=np.int64)
+    return result
 
 
 @dataclass(frozen=True)
@@ -158,8 +164,9 @@ def verify_packing(
     min_gauge = math.inf
     if m > 1:
         # search slightly beyond 2 so min_pairwise_gauge is informative
-        gi, gj = sort_pairs(pairs_within_gauge(centers, body, domain, 2.5), m).T
-        g = np.asarray(body.gauge(domain.min_image(centers[gj] - centers[gi])))
+        pairs, g = pairs_within_gauge(centers, body, domain, 2.5)
+        order = pair_order(pairs, m)
+        (gi, gj), g = pairs[order].T, g[order]
         if len(g):
             worst = int(np.argmin(g))
             if g[worst] < 2.0 - DISJOINT_TOL * 2.0:

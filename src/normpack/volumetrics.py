@@ -243,9 +243,16 @@ def estimate_ik(
 
 
 def ik_gauge_radius(body: ConvexBody, delta: float, tol: float = 1e-9) -> float:
-    """Smallest g with I_K contained in {gauge <= g}; 2.0 if unknown.
+    """A g with I_K contained in {gauge <= g}: the smallest one for the l2
+    ball and the cube, 1.0 for any other body when delta >= vol(K)/2, and
+    2.0 otherwise.
 
-    Used to shrink the candidate-pair search radius during pruning.
+    The 1.0 is a certificate for every symmetric K: at a point x of gauge
+    at least 1, let u be the outer normal of K at x / gauge(x).  Then
+    K + x lies in {y : <y, u> >= 0}, so f(x) <= vol(K)/2 <= delta and x is
+    not in I_K.  (The cube's closed form 2(1 - delta/vol) is 1 at exactly
+    delta = vol/2.)  Pruning reads X2's candidate pairs off the graph's
+    edges whenever 2 g <= 2.
     """
     f = exact_intersection_volume
     if body.kind == "lp" and math.isinf(body.p):
@@ -264,7 +271,7 @@ def ik_gauge_radius(body: ConvexBody, delta: float, tol: float = 1e-9) -> float:
             else:
                 hi = mid
         return hi
-    return 2.0
+    return 1.0 if delta >= 0.5 * closed_form_volume(body) else 2.0
 
 
 # -- projection bodies ------------------------------------------------

@@ -1,8 +1,9 @@
 """Brute-force graph oracles for the tests: dense O(n^2) adjacency, dense
 A @ A codegrees and exhaustive independent sets, independent of the
 KD-tree, codegree and local-search paths; plus the plain first versions of
-the minimal image, the CSR build, the independence test and the local
-search, which the rewritten primitives must match exactly."""
+the minimal image, the CSR build, the independence test, the X2 pair query,
+the greedy set and the local search, which the rewritten primitives must
+match exactly."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from normpack.bodies import ConvexBody
-from normpack.packing import PackingGraph, TorusDomain
+from normpack.packing import PackingGraph, TorusDomain, pairs_within_gauge
 
 
 def brute_force_graph(points: np.ndarray, body: ConvexBody, domain: TorusDomain) -> PackingGraph:
@@ -81,6 +82,26 @@ def adjacency_reference(n, pairs) -> sp.csr_matrix:
 def is_independent_reference(graph: PackingGraph, vertices) -> bool:
     chosen = set(int(v) for v in vertices)
     return all(not chosen.intersection(graph.neighbors[v].tolist()) for v in chosen)
+
+
+def x2_pairs_reference(points, body: ConvexBody, domain: TorusDomain, gauge_limit: float):
+    """X2's candidate pairs by their own KD-tree query at ``gauge_limit``,
+    sorted by (i, j): (rows, cols)."""
+    pairs = pairs_within_gauge(points, body, domain, gauge_limit)[0]
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
+
+
+def greedy_reference(graph: PackingGraph, rng: np.random.Generator) -> np.ndarray:
+    """Sequential greedy in the order of ``rng.permutation``, blocking each
+    chosen vertex's ``neighbors`` view."""
+    blocked = np.zeros(graph.n, dtype=bool)
+    chosen = []
+    for v in rng.permutation(graph.n):
+        if not blocked[v]:
+            chosen.append(int(v))
+            blocked[v] = True
+            blocked[graph.neighbors[v]] = True
+    return np.asarray(sorted(chosen), dtype=np.int64)
 
 
 def local_search_reference(graph: PackingGraph, seed_set, budget: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from dataclasses import replace
 
@@ -94,6 +95,28 @@ class TestConfig:
         with pytest.raises(ValueError, match="local_search_budget"):
             replace(cfg, local_search_budget=-5)
         assert replace(cfg, ik_outer_samples=1, local_search_budget=0).local_search_budget == 0
+
+    @pytest.mark.parametrize(
+        "name,value,kind",
+        [
+            ("L", "20", "a real number"),
+            ("d", 2.0, "an integer"),
+            ("seed", True, "an integer"),
+            ("mc_samples", 2.0e4, "an integer"),
+            ("ik_outer_samples", "100", "an integer"),
+            ("local_search_budget", None, "an integer"),
+            ("Delta", False, "a real number"),
+            ("ik_delta", [0.95], "a real number"),
+            ("codegree_coeff", "1.2", "a real number"),
+        ],
+    )
+    def test_field_types(self, name, value, kind):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be {kind}, got {value!r}")):
+            replace(default_config(2), **{name: value})
+
+    def test_numeric_types_accepted(self):
+        cfg = replace(default_config(2), d=np.int64(2), seed=np.uint32(5), L=20, Delta=np.float64(30.0))
+        assert cfg.L == 20 and cfg.seed == 5
 
     def test_default_config_unknown_d(self):
         with pytest.raises(ValueError):
@@ -356,6 +379,14 @@ class TestCli:
         path.write_text(json.dumps({**json.loads(default_config(2).to_json()), "workers": 1}))
         with pytest.raises(SystemExit, match="unknown keys: workers"):
             pack_main([cmd[0], str(path), *cmd[1:], "--out", str(tmp_path)])
+        assert not list(tmp_path.glob("run_*.jsonl"))
+
+    @pytest.mark.parametrize("key,value,message", [("L", "20", "L must be a real number"), ("d", 2.0, "d must be an integer")])
+    def test_config_with_wrong_type(self, tmp_path, key, value, message):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({**json.loads(default_config(2).to_json()), key: value}))
+        with pytest.raises(SystemExit, match=message):
+            pack_main(["run", str(path), "--out", str(tmp_path)])
         assert not list(tmp_path.glob("run_*.jsonl"))
 
     def test_sweep_d_grid_rejects_cube(self, tmp_path):

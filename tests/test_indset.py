@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from normpack.bodies import body_to_spec, lp_ball
+from normpack.bodies import body_to_spec, lp_ball, normalize_to_unit_volume
 from normpack.indset import (
     OverlapError,
     export_packing,
@@ -14,11 +14,12 @@ from normpack.indset import (
     local_search_improve,
     verify_packing,
 )
-from normpack.packing import TorusDomain
+from normpack.packing import TorusDomain, build_graph, sample_poisson
 
 from graph_oracles import (
     exhaustive_max_independent,
     graph_from_edges,
+    greedy_reference,
     is_independent_reference,
     local_search_reference,
 )
@@ -70,6 +71,27 @@ class TestGreedy:
             out = greedy_independent_set(g, rng)
             dmax = int(g.degree().max())
             assert len(out) >= n / (dmax + 1)
+
+    def test_matches_sequential_reference_on_random_graphs(self):
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            n = int(rng.integers(0, 80))
+            g = graph_from_edges(n, random_graph(rng, n, float(rng.uniform(0.0, 0.5))))
+            got = greedy_independent_set(g, np.random.default_rng(trial))
+            want = greedy_reference(g, np.random.default_rng(trial))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_sequential_reference_on_packing_graphs(self, d, p):
+        body = normalize_to_unit_volume(lp_ball(d, p))
+        dom = TorusDomain(d, {2: 20.0, 3: 10.0, 4: 8.5}[d])
+        g = build_graph(sample_poisson(dom, 30.0, np.random.default_rng(d)), body, dom)
+        for seed in range(3):
+            got = greedy_independent_set(g, np.random.default_rng(seed))
+            assert np.array_equal(got, greedy_reference(g, np.random.default_rng(seed)))
+            out = local_search_improve(g, got, 100)
+            assert np.array_equal(out, local_search_reference(g, got, 100))
 
     def test_deterministic_given_seed(self):
         edges = random_graph(np.random.default_rng(3), 25, 0.2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normpack.bodies import cube, lp_ball
+from normpack.bodies import cube, hpolytope, lp_ball, normalize_to_unit_volume
 from normpack.indset import verify_packing
 import normpack.packing as packing
 from normpack.packing import (
@@ -17,7 +17,7 @@ from normpack.packing import (
     prune,
     sample_poisson,
 )
-from normpack.volumetrics import OverlapClassifier, estimate_ik
+from normpack.volumetrics import IkProfile, McEstimate, OverlapClassifier, estimate_ik, ik_gauge_radius
 
 from graph_oracles import (
     adjacency_reference,
@@ -26,7 +26,9 @@ from graph_oracles import (
     graph_from_edges,
     graphs_equal,
     min_image_reference,
+    x2_pairs_reference,
 )
+from polytope_oracles import criterion4_hpolytope
 
 
 class TestTorusDomain:
@@ -566,3 +568,124 @@ class TestCodegreePairs:
         g = build_graph(sample_poisson(dom, 30.0, np.random.default_rng(3)), body, dom)
         assert degree_codegree_stats(g)["max_codegree"] == brute_force_max_codegree(g)
         assert len(thresholds_seen) == 1
+
+
+class TestEdgeGauges:
+    """X2 reads its candidate pairs off the build's edge gauges; the oracle
+    is X2's former KD-tree query at 2 g_ik, sorted by (i, j)."""
+
+    @staticmethod
+    def points(body, seed, n=1500, mean_degree=30.0, duplicates=25):
+        """Uniform points at about ``mean_degree`` for a unit-volume body
+        (fewer where the torus must be larger for the body), with the first
+        ``duplicates`` repeated (edges of gauge 0)."""
+        rng = np.random.default_rng(seed)
+        d = body.d
+        dom = TorusDomain(d, max((n * 2.0**d / mean_degree) ** (1.0 / d), 8.0 * body.circumradius() + 0.5))
+        pts = rng.uniform(0.0, dom.L, size=(n, d))
+        return dom, np.concatenate([pts, pts[:duplicates]])
+
+    @staticmethod
+    def assert_matches_reference(g, body, limit):
+        rows, cols = packing.edges_within_gauge(g, body, limit)
+        want_rows, want_cols = x2_pairs_reference(g.points, body, g.domain, limit)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_l2_and_cube_match_query(self, d, p):
+        body = normalize_to_unit_volume(lp_ball(d, p))
+        dom, pts = self.points(body, seed=10 * d + int(math.isinf(p)))
+        g = build_graph(pts, body, dom)
+        limit = 2.0 * ik_gauge_radius(body, 0.95)
+        assert 0.0 < limit < 2.0
+        for lim in (limit, 0.5, 1.0, 2.0, 2.5):
+            self.assert_matches_reference(g, body, lim)
+        assert len(packing.edges_within_gauge(g, body, limit)[0]) >= 25
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_other_bodies_match_query(self, seed):
+        bodies = [lp_ball(2, 3), lp_ball(3, 1.5), criterion4_hpolytope()]
+        for body in bodies:
+            body = normalize_to_unit_volume(body)
+            dom, pts = self.points(body, seed=100 + seed, n=600)
+            g = build_graph(pts, body, dom)
+            for lim in (0.3, 1.0, 2.0, 2.5):
+                self.assert_matches_reference(g, body, lim)
+
+    def test_coincident_points_keep_a_gauge_zero_edge(self):
+        dom = TorusDomain(2, 20.0)
+        body = lp_ball(2, 2)
+        pts = np.array([[3.0, 3.0], [3.0, 3.0], [8.0, 8.0], [8.0, 8.0], [8.0, 8.5]])
+        g = build_graph(pts, body, dom)
+        U = g.edge_gauges
+        assert g.edge_count() == U.nnz == 4
+        assert U.indices[U.indptr[0] : U.indptr[1]].tolist() == [1]
+        assert U.data[U.indptr[0] : U.indptr[1]].tolist() == [0.0]
+        assert g.neighbors[0].tolist() == [1] and g.neighbors[1].tolist() == [0]
+        rows, cols = packing.edges_within_gauge(g, body, 0.1)
+        assert rows.tolist() == [0, 2] and cols.tolist() == [1, 3]
+        self.assert_matches_reference(g, body, 0.1)
+
+    @pytest.mark.parametrize(
+        "body,diffs",
+        [
+            # dyadic coordinates: every gauge below is exactly 1
+            (cube(2, side=1.0), [(0.5, 0.25), (-0.25, 0.5), (0.5, 0.5)]),
+            (lp_ball(2, 2, scale=0.625), [(0.375, 0.5), (-0.5, 0.375), (0.625, 0.0)]),
+        ],
+    )
+    def test_pairs_at_the_gauge_limit(self, body, diffs):
+        dom = TorusDomain(2, 20.0)
+        base = np.array([[4.0, 4.0], [10.0, 4.0], [19.75, 12.0]])  # the last wraps around
+        pts = np.concatenate([base, (base + np.array(diffs)) % dom.L])
+        g = build_graph(pts, body, dom)
+        assert np.all(g.edge_gauges.data == 1.0)
+        rows, cols = packing.edges_within_gauge(g, body, 1.0)
+        assert rows.tolist() == [0, 1, 2] and cols.tolist() == [3, 4, 5]
+        assert len(packing.edges_within_gauge(g, body, np.nextafter(1.0, 0.0))[0]) == 0
+        for lim in (1.0, np.nextafter(1.0, 0.0)):
+            self.assert_matches_reference(g, body, lim)
+
+    def test_graph_without_gauges(self):
+        g = graph_from_edges(3, [(0, 1)])
+        assert g.edge_gauges is None
+        with pytest.raises(ValueError, match="edge gauges"):
+            packing.edges_within_gauge(g, lp_ball(2, 2), 1.0)
+        assert build_graph(np.zeros((2, 2)), lp_ball(2, 2), TorusDomain(2, 10.0)).subgraph(
+            np.array([True, True])
+        ).edge_gauges is None
+
+    def test_from_pairs_with_gauges(self):
+        pts, dom = np.zeros((4, 2)), TorusDomain(2, 10.0)
+        pairs = np.array([[2, 3], [0, 1], [0, 3]])
+        g = PackingGraph.from_pairs(pts, pairs, dom, np.array([0.5, 0.0, 1.5]))
+        TestFromPairs.assert_same_csr(g.adj, adjacency_reference(4, pairs))
+        assert g.edge_gauges.toarray()[0].tolist() == [0.0, 0.0, 0.0, 1.5]
+        assert g.edge_gauges.nnz == 3  # the gauge-0 entry stays explicit
+        for bad in ([[1, 0]], [[0, 1], [0, 1]], [[1, 1]]):
+            with pytest.raises(ValueError, match="distinct with i < j"):
+                PackingGraph.from_pairs(pts, bad, dom, np.ones(len(bad)))
+
+    @pytest.mark.parametrize(
+        "body",
+        [lp_ball(2, 2), cube(2), lp_ball(2, 3), criterion4_hpolytope()],
+        ids=["l2", "cube", "lp3", "hpoly"],
+    )
+    def test_prune_builds_no_tree(self, body, monkeypatch):
+        # unit volume and delta 0.95 >= vol/2: g_ik <= 1, so X2's pairs are edges
+        body = normalize_to_unit_volume(body)
+        d = body.d
+        pts = np.zeros((4, d))
+        pts[2:] = 3.0
+        pts[3, 0] += 1.5 / body.gauge(np.eye(d)[0])  # gauge 1.5 apart
+        dom = TorusDomain(d, 12.0)
+        g = build_graph(pts, body, dom)
+        ik = IkProfile(body, 0.95, McEstimate(1e-3, 0.0, 1), 1.0)
+
+        def no_tree(*args, **kwargs):
+            raise AssertionError("prune built a KD tree")
+
+        monkeypatch.setattr(packing, "cKDTree", no_tree)
+        pruned, rep = prune(g, ik, 30.0, 1.2, np.random.default_rng(0))
+        assert rep.removed_x2 == 2 and pruned.original_indices.tolist() == [2, 3]

@@ -223,6 +223,35 @@ class TestIkGaugeRadius:
     def test_generic_fallback(self):
         assert ik_gauge_radius(lp_ball(2, 3), 0.5) == 2.0
 
+    CERTIFIED = [
+        lp_ball(3, 3),
+        simplex_difference(3),
+        criterion4_hpolytope(),
+        lp_ball(2, 1.5),
+    ]
+
+    @pytest.mark.parametrize("body", CERTIFIED, ids=["lp3", "simplex_diff", "hpoly", "lp1.5"])
+    def test_half_volume_certificate(self, body):
+        # f <= vol(K)/2 beyond gauge 1, so delta >= vol/2 confines I_K to gauge 1
+        unit = normalize_to_unit_volume(body)
+        assert ik_gauge_radius(unit, 0.95) == 1.0
+        assert ik_gauge_radius(unit, 0.51) == 1.0
+        assert ik_gauge_radius(unit, 0.49) == 2.0
+        # the threshold scales with the volume
+        assert ik_gauge_radius(unit.scaled(2.0), 0.95 * 2.0**unit.d) == 1.0
+        assert ik_gauge_radius(unit.scaled(2.0), 0.49 * 2.0**unit.d) == 2.0
+
+    @pytest.mark.parametrize("body", CERTIFIED, ids=["lp3", "simplex_diff", "hpoly", "lp1.5"])
+    def test_f_at_most_half_beyond_gauge_one(self, body):
+        # Monte Carlo: f(x) <= 1/2 + 3 sigma at random points of gauge 1 and 1.1
+        unit = normalize_to_unit_volume(body)
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal((12, unit.d))
+        u /= np.asarray(unit.gauge(u))[:, None]
+        for x in np.concatenate([u, 1.1 * u]):
+            est = intersection_volume(unit, x, 20_000, rng)
+            assert est.value <= 0.5 + 3.0 * est.std_error + 1e-12
+
 
 class TestProjSupport:
     def test_ball_analytic(self):
