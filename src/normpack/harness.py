@@ -226,12 +226,13 @@ def run_stages(config: ExperimentConfig) -> PipelineRun:
         lambda: sample_poisson(domain, config.Delta, child_rng(seed, "poisson")),
     )
     graph = _stage("build_graph", timings, lambda: build_graph(points, body, domain))
-    stats_pre = _stage("stats_pre", timings, lambda: degree_codegree_stats(graph))
     pruned, report = _stage(
         "prune",
         timings,
         lambda: prune(graph, ik, config.Delta, config.codegree_coeff, child_rng(seed, "prune")),
     )
+    # both only read the graph; after prune, the stats start from its codegree product
+    stats_pre = _stage("stats_pre", timings, lambda: degree_codegree_stats(graph))
     stats_post = _stage("stats_post", timings, lambda: degree_codegree_stats(pruned))
     indep = _stage(
         "greedy",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import ConvexBody
-from .packing import PackingGraph, TorusDomain, pair_order, pairs_within_gauge
+from .packing import PackingGraph, TorusDomain, pairs_within_gauge
 
 DISJOINT_TOL = 1e-12
 
@@ -163,14 +163,14 @@ def verify_packing(
     m = len(centers)
     min_gauge = math.inf
     if m > 1:
-        # search slightly beyond 2 so min_pairwise_gauge is informative
+        # search slightly beyond 2 so min_pairwise_gauge is informative; the
+        # pairs come in (i, j) order, so the first smallest gauge is reported
         pairs, g = pairs_within_gauge(centers, body, domain, 2.5)
-        order = pair_order(pairs, m)
-        (gi, gj), g = pairs[order].T, g[order]
         if len(g):
             worst = int(np.argmin(g))
             if g[worst] < 2.0 - DISJOINT_TOL * 2.0:
-                raise OverlapError(int(gi[worst]), int(gj[worst]), float(g[worst]))
+                i, j = pairs[worst].tolist()
+                raise OverlapError(i, j, float(g[worst]))
             min_gauge = float(g[worst])
     density = m * body_volume / domain.volume
     target = None

@@ -2,8 +2,9 @@
 
 The pipeline here mirrors the probabilistic construction: sample
 Poisson points (an (n, d) array), connect points whose body translates
-intersect (gauge of the minimal-image difference at most 2: periodic
-KD-tree pairs, CSR graph that keeps its points and domain), then remove
+intersect (gauge of the minimal-image difference at most 2: torus pairs
+from non-periodic KD-tree queries, CSR graph that keeps its points and
+domain), then remove
 
 * X1: points whose degree exceeds Delta + Delta^(2/3),
 * X2: endpoints of pairs whose difference lies in 2 I_K (deep overlap),
@@ -32,6 +33,9 @@ DEFAULT_POINT_CAP = 2_000_000
 # pairs per gauge batch: the batch's temporaries stay in cache, which halves
 # the gauge filter's time on 445k pairs (2 cores, d = 3)
 GAUGE_CHUNK = 1 << 15
+# relative slack on every pair query radius: keeps pairs at exactly the gauge
+# limit despite rounding
+QUERY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,13 @@ class TorusDomain:
         return w
 
     def validate_for_body(self, body: ConvexBody) -> None:
-        """No self-wrap: a 2K translate must not meet itself around the torus."""
-        need = 4.0 * body.scaled(2.0).circumradius()
+        """No self-wrap: a 2K translate must not meet itself around the torus.
+
+        The floor also covers every pair query of the pipeline: up to gauge 4
+        (X2 at g_ik = 2), with its slack, the query radius stays below L/2,
+        as :func:`torus_pairs` needs.
+        """
+        need = 4.0 * body.scaled(2.0).circumradius() * (1.0 + QUERY_SLACK)
         if self.L <= need:
             raise ValueError(
                 f"L={self.L} too small for {body.describe()}: need L > {need:.4g}"
@@ -92,12 +101,14 @@ class PackingGraph:
     """Intersection graph over a point set, stored as a CSR adjacency.
 
     ``adj`` is symmetric with sorted indices, no diagonal and unit data.
-    ``edge_gauges`` (U) is the upper triangle of the same pattern, kept
-    from the build: entry (i, j), i < j, holds the gauge of the edge's
-    minimal-image difference, as an explicit entry even when it is 0
-    (coincident points).  It is None on subgraphs and on graphs made from
-    bare pairs.  The pipeline reads the CSR arrays; ``neighbors`` is kept
-    for readers outside it.
+    ``edge_gauges`` (U) is the upper triangle of the same pattern, built
+    straight from the build's pairs, which come in (i, j) order: entry
+    (i, j), i < j, holds the gauge of the edge's minimal-image difference,
+    as an explicit entry even when it is 0 (coincident points).  It is None
+    on subgraphs and on graphs made from bare pairs.  The pipeline reads
+    the CSR arrays; ``neighbors`` is kept for readers outside it.  The
+    threshold and largest codegree of the last :func:`codegree_pairs`
+    product are kept until :func:`degree_codegree_stats` has read them.
     """
 
     points: np.ndarray
@@ -105,6 +116,7 @@ class PackingGraph:
     domain: TorusDomain
     original_indices: np.ndarray | None = None
     edge_gauges: sp.csr_matrix | None = None
+    _hot_max_codegree: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_pairs(cls, points, pairs, domain: TorusDomain, gauges=None) -> "PackingGraph":
@@ -112,8 +124,9 @@ class PackingGraph:
 
         Without ``gauges`` the pairs come in any order, and repeated and
         reversed pairs give one edge.  With ``gauges`` (one per pair) the
-        pairs must be distinct with i < j, as :func:`pairs_within_gauge`
-        returns them, and the gauges become ``edge_gauges``.
+        pairs must be distinct with i < j and in (i, j) order, as
+        :func:`pairs_within_gauge` returns them: they are then U's rows and
+        columns as they stand, and the gauges become ``edge_gauges``.
         """
         n = len(points)
         i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
@@ -123,13 +136,16 @@ class PackingGraph:
             # is symmetric whatever the orientation, and canonical
             half = sp.csr_matrix((np.ones(len(i), dtype=np.float32), (i, j)), shape=(n, n))
         else:
-            upper = sp.csr_matrix((np.asarray(gauges, dtype=float), (i, j)), shape=(n, n))
-            if upper.nnz != len(i) or not (i < j).all():  # repeats were summed
-                raise ValueError("gauged pairs must be distinct with i < j")
+            idx = np.int32 if max(n, len(j)) < 2**31 else np.int64
+            indptr = np.zeros(n + 1, dtype=idx)
+            np.cumsum(np.bincount(i, minlength=n), out=indptr[1:])
+            indices = j.astype(idx)
+            upper = sp.csr_matrix((np.asarray(gauges, dtype=float), indices, indptr), shape=(n, n))
+            # (i, j) order: rows nondecreasing, columns strictly increasing in each
+            if not ((i < j).all() and (i[1:] >= i[:-1]).all() and upper.has_canonical_format):
+                raise ValueError("gauged pairs must be distinct with i < j, in (i, j) order")
             # the pattern with unit data: sparse + would drop U's explicit zeros
-            half = sp.csr_matrix(
-                (np.ones(upper.nnz, dtype=np.float32), upper.indices, upper.indptr), shape=(n, n)
-            )
+            half = sp.csr_matrix((np.ones(len(j), dtype=np.float32), indices, indptr), shape=(n, n))
         adj = half + half.T
         adj.data.fill(1.0)
         return cls(points=points, adj=adj, domain=domain, edge_gauges=upper)
@@ -162,21 +178,64 @@ class PackingGraph:
         )
 
 
+def torus_pairs(wrapped: np.ndarray, L: float, radius: float, p: float = 2.0) -> np.ndarray:
+    """The (m, 2) pairs i < j, in (i, j) order, of rows of ``wrapped`` (points
+    in [0, L)^d) within Minkowski p-distance ``radius`` on the torus of
+    side L.  Needs 2 radius < L; no periodic tree spans the whole set.
+
+    One non-periodic KD tree finds the pairs whose direct difference is
+    within ``radius``: with radius < L/2 that difference is the minimal
+    image.  Every other pair crosses a face on some axis k, one end in the
+    high band x_k >= L - radius and the other in the low band
+    x_k <= radius.  A query between the two bands, the low one moved by +L
+    along k, with axis k not periodic and the others periodic, finds those
+    pairs.  A pair is kept at the first axis it crosses: band k drops it
+    when its direct difference exceeds L/2 on an earlier axis.
+    """
+    if not 2.0 * radius < L:
+        raise ValueError(f"pair radius {radius:.9g} needs 2 * radius < L = {L:.9g}")
+    n, d = wrapped.shape
+    direct = cKDTree(wrapped).query_pairs(radius, p=p, output_type="ndarray")
+    codes = [direct[:, 0] * n + direct[:, 1]]
+    del direct
+    for k in range(d):
+        hi = np.flatnonzero(wrapped[:, k] >= L - radius)
+        lo = np.flatnonzero(wrapped[:, k] <= radius)
+        if not (len(hi) and len(lo)):
+            continue
+        box = np.full(d, L)
+        box[k] = 0.0  # not periodic along k
+        moved = wrapped[lo]
+        moved[:, k] += L
+        near = cKDTree(wrapped[hi], boxsize=box).sparse_distance_matrix(
+            cKDTree(moved, boxsize=box), radius, p=p, output_type="ndarray"
+        )
+        a, b = hi[near["i"]], lo[near["j"]]
+        if k:
+            first = (np.abs(wrapped[a, :k] - wrapped[b, :k]) <= 0.5 * L).all(axis=1)
+            a, b = a[first], b[first]
+        codes.append(np.minimum(a, b) * n + np.maximum(a, b))
+    codes = np.concatenate(codes)
+    codes.sort()
+    pairs = np.empty((2, len(codes)), dtype=np.int64)
+    np.divmod(codes, n, out=(pairs[0], pairs[1]))
+    return pairs.T  # each column contiguous
+
+
 def pairs_within_gauge(
     points: np.ndarray, body: ConvexBody, domain: TorusDomain, gauge_limit: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(pairs, gauges): the (m, 2) pairs i < j, in the KD tree's query
-    order, whose minimal-image difference has gauge at most
-    ``gauge_limit``, and those m gauges.  Callers that need the (i, j)
-    order sort with :func:`pair_order`.
+    """(pairs, gauges): the (m, 2) pairs i < j, in (i, j) order, whose
+    minimal-image difference has gauge at most ``gauge_limit``, and those
+    m gauges.
 
-    A periodic KD tree finds the candidates: for an lp body with p in
-    {1, 2, inf}, those within lp distance ``gauge_limit * scale``, which is
-    the gauge itself; otherwise those within Euclidean distance
-    ``gauge_limit * circumradius``.  The gauge filter then runs on the
-    original coordinates, so the result does not depend on the query.  The
-    tree alone sees coordinates wrapped into [0, L), so points outside the
-    box are accepted.
+    :func:`torus_pairs` finds the candidates, with no periodic tree: for an
+    lp body with p in {1, 2, inf}, those within lp distance
+    ``gauge_limit * scale``, which is the gauge itself; otherwise those
+    within Euclidean distance ``gauge_limit * circumradius``.  The gauge
+    filter then runs on the original coordinates, so the result does not
+    depend on the query.  The query alone sees coordinates wrapped into
+    [0, L), so points outside the box are accepted.
     """
     points = np.asarray(points, dtype=float)
     wrapped = points % domain.L
@@ -187,23 +246,17 @@ def pairs_within_gauge(
         p, radius = body.p, gauge_limit * body.scale
     else:
         p, radius = 2.0, gauge_limit * body.circumradius()
-    # slack keeps pairs at exactly the gauge limit despite rounding
-    tree = cKDTree(wrapped, boxsize=domain.L)
-    pairs = tree.query_pairs(radius * (1.0 + 1e-9), p=p, output_type="ndarray")
+    pairs = torus_pairs(wrapped, domain.L, radius * (1.0 + QUERY_SLACK), p)
+    i, j = pairs.T  # contiguous columns gather faster
     g = np.empty(len(pairs))
     for s in range(0, len(pairs), GAUGE_CHUNK):
-        i, j = pairs[s : s + GAUGE_CHUNK].T.copy()  # contiguous columns gather faster
-        g[s : s + GAUGE_CHUNK] = body.gauge(
-            domain.min_image(points.take(i, axis=0) - points.take(j, axis=0))
-        )
+        batch = slice(s, s + GAUGE_CHUNK)
+        diff = points.take(i[batch], axis=0) - points.take(j[batch], axis=0)
+        g[batch] = body.gauge(domain.min_image(diff))
     within = g <= gauge_limit
-    return (pairs, g) if within.all() else (pairs[within], g[within])
-
-
-def pair_order(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Permutation that puts the rows of an (m, 2) array of pairs over
-    ``n`` vertices in (i, j) order."""
-    return np.argsort(pairs[:, 0] * n + pairs[:, 1])  # unique codes
+    if within.all():
+        return pairs, g
+    return np.array([i[within], j[within]]).T, g[within]
 
 
 def edges_within_gauge(graph: PackingGraph, body: ConvexBody, gauge_limit: float) -> tuple[np.ndarray, np.ndarray]:
@@ -212,11 +265,11 @@ def edges_within_gauge(graph: PackingGraph, body: ConvexBody, gauge_limit: float
     ``gauge_limit``.
 
     Up to gauge 2 these are edges, read off the build's ``edge_gauges``
-    (CSR rows come in (i, j) order); beyond it a KD-tree query finds them.
+    (CSR rows come in (i, j) order); beyond it :func:`pairs_within_gauge`
+    finds them.
     """
     if gauge_limit > 2.0:
-        pairs = pairs_within_gauge(graph.points, body, graph.domain, gauge_limit)[0]
-        return pairs[pair_order(pairs, graph.n)].T
+        return pairs_within_gauge(graph.points, body, graph.domain, gauge_limit)[0].T
     U = graph.edge_gauges
     if U is None:
         raise ValueError("the graph carries no edge gauges: build it with build_graph")
@@ -229,8 +282,9 @@ def build_graph(points: np.ndarray, body: ConvexBody, domain: TorusDomain) -> Pa
     """Intersection graph on the (n, d) ``points``: edge iff
     gauge(min image(x - y)) <= 2.
 
-    Edges are the periodic KD-tree pairs within gauge 2; the graph is
-    stored as a CSR adjacency and keeps their gauges as ``edge_gauges``.
+    Edges are the torus pairs within gauge 2, in (i, j) order; the graph
+    is stored as a CSR adjacency and keeps their gauges as
+    ``edge_gauges``.
     """
     domain.validate_for_body(body)
     pts = np.asarray(points, dtype=float)
@@ -355,11 +409,14 @@ def codegree_pairs(graph: PackingGraph, t: float) -> tuple[np.ndarray, np.ndarra
     (i, j): (rows, cols, codegrees).
 
     Both endpoints of such a pair have degree at least t, so
-    :func:`_hot_codegrees` at t holds them all.
+    :func:`_hot_codegrees` at t holds them all.  The graph keeps t and the
+    largest codegree of that product for :func:`degree_codegree_stats`.
     """
     t = max(t, 1)
     hot, C = _hot_codegrees(graph, t)
-    keep = (C.row < C.col) & (C.data >= t)
+    upper = C.row < C.col
+    graph._hot_max_codegree = (t, int(C.data[upper].max(initial=0)))
+    keep = upper & (C.data >= t)
     rows, cols = hot[C.row[keep]], hot[C.col[keep]]
     order = np.argsort(rows * graph.n + cols)  # unique codes: (i, j) order
     return rows[order], cols[order], C.data[keep][order].astype(np.int64)
@@ -374,19 +431,24 @@ def _max_hot_codegree(graph: PackingGraph, t: float) -> int:
 def degree_codegree_stats(graph: PackingGraph) -> dict:
     """Degree histogram plus max degree/codegree diagnostics.
 
-    The maximum codegree M comes from at most two products.  The first
-    covers the vertices of degree at least t, the 90th percentile of the
-    degrees (floored at 1); its largest codegree m1 is a real pair, so
-    m1 <= M.  Every pair of codegree >= t lies among those vertices, so
-    M = m1 once m1 + 1 >= t.  Otherwise M < t, and a second product over
-    the vertices of degree >= m1 + 1 holds every pair that beats m1.
+    The maximum codegree M comes from at most two products over the rows
+    of degree at least a threshold.  The first is the product of the last
+    :func:`codegree_pairs` call, whose threshold s and largest codegree the
+    graph keeps, when s is at most the 90th percentile t of the degrees
+    (floored at 1), and otherwise a new one at s = t; the graph forgets the
+    kept values here.  The largest
+    codegree m1 of the first product is a real pair, so m1 <= M.  Every
+    pair of codegree >= s lies among its vertices, so M = m1 once
+    m1 + 1 >= s.  Otherwise M < s, and a second product over the vertices
+    of degree >= m1 + 1 holds every pair that beats m1.
     """
     deg = graph.degree()
+    kept, graph._hot_max_codegree = graph._hot_max_codegree, None
     if graph.n == 0:
         return {"n": 0, "max_degree": 0, "mean_degree": 0.0, "max_codegree": 0, "degree_histogram": {}}
     t = max(np.quantile(deg, 0.9), 1)
-    max_codeg = _max_hot_codegree(graph, t)
-    if max_codeg + 1 < t:
+    s, max_codeg = kept if kept is not None and kept[0] <= t else (t, _max_hot_codegree(graph, t))
+    if max_codeg + 1 < s:
         max_codeg = max(max_codeg, _max_hot_codegree(graph, max_codeg + 1))
     hist = {int(k): int(v) for k, v in zip(*np.unique(deg, return_counts=True))}
     return {

@@ -1,19 +1,22 @@
 """Brute-force graph oracles for the tests: dense O(n^2) adjacency, dense
 A @ A codegrees and exhaustive independent sets, independent of the
 KD-tree, codegree and local-search paths; plus the plain first versions of
-the minimal image, the CSR build, the independence test, the X2 pair query,
-the greedy set and the local search, which the rewritten primitives must
-match exactly."""
+the minimal image, the CSR build, the independence test, the periodic
+KD-tree pair query, the greedy set and the local search, which the
+rewritten primitives must match exactly."""
 
 from __future__ import annotations
 
 import itertools
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from normpack.bodies import ConvexBody
-from normpack.packing import PackingGraph, TorusDomain, pairs_within_gauge
+from normpack.packing import PackingGraph, TorusDomain
 
 
 def brute_force_graph(points: np.ndarray, body: ConvexBody, domain: TorusDomain) -> PackingGraph:
@@ -84,11 +87,35 @@ def is_independent_reference(graph: PackingGraph, vertices) -> bool:
     return all(not chosen.intersection(graph.neighbors[v].tolist()) for v in chosen)
 
 
+def periodic_query_reference(wrapped, L: float, radius: float, p: float = 2.0) -> np.ndarray:
+    """Pairs i < j within Minkowski p-distance ``radius`` on the torus, from
+    one periodic KD tree over every point, sorted by (i, j)."""
+    pairs = cKDTree(wrapped, boxsize=L).query_pairs(radius, p=p, output_type="ndarray")
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def periodic_pairs_reference(points, body: ConvexBody, domain: TorusDomain, gauge_limit: float):
+    """The pairs of :func:`periodic_query_reference` whose minimal-image
+    gauge is within ``gauge_limit``, and those gauges: (pairs, gauges).
+    The query radius is the gauge limit times the scale for lp with p in
+    {1, 2, inf}, else times the circumradius, with 1e-9 slack."""
+    points = np.asarray(points, dtype=float)
+    wrapped = points % domain.L
+    wrapped[wrapped >= domain.L] = 0.0
+    if body.kind == "lp" and body.p in (1.0, 2.0, math.inf):
+        p, radius = body.p, gauge_limit * body.scale
+    else:
+        p, radius = 2.0, gauge_limit * body.circumradius()
+    pairs = periodic_query_reference(wrapped, domain.L, radius * (1.0 + 1e-9), p)
+    g = body.gauge(domain.min_image(points[pairs[:, 0]] - points[pairs[:, 1]]))
+    within = g <= gauge_limit
+    return pairs[within], g[within]
+
+
 def x2_pairs_reference(points, body: ConvexBody, domain: TorusDomain, gauge_limit: float):
-    """X2's candidate pairs by their own KD-tree query at ``gauge_limit``,
+    """X2's candidate pairs by a periodic KD-tree query at ``gauge_limit``,
     sorted by (i, j): (rows, cols)."""
-    pairs = pairs_within_gauge(points, body, domain, gauge_limit)[0]
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
+    return periodic_pairs_reference(points, body, domain, gauge_limit)[0].T
 
 
 def greedy_reference(graph: PackingGraph, rng: np.random.Generator) -> np.ndarray:

@@ -26,6 +26,8 @@ from graph_oracles import (
     graph_from_edges,
     graphs_equal,
     min_image_reference,
+    periodic_pairs_reference,
+    periodic_query_reference,
     x2_pairs_reference,
 )
 from polytope_oracles import criterion4_hpolytope
@@ -93,6 +95,24 @@ class TestTorusDomain:
         dom.validate_for_body(lp_ball(2, 2, scale=0.5))
         with pytest.raises(ValueError, match="too small"):
             dom.validate_for_body(lp_ball(2, 2, scale=2.0))
+
+    def test_floor_covers_the_widest_query(self):
+        # a body without a closed-form f at delta < vol/2 has g_ik = 2, so X2
+        # queries pairs within gauge 4: radius 4 R_c with the query slack
+        body = normalize_to_unit_volume(lp_ball(2, 3))
+        assert ik_gauge_radius(body, 0.1) == 2.0
+        R = body.circumradius()
+        floor = 8.0 * R * (1.0 + packing.QUERY_SLACK)
+        for L in (8.0 * R, 8.0 * R * (1.0 + 1e-10), floor):
+            with pytest.raises(ValueError, match="too small"):
+                TorusDomain(2, L).validate_for_body(body)
+        dom = TorusDomain(2, np.nextafter(floor, math.inf))
+        dom.validate_for_body(body)
+        pts = np.random.default_rng(5).uniform(0.0, dom.L, size=(60, 2))
+        g = build_graph(pts, body, dom)
+        rows, cols = packing.edges_within_gauge(g, body, 4.0)
+        want_rows, want_cols = x2_pairs_reference(pts, body, dom, 4.0)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
 
 
 class TestSamplePoisson:
@@ -562,6 +582,38 @@ class TestCodegreePairs:
         assert degree_codegree_stats(g)["max_codegree"] == want == brute_force_max_codegree(g)
         assert thresholds_seen == [pytest.approx(8.0), 5]
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stats_start_from_the_last_pair_product(self, thresholds_seen, seed):
+        # after codegree_pairs at t0 <= the degree quantile, the stats form at
+        # most the second-round product, and still find the exact maximum
+        for t0 in self.THRESHOLDS:
+            g = random_graph(seed)
+            self.assert_matches_full(g, t0)
+            assert thresholds_seen == [max(t0, 1)]
+            assert degree_codegree_stats(g)["max_codegree"] == full_product_pairs(g, 1)[2].max(initial=0)
+            assert g._hot_max_codegree is None  # the stats forget it
+            if max(t0, 1) <= max(np.quantile(g.degree(), 0.9), 1):
+                assert len(thresholds_seen) <= 2
+            thresholds_seen.clear()
+
+    def test_stats_after_prune_form_no_product(self, thresholds_seen):
+        dom = TorusDomain(2, 20.0)
+        body = lp_ball(2, 2, scale=1.0)
+        g = build_graph(sample_poisson(dom, 30.0, np.random.default_rng(3)), body, dom)
+        ik = IkProfile(body, 0.95, McEstimate(1e-3, 0.0, 1), 1.0)
+        prune(g, ik, 30.0, 1.2, np.random.default_rng(0))
+        assert thresholds_seen == [pytest.approx(36.0)] and g._hot_max_codegree[0] == pytest.approx(36.0)
+        assert np.quantile(g.degree(), 0.9) >= 36.0
+        assert degree_codegree_stats(g)["max_codegree"] == brute_force_max_codegree(g)
+        assert thresholds_seen == [pytest.approx(36.0)]
+        assert g._hot_max_codegree is None
+
+    def test_product_above_the_quantile_is_not_used(self, thresholds_seen):
+        g = self.centers_and_clique(7)  # 90th degree percentile 8
+        codegree_pairs(g, 9.0)
+        assert degree_codegree_stats(g)["max_codegree"] == 5 == brute_force_max_codegree(g)
+        assert thresholds_seen == [9.0, pytest.approx(8.0), 5]
+
     def test_first_round_suffices_on_pipeline_graph(self, thresholds_seen):
         dom = TorusDomain(2, 20.0)
         body = lp_ball(2, 2, scale=1.0)
@@ -658,12 +710,13 @@ class TestEdgeGauges:
 
     def test_from_pairs_with_gauges(self):
         pts, dom = np.zeros((4, 2)), TorusDomain(2, 10.0)
-        pairs = np.array([[2, 3], [0, 1], [0, 3]])
-        g = PackingGraph.from_pairs(pts, pairs, dom, np.array([0.5, 0.0, 1.5]))
+        pairs = np.array([[0, 1], [0, 3], [2, 3]])
+        g = PackingGraph.from_pairs(pts, pairs, dom, np.array([0.0, 1.5, 0.5]))
         TestFromPairs.assert_same_csr(g.adj, adjacency_reference(4, pairs))
         assert g.edge_gauges.toarray()[0].tolist() == [0.0, 0.0, 0.0, 1.5]
         assert g.edge_gauges.nnz == 3  # the gauge-0 entry stays explicit
-        for bad in ([[1, 0]], [[0, 1], [0, 1]], [[1, 1]]):
+        # U is built from the pairs as they stand, so they must come in (i, j) order
+        for bad in ([[1, 0]], [[0, 1], [0, 1]], [[1, 1]], [[2, 3], [0, 1], [0, 3]], [[0, 3], [0, 1]]):
             with pytest.raises(ValueError, match="distinct with i < j"):
                 PackingGraph.from_pairs(pts, bad, dom, np.ones(len(bad)))
 
@@ -689,3 +742,90 @@ class TestEdgeGauges:
         monkeypatch.setattr(packing, "cKDTree", no_tree)
         pruned, rep = prune(g, ik, 30.0, 1.2, np.random.default_rng(0))
         assert rep.removed_x2 == 2 and pruned.original_indices.tolist() == [2, 3]
+
+
+class TestTorusPairs:
+    """Torus pairs from non-periodic queries must equal one periodic KD-tree
+    query over every point, pair for pair and in (i, j) order."""
+
+    @staticmethod
+    def points(d, L, r, seed, n=300):
+        """Uniform points, points on the faces x_k in {0, r, L - r}, points
+        near the corner that cross 2 and 3 axes at once, and repeats."""
+        rng = np.random.default_rng(seed)
+        pts = [rng.uniform(0.0, L, size=(n, d))]
+        faces = rng.uniform(0.0, L, size=(6 * d, d))
+        for k in range(d):
+            faces[6 * k : 6 * k + 6, k] = [0.0, r, L - r, 0.0, r, L - r]
+        pts.append(faces)
+        eps = rng.uniform(0.0, r / (2 * d), size=(8 * d, d))
+        corner = np.where(rng.integers(0, 2, size=eps.shape) == 1, eps, L - eps)
+        pts.append(corner)
+        pts = np.concatenate(pts)
+        return np.concatenate([pts, pts[:: 7]])  # repeated points
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_periodic_query(self, d, p):
+        L = 8.0
+        for r in (0.5, 1.75, 3.0, np.nextafter(L / 2, 0.0)):
+            pts = self.points(d, L, r, seed=d + int(p if math.isfinite(p) else 9))
+            got = packing.torus_pairs(pts, L, r, p)
+            want = periodic_query_reference(pts, L, r, p)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert len(np.unique(got[:, 0] * len(pts) + got[:, 1])) == len(got)
+
+    def test_pairs_across_several_faces(self):
+        # (0, 1) crosses axis 0, (0, 2) axes 0 and 1, (0, 3) all three and
+        # (1, 3) axes 1 and 2: each pair comes once, from its first axis
+        L, r = 10.0, 1.0
+        pts = np.array([[0.25, 0.25, 0.25], [9.75, 0.25, 0.25], [9.75, 9.75, 0.25], [9.75, 9.75, 9.75]])
+        got = packing.torus_pairs(pts, L, r)
+        assert got.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+        assert np.array_equal(got, periodic_query_reference(pts, L, r))
+
+    def test_pair_at_the_radius_across_a_face(self):
+        # x = L - r and x = 0 are exactly r apart around the torus (dyadic values)
+        L, r = 8.0, 1.75
+        pts = np.array([[3.0, 6.25], [3.0, 0.0], [6.25, 5.0], [0.0, 5.0], [6.25, 1.0], [0.125, 1.0]])
+        got = packing.torus_pairs(pts, L, r)
+        assert got.tolist() == [[0, 1], [2, 3]]
+        assert np.array_equal(got, periodic_query_reference(pts, L, r))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_pairs(self, n):
+        assert packing.torus_pairs(np.zeros((n, 3)), 10.0, 1.0).shape == (0, 2)
+
+    def test_radius_must_stay_below_half_the_side(self):
+        pts = np.zeros((3, 2))
+        for r in (5.0, 6.0):
+            with pytest.raises(ValueError, match=r"radius .* 2 \* radius < L = 10"):
+                packing.torus_pairs(pts, 10.0, r)
+        assert packing.torus_pairs(pts, 10.0, np.nextafter(5.0, 0.0)).shape == (3, 2)
+
+    @pytest.mark.parametrize(
+        "body",
+        [lp_ball(1, 2), lp_ball(2, 1), lp_ball(2, math.inf), lp_ball(3, 2), lp_ball(3, 1),
+         lp_ball(3, math.inf), lp_ball(4, 2), lp_ball(4, math.inf), lp_ball(2, 3), lp_ball(3, 3),
+         criterion4_hpolytope()],
+        ids=["l2-d1", "l1-d2", "cube-d2", "l2-d3", "l1-d3", "cube-d3", "l2-d4", "cube-d4",
+             "lp3-d2", "lp3-d3", "hpoly"],
+    )
+    def test_pairs_within_gauge_matches_periodic(self, body):
+        body = normalize_to_unit_volume(body)
+        d = body.d
+        rng = np.random.default_rng(d)
+        if body.kind == "lp" and body.p in (1.0, 2.0, math.inf):
+            R = body.scale
+        else:
+            R = body.circumradius()
+        for limit, L in ((2.0, 8.0 * body.circumradius() * 1.01), (2.5, 5.0 * R * (1.0 + 1e-6))):
+            dom = TorusDomain(d, L)
+            n = int(min(400, 25 * (L / R) ** d / 4))
+            pts = self.points(d, L, limit * R, seed=int(rng.integers(1 << 30)), n=n)
+            # points just outside the box are accepted as well
+            pts[:5] -= L
+            pairs, g = packing.pairs_within_gauge(pts, body, dom, limit)
+            want_pairs, want_g = periodic_pairs_reference(pts, body, dom, limit)
+            assert np.array_equal(pairs, want_pairs) and np.array_equal(g, want_g)
+            assert len(pairs) > 0
