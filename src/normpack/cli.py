@@ -5,10 +5,12 @@ Three commands are installed:
 * ``pack run <config> [--seed S] [--out DIR]`` and
   ``pack sweep <config> --grid <spec> [--workers N]`` for pipeline runs;
   with an output directory, ``pack run`` writes the record and the
-  packing's centers; a config or grid they cannot read ends them with a
-  message,
+  packing's centers; a config or grid they cannot read, a config whose
+  body or L fails the ``normalize`` or ``validate`` stage, and a
+  ``--workers`` below 1 end them with a message,
 * ``vol body-info <body>`` and ``vol intersection <body> --x <vec>``
-  for one-off volumetrics,
+  for one-off volumetrics (a vector whose length is not the body's d
+  ends ``vol intersection`` with a message),
 * ``verify all|schmuck|logconc|petty|rs|minkowski|poisson [--level]
   [--out PATH]`` for the verification suite; PATH ending in ``.csv``
   gets CSV, any other PATH JSON lines.
@@ -31,6 +33,7 @@ from .harness import (
     OUTPUT_DIR_ENV,
     SUITE_CHECKS,
     ExperimentConfig,
+    PipelineStageError,
     output_dir,
     run_stages,
     sweep,
@@ -90,7 +93,12 @@ def pack_main(argv=None) -> int:
     except ValueError as exc:
         raise SystemExit(f"pack {args.cmd}: {args.config}: {exc}") from exc
     if args.cmd == "run":
-        run = run_stages(cfg)
+        try:
+            run = run_stages(cfg)
+        except PipelineStageError as exc:  # a body or L the config cannot take
+            if exc.stage not in ("normalize", "validate"):
+                raise
+            raise SystemExit(f"pack run: {args.config}: {exc.stage}: {exc.__cause__}") from exc
         out_dir = output_dir(cfg)
         if out_dir:  # run_stages wrote the record there
             path = os.path.join(out_dir, f"packing_{run.record.config_hash[:12]}.txt")
@@ -99,7 +107,7 @@ def pack_main(argv=None) -> int:
         return 0
     axis, grid = _parse_grid(args.grid)
     deltas, ds = (grid, None) if axis == "Delta" else (None, grid)
-    try:  # a grid the template cannot take; failed runs become rows instead
+    try:  # a grid the template cannot take, workers < 1; failed runs become rows instead
         rows = sweep(cfg, deltas=deltas, ds=ds, workers=args.workers)
     except ValueError as exc:
         raise SystemExit(f"pack sweep: {exc}") from exc
@@ -144,6 +152,8 @@ def vol_main(argv=None) -> int:
         )
         return 0
     x = np.asarray([float(v) for v in args.x.split(",")])
+    if len(x) != body.d:
+        raise SystemExit(f"vol intersection: --x has {len(x)} coordinates, the body has d={body.d}")
     est = intersection_volume(body, x, args.samples, np.random.default_rng(args.seed), volume=vol)
     print(json.dumps({"x": list(map(float, x)), "value": est.value, "std_error": est.std_error}, sort_keys=True))
     return 0

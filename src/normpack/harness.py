@@ -311,7 +311,8 @@ def sweep(
 
     Exactly one of ``deltas`` / ``ds`` selects the grid axis.  Each grid
     point gets its own child seed, so results do not depend on
-    ``workers`` (the size of the thread pool) or completion order.
+    ``workers`` (the size of the thread pool, at least 1) or completion
+    order.
 
     A ``deltas`` point is the template with its Delta replaced.  A ``ds``
     point is ``default_config(d)`` (unit-volume l2 ball, default L and
@@ -321,6 +322,8 @@ def sweep(
     """
     if (deltas is None) == (ds is None):
         raise ValueError("specify exactly one of deltas / ds")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     points = []
     if deltas is not None:
         for i, D in enumerate(deltas):
@@ -360,12 +363,8 @@ def sweep(
                 "status": f"error: {stage}: {type(cause).__name__}: {cause}",
             }
 
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_one, points))
-    else:
-        rows = [run_one(cfg) for cfg in points]
-    return rows
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_one, points))
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:

@@ -105,50 +105,42 @@ class PackingGraph:
     straight from the build's pairs, which come in (i, j) order: entry
     (i, j), i < j, holds the gauge of the edge's minimal-image difference,
     as an explicit entry even when it is 0 (coincident points).  It is None
-    on subgraphs and on graphs made from bare pairs.  The pipeline reads
-    the CSR arrays; ``neighbors`` is kept for readers outside it.  The
-    threshold and largest codegree of the last :func:`codegree_pairs`
-    product are kept until :func:`degree_codegree_stats` has read them.
+    on subgraphs and on graphs made straight from an adjacency.  The
+    pipeline reads the CSR arrays; ``neighbors`` is kept for readers
+    outside it.  The threshold and largest codegree of the last
+    :func:`codegree_pairs` product are kept until
+    :func:`degree_codegree_stats` has read them.
     """
 
     points: np.ndarray
     adj: sp.csr_matrix
     domain: TorusDomain
-    original_indices: np.ndarray | None = None
     edge_gauges: sp.csr_matrix | None = None
     _hot_max_codegree: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def from_pairs(cls, points, pairs, domain: TorusDomain, gauges=None) -> "PackingGraph":
-        """Graph on ``points`` whose edges are the rows (i, j) of ``pairs``.
+    def from_pairs(cls, points, pairs, domain: TorusDomain, gauges) -> "PackingGraph":
+        """Graph on ``points`` whose edges are the rows (i, j) of ``pairs``,
+        with one gauge per pair.
 
-        Without ``gauges`` the pairs come in any order, and repeated and
-        reversed pairs give one edge.  With ``gauges`` (one per pair) the
-        pairs must be distinct with i < j and in (i, j) order, as
-        :func:`pairs_within_gauge` returns them: they are then U's rows and
+        The pairs must be distinct with i < j and in (i, j) order, as
+        :func:`pairs_within_gauge` returns them: they are U's rows and
         columns as they stand, and the gauges become ``edge_gauges``.
         """
         n = len(points)
         i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-        upper = None
-        if gauges is None:
-            # U holds each pair once (the upper triangle when i < j); U + U^T
-            # is symmetric whatever the orientation, and canonical
-            half = sp.csr_matrix((np.ones(len(i), dtype=np.float32), (i, j)), shape=(n, n))
-        else:
-            idx = np.int32 if max(n, len(j)) < 2**31 else np.int64
-            indptr = np.zeros(n + 1, dtype=idx)
-            np.cumsum(np.bincount(i, minlength=n), out=indptr[1:])
-            indices = j.astype(idx)
-            upper = sp.csr_matrix((np.asarray(gauges, dtype=float), indices, indptr), shape=(n, n))
-            # (i, j) order: rows nondecreasing, columns strictly increasing in each
-            if not ((i < j).all() and (i[1:] >= i[:-1]).all() and upper.has_canonical_format):
-                raise ValueError("gauged pairs must be distinct with i < j, in (i, j) order")
-            # the pattern with unit data: sparse + would drop U's explicit zeros
-            half = sp.csr_matrix((np.ones(len(j), dtype=np.float32), indices, indptr), shape=(n, n))
-        adj = half + half.T
-        adj.data.fill(1.0)
-        return cls(points=points, adj=adj, domain=domain, edge_gauges=upper)
+        idx = np.int32 if max(n, len(j)) < 2**31 else np.int64
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(i, minlength=n), out=indptr[1:])
+        indices = j.astype(idx)
+        upper = sp.csr_matrix((np.asarray(gauges, dtype=float), indices, indptr), shape=(n, n))
+        # (i, j) order: rows nondecreasing, columns strictly increasing in each
+        if not ((i < j).all() and (i[1:] >= i[:-1]).all() and upper.has_canonical_format):
+            raise ValueError("pairs must be distinct with i < j, in (i, j) order")
+        # the pattern with unit data: sparse + would drop U's explicit zeros;
+        # the two triangles share no entry, so the sum's data stays 1
+        half = sp.csr_matrix((np.ones(len(j), dtype=np.float32), indices, indptr), shape=(n, n))
+        return cls(points=points, adj=half + half.T, domain=domain, edge_gauges=upper)
 
     @property
     def n(self) -> int:
@@ -172,10 +164,7 @@ class PackingGraph:
         keep = np.flatnonzero(keep_mask)
         adj = self.adj[keep][:, keep]
         adj.sort_indices()
-        orig = keep if self.original_indices is None else self.original_indices[keep]
-        return PackingGraph(
-            points=self.points[keep], adj=adj, domain=self.domain, original_indices=orig
-        )
+        return PackingGraph(points=self.points[keep], adj=adj, domain=self.domain)
 
 
 def torus_pairs(wrapped: np.ndarray, L: float, radius: float, p: float = 2.0) -> np.ndarray:
@@ -340,9 +329,6 @@ def prune(
     """
     body, domain = ik.body, graph.domain
     n = graph.n
-    if n == 0:
-        report = PruneReport(0, 0, 0, 0, 0, 0, 0, _expectation_bounds(0, body.d, Delta, ik.vol_ik, ik.delta, codegree_coeff))
-        return graph, report
     pts = graph.points
     clf = OverlapClassifier(body, ik.delta, rng)
     deg = graph.degree()

@@ -201,7 +201,6 @@ class IkProfile:
     volume_estimate: McEstimate
     delta_k: float
     degenerate: bool = False
-    boundary_points: int = 0
 
     @property
     def vol_ik(self) -> float:
@@ -239,7 +238,7 @@ def estimate_ik(
     )
     degenerate = hits == 0 or hits == outer_samples
     delta_k = math.inf if est.value == 0.0 else 1.0 / (body.d * est.value)
-    return IkProfile(body, delta, est, delta_k, degenerate, clf.boundary_count)
+    return IkProfile(body, delta, est, delta_k, degenerate)
 
 
 def ik_gauge_radius(body: ConvexBody, delta: float, tol: float = 1e-9) -> float:
@@ -319,39 +318,6 @@ def _orthonormal_complement(u: np.ndarray) -> np.ndarray:
     return q[:, sorted(cols)]
 
 
-def _line_hits_body(body: ConvexBody, base: np.ndarray, u: np.ndarray, t_max: float) -> np.ndarray:
-    """For each base point z, does the line z + t*u meet the body?
-
-    Closed-form interval tests for balls and boxes.  Other bodies go to
-    ``_line_hits_convex``: an exact hit certificate from the gauge at z,
-    an exact miss certificate from the support at z/|z|, and a search
-    only for the rows neither settles.  Polytopes get here only under
-    ``force_mc``, since their shadow volume is exact by Cauchy's formula.
-    """
-    if body.kind == "lp" and body.p == 2.0:
-        # |z|^2 + 2t z.u + t^2 <= r^2 with z orthogonal-ish to u handled generally
-        b = base @ u
-        c = (base * base).sum(axis=1) - body.scale**2
-        disc = b * b - c
-        return disc >= 0.0
-    if body.kind == "lp" and math.isinf(body.p):
-        s = body.scale
-        lo = np.full(len(base), -np.inf)
-        hi = np.full(len(base), np.inf)
-        for i in range(body.d):
-            ui = u[i]
-            if abs(ui) < 1e-15:
-                ok = np.abs(base[:, i]) <= s
-                lo = np.where(ok, lo, np.inf)
-                continue
-            t1 = (-s - base[:, i]) / ui
-            t2 = (s - base[:, i]) / ui
-            lo = np.maximum(lo, np.minimum(t1, t2))
-            hi = np.minimum(hi, np.maximum(t1, t2))
-        return lo <= hi
-    return _line_hits_convex(body, base, u, t_max)
-
-
 def _line_hits_convex(body: ConvexBody, base: np.ndarray, u: np.ndarray, t_max: float) -> np.ndarray:
     """Is min over |t| <= t_max of gauge(z + t*u) at most 1 + 1e-10, per row z?
 
@@ -413,10 +379,9 @@ def proj_body_support(
     Exact for balls, cubes and polytopes (:func:`analytic_proj_support`);
     otherwise, or with ``force_mc``, Monte Carlo over a bounding box of
     the shadow, testing whether the line through each candidate point in
-    direction u meets the body.  Bodies other than balls and cubes settle
-    most lines with an exact certificate from their gauge (hit) or their
-    support (a separating halfspace) and search only the rest; see
-    ``_line_hits_convex``.
+    direction u meets the body.  Every body settles most lines with an
+    exact certificate from its gauge (hit) or its support (a separating
+    halfspace) and searches only the rest; see ``_line_hits_convex``.
     """
     u = np.asarray(u, dtype=float)
     nrm = np.linalg.norm(u)
@@ -433,7 +398,7 @@ def proj_body_support(
     t_max = float(body.support(u)) + 1e-9
     z = uniform_box(rng, half, samples)
     base = z @ V.T
-    hits = int(np.count_nonzero(_line_hits_body(body, base, u, t_max)))
+    hits = int(np.count_nonzero(_line_hits_convex(body, base, u, t_max)))
     p = hits / samples
     if p == 0:
         raise RuntimeError("shadow bounding box produced no hits; bracketing bug")

@@ -29,7 +29,7 @@ def brute_force_graph(points: np.ndarray, body: ConvexBody, domain: TorusDomain)
         g = body.gauge(diffs)
         np.fill_diagonal(g, np.inf)
         pairs = np.argwhere(g <= 2.0)
-    return PackingGraph.from_pairs(pts, pairs, domain)
+    return PackingGraph(pts, adjacency_reference(n, pairs), domain)
 
 
 def graphs_equal(a: PackingGraph, b: PackingGraph) -> bool:
@@ -52,7 +52,7 @@ def brute_force_max_codegree(graph: PackingGraph) -> int:
 
 def graph_from_edges(n, edges) -> PackingGraph:
     """Synthetic graph with dummy coordinates, for code that never reads them."""
-    return PackingGraph.from_pairs(np.zeros((n, 2)), edges, TorusDomain(2, 100.0))
+    return PackingGraph(np.zeros((n, 2)), adjacency_reference(n, edges), TorusDomain(2, 100.0))
 
 
 def exhaustive_max_independent(n, edges) -> int:

@@ -23,8 +23,11 @@ from normpack.harness import (
     write_sweep_csv,
 )
 from normpack.indset import import_packing, verify_packing
-from normpack.packing import TorusDomain
+from normpack.packing import QUERY_SLACK, TorusDomain
 from polytope_oracles import criterion4_hpolytope
+
+
+UNIT_BALL_2 = normalize_to_unit_volume(body_from_spec(default_config(2).body))
 
 
 def hpoly_config() -> ExperimentConfig:
@@ -228,6 +231,11 @@ class TestSweep:
         rows8 = sweep(template, deltas=[15.0, 25.0], workers=8)
         assert rows1 == rows8
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            sweep(default_config(2), deltas=[15.0], workers=workers)
+
     def test_dimension_axis(self):
         rows = sweep(default_config(2, seed=11), ds=[2, 3])
         assert [r["d"] for r in rows] == [2, 3]
@@ -388,6 +396,42 @@ class TestCli:
         with pytest.raises(SystemExit, match=message):
             pack_main(["run", str(path), "--out", str(tmp_path)])
         assert not list(tmp_path.glob("run_*.jsonl"))
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            # L exactly at the no-self-wrap floor of the unit-volume d=2 ball
+            ({"L": 4.0 * UNIT_BALL_2.scaled(2.0).circumradius() * (1.0 + QUERY_SLACK)}, "validate: L=4.51"),
+            ({"body": {"kind": "ellipse", "d": 2}}, "normalize: unknown body kind 'ellipse'"),
+            ({"d": 3}, "normalize: config d does not match body dimension"),
+        ],
+        ids=["L_at_floor", "unknown_kind", "d_mismatch"],
+    )
+    def test_pack_run_config_fault(self, tmp_path, edit, message):
+        path = tmp_path / "fault.json"
+        path.write_text(json.dumps({**json.loads(default_config(2).to_json()), **edit}))
+        with pytest.raises(SystemExit, match=f"^pack run: {re.escape(str(path))}: {message}"):
+            pack_main(["run", str(path), "--out", str(tmp_path)])
+        assert not list(tmp_path.glob("run_*.jsonl"))
+
+    def test_pack_run_later_stage_keeps_traceback(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(replace(default_config(2), Delta=1e9).to_json())  # exceeds the point cap
+        with pytest.raises(PipelineStageError, match="sample_poisson"):
+            pack_main(["run", str(path)])
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_pack_sweep_workers_below_one(self, tmp_path, workers):
+        with pytest.raises(SystemExit, match=f"^pack sweep: workers must be at least 1, got {workers}$"):
+            pack_main(["sweep", self._write_config(tmp_path), "--grid", "Delta=15", "--workers", workers,
+                       "--out", str(tmp_path)])
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_vol_intersection_wrong_length(self, tmp_path):
+        path = tmp_path / "ball3.json"
+        path.write_text(json.dumps({"kind": "lp", "d": 3, "p": 2, "scale": 1.0}))
+        with pytest.raises(SystemExit, match="--x has 2 coordinates, the body has d=3"):
+            vol_main(["intersection", str(path), "--x", "0.5,0"])
 
     def test_sweep_d_grid_rejects_cube(self, tmp_path):
         path = tmp_path / "cube.json"

@@ -161,27 +161,27 @@ class TestFromPairs:
         assert got.has_canonical_format
 
     def test_matches_coo_reference(self):
-        # repeats, reversed pairs and isolated vertices, in random order
+        # random distinct pairs i < j in (i, j) order, isolated vertices included
         rng = np.random.default_rng(3)
         for trial in range(30):
             n = int(rng.integers(1, 60))
             m = int(rng.integers(0, 4 * n))
             i = rng.integers(0, n, size=m)
             j = (i + rng.integers(1, n + 1, size=m)) % n if n > 1 else i
-            pairs = np.stack([i, j], axis=1)
-            pairs = np.concatenate([pairs, pairs[: m // 3, ::-1], pairs[: m // 4]])
-            pairs = pairs[rng.permutation(len(pairs))]
-            if n == 1:
-                pairs = pairs[:0]
-            g = PackingGraph.from_pairs(np.zeros((n, 2)), pairs, TorusDomain(2, 10.0))
+            codes = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+            pairs = np.stack(np.divmod(codes, n), axis=1)
+            pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+            gauges = rng.uniform(0.0, 2.0, size=len(pairs))
+            g = PackingGraph.from_pairs(np.zeros((n, 2)), pairs, TorusDomain(2, 10.0), gauges)
             self.assert_same_csr(g.adj, adjacency_reference(n, pairs))
+            assert g.edge_gauges[pairs[:, 0], pairs[:, 1]].tolist() == [gauges.tolist()]
 
     @pytest.mark.parametrize("n", [0, 5])
     def test_empty(self, n):
         for pairs in ([], np.empty((0, 2), dtype=np.int64)):
-            g = PackingGraph.from_pairs(np.zeros((n, 2)), pairs, TorusDomain(2, 10.0))
+            g = PackingGraph.from_pairs(np.zeros((n, 2)), pairs, TorusDomain(2, 10.0), [])
             self.assert_same_csr(g.adj, adjacency_reference(n, pairs))
-            assert g.edge_count() == 0
+            assert g.edge_count() == 0 and g.edge_gauges.nnz == 0
 
 
 class TestBuildGraph:
@@ -291,7 +291,7 @@ class TestBuildGraph:
         # the outer pair is exactly gauge 2 apart, so they stay adjacent
         assert sub.neighbors[0].tolist() == [1]
         assert sub.neighbors[1].tolist() == [0]
-        assert sub.original_indices.tolist() == [0, 2]
+        assert np.array_equal(sub.points, ps[[0, 2]])
 
 
 @given(st.integers(0, 10_000))
@@ -363,6 +363,31 @@ class TestPrune:
         assert pruned.degree().max(initial=0) <= deg_cap
         assert brute_force_max_codegree(pruned) == degree_codegree_stats(pruned)["max_codegree"]
 
+    @staticmethod
+    def assert_marks_match(g, ik, Delta, coeff, x2_rows, x2_cols, rep, pruned):
+        """Compare prune's first-rule counts and survivors with brute-force
+        marks: X1 by degree, X2 over the pairs (x2_rows, x2_cols), X3 over
+        the pairs i < j of the full A @ A.  Returns the (X2, X3) counts."""
+        clf = OverlapClassifier(ik.body, ik.delta)  # the cube's f is exact
+        dom, pts = g.domain, g.points
+
+        def inside(i, j):
+            return clf.inside(dom.min_image(pts[j] - pts[i]) / 2.0)
+
+        mark_x1 = g.degree() > Delta + Delta ** (2.0 / 3.0)
+        deep = inside(x2_rows, x2_cols)
+        mark_x2 = np.zeros(g.n, dtype=bool)
+        mark_x2[x2_rows[deep]] = mark_x2[x2_cols[deep]] = True
+        A = g.adj.toarray().astype(np.float64)  # BLAS product, exact for counts
+        ci, cj = np.nonzero(np.triu(A @ A >= coeff * Delta, k=1))
+        out = ~inside(ci, cj)
+        mark_x3 = np.zeros(g.n, dtype=bool)
+        mark_x3[ci[out]] = mark_x3[cj[out]] = True
+        x2, x3 = int((mark_x2 & ~mark_x1).sum()), int((mark_x3 & ~mark_x1 & ~mark_x2).sum())
+        assert (rep.removed_x1, rep.removed_x2, rep.removed_x3) == (int(mark_x1.sum()), x2, x3)
+        assert np.array_equal(pruned.points, pts[~(mark_x1 | mark_x2 | mark_x3)])
+        return x2, x3
+
     def test_marks_match_full_product_reference(self):
         # X2 over every edge and X3 from the full A @ A; the unit cube has a
         # vectorized exact f, so every edge can be classified
@@ -373,25 +398,31 @@ class TestPrune:
         ik = estimate_ik(body, 0.95, 20_000, 500, rng)
         g = build_graph(sample_poisson(dom, Delta, rng), body, dom)
         pruned, rep = prune(g, ik, Delta, 1.2, rng)
-        clf = OverlapClassifier(body, ik.delta)
+        ei, ej = np.nonzero(np.triu(g.adj.toarray()))
+        x2, x3 = self.assert_marks_match(g, ik, Delta, 1.2, ei, ej, rep, pruned)
+        assert x2 > 0 and x3 > 0
+
+    def test_marks_beyond_the_edges_match_dense_reference(self):
+        # at ik_delta 0.3 the unit cube's g_ik is 1.4: X2's pairs reach gauge
+        # 2.8, past the edges.  The reference classifies every pair within
+        # gauge 4 from the dense gauge matrix.
+        dom = TorusDomain(2, 30.0)
+        body = lp_ball(2, math.inf, scale=0.5)
+        rng = np.random.default_rng(2)
+        Delta, coeff = 1.5, 0.6
+        ik = estimate_ik(body, 0.3, 20_000, 500, rng)
+        assert ik_gauge_radius(body, ik.delta) == pytest.approx(1.4)
+        g = build_graph(sample_poisson(dom, Delta, rng), body, dom)
+        pruned, rep = prune(g, ik, Delta, coeff, rng)
         pts = g.points
-
-        def inside(i, j):
-            return clf.inside(dom.min_image(pts[j] - pts[i]) / 2.0)
-
-        mark_x1 = g.degree() > Delta + Delta ** (2.0 / 3.0)
-        A = g.adj.toarray().astype(np.float64)  # BLAS product, exact for counts
-        ei, ej = np.nonzero(np.triu(A))
-        deep = inside(ei, ej)
-        mark_x2 = np.zeros(g.n, dtype=bool)
-        mark_x2[ei[deep]] = mark_x2[ej[deep]] = True
-        ci, cj = np.nonzero(np.triu(A @ A >= 1.2 * Delta, k=1))
-        out = ~inside(ci, cj)
-        mark_x3 = np.zeros(g.n, dtype=bool)
-        mark_x3[ci[out]] = mark_x3[cj[out]] = True
-        assert rep.removed_x3 == int((mark_x3 & ~mark_x1 & ~mark_x2).sum()) > 0
-        assert rep.removed_x2 == int((mark_x2 & ~mark_x1).sum()) > 0
-        assert np.array_equal(pruned.original_indices, np.flatnonzero(~(mark_x1 | mark_x2 | mark_x3)))
+        gauge = body.gauge(dom.min_image(pts[:, None, :] - pts[None, :, :]))
+        ei, ej = np.nonzero(np.triu(gauge <= 4.0, k=1))
+        x2, x3 = self.assert_marks_match(g, ik, Delta, coeff, ei, ej, rep, pruned)
+        assert x2 > 0 and x3 > 0 and pruned.n > 0
+        # some deep pair is not an edge
+        beyond = gauge[ei, ej] > 2.0
+        clf = OverlapClassifier(body, ik.delta)
+        assert clf.inside(dom.min_image(pts[ej[beyond]] - pts[ei[beyond]]) / 2.0).any()
 
     def test_cluster_removed_by_x2(self):
         # a tight cluster has differences deep in 2I, so X2 clears it
@@ -445,7 +476,7 @@ class TestPrune:
             dom, body, rng, ik, g, Delta = self._setup(seed=7)
             pruned, rep = prune(g, ik, Delta, 1.2, rng)
             outs.append((pruned.n, rep.removed_x1, rep.removed_x2, rep.removed_x3,
-                         tuple(pruned.original_indices.tolist())))
+                         pruned.points.tobytes()))
         assert outs[0] == outs[1]
 
 
@@ -741,7 +772,7 @@ class TestEdgeGauges:
 
         monkeypatch.setattr(packing, "cKDTree", no_tree)
         pruned, rep = prune(g, ik, 30.0, 1.2, np.random.default_rng(0))
-        assert rep.removed_x2 == 2 and pruned.original_indices.tolist() == [2, 3]
+        assert rep.removed_x2 == 2 and np.array_equal(pruned.points, pts[2:])
 
 
 class TestTorusPairs:
