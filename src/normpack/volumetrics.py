@@ -16,16 +16,17 @@ import numpy as np
 from scipy.special import betainc, gammaln
 
 from .bodies import (
+    GAUGE_CHUNK,
     ConvexBody,
     ball_volume,
     closed_form_volume,
+    fold_columns,
     sample_uniform,
     uniform_box,
 )
 
 MC_MIN_SAMPLES = 1_000
 MAX_ESCALATIONS = 4  # 4x sample increases before the MC classifier says "boundary"
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,10 @@ class McEstimate:
 def mc_volume(body: ConvexBody, samples: int, rng: np.random.Generator) -> McEstimate:
     """Volume by rejection from the support bounding box.
 
-    Draws :func:`uniform_box` points in chunks of at most 2^20 rows.
+    Draws :func:`uniform_box` points in chunks of :data:`GAUGE_CHUNK`
+    rows, whose temporaries stay in cache; ``rng.random`` fills rows in
+    order, so the numbers and the generator's end state are those of one
+    draw of all rows.
     """
     if samples < MC_MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MC_MIN_SAMPLES}")
@@ -52,7 +56,7 @@ def mc_volume(body: ConvexBody, samples: int, rng: np.random.Generator) -> McEst
     hits = 0
     left = samples
     while left > 0:
-        m = min(left, _CHUNK)
+        m = min(left, GAUGE_CHUNK)
         pts = uniform_box(rng, half, m)
         hits += int(np.count_nonzero(body.gauge(pts) <= 1.0))
         left -= m
@@ -94,10 +98,10 @@ def exact_intersection_volume(body: ConvexBody, x: np.ndarray) -> np.ndarray | f
         return None
     x = np.asarray(x, dtype=float)
     if body.p == 2.0:
-        out = _ball_lens_volumes(body.d, body.scale, np.sqrt((x * x).sum(axis=-1)))
+        out = _ball_lens_volumes(body.d, body.scale, np.sqrt(fold_columns(np.add, x * x)))
     else:
         side = 2.0 * body.scale
-        out = np.prod(np.maximum(side - np.abs(x), 0.0), axis=-1)
+        out = fold_columns(np.multiply, np.maximum(side - np.abs(x), 0.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -292,7 +296,7 @@ def analytic_proj_support(body: ConvexBody, u: np.ndarray) -> np.ndarray | float
     elif body.p == 2.0:
         h = ball_volume(d - 1) * body.scale ** (d - 1) * row_norms(u)
     elif math.isinf(body.p):
-        h = (2.0 * body.scale) ** (d - 1) * np.abs(u).sum(axis=-1)
+        h = (2.0 * body.scale) ** (d - 1) * fold_columns(np.add, np.abs(u))
     else:
         return None
     return float(h) if h.ndim == 0 else h
@@ -338,7 +342,7 @@ def _line_hits_convex(body: ConvexBody, base: np.ndarray, u: np.ndarray, t_max: 
     hit = body.gauge(base) <= tol
     rows = np.flatnonzero(~hit)
     base = base[rows]
-    norm = np.sqrt((base * base).sum(axis=1))  # > 0: gauge(0) = 0
+    norm = np.sqrt(fold_columns(np.add, base * base))  # > 0: gauge(0) = 0
     miss = norm > body.support(base / norm[:, None]) * tol
     rows, base = rows[~miss], base[~miss]
     a = np.full(len(rows), -t_max)

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normpack.bodies import (
+    GAUGE_CHUNK,
     RejectionEfficiencyError,
     body_from_spec,
     body_to_spec,
     closed_form_volume,
     cube,
+    fold_columns,
     helmert_basis,
     hpolytope,
     lp_ball,
@@ -249,6 +251,74 @@ class TestSampleUniform:
     def test_efficiency_floor(self):
         with pytest.raises(RejectionEfficiencyError):
             sample_uniform(lp_ball(12, 1), np.random.default_rng(0), 10, efficiency_floor=1e-3)
+
+    @staticmethod
+    def full_batch_reference(body, rng, n):
+        """sample_uniform as it gauged every drawn row, batch by batch."""
+        half = body.bounding_halfwidths()
+        parts, got = [], 0
+        while got < n:
+            pts = uniform_box(rng, half, max(4 * n, 1 << 14))
+            parts.append(pts[body.gauge(pts) <= 1.0][: n - got])
+            got += len(parts[-1])
+        return np.concatenate(parts)
+
+    @pytest.mark.parametrize(
+        "body",
+        [lp_ball(3, 3), cube(3), unit_cube_hpoly(2), criterion4_hpolytope(), simplex_difference(3), lp_ball(4, 1)],
+        ids=["lp3", "cube", "hpoly_square", "hpoly_criterion4", "simplex_diff", "cross_polytope_d4"],
+    )
+    @pytest.mark.parametrize("n", [100, 30_000])
+    def test_early_stop_matches_full_batch(self, body, n):
+        # n = 30k draws 120k rows, 4 gauge chunks; the d = 4 cross-polytope
+        # accepts 1/24 of its box, so it needs a second batch
+        assert 4 * 30_000 > 3 * GAUGE_CHUNK
+        a, b = np.random.default_rng(n), np.random.default_rng(n)
+        got = sample_uniform(body, a, n)
+        want = self.full_batch_reference(body, b, n)
+        assert np.array_equal(got, want)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_efficiency_floor_thin_slab(self):
+        # a diagonal slab of width 2e-4 fills ~1e-4 of its bounding box
+        slab = hpolytope([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]], [1e-4, 1e-4, 1.0, 1.0])
+        with pytest.raises(RejectionEfficiencyError, match="acceptance rate"):
+            sample_uniform(slab, np.random.default_rng(4), 1000, efficiency_floor=1e-3)
+
+
+class TestFoldColumns:
+    OPS = [np.add, np.maximum, np.minimum, np.multiply]
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @staticmethod
+    def rows(k, seed):
+        """Rows over 16 decades, rows of +-0.0, rows holding +-inf, rows of
+        one repeated value."""
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((600, k)) * 10.0 ** rng.integers(-8, 9, size=(600, k))
+        w[:100] = rng.choice([0.0, -0.0], size=(100, k))
+        w[100:200] = rng.choice([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf], size=(100, k))
+        w[200:250] = rng.standard_normal((50, 1))
+        return w
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_equals_numpy_reduction(self, op, k):
+        w = self.rows(k, k)
+        if op is np.add:
+            # callers sum absolute values and squares, never a row of only
+            # -0.0 (numpy's sum of that row is +0.0, the fold's -0.0)
+            w[:200] = np.abs(w[:200])
+        reference = {np.add: np.sum, np.maximum: np.max, np.minimum: np.min, np.multiply: np.prod}[op]
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * 0, 1e8^12
+            for v in (w, np.asfortranarray(w), w.reshape(20, 30, k), w[:0], w[7], w[150]):
+                self.assert_same_bits(fold_columns(op, v), reference(v, axis=-1))
 
 
 class TestUniformBox:

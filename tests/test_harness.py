@@ -321,6 +321,23 @@ class TestCli:
         path.write_text(hpoly_config().to_json())
         self._check_record_and_packing(tmp_path, capsys, str(path))
 
+    def test_pack_run_record_is_strict_json(self, tmp_path, capsys):
+        # at ik_delta 0.3 X2 removes every point: no pair of centers, so no
+        # finite min_pairwise_gauge, and the record writes null, not Infinity
+        path = tmp_path / "ik03.json"
+        path.write_text(replace(default_config(2), ik_delta=0.3).to_json())
+        assert pack_main(["run", str(path), "--out", str(tmp_path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        text = capsys.readouterr().out
+        rec = json.loads(text, parse_constant=reject)
+        assert rec["packing"]["count"] == 0
+        assert rec["packing"]["min_pairwise_gauge"] is None
+        tag = rec["config_hash"][:12]
+        assert json.loads((tmp_path / f"run_{tag}.jsonl").read_text(), parse_constant=reject) == rec
+
     def test_pack_sweep(self, tmp_path, capsys):
         rc = pack_main(
             ["sweep", self._write_config(tmp_path), "--grid", "Delta=15,25", "--out", str(tmp_path)]

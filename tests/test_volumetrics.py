@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from normpack.bodies import ball_volume, cube, hpolytope, lp_ball, normalize_to_unit_volume, simplex_difference
+from normpack.bodies import (
+    ball_volume,
+    cube,
+    hpolytope,
+    lp_ball,
+    normalize_to_unit_volume,
+    simplex_difference,
+    uniform_box,
+)
 from normpack.volumetrics import (
     McEstimate,
     OverlapClassifier,
@@ -49,6 +57,18 @@ class TestMcVolume:
         a = mc_volume(lp_ball(3, 1), 50_000, np.random.default_rng(1))
         b = mc_volume(lp_ball(3, 1), 200_000, np.random.default_rng(1))
         assert b.std_error == pytest.approx(a.std_error / 2.0, rel=0.15)
+
+    def test_chunks_match_one_draw(self):
+        # 1M rows in cache-sized chunks: the estimate and the generator's end
+        # state of one uniform_box call over all rows
+        body = simplex_difference(4)
+        a, b = np.random.default_rng(21), np.random.default_rng(21)
+        got = mc_volume(body, 1_000_000, a)
+        half = body.bounding_halfwidths()
+        box_vol = float(np.prod(2.0 * half))
+        p = np.count_nonzero(body.gauge(uniform_box(b, half, 1_000_000)) <= 1.0) / 1_000_000
+        assert got == McEstimate(box_vol * p, box_vol * math.sqrt(p * (1.0 - p) / 1_000_000), 1_000_000)
+        assert a.bit_generator.state == b.bit_generator.state
 
     def test_resampled_spread_matches_reported_error(self):
         ests = [mc_volume(lp_ball(2, 2), 20_000, np.random.default_rng(s)) for s in range(40)]
