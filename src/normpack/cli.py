@@ -13,7 +13,10 @@ Three commands are installed:
   ends ``vol intersection`` with a message),
 * ``verify all|schmuck|logconc|petty|rs|minkowski|poisson [--level]
   [--out PATH]`` for the verification suite; PATH ending in ``.csv``
-  gets CSV, any other PATH JSON lines.
+  gets CSV, any other PATH JSON lines,
+* ``verify packing FILE`` re-verifies a packing file that ``pack run``
+  wrote, from its raw coordinates, body and L; an overlap, or an L the
+  body cannot take, ends it non-zero with a message naming the fault.
 
 Grid specs look like ``Delta=20,30,40`` or ``d=2:4``.
 """
@@ -41,7 +44,8 @@ from .harness import (
     write_sweep_csv,
 )
 from .checks import write_reports_csv, write_reports_jsonl
-from .indset import export_packing
+from .indset import OverlapError, export_packing, import_packing, verify_packing
+from .packing import TorusDomain
 from .volumetrics import intersection_volume
 
 
@@ -161,11 +165,16 @@ def vol_main(argv=None) -> int:
 
 def verify_main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="verify", description="numerical verification suite")
-    ap.add_argument("which", choices=SUITE_CHECKS)
+    ap.add_argument("which", choices=SUITE_CHECKS + ("packing",))
+    ap.add_argument("file", nargs="?", help="the packing file of `verify packing FILE`")
     ap.add_argument("--level", choices=["fast", "full"], default="fast")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", default=None, help="write reports: CSV if PATH ends in .csv, else JSON lines")
     args = ap.parse_args(argv)
+    if (args.which == "packing") != (args.file is not None):
+        ap.error("a FILE goes with `verify packing`, and only there")
+    if args.which == "packing":
+        return _verify_packing_file(args.file)
     reports = verify_suite(args.level, args.seed, args.which)
     bad = 0
     for rep in reports:
@@ -179,6 +188,20 @@ def verify_main(argv=None) -> int:
         write(reports, args.out)
     print(f"total violations: {bad}")
     return 0 if bad == 0 else 1
+
+
+def _verify_packing_file(path: str) -> int:
+    try:
+        centers, spec, L = import_packing(path)
+        body = body_from_spec(spec)
+        domain = TorusDomain(body.d, L)
+        domain.validate_for_body(body)
+        result = verify_packing(centers, body, domain, closed_form_volume(body))
+    except (OSError, OverlapError, ValueError) as exc:
+        raise SystemExit(f"verify packing: {path}: {exc}") from exc
+    summary = result.summary()
+    print(json.dumps({k: summary[k] for k in ("count", "density", "min_pairwise_gauge")}, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

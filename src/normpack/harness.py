@@ -264,8 +264,8 @@ def run_stages(config: ExperimentConfig) -> PipelineRun:
             "delta": ik.delta,
             "vol_ik": ik.vol_ik,
             "vol_ik_std_error": ik.volume_estimate.std_error,
+            "vol_ik_bracket": list(ik.bracket),
             "delta_k": ik.delta_k if math.isfinite(ik.delta_k) else None,
-            "degenerate": ik.degenerate,
         },
         prune_report=asdict(report),
         stats_pre=stats_pre,
@@ -297,6 +297,7 @@ SWEEP_COLUMNS = [
     "density",
     "trivial_bound",
     "log_delta_over_delta",
+    "delta_k",
     "status",
 ]
 
@@ -349,6 +350,7 @@ def sweep(
                 "density": rec.packing["density"],
                 "trivial_bound": rec.packing["trivial_bound"],
                 "log_delta_over_delta": math.log(cfg.Delta) / cfg.Delta if cfg.Delta > 1 else None,
+                "delta_k": rec.ik["delta_k"],
                 "status": "ok",
             }
         except Exception as exc:

@@ -31,14 +31,11 @@ MAX_ESCALATIONS = 4  # 4x sample increases before the MC classifier says "bounda
 
 @dataclass(frozen=True)
 class McEstimate:
-    """A Monte Carlo estimate with its binomial standard error."""
+    """A Monte Carlo estimate with its standard error."""
 
     value: float
     std_error: float
     samples: int
-
-    def brackets(self, truth: float, sigmas: float = 3.0) -> bool:
-        return abs(self.value - truth) <= sigmas * self.std_error + 1e-15
 
 
 def mc_volume(body: ConvexBody, samples: int, rng: np.random.Generator) -> McEstimate:
@@ -198,17 +195,21 @@ class OverlapClassifier:
 
 @dataclass(frozen=True)
 class IkProfile:
-    """Estimated overlap region I_K and the derived intensity cap Delta_K."""
+    """The overlap region I_K: its volume, the Schmuckenschläger bracket
+    (lower, upper) around that volume, and the intensity cap Delta_K."""
 
     body: ConvexBody
     delta: float
     volume_estimate: McEstimate
     delta_k: float
-    degenerate: bool = False
+    bracket: tuple[float, float]
 
     @property
     def vol_ik(self) -> float:
         return self.volume_estimate.value
+
+
+BISECTION_STEPS = 24  # 2^-24 of the radial bracket: 1.5e-9 of the cube's r* at delta = 0.95
 
 
 def estimate_ik(
@@ -218,31 +219,91 @@ def estimate_ik(
     inner_samples: int,
     rng: np.random.Generator,
 ) -> IkProfile:
-    """Estimate vol(I_K) by sampling translations uniformly in 2K.
+    """vol(I_K) from the radial function r* of I_K = {x : f(x) > delta}.
 
-    vol(2K) is exact for every body kind (:func:`closed_form_volume`).
-    ``inner_samples`` seeds the escalating MC classifier (ignored for
-    bodies with exact intersection formulas).
-    Degenerate all-hit / no-hit outcomes are flagged rather than raised.
+    For K of volume V, f is log-concave with f(0) = V and slope -h_PiK(u)
+    at 0 in direction u, and V - f(x) <= h_PiK(x).  So
+    ``V - h_PiK(x) <= f(x) <= V exp(-h_PiK(x) / V)``, and along a unit
+    direction theta, r*(theta) lies in ``[V - delta, V log(V/delta)] /
+    h_PiK(theta)``.  vol(I_K) = kappa_d E_theta[r*(theta)^d]: 0 once
+    delta >= V, and otherwise
+
+    * l2 ball: I_K is the ball of gauge radius :func:`ik_gauge_radius`,
+      exact, with a standard error of 0;
+    * cube: r* bisected on the exact f inside its bracket, along
+      ``outer_samples`` uniform directions (at least 2); the standard
+      error is that of the mean over the directions;
+    * every other body: the upper end of the bracket
+      ``[(V - delta)^d, (V log(V/delta))^d] vol(Pi* K)``, with the
+      standard error of vol(Pi* K) scaled alike.  Polytopes average
+      Cauchy's h_PiK^-d over ``outer_samples`` directions; lp bodies
+      take :func:`polar_proj_volume_mc` on its default direction net
+      (at most ``outer_samples`` directions) with ``inner_samples``
+      shadow points per direction.
+
+    The profile's bracket is taken over the same directions as the
+    volume, so for every body the volume lies inside it.
     """
-    if not (0.0 < delta < 1.0):
-        if delta >= 1.0:
-            est = McEstimate(0.0, 0.0, 0)
-            return IkProfile(body, delta, est, math.inf, degenerate=True)
+    if not delta > 0.0:
         raise ValueError("delta must be positive")
-    vol2k = closed_form_volume(body.scaled(2.0))
-    xs = sample_uniform(body.scaled(2.0), rng, outer_samples)
-    clf = OverlapClassifier(body, delta, rng, base_samples=inner_samples)
-    hits = int(np.count_nonzero(clf.inside(xs)))
-    p = hits / outer_samples
-    est = McEstimate(
-        value=vol2k * p,
-        std_error=vol2k * math.sqrt(p * (1.0 - p) / outer_samples),
-        samples=outer_samples,
-    )
-    degenerate = hits == 0 or hits == outer_samples
-    delta_k = math.inf if est.value == 0.0 else 1.0 / (body.d * est.value)
-    return IkProfile(body, delta, est, delta_k, degenerate)
+    d = body.d
+    V = closed_form_volume(body)
+    if delta >= V:  # f <= f(0) = V, so I_K is empty
+        return IkProfile(body, delta, McEstimate(0.0, 0.0, 0), math.inf, (0.0, 0.0))
+    lo_r, hi_r = V - delta, V * math.log(V / delta)  # radial bracket times h_PiK
+    if not has_exact_intersection(body):
+        polar = _polar_proj_volume(body, rng, outer_samples, inner_samples)
+        vol = McEstimate(hi_r**d * polar.value, hi_r**d * polar.std_error, polar.samples)
+        return IkProfile(body, delta, vol, 1.0 / (d * vol.value), (lo_r**d * polar.value, vol.value))
+    if body.p == 2.0:  # I_K is a ball: one exact radius serves every direction
+        n, inv_h = 0, 1.0 / analytic_proj_support(body, np.eye(d)[:1])
+        r = np.array([ik_gauge_radius(body, delta) * body.scale])
+    else:  # the cube
+        n = max(outer_samples, 2)
+        theta = _uniform_directions(rng, n, d)
+        inv_h = 1.0 / analytic_proj_support(body, theta)
+        r = _cube_radial_function(body, delta, theta, lo_r * inv_h, hi_r * inv_h)
+    vol = _radial_volume(r, d, n)
+    bracket = (_radial_volume(lo_r * inv_h, d, n).value, _radial_volume(hi_r * inv_h, d, n).value)
+    return IkProfile(body, delta, vol, 1.0 / (d * vol.value), bracket)
+
+
+def _radial_volume(r: np.ndarray, d: int, n: int) -> McEstimate:
+    """kappa_d E[r^d] over n uniform directions, or exactly for one radius (n = 0)."""
+    w = ball_volume(d) * r**d
+    se = float(w.std(ddof=1)) / math.sqrt(n) if n else 0.0
+    return McEstimate(float(w.mean()), se, n)
+
+
+def _uniform_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n uniform unit vectors: normalized Gaussian rows."""
+    theta = rng.normal(size=(n, d))
+    theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+    return theta
+
+
+def _cube_radial_function(body, delta, theta, lo, hi) -> np.ndarray:
+    """r*(theta) of the cube's I_K per row: the upper end after bisecting
+    [lo, hi], where f(lo theta) >= delta >= f(hi theta)."""
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        inside = exact_intersection_volume(body, mid[:, None] * theta) > delta
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return hi
+
+
+def _polar_proj_volume(body, rng, n_directions, shadow_samples) -> McEstimate:
+    """vol(Pi* K) = kappa_d E_theta[h_PiK(theta)^-d]: Cauchy's h_PiK over
+    ``n_directions`` uniform directions (at least 2) for polytopes, and
+    :func:`polar_proj_volume_mc` for other bodies."""
+    d = body.d
+    if body.polytope is None:
+        net = min(n_directions, max(2 * d * d, 32))  # polar_proj_volume_mc's default net, capped
+        return polar_proj_volume_mc(body, rng, max(net, 2), shadow_samples)
+    n = max(n_directions, 2)
+    theta = _uniform_directions(rng, n, d)
+    return _radial_volume(1.0 / analytic_proj_support(body, theta), d, n)
 
 
 def ik_gauge_radius(body: ConvexBody, delta: float, tol: float = 1e-9) -> float:
@@ -322,6 +383,10 @@ def _orthonormal_complement(u: np.ndarray) -> np.ndarray:
     return q[:, sorted(cols)]
 
 
+_MISS_MARGIN = 1e-9  # relative; the lower bound's rounding error is a few ulps of the gauge
+_MIN_CHORD = 1e-9  # probe spacing, in units of t_max, below which the miss test stops
+
+
 def _line_hits_convex(body: ConvexBody, base: np.ndarray, u: np.ndarray, t_max: float) -> np.ndarray:
     """Is min over |t| <= t_max of gauge(z + t*u) at most 1 + 1e-10, per row z?
 
@@ -335,8 +400,15 @@ def _line_hits_convex(body: ConvexBody, base: np.ndarray, u: np.ndarray, t_max: 
 
     The other rows go to a golden-section minimization of the convex
     function t -> gauge(z + t*u), 80 steps over [-t_max, t_max].  A row
-    leaves the search as a hit once a probe has gauge <= 1 + 1e-10; rows
-    left after 80 steps are hits if their last probes are.
+    leaves the search as a hit once a probe has gauge <= 1 + 1e-10, and
+    as a miss once :func:`_convex_lower_bound` of its bracket, from the
+    gauge at both ends and both probes, exceeds that by the relative
+    margin :data:`_MISS_MARGIN`: every later probe lies in the bracket,
+    so none can hit.  That test runs only while the probes stand more
+    than :data:`_MIN_CHORD` t_max apart, where the chord slopes carry
+    the gauge's rounding error by a bounded factor.  Rows left after 80
+    steps are hits if their last probes are.  The probes, and so the
+    result, are those of the search without the miss test.
     """
     tol = 1.0 + 1e-10
     hit = body.gauge(base) <= tol
@@ -347,6 +419,8 @@ def _line_hits_convex(body: ConvexBody, base: np.ndarray, u: np.ndarray, t_max: 
     rows, base = rows[~miss], base[~miss]
     a = np.full(len(rows), -t_max)
     b = np.full(len(rows), t_max)
+    fa = body.gauge(base + a[:, None] * u)
+    fb = body.gauge(base + b[:, None] * u)
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
@@ -354,21 +428,51 @@ def _line_hits_convex(body: ConvexBody, base: np.ndarray, u: np.ndarray, t_max: 
     f2 = body.gauge(base + x2[:, None] * u)
     for _ in range(80):
         found = np.minimum(f1, f2) <= tol
-        if found.any():
+        done = found
+        wide = x2 - x1 > _MIN_CHORD * t_max
+        if wide.any():
+            lower = _convex_lower_bound(a, x1, x2, b, fa, f1, f2, fb)
+            done = found | (wide & (lower > tol * (1.0 + _MISS_MARGIN)))
+        if done.any():
             hit[rows[found]] = True
-            keep = ~found
-            rows, base, a, b, x1, x2, f1, f2 = (v[keep] for v in (rows, base, a, b, x1, x2, f1, f2))
+            keep = ~done
+            rows, base, a, b, x1, x2, fa, f1, f2, fb = (
+                v[keep] for v in (rows, base, a, b, x1, x2, fa, f1, f2, fb)
+            )
         if not len(rows):
             return hit
         left = f1 <= f2
         b = np.where(left, x2, b)
+        fb = np.where(left, f2, fb)
         a = np.where(left, a, x1)
+        fa = np.where(left, fa, f1)
         x1 = b - phi * (b - a)
         x2 = a + phi * (b - a)
         f1 = body.gauge(base + x1[:, None] * u)
         f2 = body.gauge(base + x2[:, None] * u)
     hit[rows] = np.minimum(f1, f2) <= tol
     return hit
+
+
+def _convex_lower_bound(a, x1, x2, b, fa, f1, f2, fb) -> np.ndarray:
+    """Lower bound on [a, b] of a convex function with values fa, f1, f2,
+    fb at a < x1 < x2 < b, per row.
+
+    A convex function lies above each chord's line outside the chord.
+    On [a, x1] and [x2, b] that is the line of the chord (x1, x2); on
+    [x1, x2] the larger of the lines of the chords (a, x1) and (x2, b),
+    a convex function that takes its least value at x1, at x2 or where
+    the two lines cross (no crossing when the lines coincide: 0 / 0).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (f2 - f1) / (x2 - x1)
+        sl = (f1 - fa) / (x1 - a)
+        sr = (fb - f2) / (b - x2)
+        outer = np.minimum(f1 - np.maximum(s, 0.0) * (x1 - a), f2 + np.minimum(s, 0.0) * (b - x2))
+        cross = np.clip((f2 - f1 + sl * x1 - sr * x2) / (sl - sr), x1, x2)
+        inner = np.minimum(np.maximum(f1, f2 + sr * (x1 - x2)), np.maximum(f1 + sl * (x2 - x1), f2))
+        inner = np.fmin(inner, np.maximum(f1 + sl * (cross - x1), f2 + sr * (cross - x2)))
+    return np.minimum(outer, inner)
 
 
 def proj_body_support(
@@ -470,8 +574,7 @@ def polar_proj_volume_mc(
     d = body.d
     if n_directions is None:
         n_directions = max(2 * d * d, 32)
-    thetas = rng.normal(size=(n_directions, d))
-    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    thetas = _uniform_directions(rng, n_directions, d)
     vals = np.empty(n_directions)
     for i, th in enumerate(thetas):
         vals[i] = proj_body_support(body, th, support_samples, rng).value

@@ -39,6 +39,7 @@ from normpack.volumetrics import (
     polar_proj_volume_mc,
 )
 
+from estimates import brackets
 from graph_oracles import brute_force_graph, exhaustive_max_independent, graph_from_edges, graphs_equal
 
 
@@ -97,7 +98,7 @@ def test_c01_mc_volume_matches_closed_forms(conclude):
         pulls = abs(est.value - truth) / est.std_error if est.std_error else 0.0
         worst = max(worst, pulls)
         assert elapsed < 10.0, f"(d={d}, p={p}) took {elapsed:.1f}s"
-        assert est.brackets(truth), f"(d={d}, p={p}): {est.value} vs {truth}"
+        assert brackets(est, truth), f"(d={d}, p={p}): {est.value} vs {truth}"
     conclude(
         "criterion-1 mc-volume-closed-forms",
         True,
@@ -116,7 +117,7 @@ def test_c02_intersection_volume_oracles(conclude):
             truth = float(np.prod(np.maximum(1.0 - np.abs(x), 0.0)))
             est = intersection_volume(body, x, 50_000, rng)
             checked += 1
-            if not est.brackets(truth):
+            if not brackets(est, truth):
                 failures += 1
     ball = lp_ball(3, 2)
     for s in rng.uniform(0.0, 2.2, size=100):
@@ -124,7 +125,7 @@ def test_c02_intersection_volume_oracles(conclude):
         truth = ball_lens_volume(3, 1.0, s)
         est = intersection_volume(ball, x, 50_000, rng)
         checked += 1
-        if not est.brackets(truth):
+        if not brackets(est, truth):
             failures += 1
     conclude(
         "criterion-2 intersection-oracles",

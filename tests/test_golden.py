@@ -20,12 +20,12 @@ from normpack.checks import check_rogers_shephard, check_schmuckenschlager, writ
 from normpack.harness import default_config, run_pipeline, verify_suite
 
 GOLDEN = {
-    (2, 1): "078afe91e01bb583154fc33422cdeb9eed736c29cd95ffad772eb7f7fab2ba4f",
-    (2, 2): "824c676286edfe4645197f4de63a082604b566d09ec6a67a131a95b74c72af52",
-    (3, 1): "eb2c01e04bb6b438e9b35adcc8aabeffc66338b6a44aff8f9acf369ee7e442e4",
-    (3, 2): "7b380f42dd41aeefa6553d63b9df0c87b92cc25b9c23db294d8422671efdc5a9",
-    (4, 1): "cf2453f601d1ed64c842e2e4c3384ed7130e76c21f7ede1cf0426bcc4b0eecf2",
-    (4, 2): "bd2d06ab37495138aa6734b2285aac90c31142aba22d019312f9eba1f924a237",
+    (2, 1): "678c9b2d61ed1fe243fd4ecbb48d7fdc82b23b09ddecdd7c1f9da5d82cbbcb40",
+    (2, 2): "6bcd2b145a886083fa71151df54ec8ba38d54c102ef1b1186cc6d6941013ddff",
+    (3, 1): "a15cda9c9550737df09fcce7209f65fbd386f7a9a868c5998ab33ceddd8565b7",
+    (3, 2): "44af22396b918296d344a87cd9a9c95f8feb670c9e1185b332d69a38d5a1a76a",
+    (4, 1): "f2927146109ffe066e659af9b4b4e5a5514a14b7e86fc2e9475443aa60ce6a05",
+    (4, 2): "0c6200e1f04ff9b6665bd8e0037b50074f82185ad1b930858812158e014f16a0",
 }
 
 GOLDEN_REPORTS = {

@@ -147,6 +147,17 @@ class TestRunPipeline:
             "Delta_le_Delta_K": True,
         }
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_removed_x2_within_its_bound(self, d):
+        # x2_bound = n Delta vol(I_K) bounds the expected number of points with a
+        # neighbor in 2 I_K; X2 marks both ends of a pair, so the count has about
+        # twice the variance of a Poisson count with that mean
+        for seed in range(1, 11):
+            rec = run_pipeline(default_config(d, seed))
+            bound = rec.prune_report["expected_sizes"]["x2_bound"]
+            assert rec.ik["delta_k"] is not None and bound > 0.0
+            assert rec.prune_report["removed_x2"] <= bound + 3.0 * math.sqrt(2.0 * bound)
+
     def test_deterministic_records(self):
         a = run_pipeline(default_config(3, seed=4))
         b = run_pipeline(default_config(3, seed=4))
@@ -251,12 +262,17 @@ class TestSweep:
             with pytest.raises(ValueError, match="l2"):
                 sweep(replace(default_config(2), body=body), ds=[2, 3])
 
+    def test_rows_carry_delta_k(self):
+        # Delta_K of the unit-volume d = 3 ball at delta 0.95, whatever the row's Delta
+        rows = sweep(default_config(3, seed=12), deltas=[20.0, 30.0])
+        assert [row["delta_k"] for row in rows] == [pytest.approx(1123.75, rel=1e-5)] * 2
+
     def test_csv(self, tmp_path):
         rows = sweep(default_config(2, seed=12), deltas=[20.0])
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, path)
         header = path.read_text().splitlines()[0]
-        assert header == "d,Delta,n_pre,n_post,independent_set,density,trivial_bound,log_delta_over_delta,status"
+        assert header == "d,Delta,n_pre,n_post,independent_set,density,trivial_bound,log_delta_over_delta,delta_k,status"
 
 
 class TestVerifySuite:
@@ -315,6 +331,38 @@ class TestCli:
 
     def test_pack_run_writes_record_and_packing(self, tmp_path, capsys):
         self._check_record_and_packing(tmp_path, capsys, self._write_config(tmp_path))
+
+    def _write_packing(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert pack_main(["run", self._write_config(tmp_path), "--out", str(out_dir)]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        return out_dir / f"packing_{rec['config_hash'][:12]}.txt", rec
+
+    def test_verify_packing_clean(self, tmp_path, capsys):
+        path, rec = self._write_packing(tmp_path, capsys)
+        assert verify_main(["packing", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["count"] == rec["packing"]["count"]
+        assert out["density"] == pytest.approx(rec["packing"]["density"], rel=1e-12)  # vol(K) of the spec
+        assert out["min_pairwise_gauge"] == rec["packing"]["min_pairwise_gauge"]
+
+    def test_verify_packing_names_the_overlap(self, tmp_path, capsys):
+        path, _ = self._write_packing(tmp_path, capsys)
+        header, *rows = path.read_text().splitlines()
+        centers = np.array([[float(x) for x in row.split()] for row in rows])
+        # gauge 0.5 from center 3, so at least 1.5 from every other center
+        centers[7] = centers[3] + np.array([0.5, 0.0]) * UNIT_BALL_2.scale
+        bad = tmp_path / "overlap.txt"
+        bad.write_text("\n".join([header] + [" ".join(repr(float(x)) for x in c) for c in centers]) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            verify_main(["packing", str(bad)])
+        assert str(exc.value) == f"verify packing: {bad}: centers 3 and 7 overlap: gauge 0.5 < 2"
+
+    @pytest.mark.parametrize("argv", [["packing"], ["poisson", "file.txt"]])
+    def test_verify_file_only_with_packing(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            verify_main(argv)
+        assert exc.value.code == 2
 
     def test_pack_run_hpoly_packing_reverifies(self, tmp_path, capsys):
         path = tmp_path / "hpoly_cfg.json"

@@ -631,7 +631,7 @@ class TestCodegreePairs:
         dom = TorusDomain(2, 20.0)
         body = lp_ball(2, 2, scale=1.0)
         g = build_graph(sample_poisson(dom, 30.0, np.random.default_rng(3)), body, dom)
-        ik = IkProfile(body, 0.95, McEstimate(1e-3, 0.0, 1), 1.0)
+        ik = IkProfile(body, 0.95, McEstimate(1e-3, 0.0, 1), 1.0, (1e-3, 1e-3))
         prune(g, ik, 30.0, 1.2, np.random.default_rng(0))
         assert thresholds_seen == [pytest.approx(36.0)] and g._hot_max_codegree[0] == pytest.approx(36.0)
         assert np.quantile(g.degree(), 0.9) >= 36.0
@@ -765,7 +765,7 @@ class TestEdgeGauges:
         pts[3, 0] += 1.5 / body.gauge(np.eye(d)[0])  # gauge 1.5 apart
         dom = TorusDomain(d, 12.0)
         g = build_graph(pts, body, dom)
-        ik = IkProfile(body, 0.95, McEstimate(1e-3, 0.0, 1), 1.0)
+        ik = IkProfile(body, 0.95, McEstimate(1e-3, 0.0, 1), 1.0, (1e-3, 1e-3))
 
         def no_tree(*args, **kwargs):
             raise AssertionError("prune built a KD tree")

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from normpack.bodies import (
     ball_volume,
+    closed_form_volume,
     cube,
     hpolytope,
     lp_ball,
@@ -13,10 +15,12 @@ from normpack.bodies import (
     simplex_difference,
     uniform_box,
 )
+from normpack.harness import default_config
 from normpack.volumetrics import (
     McEstimate,
     OverlapClassifier,
     _ball_lens_volumes,
+    _convex_lower_bound,
     _line_hits_convex,
     _orthonormal_complement,
     analytic_polar_proj_volume,
@@ -33,13 +37,14 @@ from normpack.volumetrics import (
     proj_body_support,
     row_norms,
 )
+from estimates import brackets
 from polytope_oracles import criterion4_hpolytope
 
 
 class TestMcVolume:
     def test_disk_calibration(self):
         est = mc_volume(lp_ball(2, 2), 500_000, np.random.default_rng(0))
-        assert est.brackets(math.pi)
+        assert brackets(est, math.pi)
         assert est.std_error < 0.01
 
     def test_cube_is_noise_free(self):
@@ -137,7 +142,7 @@ class TestExactIntersection:
         b = lp_ball(3, 2)
         x = np.array([0.6, 0.2, -0.3])
         est = intersection_volume(b, x, 200_000, rng)
-        assert est.brackets(exact_intersection_volume(b, x))
+        assert brackets(est, exact_intersection_volume(b, x))
 
     def test_ray_monotone(self):
         # f is nonincreasing along rays from the origin
@@ -178,10 +183,18 @@ class TestOverlapClassifier:
 
 class TestEstimateIk:
     def test_delta_ge_one_degenerate(self):
-        prof = estimate_ik(lp_ball(2, 2), 1.0, 1000, 500, np.random.default_rng(0))
-        assert prof.degenerate
-        assert prof.vol_ik == 0.0
+        # f <= f(0) = vol(K) = 1, so I_K is empty
+        prof = estimate_ik(cube(2), 1.0, 1000, 500, np.random.default_rng(0))
+        assert prof.vol_ik == 0.0 and prof.bracket == (0.0, 0.0)
         assert math.isinf(prof.delta_k)
+
+    @pytest.mark.parametrize("body", [lp_ball(2, 2), cube(2, side=2.0), lp_ball(2, 3), simplex_difference(2)])
+    def test_empty_exactly_from_the_volume(self, body):
+        # I_K = {f > delta} is empty exactly when delta >= f(0) = vol(K), whatever vol(K) is
+        V = closed_form_volume(body)
+        assert V > 1.0
+        assert estimate_ik(body, 1.0, 1000, 2000, np.random.default_rng(0)).vol_ik > 0.0
+        assert estimate_ik(body, V, 1000, 2000, np.random.default_rng(0)).vol_ik == 0.0
 
     def test_delta_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -220,6 +233,79 @@ class TestEstimateIk:
             vals.append(prof.delta_k)
         assert vals[-1] > vals[0]
         assert all(b > a * 0.9 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("d,vol", [(2, 0.0061717), (3, 2.9663e-4), (4, 1.206e-5)])
+    def test_unit_ball_exact(self, d, vol):
+        # I_K of the unit-volume ball at delta 0.95 is the ball of radius g_ik
+        prof = estimate_ik(normalize_to_unit_volume(lp_ball(d, 2)), 0.95, 20_000, 500, np.random.default_rng(0))
+        assert prof.vol_ik == pytest.approx(vol, rel=1e-4)
+        assert prof.volume_estimate.std_error == 0.0
+        assert prof.delta_k == 1.0 / (d * prof.vol_ik)
+
+    @pytest.mark.parametrize("d,side,delta", [(2, 1.0, 0.95), (3, 1.0, 0.95), (3, 1.3, 0.5 * 1.3**3)])
+    def test_cube_vs_hit_or_miss(self, d, side, delta):
+        # 2M points uniform in a box around log(V/delta) V Pi* K, which holds I_K,
+        # classified by the cube's exact f
+        body = cube(d, side=side)
+        prof = estimate_ik(body, delta, 20_000, 0, np.random.default_rng(1))
+        V = side**d
+        half = V * math.log(V / delta) / side ** (d - 1)  # h_PiK(theta) >= side^(d-1) on unit theta
+        rng = np.random.default_rng(2)
+        n, hits = 2_000_000, 0
+        for _ in range(8):
+            x = uniform_box(rng, np.full(d, half), n // 8)
+            hits += int(np.count_nonzero(exact_intersection_volume(body, x) > delta))
+        box, p = (2.0 * half) ** d, hits / n
+        se = box * math.sqrt(p * (1.0 - p) / n)
+        assert abs(prof.vol_ik - box * p) <= 3.0 * math.hypot(se, prof.volume_estimate.std_error)
+        assert prof.volume_estimate.std_error < 0.01 * prof.vol_ik
+
+    def test_lp3_default_sizes_in_bounded_time(self):
+        # the default config's 20k directions and shadow points: 103 s on the 2K sampler
+        cfg = default_config(2)
+        body = normalize_to_unit_volume(lp_ball(2, 3))
+        t0 = time.perf_counter()
+        prof = estimate_ik(body, cfg.ik_delta, cfg.ik_outer_samples, cfg.mc_samples, np.random.default_rng(5))
+        assert time.perf_counter() - t0 < 2.0
+        assert prof.volume_estimate.samples == 32  # polar_proj_volume_mc's default net at d = 2
+        assert prof.volume_estimate.std_error < 0.03 * prof.vol_ik
+
+    SANDWICH = {
+        "l2": normalize_to_unit_volume(lp_ball(3, 2)),
+        "cube": cube(3),
+        "lp3_d2": normalize_to_unit_volume(lp_ball(2, 3)),
+        "lp3_d3": normalize_to_unit_volume(lp_ball(3, 3)),
+        "lp1.5_d4": normalize_to_unit_volume(lp_ball(4, 1.5)),
+        "simplex_diff": normalize_to_unit_volume(simplex_difference(3)),
+        "hpoly": normalize_to_unit_volume(criterion4_hpolytope()),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SANDWICH))
+    def test_vol_inside_sandwich(self, name):
+        # (1 - delta)^d vol(Pi* K) <= vol(I_K) <= log(1/delta)^d vol(Pi* K) for unit volume
+        body = self.SANDWICH[name]
+        delta, d = 0.95, body.d
+        prof = estimate_ik(body, delta, 2000, 5000, np.random.default_rng(3))
+        lo, hi = prof.bracket
+        assert 0.0 < lo <= prof.vol_ik <= hi and math.isfinite(prof.delta_k)
+        assert hi / lo == pytest.approx((math.log(1.0 / delta) / (1.0 - delta)) ** d, rel=1e-9)
+        polar = hi / math.log(1.0 / delta) ** d  # vol(Pi* K) the profile used
+        se = prof.volume_estimate.std_error / math.log(1.0 / delta) ** d
+        exact = analytic_polar_proj_volume(body)
+        if exact is not None:  # balls and cubes
+            assert polar == pytest.approx(exact, abs=3.0 * se + 1e-12 * exact)
+        elif body.polytope is not None:  # Cauchy's h_PiK, on another direction net
+            other = polar_proj_volume_mc(body, np.random.default_rng(4), n_directions=400, support_samples=0)
+            assert abs(polar - other.value) <= 3.0 * math.hypot(se, other.std_error)
+            assert prof.vol_ik == hi
+        else:  # Pi is monotone under inclusion, and the polar reverses it
+            assert prof.vol_ik == hi
+            s = body.scale
+            balls = [analytic_polar_proj_volume(lp_ball(d, q, scale=s)) for q in (2.0, math.inf)]
+            if body.p < 2.0:  # K lies in the l2 ball of the same scale, so Pi* K holds its polar
+                assert polar >= balls[0] - 3.0 * se
+            else:  # between the l2 ball and the cube of the same scale
+                assert balls[1] - 3.0 * se <= polar <= balls[0] + 3.0 * se
 
 
 class TestIkGaugeRadius:
@@ -306,7 +392,7 @@ class TestProjSupport:
         rng = np.random.default_rng(11)
         u = np.array([0.0, 1.0, 0.0])
         est = proj_body_support(lp_ball(3, 2), u, 100_000, rng, force_mc=True)
-        assert est.brackets(math.pi)
+        assert brackets(est, math.pi)
 
     def test_mc_cube_diagonal_vs_hull_oracle(self):
         # project the cube vertices and take the exact 2-D hull area
@@ -322,7 +408,7 @@ class TestProjSupport:
         rng = np.random.default_rng(12)
         est = proj_body_support(cube(3, side=2.0), u, 200_000, rng, force_mc=True)
         assert hull.volume == pytest.approx(4.0 * math.sqrt(3.0), rel=1e-9)
-        assert est.brackets(hull.volume)
+        assert brackets(est, hull.volume)
 
     def test_generic_golden_section_route(self):
         # l_4 ball shadow is close to but above the l_2 shadow
@@ -357,7 +443,7 @@ class TestProjSupport:
             exact = proj_body_support(body, u, 1000, rng)
             assert exact.std_error == 0.0 and exact.value == analytic_proj_support(body, u)
             est = proj_body_support(body, u, 400_000, rng, force_mc=True)
-            assert est.brackets(exact.value)
+            assert brackets(est, exact.value)
 
     def test_simplex_diff_shadow_positive(self):
         rng = np.random.default_rng(14)
@@ -367,7 +453,9 @@ class TestProjSupport:
 
 
 def golden_section_line_hits(body, base, u, t_max):
-    """Reference: 80 golden-section steps on every row, no certificates."""
+    """Reference: 80 golden-section steps on every row, no certificates;
+    a line hits when any of its probes has gauge <= 1 + 1e-10."""
+    tol = 1.0 + 1e-10
     a = np.full(len(base), -t_max)
     b = np.full(len(base), t_max)
     phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -375,6 +463,7 @@ def golden_section_line_hits(body, base, u, t_max):
     x2 = a + phi * (b - a)
     f1 = body.gauge(base + x1[:, None] * u)
     f2 = body.gauge(base + x2[:, None] * u)
+    hit = np.minimum(f1, f2) <= tol
     for _ in range(80):
         left = f1 <= f2
         b = np.where(left, x2, b)
@@ -383,7 +472,8 @@ def golden_section_line_hits(body, base, u, t_max):
         x2 = a + phi * (b - a)
         f1 = body.gauge(base + x1[:, None] * u)
         f2 = body.gauge(base + x2[:, None] * u)
-    return np.minimum(f1, f2) <= 1.0 + 1e-10
+        hit |= np.minimum(f1, f2) <= tol
+    return hit
 
 
 def interval_line_hits(body, base, u):
@@ -425,19 +515,114 @@ def random_directions(d, n, rng):
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
+def golden_section_min_gauge(body, base, u):
+    """Least gauge on each line z + t*u (z orthogonal to u): 100 golden-section
+    steps over |t| <= gauge(z) h(u), which holds every point of the line
+    with gauge at most gauge(z)."""
+    b = body.gauge(base) * body.support(u)
+    a = -b
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(100):
+        x1 = b - phi * (b - a)
+        x2 = a + phi * (b - a)
+        left = body.gauge(base + x1[:, None] * u) <= body.gauge(base + x2[:, None] * u)
+        b = np.where(left, x2, b)
+        a = np.where(left, a, x1)
+    return body.gauge(base + (0.5 * (a + b))[:, None] * u)
+
+
+class GaugeRowCounter:
+    """A body that counts the rows it gauges."""
+
+    def __init__(self, body):
+        self.body = body
+        self.rows = 0
+
+    def gauge(self, x):
+        self.rows += len(x)
+        return self.body.gauge(x)
+
+    def support(self, u):
+        return self.body.support(u)
+
+
+SEARCHED = [
+    lp_ball(3, 3),
+    lp_ball(4, 1.5),
+    lp_ball(3, 4),
+    simplex_difference(3),
+    criterion4_hpolytope(),
+    lp_ball(2, 3),
+]
+SEARCHED_IDS = ["lp3_d3", "lp1.5_d4", "lp4_d3", "simplex_diff_d3", "criterion4_hpoly", "lp3_d2"]
+
+
 class TestLineHits:
-    @pytest.mark.parametrize(
-        "body",
-        [lp_ball(3, 3), lp_ball(4, 1.5), lp_ball(3, 4), simplex_difference(3), criterion4_hpolytope()],
-        ids=["lp3_d3", "lp1.5_d4", "lp4_d3", "simplex_diff_d3", "criterion4_hpoly"],
-    )
+    @pytest.mark.parametrize("body", SEARCHED, ids=SEARCHED_IDS)
     def test_certified_route_matches_golden_section(self, body):
+        # 4000 lines in each of 10 directions, so 240k lines over the six bodies,
+        # drawn over 1.25 times the shadow's bounding box: at d = 2 that box is
+        # the shadow itself
         rng = np.random.default_rng(21)
         for u in random_directions(body.d, 10, rng):
-            base, t_max = shadow_lines(body, u, 3000, rng)
+            base, t_max = shadow_lines(body, u, 4000, rng)
+            base *= 1.25
             hits = _line_hits_convex(body, base, u, t_max)
             assert 0 < hits.sum() < len(base)
             np.testing.assert_array_equal(hits, golden_section_line_hits(body, base, u, t_max))
+
+    @pytest.mark.parametrize("body", SEARCHED, ids=SEARCHED_IDS)
+    def test_shadow_boundary_lines_match_golden_section(self, body):
+        # lines just inside, on and just outside the shadow's boundary, where
+        # the least gauge on the line is within a relative 1e-4 of 1; none at
+        # the hit tolerance 1e-10 itself, where rounding decides either way
+        rng = np.random.default_rng(24)
+        eps = np.array(
+            [-1e-4, -1e-8, -1e-10, -1e-12, 0.0, 1e-12, 5e-11, 2e-10, 1e-9, 1.1e-9, 1.2e-9, 3e-9, 1e-8, 1e-6, 1e-4]
+        )
+        for u in random_directions(body.d, 8, rng):
+            base, t_max = shadow_lines(body, u, 400, rng)
+            edge = base / golden_section_min_gauge(body, base, u)[:, None]
+            lines = (edge[:, None, :] * (1.0 + eps)[None, :, None]).reshape(-1, body.d)
+            hits = _line_hits_convex(body, lines, u, t_max)
+            np.testing.assert_array_equal(hits, golden_section_line_hits(body, lines, u, t_max))
+            by_eps = hits.reshape(len(base), len(eps))
+            assert by_eps[:, eps <= 0].all() and not by_eps[:, eps >= 1e-9].any()
+
+    @pytest.mark.parametrize("body", [lp_ball(3, 3), simplex_difference(3)], ids=["lp3", "simplex_diff"])
+    def test_miss_certificate_saves_gauge_rows(self, body, monkeypatch):
+        # against the same search with the miss test switched off
+        from normpack import volumetrics
+
+        rng = np.random.default_rng(25)
+        u = random_directions(3, 1, rng)[0]
+        base, t_max = shadow_lines(body, u, 20_000, rng)
+        certified = GaugeRowCounter(body)
+        hits = _line_hits_convex(certified, base, u, t_max)
+        monkeypatch.setattr(volumetrics, "_MIN_CHORD", math.inf)
+        searched = GaugeRowCounter(body)
+        np.testing.assert_array_equal(hits, _line_hits_convex(searched, base, u, t_max))
+        assert certified.rows < 0.4 * searched.rows
+
+    def test_convex_lower_bound(self):
+        # max of two random lines plus a random parabola, on random brackets
+        rng = np.random.default_rng(26)
+        n = 5000
+        a = rng.uniform(-2.0, 0.0, n)
+        b = a + rng.uniform(1e-6, 4.0, n)
+        phi = (math.sqrt(5.0) - 1.0) / 2.0
+        x1, x2 = b - phi * (b - a), a + phi * (b - a)
+        c, k = rng.uniform(-3.0, 3.0, (2, n)), rng.uniform(-2.0, 2.0, (2, n))
+        q = rng.uniform(0.0, 3.0, n) * (rng.random(n) < 0.5)
+
+        def f(t):
+            return np.maximum(k[0] * (t - c[0]), k[1] * (t - c[1])) + q * (t - c[0]) ** 2
+
+        lower = _convex_lower_bound(a, x1, x2, b, f(a), f(x1), f(x2), f(b))
+        grid = np.linspace(0.0, 1.0, 1001)[:, None]
+        least = f(a + grid * (b - a)).min(axis=0)
+        assert np.all(lower <= least + 1e-12 * (1.0 + np.abs(least)))
+        assert np.median(least - lower) < 0.5 * np.median(f(x1) - least)
 
     @pytest.mark.parametrize("body", [lp_ball(3, 2, scale=0.8), cube(3, side=1.4)], ids=["lp2", "lpinf"])
     def test_generic_path_matches_interval_branch(self, body):
@@ -545,10 +730,10 @@ class TestPolarProjVolumes:
 class TestMcEstimate:
     def test_brackets(self):
         e = McEstimate(1.0, 0.1, 100)
-        assert e.brackets(1.25)
-        assert not e.brackets(1.5)
+        assert brackets(e, 1.25)
+        assert not brackets(e, 1.5)
 
     def test_zero_error_exact(self):
         e = McEstimate(2.0, 0.0, 0)
-        assert e.brackets(2.0)
-        assert not e.brackets(2.0 + 1e-9)
+        assert brackets(e, 2.0)
+        assert not brackets(e, 2.0 + 1e-9)
