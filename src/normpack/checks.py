@@ -23,15 +23,13 @@ from .bodies import (
 )
 from .volumetrics import (
     analytic_polar_proj_volume,
-    analytic_proj_support,
     exact_intersection_volume,
     has_exact_intersection,
     intersection_volume,
     mc_volume,
     polar_proj_ball_volume,
     polar_proj_volume_mc,
-    proj_body_support,
-    row_norms,
+    proj_support_rows,
 )
 
 
@@ -87,30 +85,6 @@ def write_reports_csv(reports, path) -> None:
             w.writerow(row)
 
 
-def _h_proj(body, rng, support_samples):
-    """h_{Pi K}(x) one point per call: :func:`proj_body_support` (the
-    closed form where there is one, else the shadow Monte Carlo) at x/|x|,
-    rescaled."""
-
-    def h(x):
-        n = np.linalg.norm(x)
-        if n == 0:
-            return 0.0
-        return proj_body_support(body, x / n, support_samples, rng).value * n
-
-    return h
-
-
-def _h_proj_rows(body, xs):
-    """``_h_proj`` of a closed-form body over the rows of xs in one call,
-    each value equal to the one-point value bit for bit."""
-    n = row_norms(xs)
-    h = np.zeros(len(xs))
-    nz = n != 0
-    h[nz] = analytic_proj_support(body, xs[nz] / n[nz, None]) * n[nz]
-    return h
-
-
 def check_schmuckenschlager(
     body: ConvexBody,
     delta: float,
@@ -126,22 +100,21 @@ def check_schmuckenschlager(
     Inner: h_{Pi K}(x) <= (1-delta)(1-slack) must imply f(x) > delta.
 
     The trial points x are uniform in 2K.  Balls and cubes take f and
-    h_{Pi K} at all of them in one closed-form call each.  Other bodies
-    run one point at a time, its f estimate then its h_{Pi K}, so their
-    Monte Carlo draws keep that order.
+    h_{Pi K} (:func:`proj_support_rows`) at all of them in one call each.
+    Other bodies run one point at a time, its f estimate then its h_{Pi K},
+    so their Monte Carlo draws keep that order.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta in (0,1) required")
     xs = sample_uniform(body.scaled(2.0), rng, trials)
     if has_exact_intersection(body):
         fx = exact_intersection_volume(body, xs)
-        hx = _h_proj_rows(body, xs)
+        hx = proj_support_rows(body, xs, mc_samples, rng)
     else:
-        h = _h_proj(body, rng, mc_samples)
         fx, hx = np.empty(trials), np.empty(trials)
         for i, x in enumerate(xs):
             fx[i] = intersection_volume(body, x, mc_samples, rng).value
-            hx[i] = h(x)
+            hx[i] = proj_support_rows(body, x[None], mc_samples, rng)[0]
     outer = fx > delta
     inner = hx <= (1.0 - delta) * (1.0 - slack)
     outer_viol = int(np.count_nonzero(outer & (hx > math.log(1.0 / delta) * (1.0 + slack))))
@@ -221,11 +194,10 @@ def check_logconcavity(
     slope_fail = 0
     slope_errs = []
     if slope_directions > 0:
-        h = _h_proj(body, rng, mc_samples)
         for _ in range(slope_directions):
             y = rng.normal(size=body.d)
             y /= np.linalg.norm(y)
-            hy = h(y)
+            hy = proj_support_rows(body, y[None], mc_samples, rng)[0]
             eps = 0.05 / hy
             if exact:
                 fe = float(exact_intersection_volume(body, eps * y))
@@ -335,17 +307,6 @@ def check_rogers_shephard(
 
 
 # -- Minkowski difference-body equivalence ----------------------------
-
-
-def simplex_diff_membership_dual(d: int, z: np.ndarray) -> np.ndarray:
-    """z in (S - S) for the regular simplex S, via the positive-part test.
-
-    Lifting z to the zero-sum hyperplane, z = u - v with u, v in the
-    simplex iff sum(max(w_i, 0)) <= 1.  Independent of the l_1 gauge route.
-    """
-    E = helmert_basis(d)
-    w = np.atleast_2d(z) @ E.T
-    return np.maximum(w, 0.0).sum(axis=-1) <= 1.0 + 1e-12
 
 
 def check_minkowski_equivalence(

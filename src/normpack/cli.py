@@ -9,8 +9,9 @@ Three commands are installed:
   body or L fails the ``normalize`` or ``validate`` stage, and a
   ``--workers`` below 1 end them with a message,
 * ``vol body-info <body>`` and ``vol intersection <body> --x <vec>``
-  for one-off volumetrics (a vector whose length is not the body's d
-  ends ``vol intersection`` with a message),
+  for one-off volumetrics; a body spec they cannot read, a vector whose
+  length is not the body's d and a ``--samples`` below 1 end them with
+  a message,
 * ``verify all|schmuck|logconc|petty|rs|minkowski|poisson [--level]
   [--out PATH]`` for the verification suite; PATH ending in ``.csv``
   gets CSV, any other PATH JSON lines,
@@ -137,29 +138,26 @@ def vol_main(argv=None) -> int:
     int_p.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
 
-    with open(args.body) as fh:
-        body = body_from_spec(json.load(fh))
-    vol = closed_form_volume(body)
-    if args.cmd == "body-info":
-        unit = normalize_to_unit_volume(body, vol)
-        print(
-            json.dumps(
-                {
-                    "body": body.describe(),
-                    "d": body.d,
-                    "volume": vol,
-                    "circumradius": body.circumradius(),
-                    "unit_volume_scale": unit.scale,
-                },
-                sort_keys=True,
-            )
-        )
-        return 0
-    x = np.asarray([float(v) for v in args.x.split(",")])
-    if len(x) != body.d:
-        raise SystemExit(f"vol intersection: --x has {len(x)} coordinates, the body has d={body.d}")
-    est = intersection_volume(body, x, args.samples, np.random.default_rng(args.seed), volume=vol)
-    print(json.dumps({"x": list(map(float, x)), "value": est.value, "std_error": est.std_error}, sort_keys=True))
+    try:  # a missing or malformed body spec, an unknown body kind, --samples below 1
+        with open(args.body) as fh:
+            body = body_from_spec(json.load(fh))
+        if args.cmd == "body-info":
+            out = {
+                "body": body.describe(),
+                "d": body.d,
+                "volume": closed_form_volume(body),
+                "circumradius": body.circumradius(),
+                "unit_volume_scale": normalize_to_unit_volume(body).scale,
+            }
+        else:
+            x = np.asarray([float(v) for v in args.x.split(",")])
+            if len(x) != body.d:
+                raise SystemExit(f"vol intersection: --x has {len(x)} coordinates, the body has d={body.d}")
+            est = intersection_volume(body, x, args.samples, np.random.default_rng(args.seed))
+            out = {"x": list(map(float, x)), "value": est.value, "std_error": est.std_error}
+    except (OSError, KeyError, ValueError) as exc:
+        raise SystemExit(f"vol {args.cmd}: {args.body}: {exc}") from exc
+    print(json.dumps(out, sort_keys=True))
     return 0
 
 

@@ -68,23 +68,6 @@ def mc_volume(body: ConvexBody, samples: int, rng: np.random.Generator) -> McEst
 # -- intersection volumes ---------------------------------------------
 
 
-def ball_cap_volume(d: int, r: float, a: float) -> float:
-    """Volume of the cap {x in B(0,r) : x_1 >= a} for 0 <= a <= r."""
-    if a >= r:
-        return 0.0
-    if a <= -r:
-        return ball_volume(d) * r**d
-    x = 1.0 - (a / r) ** 2
-    half = 0.5 * ball_volume(d) * r**d
-    cap = half * betainc(0.5 * (d + 1), 0.5, x)
-    return cap if a >= 0 else 2.0 * half - cap
-
-
-def ball_lens_volume(d: int, r: float, s: float) -> float:
-    """vol of the intersection of two radius-r balls with centers s apart."""
-    return 2.0 * ball_cap_volume(d, r, 0.5 * s)
-
-
 def exact_intersection_volume(body: ConvexBody, x: np.ndarray) -> np.ndarray | float | None:
     """Closed-form f(x) = vol(body cap (body + x)) where known.
 
@@ -95,20 +78,21 @@ def exact_intersection_volume(body: ConvexBody, x: np.ndarray) -> np.ndarray | f
         return None
     x = np.asarray(x, dtype=float)
     if body.p == 2.0:
-        out = _ball_lens_volumes(body.d, body.scale, np.sqrt(fold_columns(np.add, x * x)))
+        out = ball_lens_volume(body.d, body.scale, np.sqrt(fold_columns(np.add, x * x)))
     else:
         side = 2.0 * body.scale
         out = fold_columns(np.multiply, np.maximum(side - np.abs(x), 0.0))
     return float(out) if out.ndim == 0 else out
 
 
-def _ball_lens_volumes(d: int, r: float, s: np.ndarray) -> np.ndarray:
-    """``ball_lens_volume`` over an array of center distances s >= 0.
+def ball_lens_volume(d: int, r: float, s: np.ndarray) -> np.ndarray:
+    """vol of the intersection of two radius-r balls, per center distance s >= 0.
 
-    One ``betainc`` call, with the scalar function's operations in the
-    same order, so each element equals the scalar value bit for bit.
-    ``float_power`` calls libm ``pow`` per element as the scalar ``**``
-    does; an array ``** 2`` squares instead and differs in the last bit.
+    Twice the cap {x in B(0, r) : x_1 >= s/2}: half the ball's volume
+    times a regularized incomplete beta, in one ``betainc`` call.  Each
+    element equals the scalar cap formula bit for bit.  ``float_power``
+    calls libm ``pow`` per element as a scalar ``**`` does; an array
+    ``** 2`` squares instead and differs in the last bit.
     """
     s = np.asarray(s, dtype=float)
     a = 0.5 * s
@@ -129,17 +113,14 @@ def intersection_volume(
     x: np.ndarray,
     samples: int,
     rng: np.random.Generator,
-    volume: float | None = None,
 ) -> McEstimate:
     """Estimate f(x) = vol(body cap (body + x)).
 
     Samples y uniform in the body and tests gauge(y - x) <= 1; the hit
-    fraction times vol(body) is an unbiased estimate.  ``volume``
-    defaults to the closed form (1 for a normalized body).
+    fraction times the closed-form vol(body) is an unbiased estimate.
     """
     x = np.asarray(x, dtype=float)
-    if volume is None:
-        volume = closed_form_volume(body)
+    volume = closed_form_volume(body)
     y = sample_uniform(body, rng, samples)
     p = float(np.count_nonzero(body.gauge(y - x) <= 1.0)) / samples
     return McEstimate(
@@ -235,11 +216,11 @@ def estimate_ik(
       error is that of the mean over the directions;
     * every other body: the upper end of the bracket
       ``[(V - delta)^d, (V log(V/delta))^d] vol(Pi* K)``, with the
-      standard error of vol(Pi* K) scaled alike.  Polytopes average
-      Cauchy's h_PiK^-d over ``outer_samples`` directions; lp bodies
-      take :func:`polar_proj_volume_mc` on its default direction net
-      (at most ``outer_samples`` directions) with ``inner_samples``
-      shadow points per direction.
+      standard error of vol(Pi* K) scaled alike.  vol(Pi* K) comes from
+      :func:`polar_proj_volume_mc`: over ``outer_samples`` directions
+      with Cauchy's h_PiK for polytopes, and on its default direction
+      net (at most ``outer_samples`` directions) with ``inner_samples``
+      shadow points per direction for lp bodies.
 
     The profile's bracket is taken over the same directions as the
     volume, so for every body the volume lies inside it.
@@ -252,7 +233,9 @@ def estimate_ik(
         return IkProfile(body, delta, McEstimate(0.0, 0.0, 0), math.inf, (0.0, 0.0))
     lo_r, hi_r = V - delta, V * math.log(V / delta)  # radial bracket times h_PiK
     if not has_exact_intersection(body):
-        polar = _polar_proj_volume(body, rng, outer_samples, inner_samples)
+        # lp bodies cap the net at polar_proj_volume_mc's default size
+        net = outer_samples if body.polytope is not None else min(outer_samples, max(2 * d * d, 32))
+        polar = polar_proj_volume_mc(body, rng, max(net, 2), inner_samples)
         vol = McEstimate(hi_r**d * polar.value, hi_r**d * polar.std_error, polar.samples)
         return IkProfile(body, delta, vol, 1.0 / (d * vol.value), (lo_r**d * polar.value, vol.value))
     if body.p == 2.0:  # I_K is a ball: one exact radius serves every direction
@@ -262,7 +245,7 @@ def estimate_ik(
         n = max(outer_samples, 2)
         theta = _uniform_directions(rng, n, d)
         inv_h = 1.0 / analytic_proj_support(body, theta)
-        r = _cube_radial_function(body, delta, theta, lo_r * inv_h, hi_r * inv_h)
+        r = _radial_function(body, delta, theta, lo_r * inv_h, hi_r * inv_h, BISECTION_STEPS)
     vol = _radial_volume(r, d, n)
     bracket = (_radial_volume(lo_r * inv_h, d, n).value, _radial_volume(hi_r * inv_h, d, n).value)
     return IkProfile(body, delta, vol, 1.0 / (d * vol.value), bracket)
@@ -282,10 +265,11 @@ def _uniform_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return theta
 
 
-def _cube_radial_function(body, delta, theta, lo, hi) -> np.ndarray:
-    """r*(theta) of the cube's I_K per row: the upper end after bisecting
-    [lo, hi], where f(lo theta) >= delta >= f(hi theta)."""
-    for _ in range(BISECTION_STEPS):
+def _radial_function(body, delta, theta, lo, hi, steps) -> np.ndarray:
+    """r*(theta) of I_K per row of theta on the body's exact f: the upper
+    end after ``steps`` halvings of [lo, hi], where f(lo theta) >= delta
+    >= f(hi theta)."""
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
         inside = exact_intersection_volume(body, mid[:, None] * theta) > delta
         lo = np.where(inside, mid, lo)
@@ -293,20 +277,7 @@ def _cube_radial_function(body, delta, theta, lo, hi) -> np.ndarray:
     return hi
 
 
-def _polar_proj_volume(body, rng, n_directions, shadow_samples) -> McEstimate:
-    """vol(Pi* K) = kappa_d E_theta[h_PiK(theta)^-d]: Cauchy's h_PiK over
-    ``n_directions`` uniform directions (at least 2) for polytopes, and
-    :func:`polar_proj_volume_mc` for other bodies."""
-    d = body.d
-    if body.polytope is None:
-        net = min(n_directions, max(2 * d * d, 32))  # polar_proj_volume_mc's default net, capped
-        return polar_proj_volume_mc(body, rng, max(net, 2), shadow_samples)
-    n = max(n_directions, 2)
-    theta = _uniform_directions(rng, n, d)
-    return _radial_volume(1.0 / analytic_proj_support(body, theta), d, n)
-
-
-def ik_gauge_radius(body: ConvexBody, delta: float, tol: float = 1e-9) -> float:
+def ik_gauge_radius(body: ConvexBody, delta: float) -> float:
     """A g with I_K contained in {gauge <= g}: the smallest one for the l2
     ball and the cube, 1.0 for any other body when delta >= vol(K)/2, and
     2.0 otherwise.
@@ -318,7 +289,6 @@ def ik_gauge_radius(body: ConvexBody, delta: float, tol: float = 1e-9) -> float:
     delta = vol/2.)  Pruning reads X2's candidate pairs off the graph's
     edges whenever 2 g <= 2.
     """
-    f = exact_intersection_volume
     if body.kind == "lp" and math.isinf(body.p):
         # f > delta forces (side - |x_i|) * side^(d-1) > delta on each axis
         side = 2.0 * body.scale
@@ -327,14 +297,8 @@ def ik_gauge_radius(body: ConvexBody, delta: float, tol: float = 1e-9) -> float:
             return 0.0
         return 2.0 * (1.0 - delta / vol)
     if body.kind == "lp" and body.p == 2.0:
-        lo, hi = 0.0, 2.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if f(body, np.array([mid * body.scale] + [0.0] * (body.d - 1))) > delta:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+        e1 = np.eye(body.d)[:1] * body.scale  # 31 halvings of [0, 2] leave a bracket below 1e-9
+        return float(_radial_function(body, delta, e1, np.zeros(1), np.full(1, 2.0), 31)[0])
     return 1.0 if delta >= 0.5 * closed_form_volume(body) else 2.0
 
 
@@ -517,6 +481,25 @@ def proj_body_support(
     )
 
 
+def proj_support_rows(body: ConvexBody, xs: np.ndarray, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """h_{Pi K}(x) per row x of xs: h at x/|x| rescaled by |x|, 0 at x = 0.
+
+    Balls, cubes and polytopes take :func:`analytic_proj_support` of all
+    rows in one call.  Other bodies call :func:`proj_body_support` row by
+    row, in row order, each drawing ``samples`` shadow points from rng.
+    """
+    xs = np.asarray(xs, dtype=float)
+    n = row_norms(xs)
+    nz = np.flatnonzero(n)
+    u = xs[nz] / n[nz, None]
+    h_u = analytic_proj_support(body, u)
+    if h_u is None:
+        h_u = np.array([proj_body_support(body, ui, samples, rng).value for ui in u])
+    h = np.zeros(len(xs))
+    h[nz] = h_u * n[nz]
+    return h
+
+
 @dataclass(frozen=True)
 class PolarProjBall:
     """Exact volume of the polar projection body of the unit-volume ball."""
@@ -566,22 +549,13 @@ def polar_proj_volume_mc(
 ) -> McEstimate:
     """vol(Pi* K) from a direction net, via the radial formula.
 
-    Since gauge_{Pi* K}(x) = h_{Pi K}(x), the volume equals
-    gamma_d * E_theta[h_{Pi K}(theta)^(-d)] over uniform unit theta.
-    Net resolution (not just sampling noise) limits accuracy; the
-    standard error reported covers the directional average only.
+    Since gauge_{Pi* K}(x) = h_{Pi K}(x), the volume equals gamma_d *
+    E_theta[h_{Pi K}(theta)^(-d)] over uniform unit theta, h_{Pi K} from
+    :func:`proj_support_rows`.  Net resolution (not just sampling noise)
+    limits accuracy; the standard error covers the directional average only.
     """
     d = body.d
     if n_directions is None:
         n_directions = max(2 * d * d, 32)
     thetas = _uniform_directions(rng, n_directions, d)
-    vals = np.empty(n_directions)
-    for i, th in enumerate(thetas):
-        vals[i] = proj_body_support(body, th, support_samples, rng).value
-    r_d = vals**(-float(d))
-    gd = ball_volume(d)
-    return McEstimate(
-        value=gd * float(r_d.mean()),
-        std_error=gd * float(r_d.std(ddof=1)) / math.sqrt(n_directions),
-        samples=n_directions,
-    )
+    return _radial_volume(1.0 / proj_support_rows(body, thetas, support_samples, rng), d, n_directions)

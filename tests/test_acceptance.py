@@ -32,14 +32,13 @@ from normpack.indset import greedy_independent_set, local_search_improve
 from normpack.packing import PackingGraph, TorusDomain, build_graph
 from normpack.volumetrics import (
     analytic_polar_proj_volume,
-    ball_lens_volume,
     intersection_volume,
     mc_volume,
     polar_proj_ball_volume,
     polar_proj_volume_mc,
 )
 
-from estimates import brackets
+from estimates import ball_lens_scalar, brackets
 from graph_oracles import brute_force_graph, exhaustive_max_independent, graph_from_edges, graphs_equal
 
 
@@ -122,7 +121,7 @@ def test_c02_intersection_volume_oracles(conclude):
     ball = lp_ball(3, 2)
     for s in rng.uniform(0.0, 2.2, size=100):
         x = np.array([s, 0.0, 0.0])
-        truth = ball_lens_volume(3, 1.0, s)
+        truth = ball_lens_scalar(3, 1.0, s)
         est = intersection_volume(ball, x, 50_000, rng)
         checked += 1
         if not brackets(est, truth):

@@ -14,13 +14,16 @@ from normpack.checks import (
     check_rogers_shephard,
     check_schmuckenschlager,
     regular_simplex_volume,
-    simplex_diff_membership_dual,
     write_reports_csv,
     write_reports_jsonl,
-    _h_proj_rows,
 )
-from normpack.volumetrics import exact_intersection_volume
-from verifier_oracles import h_proj_point, logconcavity_per_point, schmuckenschlager_per_point
+from normpack.volumetrics import exact_intersection_volume, proj_support_rows
+from verifier_oracles import (
+    h_proj_point,
+    logconcavity_per_point,
+    schmuckenschlager_per_point,
+    simplex_diff_membership_dual,
+)
 
 
 class TestSchmuckenschlager:
@@ -124,7 +127,7 @@ class TestBatchedMatchesPerPoint:
         body = closed_form_body(kind, d)
         xs = np.random.default_rng(d).uniform(-1.0, 1.0, size=(6, d))
         xs[2] = 0.0
-        h = _h_proj_rows(body, xs)
+        h = proj_support_rows(body, xs, 0, np.random.default_rng(0))
         assert h[2] == 0.0
         assert h.tolist() == [h_proj_point(body, x) for x in xs]
         f = exact_intersection_volume(body, xs)

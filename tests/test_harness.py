@@ -498,6 +498,24 @@ class TestCli:
         with pytest.raises(SystemExit, match="--x has 2 coordinates, the body has d=3"):
             vol_main(["intersection", str(path), "--x", "0.5,0"])
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [(None, "No such file"), ("{", "Expecting property name"), ('{"kind": "blob", "d": 2}', "unknown body kind 'blob'")],
+        ids=["missing", "bad_json", "unknown_kind"],
+    )
+    @pytest.mark.parametrize("cmd", [["body-info"], ["intersection", "--x", "0,0"]], ids=["body-info", "intersection"])
+    def test_vol_unreadable_body(self, tmp_path, cmd, text, message):
+        path = tmp_path / "blob.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit, match=f"^vol {cmd[0]}: {re.escape(str(path))}: [^\n]*{message}[^\n]*$"):
+            vol_main([cmd[0], str(path), *cmd[1:]])
+
+    def test_vol_intersection_no_samples(self, tmp_path):
+        path = self._write_body(tmp_path)
+        with pytest.raises(SystemExit, match=f"^vol intersection: {re.escape(path)}: n must be >= 1$"):
+            vol_main(["intersection", path, "--x", "0,0", "--samples", "0"])
+
     def test_sweep_d_grid_rejects_cube(self, tmp_path):
         path = tmp_path / "cube.json"
         cfg = replace(default_config(2), body={"kind": "lp", "d": 2, "p": "inf", "scale": 1.0})

@@ -19,13 +19,12 @@ from normpack.harness import default_config
 from normpack.volumetrics import (
     McEstimate,
     OverlapClassifier,
-    _ball_lens_volumes,
     _convex_lower_bound,
     _line_hits_convex,
     _orthonormal_complement,
+    _uniform_directions,
     analytic_polar_proj_volume,
     analytic_proj_support,
-    ball_cap_volume,
     ball_lens_volume,
     estimate_ik,
     exact_intersection_volume,
@@ -35,10 +34,12 @@ from normpack.volumetrics import (
     polar_proj_ball_volume,
     polar_proj_volume_mc,
     proj_body_support,
+    proj_support_rows,
     row_norms,
 )
-from estimates import brackets
+from estimates import ball_cap_volume, ball_ik_radius_loop, ball_lens_scalar, brackets
 from polytope_oracles import criterion4_hpolytope
+from verifier_oracles import h_proj_point
 
 
 class TestMcVolume:
@@ -101,18 +102,18 @@ class TestCapAndLens:
             rho2 = r * r - t * t
             return math.pi * max(rho2, 0.0)
         truth, _ = quad(disk_area, s / 2, r)
-        assert ball_lens_volume(3, r, s) == pytest.approx(2.0 * truth, rel=1e-10)
+        assert ball_lens_scalar(3, r, s) == pytest.approx(2.0 * truth, rel=1e-10)
 
     def test_lens_2d_vs_quadrature(self):
         r, s = 1.3, 1.1
         def chord(t):
             return 2.0 * math.sqrt(max(r * r - t * t, 0.0))
         truth, _ = quad(chord, s / 2, r)
-        assert ball_lens_volume(2, r, s) == pytest.approx(2.0 * truth, rel=1e-9)
+        assert ball_lens_scalar(2, r, s) == pytest.approx(2.0 * truth, rel=1e-9)
 
     def test_lens_edge_cases(self):
-        assert ball_lens_volume(4, 1.0, 2.0) == 0.0
-        assert ball_lens_volume(4, 1.0, 0.0) == pytest.approx(ball_volume(4))
+        assert ball_lens_scalar(4, 1.0, 2.0) == 0.0
+        assert ball_lens_scalar(4, 1.0, 0.0) == pytest.approx(ball_volume(4))
 
 
 class TestExactIntersection:
@@ -327,6 +328,16 @@ class TestIkGaugeRadius:
 
     def test_generic_fallback(self):
         assert ik_gauge_radius(lp_ball(2, 3), 0.5) == 2.0
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_ball_equals_scalar_bisection(self, d):
+        # the vectorized bisection makes the same probes as the scalar while-loop
+        for scale in (0.5, 1.0, ball_volume(d) ** (-1.0 / d)):
+            b = lp_ball(d, 2, scale=scale)
+            V = closed_form_volume(b)
+            for delta in (0.05, 0.3, 0.5, 0.95):
+                for dl in (delta, delta * V):
+                    assert ik_gauge_radius(b, dl) == ball_ik_radius_loop(b, dl)
 
     CERTIFIED = [
         lp_ball(3, 3),
@@ -665,20 +676,65 @@ class TestLensVectorized:
         for r in (0.3, 0.62, 1.0, 1.7):
             edges = [0.0, 2.0 * r, np.nextafter(2.0 * r, 0.0), np.nextafter(2.0 * r, 5.0), 3.0 * r]
             s = np.concatenate([edges, rng.uniform(0.0, 2.5 * r, 5000)])
-            got = _ball_lens_volumes(d, r, s)
+            got = ball_lens_volume(d, r, s)
             for si, gi in zip(s, got):
-                assert gi == ball_lens_volume(d, r, si)
-            assert got[0] == ball_lens_volume(d, r, 0.0) > 0.0
+                assert gi == ball_lens_scalar(d, r, si)
+            assert got[0] == ball_lens_scalar(d, r, 0.0) > 0.0
             assert got[1] == got[4] == 0.0
 
     def test_exact_intersection_volume_uses_it(self):
         b = lp_ball(3, 2, scale=0.7)
         xs = np.random.default_rng(5).normal(scale=0.5, size=(200, 3))
         f = exact_intersection_volume(b, xs)
-        expected = [ball_lens_volume(3, 0.7, si) for si in np.sqrt((xs * xs).sum(axis=1))]
+        expected = [ball_lens_scalar(3, 0.7, si) for si in np.sqrt((xs * xs).sum(axis=1))]
         assert f.tolist() == expected
         assert exact_intersection_volume(b, xs[0]) == expected[0]
         assert isinstance(exact_intersection_volume(b, xs[0]), float)
+
+
+class TestProjSupportRows:
+    """The one h_PiK route at points equals the per-point routes."""
+
+    @staticmethod
+    def _rows(d):
+        xs = np.random.default_rng(d).uniform(-1.5, 1.5, size=(7, d))
+        xs[3] = 0.0
+        return xs
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lp3_is_shadow_mc_per_point(self, d):
+        # row by row, in row order: the same values and generator end state
+        body = normalize_to_unit_volume(lp_ball(d, 3))
+        xs = self._rows(d)
+        a, b = np.random.default_rng(31), np.random.default_rng(31)
+        got = proj_support_rows(body, xs, 2000, a)
+        want = []
+        for x in xs:
+            n = np.linalg.norm(x)
+            want.append(proj_body_support(body, x / n, 2000, b).value * n if n else 0.0)
+        assert got.tolist() == want
+        assert got[3] == 0.0
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_hpoly_is_cauchy_per_point(self):
+        body = normalize_to_unit_volume(criterion4_hpolytope())
+        xs = self._rows(body.d)
+        got = proj_support_rows(body, xs, 0, np.random.default_rng(0))
+        np.testing.assert_allclose(got, [h_proj_point(body, x) for x in xs], rtol=1e-12, atol=0.0)
+        assert got[3] == 0.0
+
+    @pytest.mark.parametrize("n", [2, 32, 500])
+    @pytest.mark.parametrize("name", ["hpoly", "simplex_diff"])
+    def test_polytope_polar_volume_is_cauchy_mean(self, name, n):
+        # kappa_d mean(h^-d) of Cauchy's h over the same direction net
+        body = normalize_to_unit_volume(criterion4_hpolytope() if name == "hpoly" else simplex_difference(3))
+        d = body.d
+        est = polar_proj_volume_mc(body, np.random.default_rng(n), n_directions=n, support_samples=0)
+        theta = _uniform_directions(np.random.default_rng(n), n, d)
+        w = ball_volume(d) * analytic_proj_support(body, theta) ** -float(d)
+        assert est.value == pytest.approx(w.mean(), rel=1e-12)
+        assert est.std_error == pytest.approx(w.std(ddof=1) / math.sqrt(n), rel=1e-12)
+        assert est.samples == n
 
 
 class TestPolarProjVolumes:

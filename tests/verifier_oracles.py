@@ -1,4 +1,5 @@
-"""Per-point reference loops for the verifiers on closed-form bodies.
+"""Per-point reference loops for the verifiers on closed-form bodies,
+and the dual membership test of the simplex difference body.
 
 ``check_schmuckenschlager`` and ``check_logconcavity`` take the exact f
 and h_{Pi K} of a ball or cube in one call over all points.  These loops
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from normpack.bodies import sample_uniform
+from normpack.bodies import helmert_basis, sample_uniform
 from normpack.checks import CheckReport
 from normpack.volumetrics import analytic_proj_support, exact_intersection_volume
 
@@ -23,6 +24,17 @@ def h_proj_point(body, x):
     if n == 0:
         return 0.0
     return analytic_proj_support(body, x / n) * n
+
+
+def simplex_diff_membership_dual(d: int, z: np.ndarray) -> np.ndarray:
+    """z in (S - S) for the regular simplex S, via the positive-part test.
+
+    Lifting z to the zero-sum hyperplane, z = u - v with u, v in the
+    simplex iff sum(max(w_i, 0)) <= 1.  Independent of the l_1 gauge route.
+    """
+    E = helmert_basis(d)
+    w = np.atleast_2d(z) @ E.T
+    return np.maximum(w, 0.0).sum(axis=-1) <= 1.0 + 1e-12
 
 
 def schmuckenschlager_per_point(body, delta, trials, rng, slack=0.05, seed=None):
