@@ -124,6 +124,25 @@ class ConvexBody:
         out = h * self.scale
         return float(out) if out.ndim == 0 else out
 
+    def gauge_gradient(self, x: np.ndarray) -> np.ndarray:
+        """Gradient of the gauge at x != 0, one row per row of x (a
+        subgradient on a kink): sign(x) (|x| / |x|_p)^(p-1) for lp, or the
+        largest coordinate's axis at p = inf; the active facet's normal over
+        its offset for hpoly; sign(E x) E for simplex_diff; each over scale.
+        Euler's identity <x, gradient> = gauge(x) holds for every kind."""
+        x = self._check_vec(x)
+        if self.kind == "lp" and math.isinf(self.p):
+            top = np.expand_dims(np.abs(x).argmax(axis=-1), -1)
+            g = np.where(np.arange(self.d) == top, np.sign(x), 0.0)
+        elif self.kind == "lp":
+            g = np.sign(x) * (np.abs(x) / np.expand_dims(_lp_norm(x, self.p), -1)) ** (self.p - 1.0)
+        elif self.kind == "hpoly":
+            k = (x @ self.normals.T / self.offsets).argmax(axis=-1)
+            g = self.normals[k] / np.expand_dims(self.offsets[k], -1)
+        else:  # simplex_diff
+            g = np.sign(x @ self.embedding.T) @ self.embedding
+        return g / self.scale
+
     # -- geometry ------------------------------------------------------
 
     def circumradius(self) -> float:
@@ -374,7 +393,19 @@ def body_to_spec(body: ConvexBody) -> dict:
 
 
 def body_from_spec(spec: dict) -> ConvexBody:
-    """Load a body from its specification dict; rejects asymmetric facets."""
+    """Load a body from its specification dict; rejects asymmetric facets.
+
+    A spec that is not a dict, or lacks a key its kind needs, raises a
+    ValueError that says so."""
+    if not isinstance(spec, dict):
+        raise ValueError("a body spec must be a JSON object")
+    try:
+        return _body_from_spec(spec)
+    except KeyError as exc:
+        raise ValueError(f"body spec has no key {exc.args[0]!r}") from None
+
+
+def _body_from_spec(spec: dict) -> ConvexBody:
     kind = spec["kind"]
     d = int(spec["d"])
     scale = float(spec.get("scale", 1.0))

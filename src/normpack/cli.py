@@ -155,7 +155,7 @@ def vol_main(argv=None) -> int:
                 raise SystemExit(f"vol intersection: --x has {len(x)} coordinates, the body has d={body.d}")
             est = intersection_volume(body, x, args.samples, np.random.default_rng(args.seed))
             out = {"x": list(map(float, x)), "value": est.value, "std_error": est.std_error}
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"vol {args.cmd}: {args.body}: {exc}") from exc
     print(json.dumps(out, sort_keys=True))
     return 0

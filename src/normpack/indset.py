@@ -211,4 +211,9 @@ def import_packing(path) -> tuple[np.ndarray, dict, float]:
             centers.append([float(x) for x in line.split()])
     if header is None:
         raise ValueError("missing packing header")
+    if not isinstance(header, dict):
+        raise ValueError("the packing header must be a JSON object")
+    for key in ("body", "L"):
+        if key not in header:
+            raise ValueError(f"packing header has no key {key!r}")
     return np.asarray(centers), header["body"], float(header["L"])

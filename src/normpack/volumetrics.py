@@ -218,9 +218,9 @@ def estimate_ik(
       ``[(V - delta)^d, (V log(V/delta))^d] vol(Pi* K)``, with the
       standard error of vol(Pi* K) scaled alike.  vol(Pi* K) comes from
       :func:`polar_proj_volume_mc`: over ``outer_samples`` directions
-      with Cauchy's h_PiK for polytopes, and on its default direction
-      net (at most ``outer_samples`` directions) with ``inner_samples``
-      shadow points per direction for lp bodies.
+      with Cauchy's h_PiK for polytopes (and every body at d = 2), and
+      on its default direction net (at most ``outer_samples`` directions)
+      with ``inner_samples`` Cauchy directions per h_PiK for lp bodies.
 
     The profile's bracket is taken over the same directions as the
     volume, so for every body the volume lies inside it.
@@ -278,35 +278,32 @@ def _radial_function(body, delta, theta, lo, hi, steps) -> np.ndarray:
 
 
 def ik_gauge_radius(body: ConvexBody, delta: float) -> float:
-    """A g with I_K contained in {gauge <= g}: the smallest one for the l2
-    ball and the cube, 1.0 for any other body when delta >= vol(K)/2, and
-    2.0 otherwise.
+    """A g with I_K contained in {gauge <= g}: 0.0 once delta >= vol(K)
+    (I_K is empty); for the l2 ball and the cube, the upper end of a
+    bisection of r*(e_1), where their gauge on I_K is largest; for any other
+    body 1.0 when delta >= vol(K)/2, and 2.0 otherwise.
 
     The 1.0 is a certificate for every symmetric K: at a point x of gauge
     at least 1, let u be the outer normal of K at x / gauge(x).  Then
     K + x lies in {y : <y, u> >= 0}, so f(x) <= vol(K)/2 <= delta and x is
-    not in I_K.  (The cube's closed form 2(1 - delta/vol) is 1 at exactly
-    delta = vol/2.)  Pruning reads X2's candidate pairs off the graph's
-    edges whenever 2 g <= 2.
+    not in I_K.  Pruning reads X2's candidate pairs off the graph's edges
+    whenever 2 g <= 2.
     """
-    if body.kind == "lp" and math.isinf(body.p):
-        # f > delta forces (side - |x_i|) * side^(d-1) > delta on each axis
-        side = 2.0 * body.scale
-        vol = side**body.d
-        if delta >= vol:
-            return 0.0
-        return 2.0 * (1.0 - delta / vol)
-    if body.kind == "lp" and body.p == 2.0:
+    V = closed_form_volume(body)
+    if delta >= V:
+        return 0.0
+    if has_exact_intersection(body):
         e1 = np.eye(body.d)[:1] * body.scale  # 31 halvings of [0, 2] leave a bracket below 1e-9
         return float(_radial_function(body, delta, e1, np.zeros(1), np.full(1, 2.0), 31)[0])
-    return 1.0 if delta >= 0.5 * closed_form_volume(body) else 2.0
+    return 1.0 if delta >= 0.5 * V else 2.0
 
 
 # -- projection bodies ------------------------------------------------
 
 
 def analytic_proj_support(body: ConvexBody, u: np.ndarray) -> np.ndarray | float | None:
-    """h_{Pi K}(u) in closed form for balls, cubes and polytopes, else None.
+    """h_{Pi K}(u) in closed form for balls, cubes, polytopes and every
+    body at d = 2, else None.
 
     ``u`` is one vector (a float comes back) or an (m, d) array (one value
     per row).  Polytopes use Cauchy's formula h_{Pi K}(u) = 1/2 sum_F
@@ -322,6 +319,8 @@ def analytic_proj_support(body: ConvexBody, u: np.ndarray) -> np.ndarray | float
         h = ball_volume(d - 1) * body.scale ** (d - 1) * row_norms(u)
     elif math.isinf(body.p):
         h = (2.0 * body.scale) ** (d - 1) * fold_columns(np.add, np.abs(u))
+    elif d == 2:  # the shadow on u-perp is a segment of length 2 h_K(u-perp)
+        h = 2.0 * np.asarray(body.support(u[..., ::-1] * [-1.0, 1.0]))
     else:
         return None
     return float(h) if h.ndim == 0 else h
@@ -338,155 +337,36 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
-def _orthonormal_complement(u: np.ndarray) -> np.ndarray:
-    """(d, d-1) matrix whose columns complete u to an orthonormal basis."""
-    d = len(u)
-    M = np.eye(d) - np.outer(u, u)
-    q, r = np.linalg.qr(M)
-    cols = np.argsort(-np.abs(np.diag(r)))[: d - 1]
-    return q[:, sorted(cols)]
+def proj_body_support(body: ConvexBody, u: np.ndarray, samples: int, rng: np.random.Generator) -> McEstimate:
+    """h_{Pi K}(u) for a unit vector u, the (d-1)-volume of the body's shadow
+    on u-perp, by Cauchy's formula in radial form over ``samples`` uniform
+    unit directions theta, with the standard error of the mean:
 
+        h_{Pi K}(u) = (d kappa_d / 2) E_theta[|<u, grad g(theta)>| / <theta, grad g(theta)>^d].
 
-_MISS_MARGIN = 1e-9  # relative; the lower bound's rounding error is a few ulps of the gauge
-_MIN_CHORD = 1e-9  # probe spacing, in units of t_max, below which the miss test stops
-
-
-def _line_hits_convex(body: ConvexBody, base: np.ndarray, u: np.ndarray, t_max: float) -> np.ndarray:
-    """Is min over |t| <= t_max of gauge(z + t*u) at most 1 + 1e-10, per row z?
-
-    Needs only the body's gauge and support, and rows z orthogonal to u.
-    Two exact certificates settle most rows without a search:
-
-    * hit: gauge(z) <= 1 + 1e-10, so the line meets the body at t = 0;
-    * miss: |z| > h(z/|z|) (1 + 1e-10).  Every point of the line has
-      inner product |z| with the unit normal z/|z|, which is orthogonal
-      to u, so that supporting halfspace separates the whole line.
-
-    The other rows go to a golden-section minimization of the convex
-    function t -> gauge(z + t*u), 80 steps over [-t_max, t_max].  A row
-    leaves the search as a hit once a probe has gauge <= 1 + 1e-10, and
-    as a miss once :func:`_convex_lower_bound` of its bracket, from the
-    gauge at both ends and both probes, exceeds that by the relative
-    margin :data:`_MISS_MARGIN`: every later probe lies in the bracket,
-    so none can hit.  That test runs only while the probes stand more
-    than :data:`_MIN_CHORD` t_max apart, where the chord slopes carry
-    the gauge's rounding error by a bounded factor.  Rows left after 80
-    steps are hits if their last probes are.  The probes, and so the
-    result, are those of the search without the miss test.
-    """
-    tol = 1.0 + 1e-10
-    hit = body.gauge(base) <= tol
-    rows = np.flatnonzero(~hit)
-    base = base[rows]
-    norm = np.sqrt(fold_columns(np.add, base * base))  # > 0: gauge(0) = 0
-    miss = norm > body.support(base / norm[:, None]) * tol
-    rows, base = rows[~miss], base[~miss]
-    a = np.full(len(rows), -t_max)
-    b = np.full(len(rows), t_max)
-    fa = body.gauge(base + a[:, None] * u)
-    fb = body.gauge(base + b[:, None] * u)
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1 = body.gauge(base + x1[:, None] * u)
-    f2 = body.gauge(base + x2[:, None] * u)
-    for _ in range(80):
-        found = np.minimum(f1, f2) <= tol
-        done = found
-        wide = x2 - x1 > _MIN_CHORD * t_max
-        if wide.any():
-            lower = _convex_lower_bound(a, x1, x2, b, fa, f1, f2, fb)
-            done = found | (wide & (lower > tol * (1.0 + _MISS_MARGIN)))
-        if done.any():
-            hit[rows[found]] = True
-            keep = ~done
-            rows, base, a, b, x1, x2, fa, f1, f2, fb = (
-                v[keep] for v in (rows, base, a, b, x1, x2, fa, f1, f2, fb)
-            )
-        if not len(rows):
-            return hit
-        left = f1 <= f2
-        b = np.where(left, x2, b)
-        fb = np.where(left, f2, fb)
-        a = np.where(left, a, x1)
-        fa = np.where(left, fa, f1)
-        x1 = b - phi * (b - a)
-        x2 = a + phi * (b - a)
-        f1 = body.gauge(base + x1[:, None] * u)
-        f2 = body.gauge(base + x2[:, None] * u)
-    hit[rows] = np.minimum(f1, f2) <= tol
-    return hit
-
-
-def _convex_lower_bound(a, x1, x2, b, fa, f1, f2, fb) -> np.ndarray:
-    """Lower bound on [a, b] of a convex function with values fa, f1, f2,
-    fb at a < x1 < x2 < b, per row.
-
-    A convex function lies above each chord's line outside the chord.
-    On [a, x1] and [x2, b] that is the line of the chord (x1, x2); on
-    [x1, x2] the larger of the lines of the chords (a, x1) and (x2, b),
-    a convex function that takes its least value at x1, at x2 or where
-    the two lines cross (no crossing when the lines coincide: 0 / 0).
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (f2 - f1) / (x2 - x1)
-        sl = (f1 - fa) / (x1 - a)
-        sr = (fb - f2) / (b - x2)
-        outer = np.minimum(f1 - np.maximum(s, 0.0) * (x1 - a), f2 + np.minimum(s, 0.0) * (b - x2))
-        cross = np.clip((f2 - f1 + sl * x1 - sr * x2) / (sl - sr), x1, x2)
-        inner = np.minimum(np.maximum(f1, f2 + sr * (x1 - x2)), np.maximum(f1 + sl * (x2 - x1), f2))
-        inner = np.fmin(inner, np.maximum(f1 + sl * (cross - x1), f2 + sr * (cross - x2)))
-    return np.minimum(outer, inner)
-
-
-def proj_body_support(
-    body: ConvexBody,
-    u: np.ndarray,
-    samples: int,
-    rng: np.random.Generator,
-    force_mc: bool = False,
-) -> McEstimate:
-    """Shadow volume vol_{d-1} of the projection of the body onto u-perp.
-
-    Exact for balls, cubes and polytopes (:func:`analytic_proj_support`);
-    otherwise, or with ``force_mc``, Monte Carlo over a bounding box of
-    the shadow, testing whether the line through each candidate point in
-    direction u meets the body.  Every body settles most lines with an
-    exact certificate from its gauge (hit) or its support (a separating
-    halfspace) and searches only the rest; see ``_line_hits_convex``.
+    This is 1/2 of the integral of |<u, n>| over the boundary, rewritten by
+    the cone identity <x, n> dS = g(theta)^-d dtheta and Euler's identity
+    <theta, grad g(theta)> = g(theta), for the gauge g.
     """
     u = np.asarray(u, dtype=float)
-    nrm = np.linalg.norm(u)
-    if abs(nrm - 1.0) > 1e-9:
+    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
         raise ValueError("u must be a Euclidean unit vector")
-    if not force_mc:
-        h = analytic_proj_support(body, u)
-        if h is not None:
-            return McEstimate(value=h, std_error=0.0, samples=0)
-    V = _orthonormal_complement(u)
-    # shadow of the body is contained in the projected bounding box
-    half = np.asarray([body.support(V[:, j]) for j in range(body.d - 1)])
-    area = float(np.prod(2.0 * half))
-    t_max = float(body.support(u)) + 1e-9
-    z = uniform_box(rng, half, samples)
-    base = z @ V.T
-    hits = int(np.count_nonzero(_line_hits_convex(body, base, u, t_max)))
-    p = hits / samples
-    if p == 0:
-        raise RuntimeError("shadow bounding box produced no hits; bracketing bug")
-    return McEstimate(
-        value=area * p,
-        std_error=area * math.sqrt(p * (1.0 - p) / samples),
-        samples=samples,
-    )
+    if samples < 2:
+        raise ValueError("samples must be >= 2 for a standard error")
+    d = body.d
+    theta = _uniform_directions(rng, samples, d)
+    grad = body.gauge_gradient(theta)
+    w = 0.5 * d * ball_volume(d) * np.abs(grad @ u) / (theta * grad).sum(axis=1) ** d
+    return McEstimate(float(w.mean()), float(w.std(ddof=1)) / math.sqrt(samples), samples)
 
 
 def proj_support_rows(body: ConvexBody, xs: np.ndarray, samples: int, rng: np.random.Generator) -> np.ndarray:
     """h_{Pi K}(x) per row x of xs: h at x/|x| rescaled by |x|, 0 at x = 0.
 
-    Balls, cubes and polytopes take :func:`analytic_proj_support` of all
-    rows in one call.  Other bodies call :func:`proj_body_support` row by
-    row, in row order, each drawing ``samples`` shadow points from rng.
+    Balls, cubes, polytopes and every body at d = 2 take
+    :func:`analytic_proj_support` of all rows in one call.  Other bodies
+    call :func:`proj_body_support` row by row, in row order, each drawing
+    ``samples`` directions from rng.
     """
     xs = np.asarray(xs, dtype=float)
     n = row_norms(xs)

@@ -136,6 +136,40 @@ class TestSupport:
         assert body.support([0.2, -0.7, 0.1]) == pytest.approx(0.7)
 
 
+class TestGaugeGradient:
+    KINDS = {
+        "lp1": lp_ball(3, 1),
+        "lp1.5": lp_ball(4, 1.5),
+        "lp2": lp_ball(3, 2),
+        "lp3": lp_ball(3, 3),
+        "lpinf": cube(3),
+        "hpoly": criterion4_hpolytope(),
+        "simplex_diff": simplex_difference(3),
+    }
+
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_central_differences_and_euler(self, name, scale):
+        # random points lie off the kinks of every kind with probability 1
+        body = self.KINDS[name].scaled(scale)
+        xs = np.random.default_rng(3).normal(size=(40, body.d))
+        grad = body.gauge_gradient(xs)
+        assert grad.shape == xs.shape
+        step = 1e-6
+        for i in range(body.d):
+            e = np.eye(body.d)[i] * step
+            fd = (body.gauge(xs + e) - body.gauge(xs - e)) / (2.0 * step)
+            np.testing.assert_allclose(grad[:, i], fd, rtol=0.0, atol=1e-7 / scale)
+        # Euler: the gauge is 1-homogeneous
+        np.testing.assert_allclose((xs * grad).sum(axis=1), body.gauge(xs), rtol=1e-13)
+        assert body.gauge_gradient(xs[0]).tolist() == grad[0].tolist()
+
+    def test_large_p_is_the_cube(self):
+        xs = np.random.default_rng(4).normal(size=(40, 3))
+        grad = lp_ball(3, 1e6).gauge_gradient(xs)
+        np.testing.assert_allclose(grad, cube(3, side=2.0).gauge_gradient(xs), atol=1e-12)
+
+
 class TestVolume:
     def test_disk(self):
         assert closed_form_volume(lp_ball(2, 2)) == pytest.approx(math.pi)
@@ -421,6 +455,25 @@ class TestSpecFiles:
         spec = body_to_spec(lp_ball(2, math.inf))
         assert spec["p"] == "inf"
         assert math.isinf(body_from_spec(spec).p)
+
+    @pytest.mark.parametrize(
+        "spec,key",
+        [
+            ({"kind": "lp", "d": 2}, "p"),
+            ({"d": 2, "p": 2}, "kind"),
+            ({"kind": "simplex_diff"}, "d"),
+            ({"kind": "hpoly", "d": 1, "facets": [{"normal": [1.0]}]}, "offset"),
+        ],
+        ids=["p", "kind", "d", "offset"],
+    )
+    def test_missing_key_named(self, spec, key):
+        with pytest.raises(ValueError, match=f"^body spec has no key '{key}'$"):
+            body_from_spec(spec)
+
+    @pytest.mark.parametrize("spec", [[1], "lp", None], ids=["list", "str", "null"])
+    def test_not_an_object(self, spec):
+        with pytest.raises(ValueError, match="^a body spec must be a JSON object$"):
+            body_from_spec(spec)
 
     def test_asymmetric_facets_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -358,6 +358,25 @@ class TestCli:
             verify_main(["packing", str(bad)])
         assert str(exc.value) == f"verify packing: {bad}: centers 3 and 7 overlap: gauge 0.5 < 2"
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda h: {"body": h["body"]}, "packing header has no key 'L'"),
+            (lambda h: {"L": h["L"]}, "packing header has no key 'body'"),
+            (lambda h: [1], "the packing header must be a JSON object"),
+            (lambda h: {**h, "body": {"kind": "lp", "d": 2}}, "body spec has no key 'p'"),
+        ],
+        ids=["no_L", "no_body", "not_object", "body_missing_key"],
+    )
+    def test_verify_packing_bad_header(self, tmp_path, capsys, edit, message):
+        path, _ = self._write_packing(tmp_path, capsys)
+        header, *rows = path.read_text().splitlines()
+        bad = tmp_path / "bad_header.txt"
+        bad.write_text("\n".join(["# " + json.dumps(edit(json.loads(header[1:])))] + rows) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            verify_main(["packing", str(bad)])
+        assert str(exc.value) == f"verify packing: {bad}: {message}"
+
     @pytest.mark.parametrize("argv", [["packing"], ["poisson", "file.txt"]])
     def test_verify_file_only_with_packing(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -468,9 +487,10 @@ class TestCli:
             # L exactly at the no-self-wrap floor of the unit-volume d=2 ball
             ({"L": 4.0 * UNIT_BALL_2.scaled(2.0).circumradius() * (1.0 + QUERY_SLACK)}, "validate: L=4.51"),
             ({"body": {"kind": "ellipse", "d": 2}}, "normalize: unknown body kind 'ellipse'"),
+            ({"body": {"kind": "lp", "d": 2}}, "normalize: body spec has no key 'p'$"),
             ({"d": 3}, "normalize: config d does not match body dimension"),
         ],
-        ids=["L_at_floor", "unknown_kind", "d_mismatch"],
+        ids=["L_at_floor", "unknown_kind", "missing_key", "d_mismatch"],
     )
     def test_pack_run_config_fault(self, tmp_path, edit, message):
         path = tmp_path / "fault.json"
@@ -500,8 +520,14 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "text,message",
-        [(None, "No such file"), ("{", "Expecting property name"), ('{"kind": "blob", "d": 2}', "unknown body kind 'blob'")],
-        ids=["missing", "bad_json", "unknown_kind"],
+        [
+            (None, "No such file"),
+            ("{", "Expecting property name"),
+            ('{"kind": "blob", "d": 2}', "unknown body kind 'blob'"),
+            ('{"kind": "lp", "d": 2}', "body spec has no key 'p'"),
+            ("[1]", "a body spec must be a JSON object"),
+        ],
+        ids=["missing", "bad_json", "unknown_kind", "missing_key", "not_object"],
     )
     @pytest.mark.parametrize("cmd", [["body-info"], ["intersection", "--x", "0,0"]], ids=["body-info", "intersection"])
     def test_vol_unreadable_body(self, tmp_path, cmd, text, message):

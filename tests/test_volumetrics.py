@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import null_space
 
 from normpack.bodies import (
     ball_volume,
@@ -19,9 +20,6 @@ from normpack.harness import default_config
 from normpack.volumetrics import (
     McEstimate,
     OverlapClassifier,
-    _convex_lower_bound,
-    _line_hits_convex,
-    _orthonormal_complement,
     _uniform_directions,
     analytic_polar_proj_volume,
     analytic_proj_support,
@@ -313,11 +311,23 @@ class TestIkGaugeRadius:
     def test_cube_closed_form(self):
         b = cube(2, side=2.0)  # vol 4
         g = ik_gauge_radius(b, 1.0)
-        # f along an axis: (2 - |x|) * 2 = 1 at |x| = 1.5, gauge 1.5
-        assert g == pytest.approx(2.0 * (1.0 - 1.0 / 4.0))
+        # f along an axis: (2 - |x|) * 2 = 1 at |x| = 1.5, gauge 1.5; the
+        # bisection returns its upper end, within 2^-30 above
+        assert 0.0 <= g - 2.0 * (1.0 - 1.0 / 4.0) <= 2.0**-30
 
     def test_cube_delta_above_volume(self):
         assert ik_gauge_radius(cube(2), 5.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "body",
+        [lp_ball(2, 2), cube(3, side=1.3), lp_ball(3, 3), simplex_difference(3), criterion4_hpolytope()],
+        ids=["l2", "cube", "lp3", "simplex_diff", "hpoly"],
+    )
+    def test_empty_from_the_volume(self, body):
+        # f <= f(0) = vol(K), so I_K is empty once delta >= vol(K)
+        V = closed_form_volume(body)
+        assert ik_gauge_radius(body, V) == ik_gauge_radius(body, 2.0 * V) == 0.0
+        assert ik_gauge_radius(body, 0.99 * V) > 0.0
 
     def test_ball_bisection_brackets(self):
         b = lp_ball(3, 2)
@@ -331,13 +341,14 @@ class TestIkGaugeRadius:
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_ball_equals_scalar_bisection(self, d):
-        # the vectorized bisection makes the same probes as the scalar while-loop
+        # the vectorized bisection makes the same probes as the scalar while-loop;
+        # once delta >= vol(K), I_K is empty and no bisection runs
         for scale in (0.5, 1.0, ball_volume(d) ** (-1.0 / d)):
             b = lp_ball(d, 2, scale=scale)
             V = closed_form_volume(b)
             for delta in (0.05, 0.3, 0.5, 0.95):
                 for dl in (delta, delta * V):
-                    assert ik_gauge_radius(b, dl) == ball_ik_radius_loop(b, dl)
+                    assert ik_gauge_radius(b, dl) == (ball_ik_radius_loop(b, dl) if dl < V else 0.0)
 
     CERTIFIED = [
         lp_ball(3, 3),
@@ -402,11 +413,12 @@ class TestProjSupport:
     def test_mc_ball_matches_analytic(self):
         rng = np.random.default_rng(11)
         u = np.array([0.0, 1.0, 0.0])
-        est = proj_body_support(lp_ball(3, 2), u, 100_000, rng, force_mc=True)
+        est = proj_body_support(lp_ball(3, 2), u, 100_000, rng)
         assert brackets(est, math.pi)
 
     def test_mc_cube_diagonal_vs_hull_oracle(self):
-        # project the cube vertices and take the exact 2-D hull area
+        # project the cube vertices onto an orthonormal basis of u-perp and
+        # take the exact 2-D hull area
         from scipy.spatial import ConvexHull
 
         u = np.ones(3) / math.sqrt(3.0)
@@ -414,25 +426,30 @@ class TestProjSupport:
             [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
             dtype=float,
         )
-        V = _orthonormal_complement(u)
-        hull = ConvexHull(verts @ V)
+        hull = ConvexHull(verts @ null_space(u[None]))
         rng = np.random.default_rng(12)
-        est = proj_body_support(cube(3, side=2.0), u, 200_000, rng, force_mc=True)
+        est = proj_body_support(cube(3, side=2.0), u, 200_000, rng)
         assert hull.volume == pytest.approx(4.0 * math.sqrt(3.0), rel=1e-9)
         assert brackets(est, hull.volume)
 
-    def test_generic_golden_section_route(self):
+    def test_generic_cauchy_route(self):
         # l_4 ball shadow is close to but above the l_2 shadow
         rng = np.random.default_rng(13)
         u = np.array([1.0, 0.0, 0.0])
         est = proj_body_support(lp_ball(3, 4), u, 100_000, rng)
         low = analytic_proj_support(lp_ball(3, 2), u)
-        assert est.value > low
+        assert est.value - 3.0 * est.std_error > low
         assert est.value < 4.0  # below the circumscribing square
 
     def test_unit_vector_required(self):
         with pytest.raises(ValueError):
             proj_body_support(lp_ball(2, 2), np.array([1.0, 1.0]), 1000, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_two_samples_required(self, samples):
+        # one direction has no standard error
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            proj_body_support(lp_ball(3, 3), np.array([1.0, 0.0, 0.0]), samples, np.random.default_rng(0))
 
     def test_cauchy_formula_on_hpoly_cube(self):
         eye = np.eye(3)
@@ -451,10 +468,8 @@ class TestProjSupport:
     def test_cauchy_formula_vs_shadow_mc(self, body):
         rng = np.random.default_rng(16)
         for u in random_directions(3, 3, rng):
-            exact = proj_body_support(body, u, 1000, rng)
-            assert exact.std_error == 0.0 and exact.value == analytic_proj_support(body, u)
-            est = proj_body_support(body, u, 400_000, rng, force_mc=True)
-            assert brackets(est, exact.value)
+            est = proj_body_support(body, u, 400_000, rng)
+            assert brackets(est, analytic_proj_support(body, u))
 
     def test_simplex_diff_shadow_positive(self):
         rng = np.random.default_rng(14)
@@ -462,211 +477,56 @@ class TestProjSupport:
         est = proj_body_support(simplex_difference(2), u, 50_000, rng)
         assert 0.0 < est.value < 2.0 * simplex_difference(2).circumradius()
 
+    EXACT = {
+        "ball": lp_ball(3, 2, scale=0.8),
+        "cube": cube(3, side=1.3),
+        "criterion4_hpoly": normalize_to_unit_volume(criterion4_hpolytope()),
+        "simplex_diff_d3": simplex_difference(3),
+        "simplex_diff_d4": simplex_difference(4, scale=1.2),
+    }
 
-def golden_section_line_hits(body, base, u, t_max):
-    """Reference: 80 golden-section steps on every row, no certificates;
-    a line hits when any of its probes has gauge <= 1 + 1e-10."""
-    tol = 1.0 + 1e-10
-    a = np.full(len(base), -t_max)
-    b = np.full(len(base), t_max)
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1 = body.gauge(base + x1[:, None] * u)
-    f2 = body.gauge(base + x2[:, None] * u)
-    hit = np.minimum(f1, f2) <= tol
-    for _ in range(80):
-        left = f1 <= f2
-        b = np.where(left, x2, b)
-        a = np.where(left, a, x1)
-        x1 = b - phi * (b - a)
-        x2 = a + phi * (b - a)
-        f1 = body.gauge(base + x1[:, None] * u)
-        f2 = body.gauge(base + x2[:, None] * u)
-        hit |= np.minimum(f1, f2) <= tol
-    return hit
+    @pytest.mark.parametrize("name", sorted(EXACT))
+    def test_mc_brackets_closed_form(self, name):
+        # the radial Cauchy estimate within 3 sigma of the closed form, on
+        # the coordinate axes and random directions
+        body = self.EXACT[name]
+        rng = np.random.default_rng(41)
+        for u in np.vstack([np.eye(body.d)[:2], random_directions(body.d, 3, rng)]):
+            est = proj_body_support(body, u, 200_000, rng)
+            assert est.samples == 200_000 and est.std_error < 0.01 * est.value
+            assert brackets(est, analytic_proj_support(body, u))
 
+    def test_lp1_matches_octahedron(self):
+        # lp with p = 1 has no closed form here; as the octahedron hpoly it
+        # has Cauchy's
+        eye = np.eye(3)
+        signs = np.array([[sx, sy, 1.0] for sx in (-1, 1) for sy in (-1, 1)])
+        octahedron = hpolytope(np.vstack([signs, -signs]), np.ones(8), scale=0.9)
+        lp1 = lp_ball(3, 1, scale=0.9)
+        assert analytic_proj_support(lp1, eye[0]) is None
+        rng = np.random.default_rng(42)
+        for u in np.vstack([eye[:1], random_directions(3, 3, rng)]):
+            assert brackets(proj_body_support(lp1, u, 200_000, rng), analytic_proj_support(octahedron, u))
 
-def interval_line_hits(body, base, u):
-    """Reference for balls and boxes: does the line z + t*u meet the body?
-
-    A ball of radius r: the quadratic |z + t u|^2 = r^2 has a real root.
-    A box of half-side s: the slabs |z_i + t u_i| <= s share some t.
-    """
-    if body.p == 2.0:
-        b = base @ u
-        c = (base * base).sum(axis=1) - body.scale**2
-        return b * b - c >= 0.0
-    s = body.scale
-    lo = np.full(len(base), -np.inf)
-    hi = np.full(len(base), np.inf)
-    for i in range(body.d):
-        ui = u[i]
-        if abs(ui) < 1e-15:
-            lo = np.where(np.abs(base[:, i]) <= s, lo, np.inf)
-            continue
-        t1 = (-s - base[:, i]) / ui
-        t2 = (s - base[:, i]) / ui
-        lo = np.maximum(lo, np.minimum(t1, t2))
-        hi = np.minimum(hi, np.maximum(t1, t2))
-    return lo <= hi
-
-
-def shadow_lines(body, u, rows, rng):
-    """Base points orthogonal to u, uniform over the shadow's bounding box,
-    as ``proj_body_support`` draws them, and the search half-length."""
-    V = _orthonormal_complement(u)
-    half = np.asarray([body.support(V[:, j]) for j in range(body.d - 1)])
-    z = rng.uniform(-half, half, size=(rows, body.d - 1))
-    return z @ V.T, float(body.support(u)) + 1e-9
+    @pytest.mark.parametrize("p", [3.0, 1.5])
+    def test_d2_closed_form_is_the_width(self, p):
+        # at d = 2 the shadow on u-perp is a segment: h_PiK(u) = 2 h_K(u-perp),
+        # against the width of 200k boundary points projected on u-perp
+        body = lp_ball(2, p, scale=0.8)
+        us = random_directions(2, 5, np.random.default_rng(43))
+        perp = us @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+        rows = analytic_proj_support(body, us)
+        np.testing.assert_allclose(rows, [2.0 * body.support(w) for w in perp], rtol=1e-15)
+        np.testing.assert_allclose(rows, [analytic_proj_support(body, u) for u in us], rtol=1e-15)
+        phi = np.linspace(0.0, 2.0 * math.pi, 200_000, endpoint=False)
+        theta = np.column_stack([np.cos(phi), np.sin(phi)])
+        edge = theta / body.gauge(theta)[:, None]
+        np.testing.assert_allclose(rows, 2.0 * (edge @ perp.T).max(axis=0), rtol=1e-9)
 
 
 def random_directions(d, n, rng):
     u = rng.normal(size=(n, d))
     return u / np.linalg.norm(u, axis=1, keepdims=True)
-
-
-def golden_section_min_gauge(body, base, u):
-    """Least gauge on each line z + t*u (z orthogonal to u): 100 golden-section
-    steps over |t| <= gauge(z) h(u), which holds every point of the line
-    with gauge at most gauge(z)."""
-    b = body.gauge(base) * body.support(u)
-    a = -b
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(100):
-        x1 = b - phi * (b - a)
-        x2 = a + phi * (b - a)
-        left = body.gauge(base + x1[:, None] * u) <= body.gauge(base + x2[:, None] * u)
-        b = np.where(left, x2, b)
-        a = np.where(left, a, x1)
-    return body.gauge(base + (0.5 * (a + b))[:, None] * u)
-
-
-class GaugeRowCounter:
-    """A body that counts the rows it gauges."""
-
-    def __init__(self, body):
-        self.body = body
-        self.rows = 0
-
-    def gauge(self, x):
-        self.rows += len(x)
-        return self.body.gauge(x)
-
-    def support(self, u):
-        return self.body.support(u)
-
-
-SEARCHED = [
-    lp_ball(3, 3),
-    lp_ball(4, 1.5),
-    lp_ball(3, 4),
-    simplex_difference(3),
-    criterion4_hpolytope(),
-    lp_ball(2, 3),
-]
-SEARCHED_IDS = ["lp3_d3", "lp1.5_d4", "lp4_d3", "simplex_diff_d3", "criterion4_hpoly", "lp3_d2"]
-
-
-class TestLineHits:
-    @pytest.mark.parametrize("body", SEARCHED, ids=SEARCHED_IDS)
-    def test_certified_route_matches_golden_section(self, body):
-        # 4000 lines in each of 10 directions, so 240k lines over the six bodies,
-        # drawn over 1.25 times the shadow's bounding box: at d = 2 that box is
-        # the shadow itself
-        rng = np.random.default_rng(21)
-        for u in random_directions(body.d, 10, rng):
-            base, t_max = shadow_lines(body, u, 4000, rng)
-            base *= 1.25
-            hits = _line_hits_convex(body, base, u, t_max)
-            assert 0 < hits.sum() < len(base)
-            np.testing.assert_array_equal(hits, golden_section_line_hits(body, base, u, t_max))
-
-    @pytest.mark.parametrize("body", SEARCHED, ids=SEARCHED_IDS)
-    def test_shadow_boundary_lines_match_golden_section(self, body):
-        # lines just inside, on and just outside the shadow's boundary, where
-        # the least gauge on the line is within a relative 1e-4 of 1; none at
-        # the hit tolerance 1e-10 itself, where rounding decides either way
-        rng = np.random.default_rng(24)
-        eps = np.array(
-            [-1e-4, -1e-8, -1e-10, -1e-12, 0.0, 1e-12, 5e-11, 2e-10, 1e-9, 1.1e-9, 1.2e-9, 3e-9, 1e-8, 1e-6, 1e-4]
-        )
-        for u in random_directions(body.d, 8, rng):
-            base, t_max = shadow_lines(body, u, 400, rng)
-            edge = base / golden_section_min_gauge(body, base, u)[:, None]
-            lines = (edge[:, None, :] * (1.0 + eps)[None, :, None]).reshape(-1, body.d)
-            hits = _line_hits_convex(body, lines, u, t_max)
-            np.testing.assert_array_equal(hits, golden_section_line_hits(body, lines, u, t_max))
-            by_eps = hits.reshape(len(base), len(eps))
-            assert by_eps[:, eps <= 0].all() and not by_eps[:, eps >= 1e-9].any()
-
-    @pytest.mark.parametrize("body", [lp_ball(3, 3), simplex_difference(3)], ids=["lp3", "simplex_diff"])
-    def test_miss_certificate_saves_gauge_rows(self, body, monkeypatch):
-        # against the same search with the miss test switched off
-        from normpack import volumetrics
-
-        rng = np.random.default_rng(25)
-        u = random_directions(3, 1, rng)[0]
-        base, t_max = shadow_lines(body, u, 20_000, rng)
-        certified = GaugeRowCounter(body)
-        hits = _line_hits_convex(certified, base, u, t_max)
-        monkeypatch.setattr(volumetrics, "_MIN_CHORD", math.inf)
-        searched = GaugeRowCounter(body)
-        np.testing.assert_array_equal(hits, _line_hits_convex(searched, base, u, t_max))
-        assert certified.rows < 0.4 * searched.rows
-
-    def test_convex_lower_bound(self):
-        # max of two random lines plus a random parabola, on random brackets
-        rng = np.random.default_rng(26)
-        n = 5000
-        a = rng.uniform(-2.0, 0.0, n)
-        b = a + rng.uniform(1e-6, 4.0, n)
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        x1, x2 = b - phi * (b - a), a + phi * (b - a)
-        c, k = rng.uniform(-3.0, 3.0, (2, n)), rng.uniform(-2.0, 2.0, (2, n))
-        q = rng.uniform(0.0, 3.0, n) * (rng.random(n) < 0.5)
-
-        def f(t):
-            return np.maximum(k[0] * (t - c[0]), k[1] * (t - c[1])) + q * (t - c[0]) ** 2
-
-        lower = _convex_lower_bound(a, x1, x2, b, f(a), f(x1), f(x2), f(b))
-        grid = np.linspace(0.0, 1.0, 1001)[:, None]
-        least = f(a + grid * (b - a)).min(axis=0)
-        assert np.all(lower <= least + 1e-12 * (1.0 + np.abs(least)))
-        assert np.median(least - lower) < 0.5 * np.median(f(x1) - least)
-
-    @pytest.mark.parametrize("body", [lp_ball(3, 2, scale=0.8), cube(3, side=1.4)], ids=["lp2", "lpinf"])
-    def test_generic_path_matches_interval_branch(self, body):
-        rng = np.random.default_rng(22)
-        dirs = np.vstack([np.eye(3), random_directions(3, 10, rng)])
-        misses = 0
-        for u in dirs:
-            base, t_max = shadow_lines(body, u, 3000, rng)
-            expected = interval_line_hits(body, base, u)
-            assert expected.any()
-            misses += int(np.count_nonzero(~expected))
-            np.testing.assert_array_equal(_line_hits_convex(body, base, u, t_max), expected)
-        assert misses > 0
-
-    @pytest.mark.parametrize("body", [lp_ball(3, 3), simplex_difference(3)], ids=["lp3", "simplex_diff"])
-    def test_degenerate_rows(self, body):
-        rng = np.random.default_rng(23)
-        for u in np.vstack([np.eye(3), -np.eye(3)[:1]]):
-            base, t_max = shadow_lines(body, u, 500, rng)
-            base[:5] = 0.0
-            hits = _line_hits_convex(body, base, u, t_max)
-            assert hits[:5].all()
-            np.testing.assert_array_equal(hits, golden_section_line_hits(body, base, u, t_max))
-
-    def test_no_row_left_to_search(self):
-        # every row is certified: near the origin (hit) or far out (miss)
-        body = lp_ball(3, 3)
-        u = np.array([0.0, 0.0, 1.0])
-        V = _orthonormal_complement(u)
-        z = np.vstack([np.full((4, 2), 0.1), np.full((4, 2), 5.0)])
-        hits = _line_hits_convex(body, z @ V.T, u, body.support(u) + 1e-9)
-        np.testing.assert_array_equal(hits, [True] * 4 + [False] * 4)
-        assert _line_hits_convex(body, np.zeros((0, 3)), u, 1.0).shape == (0,)
 
 
 class TestLensVectorized:
@@ -701,7 +561,7 @@ class TestProjSupportRows:
         xs[3] = 0.0
         return xs
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [3, 4])
     def test_lp3_is_shadow_mc_per_point(self, d):
         # row by row, in row order: the same values and generator end state
         body = normalize_to_unit_volume(lp_ball(d, 3))
@@ -715,6 +575,17 @@ class TestProjSupportRows:
         assert got.tolist() == want
         assert got[3] == 0.0
         assert a.bit_generator.state == b.bit_generator.state
+
+    def test_lp3_d2_is_closed_form(self):
+        # every body at d = 2 has a closed form: no draws
+        body = normalize_to_unit_volume(lp_ball(2, 3))
+        xs = self._rows(2)
+        rng = np.random.default_rng(31)
+        state = rng.bit_generator.state
+        got = proj_support_rows(body, xs, 2000, rng)
+        np.testing.assert_allclose(got, [analytic_proj_support(body, x) for x in xs], rtol=1e-15, atol=0.0)
+        assert got[3] == 0.0
+        assert rng.bit_generator.state == state
 
     def test_hpoly_is_cauchy_per_point(self):
         body = normalize_to_unit_volume(criterion4_hpolytope())
