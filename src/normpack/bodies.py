@@ -18,6 +18,7 @@ All gauge/support evaluations are vectorized over a leading batch axis.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -395,8 +396,8 @@ def body_to_spec(body: ConvexBody) -> dict:
 def body_from_spec(spec: dict) -> ConvexBody:
     """Load a body from its specification dict; rejects asymmetric facets.
 
-    A spec that is not a dict, or lacks a key its kind needs, raises a
-    ValueError that says so."""
+    A spec that is not a dict, lacks a key its kind needs, or holds a
+    value of the wrong type there raises a ValueError that says so."""
     if not isinstance(spec, dict):
         raise ValueError("a body spec must be a JSON object")
     try:
@@ -405,18 +406,33 @@ def body_from_spec(spec: dict) -> ConvexBody:
         raise ValueError(f"body spec has no key {exc.args[0]!r}") from None
 
 
+def _spec_value(spec: dict, key: str, convert, what: str, default=None):
+    """``convert(spec[key])``, or ``default`` when the key is absent and a
+    default is given; a value ``convert`` rejects with a TypeError or
+    ValueError raises a ValueError naming the key and ``what`` it must be."""
+    value = spec[key] if default is None or key in spec else default
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"body spec key {key!r} must be {what}, got {reprlib.repr(value)}") from None
+
+
+def _p_value(p) -> float:
+    return math.inf if p in ("inf", "Infinity") else float(p)
+
+
+def _facet_arrays(facets) -> tuple[list, list]:
+    return [f["normal"] for f in facets], [f["offset"] for f in facets]
+
+
 def _body_from_spec(spec: dict) -> ConvexBody:
     kind = spec["kind"]
-    d = int(spec["d"])
-    scale = float(spec.get("scale", 1.0))
+    d = _spec_value(spec, "d", int, "an integer")
+    scale = _spec_value(spec, "scale", float, "a real number", default=1.0)
     if kind == "lp":
-        p = spec["p"]
-        p = math.inf if p in ("inf", "Infinity") else float(p)
-        return lp_ball(d, p, scale)
+        return lp_ball(d, _spec_value(spec, "p", _p_value, "a real number or 'inf'"), scale)
     if kind == "hpoly":
-        facets = spec["facets"]
-        A = [f["normal"] for f in facets]
-        b = [f["offset"] for f in facets]
+        A, b = _spec_value(spec, "facets", _facet_arrays, "a list of objects with a normal and an offset")
         body = hpolytope(A, b, scale)
         if body.d != d:
             raise ValueError("facet dimension does not match d")

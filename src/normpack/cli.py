@@ -90,7 +90,10 @@ def pack_main(argv=None) -> int:
     sweep_p.add_argument("--grid", required=True, help="e.g. Delta=20,30,40 or d=2:4")
     sweep_p.add_argument("--seed", type=int, default=None)
     sweep_p.add_argument("--out", default=None)
-    sweep_p.add_argument("--workers", type=int, default=1, help="sweep threads (default 1)")
+    sweep_p.add_argument(
+        "--workers", type=int, default=1,
+        help="sweep threads (default 1); each run holds a core token, so threads beyond the core count wait for one",
+    )
     args = ap.parse_args(argv)
 
     try:  # malformed JSON, unknown or missing keys, invalid values

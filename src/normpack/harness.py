@@ -25,6 +25,7 @@ from .bodies import ConvexBody, body_from_spec, cube, lp_ball, normalize_to_unit
 from .checks import CheckReport
 from .indset import PackingResult, greedy_independent_set, local_search_improve, verify_packing
 from .packing import (
+    CORE_TOKENS,
     PackingGraph,
     TorusDomain,
     build_graph,
@@ -200,7 +201,14 @@ def run_stages(config: ExperimentConfig) -> PipelineRun:
 
     The only place that knows the order of the stages.  With an output
     directory, the record is written there as ``run_<hash12>.jsonl``.
+    The run holds one of ``packing.CORE_TOKENS`` throughout, and waits for
+    one when every core is taken.
     """
+    with CORE_TOKENS:
+        return _run_stages(config)
+
+
+def _run_stages(config: ExperimentConfig) -> PipelineRun:
     timings: dict[str, float] = {}
     seed = config.seed
 
@@ -313,7 +321,8 @@ def sweep(
     Exactly one of ``deltas`` / ``ds`` selects the grid axis.  Each grid
     point gets its own child seed, so results do not depend on
     ``workers`` (the size of the thread pool, at least 1) or completion
-    order.
+    order.  Each run holds a core token (``packing.CORE_TOKENS``), so
+    workers beyond the core count wait for one.
 
     A ``deltas`` point is the template with its Delta replaced.  A ``ds``
     point is ``default_config(d)`` (unit-volume l2 ball, default L and

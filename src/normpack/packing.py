@@ -3,8 +3,9 @@
 The pipeline here mirrors the probabilistic construction: sample
 Poisson points (an (n, d) array), connect points whose body translates
 intersect (gauge of the minimal-image difference at most 2: torus pairs
-from non-periodic KD-tree queries, CSR graph that keeps its points and
-domain), then remove
+from non-periodic KD-tree queries, one per slab of the box cut at
+x_0 = L/2, one across that cut and one across each pair of opposite
+faces; CSR graph that keeps its points and domain), then remove
 
 * X1: points whose degree exceeds Delta + Delta^(2/3),
 * X2: endpoints of pairs whose difference lies in 2 I_K (deep overlap),
@@ -14,11 +15,21 @@ domain), then remove
 :func:`prune` takes the body from the I_K profile and the domain from
 the graph.  By construction the surviving graph satisfies both the
 degree and the codegree bound; tests re-verify this by brute force.
+
+The pair queries and the hot-row codegree product run in scipy code that
+releases the interpreter lock.  When one of :data:`CORE_TOKENS`, one per
+core, is free, each runs in two parts, one on a worker thread; otherwise
+it runs whole on the caller (:func:`in_parts`).  A pipeline run holds one
+token, so two sweep workers on two cores run their kernels whole.  The
+arrays are the same either way.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,6 +44,11 @@ DEFAULT_POINT_CAP = 2_000_000
 # relative slack on every pair query radius: keeps pairs at exactly the gauge
 # limit despite rounding
 QUERY_SLACK = 1e-9
+# one token per core this process may run on: a pipeline run holds one for
+# its whole length, and :func:`in_parts` borrows one more if it is free
+CORE_TOKENS = threading.BoundedSemaphore(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 @dataclass(frozen=True)
@@ -164,44 +180,92 @@ class PackingGraph:
         return PackingGraph(points=self.points[keep], adj=adj, domain=self.domain)
 
 
+def in_parts(whole, first, second) -> list:
+    """[whole()] when no core token is free, else [first(), second()] with
+    ``second`` on a worker thread that holds a borrowed token until it ends.
+
+    The two parts must give, together, what ``whole`` gives, and spend
+    their time in code that releases the interpreter lock.  An exception
+    from either part propagates once both have ended.  Split work takes
+    the lock back more often, which costs more while other threads compete
+    for it, so without a spare core the work runs whole.
+    """
+    if not CORE_TOKENS.acquire(blocking=False):
+        return [whole()]
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            later = pool.submit(second)
+            return [first(), later.result()]
+    finally:
+        CORE_TOKENS.release()
+
+
 def torus_pairs(wrapped: np.ndarray, L: float, radius: float, p: float = 2.0) -> np.ndarray:
     """The (m, 2) pairs i < j, in (i, j) order, of rows of ``wrapped`` (points
     in [0, L)^d) within Minkowski p-distance ``radius`` on the torus of
     side L.  Needs 2 radius < L; no periodic tree spans the whole set.
 
-    One non-periodic KD tree finds the pairs whose direct difference is
-    within ``radius``: with radius < L/2 that difference is the minimal
-    image.  Every other pair crosses a face on some axis k, one end in the
-    high band x_k >= L - radius and the other in the low band
-    x_k <= radius.  A query between the two bands, the low one moved by +L
-    along k, with axis k not periodic and the others periodic, finds those
-    pairs.  A pair is kept at the first axis it crosses: band k drops it
-    when its direct difference exceeds L/2 on an earlier axis.
+    The box is cut at x_0 = L/2 into two slabs.  One non-periodic KD tree
+    per slab finds the pairs inside it whose direct difference is within
+    ``radius``: with radius < L/2 that difference is the minimal image.
+    A pair with such a difference across the cut has x_0 in
+    [L/2 - radius, L/2) at one end and in [L/2, L/2 + radius] at the
+    other, and one non-periodic query between those two bands finds it.
+    Every other pair crosses a face on some axis k, one end in the high
+    band x_k >= L - radius and the other in the low band x_k <= radius.
+    A query between the two bands, the low one moved by +L along k, with
+    axis k not periodic and the others periodic, finds those pairs.  A
+    pair is kept at the first axis it crosses: band k drops it when its
+    direct difference exceeds L/2 on an earlier axis.  So no pair is found
+    twice.  With a free core token the queries run in two parts
+    (:func:`in_parts`): one slab with the odd face bands, the other with
+    the cut and the even ones.  Without one, a single non-periodic tree
+    over every point takes the place of the slabs and the cut.
     """
     if not 2.0 * radius < L:
         raise ValueError(f"pair radius {radius:.9g} needs 2 * radius < L = {L:.9g}")
     n, d = wrapped.shape
-    direct = cKDTree(wrapped).query_pairs(radius, p=p, output_type="ndarray")
-    codes = [direct[:, 0] * n + direct[:, 1]]
-    del direct
-    for k in range(d):
-        hi = np.flatnonzero(wrapped[:, k] >= L - radius)
-        lo = np.flatnonzero(wrapped[:, k] <= radius)
-        if not (len(hi) and len(lo)):
-            continue
-        box = np.full(d, L)
-        box[k] = 0.0  # not periodic along k
-        moved = wrapped[lo]
-        moved[:, k] += L
-        near = cKDTree(wrapped[hi], boxsize=box).sparse_distance_matrix(
+    x0, mid = wrapped[:, 0], 0.5 * L
+    low = x0 < mid
+
+    def direct(idx=None):
+        """Codes of the pairs among rows ``idx`` (all if None) within radius."""
+        tree = cKDTree(wrapped if idx is None else wrapped[idx], balanced_tree=False, compact_nodes=False)
+        i, j = tree.query_pairs(radius, p=p, output_type="ndarray").T
+        if idx is not None:
+            i, j = idx[i], idx[j]
+        return i * n + j
+
+    def across(a, b, k=None):
+        """Codes of the pairs (a[s], b[t]) within radius; with an axis k, of
+        b moved by +L along k, the other axes periodic."""
+        box, moved = None, wrapped[b]
+        if k is not None:
+            box = np.full(d, L)
+            box[k] = 0.0  # not periodic along k
+            moved[:, k] += L
+        near = cKDTree(wrapped[a], boxsize=box).sparse_distance_matrix(
             cKDTree(moved, boxsize=box), radius, p=p, output_type="ndarray"
         )
-        a, b = hi[near["i"]], lo[near["j"]]
+        a, b = a[near["i"]], b[near["j"]]
         if k:
             first = (np.abs(wrapped[a, :k] - wrapped[b, :k]) <= 0.5 * L).all(axis=1)
             a, b = a[first], b[first]
-        codes.append(np.minimum(a, b) * n + np.maximum(a, b))
-    codes = np.concatenate(codes)
+        return np.minimum(a, b) * n + np.maximum(a, b)
+
+    def face(k):
+        return across(np.flatnonzero(wrapped[:, k] >= L - radius), np.flatnonzero(wrapped[:, k] <= radius), k)
+
+    def cut():
+        return across(np.flatnonzero(low & (x0 >= mid - radius)), np.flatnonzero(~low & (x0 <= mid + radius)))
+
+    parts = in_parts(
+        lambda: [direct(), *map(face, range(d))],
+        lambda: [direct(np.flatnonzero(~low)), *map(face, range(1, d, 2))],
+        lambda: [direct(np.flatnonzero(low)), cut(), *map(face, range(0, d, 2))],
+    )
+    codes = np.concatenate([c for part in parts for c in part])
+    del parts
     codes.sort()
     pairs = np.empty((2, len(codes)), dtype=np.int64)
     np.divmod(codes, n, out=(pairs[0], pairs[1]))
@@ -374,17 +438,23 @@ def prune(
     return pruned, report
 
 
-def _hot_codegrees(graph: PackingGraph, t: float) -> tuple[np.ndarray, sp.coo_matrix]:
-    """(hot, C): the vertices of degree at least ``t``, and B B^T in COO
-    form for B the rows of A at those vertices.
+def _hot_codegrees(graph: PackingGraph, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(hot, row, col, count): the vertices of degree at least ``t``, and
+    the entries of B B^T, row by row, for B the rows of A at those vertices.
 
-    The off-diagonal entries of C are the codegrees of the hot pairs.  The
+    The off-diagonal entries are the codegrees of the hot pairs.  The
     product still sums over every vertex, so each count is exact; A^2 over
-    all rows is never formed.
+    all rows is never formed.  With a free core token it runs as two
+    blocks of B's rows (:func:`in_parts`); each block's rows are those of
+    the whole product, and their entries are joined end to end.
     """
     hot = np.flatnonzero(graph.degree() >= t)
     B = graph.adj[hot]
-    return hot, (B @ B.T).tocoo()
+    BT = B.T.tocsr()
+    m = len(hot) // 2
+    blocks = in_parts(lambda: B @ BT, lambda: B[:m] @ BT, lambda: B[m:] @ BT)
+    row = np.repeat(np.arange(len(hot)), np.concatenate([np.diff(C.indptr) for C in blocks]))
+    return hot, row, np.concatenate([C.indices for C in blocks]), np.concatenate([C.data for C in blocks])
 
 
 def codegree_pairs(graph: PackingGraph, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -396,19 +466,19 @@ def codegree_pairs(graph: PackingGraph, t: float) -> tuple[np.ndarray, np.ndarra
     largest codegree of that product for :func:`degree_codegree_stats`.
     """
     t = max(t, 1)
-    hot, C = _hot_codegrees(graph, t)
-    upper = C.row < C.col
-    graph._hot_max_codegree = (t, int(C.data[upper].max(initial=0)))
-    keep = upper & (C.data >= t)
-    rows, cols = hot[C.row[keep]], hot[C.col[keep]]
+    hot, row, col, count = _hot_codegrees(graph, t)
+    upper = row < col
+    graph._hot_max_codegree = (t, int(count[upper].max(initial=0)))
+    keep = upper & (count >= t)
+    rows, cols = hot[row[keep]], hot[col[keep]]
     order = np.argsort(rows * graph.n + cols)  # unique codes: (i, j) order
-    return rows[order], cols[order], C.data[keep][order].astype(np.int64)
+    return rows[order], cols[order], count[keep][order].astype(np.int64)
 
 
 def _max_hot_codegree(graph: PackingGraph, t: float) -> int:
     """Largest codegree among the pairs of vertices of degree >= t (0 if none)."""
-    C = _hot_codegrees(graph, t)[1]
-    return int(C.data[C.row != C.col].max(initial=0))
+    _, row, col, count = _hot_codegrees(graph, t)
+    return int(count[row != col].max(initial=0))
 
 
 def degree_codegree_stats(graph: PackingGraph) -> dict:

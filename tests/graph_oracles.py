@@ -3,12 +3,13 @@ A @ A codegrees and exhaustive independent sets, independent of the
 KD-tree, codegree and local-search paths; plus the plain first versions of
 the minimal image, the CSR build, the independence test, the periodic
 KD-tree pair query, the greedy set and the local search, which the
-rewritten primitives must match exactly."""
+rewritten primitives must match exactly; and two probes of the core
+tokens that split kernels borrow."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-
 import math
 
 import numpy as np
@@ -16,7 +17,26 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from normpack.bodies import ConvexBody
-from normpack.packing import PackingGraph, TorusDomain
+from normpack.packing import CORE_TOKENS, PackingGraph, TorusDomain
+
+
+@contextlib.contextmanager
+def all_core_tokens_held():
+    """Hold every free core token, so that split kernels run both halves here."""
+    with contextlib.ExitStack() as stack:
+        while CORE_TOKENS.acquire(blocking=False):
+            stack.callback(CORE_TOKENS.release)
+        yield
+
+
+def free_core_tokens() -> int:
+    """How many core tokens are free now."""
+    free = 0
+    with contextlib.ExitStack() as stack:
+        while CORE_TOKENS.acquire(blocking=False):
+            stack.callback(CORE_TOKENS.release)
+            free += 1
+    return free
 
 
 def brute_force_graph(points: np.ndarray, body: ConvexBody, domain: TorusDomain) -> PackingGraph:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -468,6 +469,22 @@ class TestSpecFiles:
     )
     def test_missing_key_named(self, spec, key):
         with pytest.raises(ValueError, match=f"^body spec has no key '{key}'$"):
+            body_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ({"kind": "lp", "d": None, "p": 2}, "'d' must be an integer, got None"),
+            ({"kind": "simplex_diff", "d": "three"}, "'d' must be an integer, got 'three'"),
+            ({"kind": "lp", "d": 2, "p": [2]}, "'p' must be a real number or 'inf', got [2]"),
+            ({"kind": "lp", "d": 2, "p": 2, "scale": None}, "'scale' must be a real number, got None"),
+            ({"kind": "hpoly", "d": 1, "facets": 3}, "'facets' must be a list of objects with a normal and an offset, got 3"),
+            ({"kind": "hpoly", "d": 1, "facets": [1.0]}, "'facets' must be a list of objects with a normal and an offset, got [1.0]"),
+        ],
+        ids=["null-d", "str-d", "list-p", "null-scale", "int-facets", "number-facet"],
+    )
+    def test_wrong_type_named(self, spec, message):
+        with pytest.raises(ValueError, match=f"^body spec key {re.escape(message)}$"):
             body_from_spec(spec)
 
     @pytest.mark.parametrize("spec", [[1], "lp", None], ids=["list", "str", "null"])

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import time
 from dataclasses import replace
@@ -23,7 +24,9 @@ from normpack.harness import (
     write_sweep_csv,
 )
 from normpack.indset import import_packing, verify_packing
-from normpack.packing import QUERY_SLACK, TorusDomain
+import normpack.harness as harness
+from normpack.packing import QUERY_SLACK, TorusDomain, build_graph
+from graph_oracles import free_core_tokens
 from polytope_oracles import criterion4_hpolytope
 
 
@@ -241,6 +244,28 @@ class TestSweep:
         rows1 = sweep(template, deltas=[15.0, 25.0], workers=1)
         rows8 = sweep(template, deltas=[15.0, 25.0], workers=8)
         assert rows1 == rows8
+
+    def test_records_byte_identical_across_workers(self, tmp_path):
+        # with 3 workers on 2 cores the third run waits for a core token, and
+        # a run splits its kernels only while a token is free
+        records = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            rows = sweep(replace(default_config(2, seed=12), out_dir=str(out)), deltas=[15.0, 20.0, 25.0], workers=workers)
+            assert [row["status"] for row in rows] == ["ok"] * 3
+            records[workers] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(records[1]) == 3 and records[1] == records[2] == records[3]
+
+    def test_a_run_holds_one_core_token(self, monkeypatch):
+        free = []
+
+        def spy(*args):
+            free.append(free_core_tokens())
+            return build_graph(*args)
+
+        monkeypatch.setattr(harness, "build_graph", spy)
+        run_pipeline(default_config(2, seed=3))
+        assert free == [len(os.sched_getaffinity(0)) - 1]
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, workers):
@@ -505,6 +530,11 @@ class TestCli:
         with pytest.raises(PipelineStageError, match="sample_poisson"):
             pack_main(["run", str(path)])
 
+    def test_pack_sweep_help_says_extra_workers_wait(self, capsys):
+        with pytest.raises(SystemExit, match="^0$"):
+            pack_main(["sweep", "--help"])
+        assert "threads beyond the core count wait for one" in " ".join(capsys.readouterr().out.split())
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_pack_sweep_workers_below_one(self, tmp_path, workers):
         with pytest.raises(SystemExit, match=f"^pack sweep: workers must be at least 1, got {workers}$"):
@@ -526,8 +556,9 @@ class TestCli:
             ('{"kind": "blob", "d": 2}', "unknown body kind 'blob'"),
             ('{"kind": "lp", "d": 2}', "body spec has no key 'p'"),
             ("[1]", "a body spec must be a JSON object"),
+            ('{"kind": "lp", "d": null, "p": 2}', "body spec key 'd' must be an integer, got None"),
         ],
-        ids=["missing", "bad_json", "unknown_kind", "missing_key", "not_object"],
+        ids=["missing", "bad_json", "unknown_kind", "missing_key", "not_object", "null_d"],
     )
     @pytest.mark.parametrize("cmd", [["body-info"], ["intersection", "--x", "0,0"]], ids=["body-info", "intersection"])
     def test_vol_unreadable_body(self, tmp_path, cmd, text, message):

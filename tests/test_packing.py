@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,8 +25,10 @@ from normpack.volumetrics import IkProfile, McEstimate, OverlapClassifier, estim
 
 from graph_oracles import (
     adjacency_reference,
+    all_core_tokens_held,
     brute_force_graph,
     brute_force_max_codegree,
+    free_core_tokens,
     graph_from_edges,
     graphs_equal,
     min_image_reference,
@@ -31,6 +37,8 @@ from graph_oracles import (
     x2_pairs_reference,
 )
 from polytope_oracles import criterion4_hpolytope
+
+CORES = len(os.sched_getaffinity(0))
 
 
 class TestTorusDomain:
@@ -653,6 +661,16 @@ class TestCodegreePairs:
         assert len(thresholds_seen) == 1
 
 
+class TestCodegreePairsWhole(TestCodegreePairs):
+    """Every TestCodegreePairs case again with every core token held, so the
+    hot-row product runs whole on the caller instead of in two row blocks."""
+
+    @pytest.fixture(autouse=True)
+    def tokens_held(self):
+        with all_core_tokens_held():
+            yield
+
+
 class TestEdgeGauges:
     """X2 reads its candidate pairs off the build's edge gauges; the oracle
     is X2's former KD-tree query at 2 g_ik, sorted by (i, j)."""
@@ -782,13 +800,18 @@ class TestTorusPairs:
     @staticmethod
     def points(d, L, r, seed, n=300):
         """Uniform points, points on the faces x_k in {0, r, L - r}, points
-        near the corner that cross 2 and 3 axes at once, and repeats."""
+        on and beside the cut x_0 = L/2 between the slabs, points near the
+        corner that cross 2 and 3 axes at once, and repeats."""
         rng = np.random.default_rng(seed)
         pts = [rng.uniform(0.0, L, size=(n, d))]
         faces = rng.uniform(0.0, L, size=(6 * d, d))
         for k in range(d):
             faces[6 * k : 6 * k + 6, k] = [0.0, r, L - r, 0.0, r, L - r]
         pts.append(faces)
+        # the first four share their other coordinates, so the cut's pairs sit at exactly r
+        cut = np.vstack([np.tile(rng.uniform(0.0, L, size=(1, d)), (4, 1)), rng.uniform(0.0, L, size=(4, d))])
+        cut[:, 0] = np.array(2 * [L / 2 - r, np.nextafter(L / 2, 0.0), L / 2, L / 2 + r]) % L
+        pts.append(cut)
         eps = rng.uniform(0.0, r / (2 * d), size=(8 * d, d))
         corner = np.where(rng.integers(0, 2, size=eps.shape) == 1, eps, L - eps)
         pts.append(corner)
@@ -805,6 +828,17 @@ class TestTorusPairs:
             want = periodic_query_reference(pts, L, r, p)
             assert got.dtype == np.int64 and np.array_equal(got, want)
             assert len(np.unique(got[:, 0] * len(pts) + got[:, 1])) == len(got)
+
+    @pytest.mark.parametrize("slab", ["low", "high"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_point_in_one_slab(self, d, p, slab):
+        L = 8.0
+        for r in (0.5, 1.75, np.nextafter(L / 2, 0.0)):
+            pts = self.points(d, L, r, seed=d)
+            pts[:, 0] = pts[:, 0] / 2 + (L / 2 if slab == "high" else 0.0)
+            got = packing.torus_pairs(pts, L, r, p)
+            assert np.array_equal(got, periodic_query_reference(pts, L, r, p)) and len(got) > 0
 
     def test_pairs_across_several_faces(self):
         # (0, 1) crosses axis 0, (0, 2) axes 0 and 1, (0, 3) all three and
@@ -860,3 +894,135 @@ class TestTorusPairs:
             want_pairs, want_g = periodic_pairs_reference(pts, body, dom, limit)
             assert np.array_equal(pairs, want_pairs) and np.array_equal(g, want_g)
             assert len(pairs) > 0
+
+
+class TestTorusPairsWhole(TestTorusPairs):
+    """Every TestTorusPairs case again with every core token held, so one
+    tree over every point takes the place of the two slabs and the cut."""
+
+    @pytest.fixture(autouse=True)
+    def tokens_held(self):
+        with all_core_tokens_held():
+            yield
+
+
+class TestInParts:
+    """Kernels run in two parts, one on a worker thread, only with a
+    borrowed core token, else whole here; the arrays are the same."""
+
+    @staticmethod
+    def threads_of_parts():
+        """{part: thread it ran on} for the parts :func:`in_parts` ran."""
+        ran = {}
+
+        def part(name):
+            return lambda: ran.setdefault(name, threading.get_ident()) and name
+
+        out = packing.in_parts(part("whole"), part("first"), part("second"))
+        assert sorted(out) == sorted(ran)
+        return ran
+
+    def test_second_part_on_a_worker_with_a_free_token(self):
+        ran = self.threads_of_parts()
+        assert sorted(ran) == ["first", "second"] and ran["first"] == threading.get_ident() != ran["second"]
+        assert free_core_tokens() == CORES
+
+    def test_whole_here_without_a_free_token(self):
+        with all_core_tokens_held():
+            assert self.threads_of_parts() == {"whole": threading.get_ident()}
+        assert free_core_tokens() == CORES
+
+    def test_worker_holds_the_borrowed_token(self):
+        assert packing.in_parts(None, free_core_tokens, free_core_tokens) == [CORES - 1, CORES - 1]
+
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_an_exception_propagates_and_the_token_returns(self, failing):
+        def fail():
+            raise ZeroDivisionError(failing)
+
+        parts = (fail, lambda: 0) if failing == "first" else (lambda: 0, fail)
+        with pytest.raises(ZeroDivisionError, match=f"^{failing}$"):
+            packing.in_parts(None, *parts)
+        assert free_core_tokens() == CORES
+
+    def test_runs_never_take_more_cores_than_there_are(self):
+        # more pipeline-like threads than cores, each holding a token while it
+        # runs kernels in parts: at no time do more parts run than there are
+        # tokens, and every borrowed token comes back
+        lock, running, peak = threading.Lock(), [0], [0]
+
+        def part():
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(1e-4)
+            with lock:
+                running[0] -= 1
+
+        def run():
+            for _ in range(30):
+                with packing.CORE_TOKENS:
+                    part()
+                    packing.in_parts(part, part, part)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(CORES + 2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert 1 <= peak[0] <= CORES and running[0] == 0
+        assert free_core_tokens() == CORES
+
+    def test_an_exception_from_the_whole_propagates(self):
+        with all_core_tokens_held(), pytest.raises(ZeroDivisionError):
+            packing.in_parts(lambda: 1 / 0, None, None)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_torus_pairs_routes_agree(self, d):
+        L = 10.0
+        pts = TestTorusPairs.points(d, L, 2.0, seed=40 + d, n=2000)
+        free = packing.torus_pairs(pts, L, 2.0)
+        with all_core_tokens_held():
+            held = packing.torus_pairs(pts, L, 2.0)
+        assert np.array_equal(free, held) and len(free) > 0
+
+    @staticmethod
+    def hot_codegrees_both_routes(g, t):
+        """_hot_codegrees in two row blocks and whole, which must agree."""
+        free = packing._hot_codegrees(g, t)
+        with all_core_tokens_held():
+            held = packing._hot_codegrees(g, t)
+        for a, b in zip(free, held):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        return free
+
+    @pytest.mark.parametrize(
+        "edges,t,want_hot",
+        [
+            ([(0, 1), (1, 2)], 3.0, []),
+            ([(0, 1), (0, 2), (0, 3)], 3.0, [0]),
+            ([(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)], 3.0, [0, 1]),
+        ],
+        ids=["no-hot-row", "one-hot-row", "two-hot-rows"],
+    )
+    def test_hot_codegrees_on_few_rows(self, edges, t, want_hot):
+        g = graph_from_edges(5, edges)
+        hot, row, col, count = self.hot_codegrees_both_routes(g, t)
+        assert hot.tolist() == want_hot
+        A = g.adj.toarray()
+        got = np.zeros((len(hot), len(hot)))
+        got[row, col] = count
+        assert np.array_equal(got, (A @ A)[np.ix_(hot, hot)])
+        assert len(set(zip(row.tolist(), col.tolist()))) == len(row) and np.all(count > 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hot_codegrees_routes_agree(self, seed):
+        g = random_graph(seed)
+        for t in (1.0, 3.0, 6.0):
+            self.hot_codegrees_both_routes(g, t)
