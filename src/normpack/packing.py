@@ -17,11 +17,11 @@ the graph.  By construction the surviving graph satisfies both the
 degree and the codegree bound; tests re-verify this by brute force.
 
 The pair queries and the hot-row codegree product run in scipy code that
-releases the interpreter lock.  When one of :data:`CORE_TOKENS`, one per
-core, is free, each runs in two parts, one on a worker thread; otherwise
-it runs whole on the caller (:func:`in_parts`).  A pipeline run holds one
-token, so two sweep workers on two cores run their kernels whole.  The
-arrays are the same either way.
+releases the interpreter lock.  Each runs in two parts (:func:`in_parts`):
+when one of :data:`CORE_TOKENS`, one per core, is free, one part runs on
+a worker thread; otherwise both run on the caller, one after the other.
+A pipeline run holds one token, so two sweep workers on two cores start
+no more threads.  The arrays are the same either way.
 """
 
 from __future__ import annotations
@@ -180,18 +180,17 @@ class PackingGraph:
         return PackingGraph(points=self.points[keep], adj=adj, domain=self.domain)
 
 
-def in_parts(whole, first, second) -> list:
-    """[whole()] when no core token is free, else [first(), second()] with
-    ``second`` on a worker thread that holds a borrowed token until it ends.
+def in_parts(first, second) -> list:
+    """[first(), second()], with ``second`` on a worker thread that holds a
+    borrowed core token until it ends, or here after ``first`` when no
+    token is free.
 
-    The two parts must give, together, what ``whole`` gives, and spend
-    their time in code that releases the interpreter lock.  An exception
-    from either part propagates once both have ended.  Split work takes
-    the lock back more often, which costs more while other threads compete
-    for it, so without a spare core the work runs whole.
+    The parts should spend their time in code that releases the
+    interpreter lock.  An exception from either part propagates once both
+    have ended.
     """
     if not CORE_TOKENS.acquire(blocking=False):
-        return [whole()]
+        return [first(), second()]
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
             later = pool.submit(second)
@@ -208,19 +207,18 @@ def torus_pairs(wrapped: np.ndarray, L: float, radius: float, p: float = 2.0) ->
     The box is cut at x_0 = L/2 into two slabs.  One non-periodic KD tree
     per slab finds the pairs inside it whose direct difference is within
     ``radius``: with radius < L/2 that difference is the minimal image.
-    A pair with such a difference across the cut has x_0 in
-    [L/2 - radius, L/2) at one end and in [L/2, L/2 + radius] at the
-    other, and one non-periodic query between those two bands finds it.
+    A pair with such a difference across the cut has x_0 within radius
+    of L/2 at both ends, and one non-periodic query between the bands
+    within 2 radius of the cut on either side finds it; the margin keeps
+    a pair that the tree accepts on a rounded difference.
     Every other pair crosses a face on some axis k, one end in the high
     band x_k >= L - radius and the other in the low band x_k <= radius.
     A query between the two bands, the low one moved by +L along k, with
     axis k not periodic and the others periodic, finds those pairs.  A
     pair is kept at the first axis it crosses: band k drops it when its
     direct difference exceeds L/2 on an earlier axis.  So no pair is found
-    twice.  With a free core token the queries run in two parts
-    (:func:`in_parts`): one slab with the odd face bands, the other with
-    the cut and the even ones.  Without one, a single non-periodic tree
-    over every point takes the place of the slabs and the cut.
+    twice.  The queries run in two parts (:func:`in_parts`): one slab with
+    the odd face bands, the other with the cut and the even ones.
     """
     if not 2.0 * radius < L:
         raise ValueError(f"pair radius {radius:.9g} needs 2 * radius < L = {L:.9g}")
@@ -228,13 +226,11 @@ def torus_pairs(wrapped: np.ndarray, L: float, radius: float, p: float = 2.0) ->
     x0, mid = wrapped[:, 0], 0.5 * L
     low = x0 < mid
 
-    def direct(idx=None):
-        """Codes of the pairs among rows ``idx`` (all if None) within radius."""
-        tree = cKDTree(wrapped if idx is None else wrapped[idx], balanced_tree=False, compact_nodes=False)
+    def direct(idx):
+        """Codes of the pairs among rows ``idx`` within radius."""
+        tree = cKDTree(wrapped[idx], balanced_tree=False, compact_nodes=False)
         i, j = tree.query_pairs(radius, p=p, output_type="ndarray").T
-        if idx is not None:
-            i, j = idx[i], idx[j]
-        return i * n + j
+        return idx[i] * n + idx[j]
 
     def across(a, b, k=None):
         """Codes of the pairs (a[s], b[t]) within radius; with an axis k, of
@@ -257,10 +253,10 @@ def torus_pairs(wrapped: np.ndarray, L: float, radius: float, p: float = 2.0) ->
         return across(np.flatnonzero(wrapped[:, k] >= L - radius), np.flatnonzero(wrapped[:, k] <= radius), k)
 
     def cut():
-        return across(np.flatnonzero(low & (x0 >= mid - radius)), np.flatnonzero(~low & (x0 <= mid + radius)))
+        near = np.abs(x0 - mid) <= 2 * radius
+        return across(np.flatnonzero(low & near), np.flatnonzero(~low & near))
 
     parts = in_parts(
-        lambda: [direct(), *map(face, range(d))],
         lambda: [direct(np.flatnonzero(~low)), *map(face, range(1, d, 2))],
         lambda: [direct(np.flatnonzero(low)), cut(), *map(face, range(0, d, 2))],
     )
@@ -444,15 +440,15 @@ def _hot_codegrees(graph: PackingGraph, t: float) -> tuple[np.ndarray, np.ndarra
 
     The off-diagonal entries are the codegrees of the hot pairs.  The
     product still sums over every vertex, so each count is exact; A^2 over
-    all rows is never formed.  With a free core token it runs as two
-    blocks of B's rows (:func:`in_parts`); each block's rows are those of
-    the whole product, and their entries are joined end to end.
+    all rows is never formed.  It runs as two blocks of B's rows
+    (:func:`in_parts`); each block's rows are those of the whole product,
+    and their entries are joined end to end.
     """
     hot = np.flatnonzero(graph.degree() >= t)
     B = graph.adj[hot]
     BT = B.T.tocsr()
     m = len(hot) // 2
-    blocks = in_parts(lambda: B @ BT, lambda: B[:m] @ BT, lambda: B[m:] @ BT)
+    blocks = in_parts(lambda: B[:m] @ BT, lambda: B[m:] @ BT)
     row = np.repeat(np.arange(len(hot)), np.concatenate([np.diff(C.indptr) for C in blocks]))
     return hot, row, np.concatenate([C.indices for C in blocks]), np.concatenate([C.data for C in blocks])
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import sys
@@ -661,9 +662,9 @@ class TestCodegreePairs:
         assert len(thresholds_seen) == 1
 
 
-class TestCodegreePairsWhole(TestCodegreePairs):
-    """Every TestCodegreePairs case again with every core token held, so the
-    hot-row product runs whole on the caller instead of in two row blocks."""
+class TestCodegreePairsInline(TestCodegreePairs):
+    """Every TestCodegreePairs case again with every core token held, so both
+    row blocks of the hot-row product run on the caller."""
 
     @pytest.fixture(autouse=True)
     def tokens_held(self):
@@ -808,9 +809,12 @@ class TestTorusPairs:
         for k in range(d):
             faces[6 * k : 6 * k + 6, k] = [0.0, r, L - r, 0.0, r, L - r]
         pts.append(faces)
-        # the first four share their other coordinates, so the cut's pairs sit at exactly r
-        cut = np.vstack([np.tile(rng.uniform(0.0, L, size=(1, d)), (4, 1)), rng.uniform(0.0, L, size=(4, d))])
-        cut[:, 0] = np.array(2 * [L / 2 - r, np.nextafter(L / 2, 0.0), L / 2, L / 2 + r]) % L
+        # the first five share their other coordinates, so the cut's pairs sit at about r;
+        # with r > L/4, a point one ulp below L/2 - r is less than an ulp of r beyond r
+        # from L/2, so its rounded difference can read r
+        cut = np.vstack([np.tile(rng.uniform(0.0, L, size=(1, d)), (5, 1)), rng.uniform(0.0, L, size=(5, d))])
+        at = [L / 2 - r, np.nextafter(L / 2 - r, -math.inf), np.nextafter(L / 2, 0.0), L / 2, L / 2 + r]
+        cut[:, 0] = np.array(2 * at) % L
         pts.append(cut)
         eps = rng.uniform(0.0, r / (2 * d), size=(8 * d, d))
         corner = np.where(rng.integers(0, 2, size=eps.shape) == 1, eps, L - eps)
@@ -896,9 +900,9 @@ class TestTorusPairs:
             assert len(pairs) > 0
 
 
-class TestTorusPairsWhole(TestTorusPairs):
-    """Every TestTorusPairs case again with every core token held, so one
-    tree over every point takes the place of the two slabs and the cut."""
+class TestTorusPairsInline(TestTorusPairs):
+    """Every TestTorusPairs case again with every core token held, so both
+    slabs and every band are queried on the caller."""
 
     @pytest.fixture(autouse=True)
     def tokens_held(self):
@@ -907,8 +911,8 @@ class TestTorusPairsWhole(TestTorusPairs):
 
 
 class TestInParts:
-    """Kernels run in two parts, one on a worker thread, only with a
-    borrowed core token, else whole here; the arrays are the same."""
+    """Kernels run in two parts, the second on a worker thread only with a
+    borrowed core token, else after the first here; the arrays are the same."""
 
     @staticmethod
     def threads_of_parts():
@@ -918,31 +922,32 @@ class TestInParts:
         def part(name):
             return lambda: ran.setdefault(name, threading.get_ident()) and name
 
-        out = packing.in_parts(part("whole"), part("first"), part("second"))
-        assert sorted(out) == sorted(ran)
+        assert packing.in_parts(part("first"), part("second")) == ["first", "second"]
         return ran
 
     def test_second_part_on_a_worker_with_a_free_token(self):
         ran = self.threads_of_parts()
-        assert sorted(ran) == ["first", "second"] and ran["first"] == threading.get_ident() != ran["second"]
+        assert ran["first"] == threading.get_ident() != ran["second"]
         assert free_core_tokens() == CORES
 
-    def test_whole_here_without_a_free_token(self):
+    def test_both_parts_here_without_a_free_token(self):
         with all_core_tokens_held():
-            assert self.threads_of_parts() == {"whole": threading.get_ident()}
+            assert set(self.threads_of_parts().values()) == {threading.get_ident()}
         assert free_core_tokens() == CORES
 
     def test_worker_holds_the_borrowed_token(self):
-        assert packing.in_parts(None, free_core_tokens, free_core_tokens) == [CORES - 1, CORES - 1]
+        assert packing.in_parts(free_core_tokens, free_core_tokens) == [CORES - 1, CORES - 1]
 
+    @pytest.mark.parametrize("held", [False, True], ids=["token-free", "tokens-held"])
     @pytest.mark.parametrize("failing", ["first", "second"])
-    def test_an_exception_propagates_and_the_token_returns(self, failing):
+    def test_an_exception_propagates_and_the_token_returns(self, failing, held):
         def fail():
             raise ZeroDivisionError(failing)
 
         parts = (fail, lambda: 0) if failing == "first" else (lambda: 0, fail)
-        with pytest.raises(ZeroDivisionError, match=f"^{failing}$"):
-            packing.in_parts(None, *parts)
+        with all_core_tokens_held() if held else contextlib.nullcontext():
+            with pytest.raises(ZeroDivisionError, match=f"^{failing}$"):
+                packing.in_parts(*parts)
         assert free_core_tokens() == CORES
 
     def test_runs_never_take_more_cores_than_there_are(self):
@@ -963,7 +968,7 @@ class TestInParts:
             for _ in range(30):
                 with packing.CORE_TOKENS:
                     part()
-                    packing.in_parts(part, part, part)
+                    packing.in_parts(part, part)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -979,10 +984,6 @@ class TestInParts:
         assert 1 <= peak[0] <= CORES and running[0] == 0
         assert free_core_tokens() == CORES
 
-    def test_an_exception_from_the_whole_propagates(self):
-        with all_core_tokens_held(), pytest.raises(ZeroDivisionError):
-            packing.in_parts(lambda: 1 / 0, None, None)
-
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_torus_pairs_routes_agree(self, d):
         L = 10.0
@@ -994,7 +995,8 @@ class TestInParts:
 
     @staticmethod
     def hot_codegrees_both_routes(g, t):
-        """_hot_codegrees in two row blocks and whole, which must agree."""
+        """_hot_codegrees with a free token and with every token held, which
+        must agree."""
         free = packing._hot_codegrees(g, t)
         with all_core_tokens_held():
             held = packing._hot_codegrees(g, t)
