@@ -194,12 +194,17 @@ def cube(d: int, side: float = 1.0) -> ConvexBody:
     return lp_ball(d, math.inf, scale=side / 2.0)
 
 
-def hpolytope(normals, offsets, scale: float = 1.0, tol: float = 1e-9) -> ConvexBody:
+# largest coordinate difference at which two unit facets count as antipodal
+ANTIPODAL_TOL = 1e-9
+
+
+def hpolytope(normals, offsets, scale: float = 1.0) -> ConvexBody:
     """Symmetric H-polytope {x : a_i . x <= b_i}, facets in +/- pairs.
 
     Normals are renormalized to unit length (offsets rescaled to keep the
     same halfspaces).  Raises if offsets are not positive, if some facet
-    lacks its antipodal partner, or if the normals do not span R^d (unbounded).
+    lacks its antipodal partner (within :data:`ANTIPODAL_TOL`), or if the
+    normals do not span R^d (unbounded).
     """
     A = np.asarray(normals, dtype=float)
     b = np.asarray(offsets, dtype=float)
@@ -213,7 +218,7 @@ def hpolytope(normals, offsets, scale: float = 1.0, tol: float = 1e-9) -> Convex
     A = A / norms[:, None]
     b = b / norms
     for i in range(len(A)):
-        match = np.all(np.abs(A + A[i]) <= tol, axis=1) & (np.abs(b - b[i]) <= tol)
+        match = np.all(np.abs(A + A[i]) <= ANTIPODAL_TOL, axis=1) & (np.abs(b - b[i]) <= ANTIPODAL_TOL)
         if not match.any():
             raise ValueError(f"facet {i} has no antipodal partner: not centrally symmetric")
     d = A.shape[1]

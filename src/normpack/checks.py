@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -32,6 +32,14 @@ from .volumetrics import (
     proj_support_rows,
 )
 
+# Monte Carlo samples per f(x) estimate and per Cauchy h_{Pi K}(u) in the
+# Schmuckenschläger and Petty checks
+CHECK_MC_SAMPLES = 20_000
+# largest relative error of the finite-difference slope of log f at 0
+SLOPE_TOL = 0.05
+# centers per random set of the Minkowski equivalence check
+MINKOWSKI_SET_SIZE = 8
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -51,20 +59,9 @@ class CheckReport:
     extra: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
-        rec = {
-            "check": self.check,
-            "body": self.body,
-            "d": self.d,
-            "params": self.params,
-            "value": self.value,
-            "std_error": self.std_error,
-            "bound": self.bound,
-            "violations": self.violations,
-            "trials": self.trials,
-            "seed": self.seed,
-            "conclusive": self.conclusive,
-        }
-        rec.update(self.extra)
+        """The fields, with the keys of ``extra`` in place of ``extra``."""
+        rec = asdict(self)
+        rec.update(rec.pop("extra"))
         return rec
 
 
@@ -91,7 +88,6 @@ def check_schmuckenschlager(
     trials: int,
     rng: np.random.Generator,
     slack: float = 0.05,
-    mc_samples: int = 20_000,
     seed: int | None = None,
 ) -> CheckReport:
     """Two-sided containment between {f > delta} and scaled Pi*K.
@@ -102,19 +98,20 @@ def check_schmuckenschlager(
     The trial points x are uniform in 2K.  Balls and cubes take f and
     h_{Pi K} (:func:`proj_support_rows`) at all of them in one call each.
     Other bodies run one point at a time, its f estimate then its h_{Pi K},
-    so their Monte Carlo draws keep that order.
+    each from :data:`CHECK_MC_SAMPLES` draws, so their Monte Carlo draws
+    keep that order.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta in (0,1) required")
     xs = sample_uniform(body.scaled(2.0), rng, trials)
     if has_exact_intersection(body):
         fx = exact_intersection_volume(body, xs)
-        hx = proj_support_rows(body, xs, mc_samples, rng)
+        hx = proj_support_rows(body, xs, CHECK_MC_SAMPLES, rng)
     else:
         fx, hx = np.empty(trials), np.empty(trials)
         for i, x in enumerate(xs):
-            fx[i] = intersection_volume(body, x, mc_samples, rng).value
-            hx[i] = proj_support_rows(body, x[None], mc_samples, rng)[0]
+            fx[i] = intersection_volume(body, x, CHECK_MC_SAMPLES, rng).value
+            hx[i] = proj_support_rows(body, x[None], CHECK_MC_SAMPLES, rng)[0]
     outer = fx > delta
     inner = hx <= (1.0 - delta) * (1.0 - slack)
     outer_viol = int(np.count_nonzero(outer & (hx > math.log(1.0 / delta) * (1.0 + slack))))
@@ -145,7 +142,6 @@ def check_logconcavity(
     rng: np.random.Generator,
     mc_samples: int = 10_000,
     slope_directions: int = 0,
-    slope_tol: float = 0.05,
     seed: int | None = None,
 ) -> CheckReport:
     """Log-concavity of f along random rays, plus the derivative identity.
@@ -158,7 +154,7 @@ def check_logconcavity(
     the draws.  One inequality then tests every ray.
     With ``slope_directions`` > 0, additionally compares the one-sided
     finite-difference slope of log f at 0 against -h_{Pi K} (within
-    ``slope_tol`` relative); the slope check uses exact f when available.
+    :data:`SLOPE_TOL` relative); the slope check uses exact f when available.
     """
     if rays < 1:
         raise ValueError("rays >= 1 required")
@@ -202,13 +198,13 @@ def check_logconcavity(
             slope = math.log(fe) / eps  # f(0) = vol = 1 for normalized bodies
             rel = abs(slope + hy) / hy
             slope_errs.append(rel)
-            if rel > slope_tol:
+            if rel > SLOPE_TOL:
                 slope_fail += 1
     return CheckReport(
         check="logconcavity",
         body=body.describe(),
         d=body.d,
-        params={"mc_samples": mc_samples, "slope_tol": slope_tol},
+        params={"mc_samples": mc_samples, "slope_tol": SLOPE_TOL},
         value=float(viol),
         std_error=0.0,
         bound=0.0,
@@ -226,32 +222,32 @@ def check_petty(
     body: ConvexBody,
     rng: np.random.Generator,
     n_directions: int | None = None,
-    support_samples: int = 20_000,
-    slack: float = 0.0,
     seed: int | None = None,
 ) -> CheckReport:
     """vol(Pi* K) <= vol(Pi* B) for the unit-volume ball B of equal volume.
 
     Uses the closed form for balls and cubes, a direction-net Monte Carlo
-    estimate otherwise.  On polytopes each h_{Pi K} in that net is exact
-    (Cauchy's formula), so only the net itself is random.  Reports
-    inconclusive (never pass) when the noise band straddles the bound.
+    estimate otherwise, over ``n_directions`` (None: the default net) with
+    :data:`CHECK_MC_SAMPLES` Cauchy directions per h_{Pi K}.  On polytopes
+    each h_{Pi K} in that net is exact (Cauchy's formula), so only the net
+    itself is random.  The bound takes no slack.  Reports inconclusive
+    (never pass) when the noise band straddles the bound.
     """
-    bound = polar_proj_ball_volume(body.d).value
+    bound = polar_proj_ball_volume(body.d)
     analytic = analytic_polar_proj_volume(body)
     if analytic is not None:
         value, se = analytic, 0.0
     else:
-        est = polar_proj_volume_mc(body, rng, n_directions, support_samples)
+        est = polar_proj_volume_mc(body, rng, n_directions, CHECK_MC_SAMPLES)
         value, se = est.value, est.std_error
     # equality (the ball itself) must pass despite float round-off
-    ok = value <= bound * (1.0 + slack + 1e-12) + 3.0 * se
+    ok = value <= bound * (1.0 + 1e-12) + 3.0 * se
     conclusive = se == 0.0 or abs(value - bound) > 3.0 * se or value < bound
     return CheckReport(
         check="petty",
         body=body.describe(),
         d=body.d,
-        params={"slack": slack},
+        params={"slack": 0.0},
         value=value,
         std_error=se,
         bound=bound,
@@ -305,33 +301,28 @@ def check_rogers_shephard(
 # -- Minkowski difference-body equivalence ----------------------------
 
 
-def check_minkowski_equivalence(
-    d: int,
-    n_sets: int,
-    rng: np.random.Generator,
-    set_size: int = 8,
-    seed: int | None = None,
-) -> CheckReport:
+def check_minkowski_equivalence(d: int, n_sets: int, rng: np.random.Generator, seed: int | None = None) -> CheckReport:
     """A center set packs the simplex iff it packs the difference body.
 
     Both predicates are evaluated per pair: translate disjointness for
     the simplex via the dual membership test (z outside the open
     difference body), and gauge >= 2 for the half-difference body.
-    Counts predicate disagreements over random center sets scaled to
-    straddle the critical packing distance.
+    Counts predicate disagreements over random sets of
+    :data:`MINKOWSKI_SET_SIZE` centers scaled to straddle the critical
+    packing distance.
     """
     body = simplex_difference(d)
     E = helmert_basis(d)
     disagreements = 0
     pack_true = pack_false = 0
-    side = max(2, int(math.ceil(set_size ** (1.0 / d))))
+    side = max(2, int(math.ceil(MINKOWSKI_SET_SIZE ** (1.0 / d))))
     grid = np.stack(np.meshgrid(*([np.arange(side)] * d), indexing="ij"), axis=-1).reshape(-1, d)
     for _ in range(n_sets):
         # jittered grid with spacing straddling the critical packing distance
         spacing = rng.uniform(1.0, 2.6)
-        keep = rng.permutation(len(grid))[:set_size]
-        pts = spacing * (grid[keep] + rng.uniform(-0.15, 0.15, size=(set_size, d)))
-        ii, jj = np.triu_indices(set_size, 1)
+        keep = rng.permutation(len(grid))[:MINKOWSKI_SET_SIZE]
+        pts = spacing * (grid[keep] + rng.uniform(-0.15, 0.15, size=(MINKOWSKI_SET_SIZE, d)))
+        ii, jj = np.triu_indices(MINKOWSKI_SET_SIZE, 1)
         z = pts[ii] - pts[jj]
         # simplex route: translates x+S, y+S disjoint iff z not interior to S-S
         strict = np.maximum(np.atleast_2d(z) @ E.T, 0.0).sum(axis=-1) < 1.0 - 1e-12
@@ -348,7 +339,7 @@ def check_minkowski_equivalence(
         check="minkowski_equivalence",
         body=f"simplex(d={d})",
         d=d,
-        params={"set_size": set_size},
+        params={"set_size": MINKOWSKI_SET_SIZE},
         value=float(disagreements),
         std_error=0.0,
         bound=0.0,

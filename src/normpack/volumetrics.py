@@ -26,6 +26,7 @@ from .bodies import (
 )
 
 MC_MIN_SAMPLES = 1_000
+MC_BASE_SAMPLES = 2_000  # the MC classifier's first sample size
 MAX_ESCALATIONS = 4  # 4x sample increases before the MC classifier says "boundary"
 
 
@@ -133,24 +134,16 @@ def intersection_volume(
 class OverlapClassifier:
     """Decides whether f(x) > delta, exactly or by escalating Monte Carlo.
 
-    The MC route starts at ``base_samples`` and multiplies by 4, at most
+    The MC route starts at :data:`MC_BASE_SAMPLES` and multiplies by 4, at most
     :data:`MAX_ESCALATIONS` times, until the 3-sigma band excludes delta;
     still-ambiguous points are labeled boundary and, per the conservative
     convention, treated as inside I_K.
     """
 
-    def __init__(
-        self,
-        body: ConvexBody,
-        delta: float,
-        rng: np.random.Generator | None = None,
-        base_samples: int = 2_000,
-        force_mc: bool = False,
-    ):
+    def __init__(self, body: ConvexBody, delta: float, rng: np.random.Generator | None = None, force_mc: bool = False):
         self.body = body
         self.delta = float(delta)
         self.rng = rng
-        self.base_samples = base_samples
         self.exact = has_exact_intersection(body) and not force_mc
         self.boundary_count = 0
         if not self.exact and rng is None:
@@ -164,7 +157,7 @@ class OverlapClassifier:
         return np.asarray([self._classify_one(xi) for xi in x])
 
     def _classify_one(self, x: np.ndarray) -> bool:
-        n = self.base_samples
+        n = MC_BASE_SAMPLES
         for _ in range(MAX_ESCALATIONS + 1):
             est = intersection_volume(self.body, x, n, self.rng)
             if abs(est.value - self.delta) > 3.0 * est.std_error:
@@ -218,9 +211,10 @@ def estimate_ik(
       ``[(V - delta)^d, (V log(V/delta))^d] vol(Pi* K)``, with the
       standard error of vol(Pi* K) scaled alike.  vol(Pi* K) comes from
       :func:`polar_proj_volume_mc`: over ``outer_samples`` directions
-      with Cauchy's h_PiK for polytopes (and every body at d = 2), and
-      on its default direction net (at most ``outer_samples`` directions)
-      with ``inner_samples`` Cauchy directions per h_PiK for lp bodies.
+      with the closed-form h_PiK of polytopes and of every body at d = 2,
+      and on its default direction net (at most ``outer_samples``
+      directions) with ``inner_samples`` Cauchy directions per h_PiK for
+      lp bodies at d >= 3.
 
     The profile's bracket is taken over the same directions as the
     volume, so for every body the volume lies inside it.
@@ -233,8 +227,10 @@ def estimate_ik(
         return IkProfile(body, delta, McEstimate(0.0, 0.0, 0), math.inf, (0.0, 0.0))
     lo_r, hi_r = V - delta, V * math.log(V / delta)  # radial bracket times h_PiK
     if not has_exact_intersection(body):
-        # lp bodies cap the net at polar_proj_volume_mc's default size
-        net = outer_samples if body.polytope is not None else min(outer_samples, max(2 * d * d, 32))
+        # each Monte Carlo h_PiK draws inner_samples directions, so lp bodies at
+        # d >= 3 cap the net at polar_proj_volume_mc's default size
+        closed = body.polytope is not None or d == 2
+        net = outer_samples if closed else min(outer_samples, max(2 * d * d, 32))
         polar = polar_proj_volume_mc(body, rng, max(net, 2), inner_samples)
         vol = McEstimate(hi_r**d * polar.value, hi_r**d * polar.std_error, polar.samples)
         return IkProfile(body, delta, vol, 1.0 / (d * vol.value), (lo_r**d * polar.value, vol.value))
@@ -380,17 +376,10 @@ def proj_support_rows(body: ConvexBody, xs: np.ndarray, samples: int, rng: np.ra
     return h
 
 
-@dataclass(frozen=True)
-class PolarProjBall:
-    """Exact volume of the polar projection body of the unit-volume ball."""
-
-    d: int
-    value: float
-    bound: float  # (2 pi / d)^(d/2)
-
-
-def polar_proj_ball_volume(d: int) -> PolarProjBall:
-    """(gamma_d / gamma_{d-1})^d via log-gamma, with its upper bound.
+def polar_proj_ball_volume(d: int) -> float:
+    """vol(Pi* B) of the unit-volume ball B: (gamma_d / gamma_{d-1})^d via
+    log-gamma.  Raises a RuntimeError if it exceeds its upper bound
+    (2 pi / d)^(d/2).
 
     gamma_0 = 1 by convention, so d = 1 gives 2.
     """
@@ -403,7 +392,7 @@ def polar_proj_ball_volume(d: int) -> PolarProjBall:
     bound = (2.0 * math.pi / d) ** (0.5 * d)
     if not value <= bound * (1.0 + 1e-12):
         raise RuntimeError(f"polar projection ball volume {value!r} exceeds its bound {bound!r} at d={d}")
-    return PolarProjBall(d=d, value=value, bound=bound)
+    return value
 
 
 def analytic_polar_proj_volume(body: ConvexBody) -> float | None:
@@ -424,14 +413,16 @@ def analytic_polar_proj_volume(body: ConvexBody) -> float | None:
 def polar_proj_volume_mc(
     body: ConvexBody,
     rng: np.random.Generator,
-    n_directions: int | None = None,
-    support_samples: int = 20_000,
+    n_directions: int | None,
+    support_samples: int,
 ) -> McEstimate:
-    """vol(Pi* K) from a direction net, via the radial formula.
+    """vol(Pi* K) from a net of ``n_directions`` uniform directions (None:
+    the default net of max(2 d^2, 32)), via the radial formula.
 
     Since gauge_{Pi* K}(x) = h_{Pi K}(x), the volume equals gamma_d *
     E_theta[h_{Pi K}(theta)^(-d)] over uniform unit theta, h_{Pi K} from
-    :func:`proj_support_rows`.  Net resolution (not just sampling noise)
+    :func:`proj_support_rows` with ``support_samples`` Cauchy directions
+    where it has no closed form.  Net resolution (not just sampling noise)
     limits accuracy; the standard error covers the directional average only.
     """
     d = body.d

@@ -80,9 +80,8 @@ class TestLogconcavity:
 
     def test_slope_identity(self):
         body = normalize_to_unit_volume(lp_ball(3, 2))
-        rep = check_logconcavity(
-            body, 10, np.random.default_rng(3), slope_directions=10, slope_tol=0.05
-        )
+        rep = check_logconcavity(body, 10, np.random.default_rng(3), slope_directions=10)
+        assert rep.params["slope_tol"] == 0.05
         assert rep.extra["slope_failures"] == 0
         assert rep.extra["max_slope_rel_err"] <= 0.05
 
@@ -157,7 +156,6 @@ class TestPetty:
             normalize_to_unit_volume(simplex_difference(2)),
             np.random.default_rng(1),
             n_directions=64,
-            support_samples=20_000,
         )
         assert rep.violations == 0
         assert rep.std_error > 0.0

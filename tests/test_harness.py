@@ -390,8 +390,10 @@ class TestCli:
             (lambda h: {"L": h["L"]}, "packing header has no key 'body'"),
             (lambda h: [1], "the packing header must be a JSON object"),
             (lambda h: {**h, "body": {"kind": "lp", "d": 2}}, "body spec has no key 'p'"),
+            (lambda h: {**h, "L": math.nan}, "L must be finite and positive, got nan"),
+            (lambda h: {**h, "L": math.inf}, "L must be finite and positive, got inf"),
         ],
-        ids=["no_L", "no_body", "not_object", "body_missing_key"],
+        ids=["no_L", "no_body", "not_object", "body_missing_key", "nan_L", "inf_L"],
     )
     def test_verify_packing_bad_header(self, tmp_path, capsys, edit, message):
         path, _ = self._write_packing(tmp_path, capsys)
@@ -514,8 +516,11 @@ class TestCli:
             ({"body": {"kind": "ellipse", "d": 2}}, "normalize: unknown body kind 'ellipse'"),
             ({"body": {"kind": "lp", "d": 2}}, "normalize: body spec has no key 'p'$"),
             ({"d": 3}, "normalize: config d does not match body dimension"),
+            ({"L": math.inf}, "validate: L must be finite and positive, got inf$"),
+            # the expected point count Delta / 4 * L^2 exceeds packing.DEFAULT_POINT_CAP
+            ({"Delta": 1e9}, "sample_poisson: expected count 1e\\+11 exceeds cap 2000000$"),
         ],
-        ids=["L_at_floor", "unknown_kind", "missing_key", "d_mismatch"],
+        ids=["L_at_floor", "unknown_kind", "missing_key", "d_mismatch", "inf_L", "over_point_cap"],
     )
     def test_pack_run_config_fault(self, tmp_path, edit, message):
         path = tmp_path / "fault.json"
@@ -524,11 +529,13 @@ class TestCli:
             pack_main(["run", str(path), "--out", str(tmp_path)])
         assert not list(tmp_path.glob("run_*.jsonl"))
 
-    def test_pack_run_later_stage_keeps_traceback(self, tmp_path):
-        path = tmp_path / "big.json"
-        path.write_text(replace(default_config(2), Delta=1e9).to_json())  # exceeds the point cap
-        with pytest.raises(PipelineStageError, match="sample_poisson"):
-            pack_main(["run", str(path)])
+    def test_pack_run_later_stage_keeps_traceback(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("graph build failed")
+
+        monkeypatch.setattr(harness, "build_graph", fail)
+        with pytest.raises(PipelineStageError, match="build_graph"):
+            pack_main(["run", self._write_config(tmp_path)])
 
     def test_pack_sweep_help_says_extra_workers_wait(self, capsys):
         with pytest.raises(SystemExit, match="^0$"):

@@ -99,6 +99,12 @@ class TestTorusDomain:
         with pytest.raises(ValueError):
             TorusDomain(2, 0.0)
 
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_L_finite_and_positive(self, L):
+        # NaN passes an L <= 0 test, and so does an infinite L
+        with pytest.raises(ValueError, match=f"^L must be finite and positive, got {L}$"):
+            TorusDomain(2, L)
+
     def test_validate_for_body(self):
         dom = TorusDomain(2, 5.0)
         dom.validate_for_body(lp_ball(2, 2, scale=0.5))
@@ -151,8 +157,9 @@ class TestSamplePoisson:
             sample_poisson(TorusDomain(2, 5.0), -1.0, np.random.default_rng(0))
 
     def test_point_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            sample_poisson(TorusDomain(2, 100.0), 1e6, np.random.default_rng(0), point_cap=1000)
+        # expected count 1e9 / 4 * 100^2 = 2.5e12
+        with pytest.raises(ValueError, match=f"^expected count 2.5e\\+12 exceeds cap {packing.DEFAULT_POINT_CAP}$"):
+            sample_poisson(TorusDomain(2, 100.0), 1e9, np.random.default_rng(0))
 
     def test_deterministic(self):
         dom = TorusDomain(2, 10.0)

@@ -171,7 +171,7 @@ class TestOverlapClassifier:
         rng = np.random.default_rng(10)
         b = cube(2, side=2.0)
         x = np.array([1.0, 0.0])  # f(x) = (2 - 1) * 2 = delta exactly
-        clf = OverlapClassifier(b, delta=2.0, rng=rng, force_mc=True, base_samples=500)
+        clf = OverlapClassifier(b, delta=2.0, rng=rng, force_mc=True)
         assert bool(clf.inside(x)[0])
         assert clf.boundary_count == 1
 
@@ -266,8 +266,34 @@ class TestEstimateIk:
         t0 = time.perf_counter()
         prof = estimate_ik(body, cfg.ik_delta, cfg.ik_outer_samples, cfg.mc_samples, np.random.default_rng(5))
         assert time.perf_counter() - t0 < 2.0
-        assert prof.volume_estimate.samples == 32  # polar_proj_volume_mc's default net at d = 2
-        assert prof.volume_estimate.std_error < 0.03 * prof.vol_ik
+        assert prof.volume_estimate.samples == cfg.ik_outer_samples  # closed-form h_PiK at d = 2
+        assert prof.volume_estimate.std_error < 0.002 * prof.vol_ik
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("p", [3.0, 1.5])
+    def test_lp_d2_takes_every_direction(self, p, seed):
+        # every body at d = 2 has a closed-form h_PiK, so the net takes all
+        # ik_outer_samples directions, as polytopes do
+        cfg = default_config(2)
+        body = normalize_to_unit_volume(lp_ball(2, p))
+        prof = estimate_ik(body, cfg.ik_delta, cfg.ik_outer_samples, cfg.mc_samples, np.random.default_rng(seed))
+        est = prof.volume_estimate
+        assert est.samples == cfg.ik_outer_samples
+        assert est.std_error < 0.002 * prof.vol_ik
+        lo, hi = prof.bracket
+        assert 0.0 < lo <= prof.vol_ik <= hi
+        # the upper end of the bracket, kappa_2 E[h_PiK^-2] (V log(V/delta))^2,
+        # over 4096 equally spaced directions
+        V = closed_form_volume(body)
+        t = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+        polar = math.pi * np.mean(analytic_proj_support(body, np.column_stack([np.cos(t), np.sin(t)])) ** -2.0)
+        assert abs(prof.vol_ik - (V * math.log(V / cfg.ik_delta)) ** 2 * polar) <= 3.0 * est.std_error
+
+    def test_lp3_d3_keeps_the_default_net(self):
+        # each Monte Carlo h_PiK costs inner_samples draws: max(2 d^2, 32) directions
+        body = normalize_to_unit_volume(lp_ball(3, 3))
+        prof = estimate_ik(body, 0.95, 20_000, 2000, np.random.default_rng(1))
+        assert prof.volume_estimate.samples == 32
 
     SANDWICH = {
         "l2": normalize_to_unit_volume(lp_ball(3, 2)),
@@ -610,15 +636,16 @@ class TestProjSupportRows:
 
 class TestPolarProjVolumes:
     def test_ball_small_d_values(self):
-        assert polar_proj_ball_volume(1).value == pytest.approx(2.0)
-        assert polar_proj_ball_volume(2).value == pytest.approx(math.pi / 4.0 * math.pi)
-        assert polar_proj_ball_volume(2).value == pytest.approx(2.4674011003, abs=1e-9)
-        assert polar_proj_ball_volume(3).value == pytest.approx(64.0 / 27.0, abs=1e-12)
+        assert polar_proj_ball_volume(1) == pytest.approx(2.0)
+        assert polar_proj_ball_volume(2) == pytest.approx(math.pi / 4.0 * math.pi)
+        assert polar_proj_ball_volume(2) == pytest.approx(2.4674011003, abs=1e-9)
+        assert polar_proj_ball_volume(3) == pytest.approx(64.0 / 27.0, abs=1e-12)
 
     def test_bound_holds_through_64(self):
         for d in range(1, 65):
-            pb = polar_proj_ball_volume(d)
-            assert pb.value <= pb.bound * (1 + 1e-12)
+            v = polar_proj_ball_volume(d)
+            assert isinstance(v, float)
+            assert v <= (2.0 * math.pi / d) ** (0.5 * d) * (1 + 1e-12)
 
     def test_bound_violation_raises(self, monkeypatch):
         # a raise, not an assert, so that python -O keeps the check
@@ -639,13 +666,13 @@ class TestPolarProjVolumes:
         for d in (2, 3, 5):
             b = lp_ball(d, 2, scale=ball_volume(d) ** (-1.0 / d))
             v = analytic_polar_proj_volume(b)
-            assert v == pytest.approx(polar_proj_ball_volume(d).value)
+            assert v == pytest.approx(polar_proj_ball_volume(d))
 
     def test_mc_matches_analytic_ball(self):
         rng = np.random.default_rng(15)
         b = lp_ball(3, 2, scale=ball_volume(3) ** (-1.0 / 3.0))
         est = polar_proj_volume_mc(b, rng, n_directions=40, support_samples=0)
-        assert est.value == pytest.approx(polar_proj_ball_volume(3).value, rel=1e-9)
+        assert est.value == pytest.approx(polar_proj_ball_volume(3), rel=1e-9)
 
     def test_mc_matches_analytic_cube(self):
         rng = np.random.default_rng(16)
