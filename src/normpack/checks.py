@@ -226,8 +226,8 @@ def check_petty(
 ) -> CheckReport:
     """vol(Pi* K) <= vol(Pi* B) for the unit-volume ball B of equal volume.
 
-    Uses the closed form for balls and cubes, a direction-net Monte Carlo
-    estimate otherwise, over ``n_directions`` (None: the default net) with
+    Uses the closed form for balls and cubes, otherwise a Monte Carlo
+    estimate over ``n_directions`` (required then) with
     :data:`CHECK_MC_SAMPLES` Cauchy directions per h_{Pi K}.  On polytopes
     each h_{Pi K} in that net is exact (Cauchy's formula), so only the net
     itself is random.  The bound takes no slack.  Reports inconclusive

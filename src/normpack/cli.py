@@ -6,9 +6,9 @@ Three commands are installed:
   ``pack sweep <config> --grid <spec> [--workers N]`` for pipeline runs;
   with an output directory, ``pack run`` writes the record and the
   packing's centers; a config or grid they cannot read, a config whose
-  body, L or expected point count fails the ``normalize``, ``validate``
-  or ``sample_poisson`` stage, and a ``--workers`` below 1 end them with
-  a message,
+  body, L or expected point count fails the ``normalize`` or
+  ``validate`` stage, and a ``--workers`` below 1 end them with a
+  message,
 * ``vol body-info <body>`` and ``vol intersection <body> --x <vec>``
   for one-off volumetrics; a body spec they cannot read, a vector whose
   length is not the body's d and a ``--samples`` below 1 end them with
@@ -105,7 +105,7 @@ def pack_main(argv=None) -> int:
         try:
             run = run_stages(cfg)
         except PipelineStageError as exc:  # a body, L or point count the config cannot take
-            if exc.stage not in ("normalize", "validate", "sample_poisson"):
+            if exc.stage not in ("normalize", "validate"):
                 raise
             raise SystemExit(f"pack run: {args.config}: {exc.stage}: {exc.__cause__}") from exc
         out_dir = output_dir(cfg)

@@ -30,6 +30,7 @@ from .packing import (
     TorusDomain,
     build_graph,
     degree_codegree_stats,
+    expected_count,
     prune,
     sample_poisson,
 )
@@ -218,9 +219,10 @@ def _run_stages(config: ExperimentConfig) -> PipelineRun:
             raise ValueError("config d does not match body dimension")
         return normalize_to_unit_volume(body)
 
-    def validate():
+    def validate():  # a point count over the cap is a config fault too
         domain = TorusDomain(config.d, config.L)
         domain.validate_for_body(body)
+        expected_count(domain, config.Delta)
         return domain
 
     body = _stage("normalize", timings, normalize)

@@ -40,7 +40,7 @@ from scipy.spatial import cKDTree
 from .bodies import GAUGE_CHUNK, ConvexBody
 from .volumetrics import IkProfile, OverlapClassifier, ik_gauge_radius
 
-DEFAULT_POINT_CAP = 2_000_000
+POINT_CAP = 2_000_000
 # relative slack on every pair query radius: keeps pairs at exactly the gauge
 # limit despite rounding
 QUERY_SLACK = 1e-9
@@ -92,22 +92,24 @@ class TorusDomain:
         """
         need = 4.0 * body.scaled(2.0).circumradius() * (1.0 + QUERY_SLACK)
         if self.L <= need:
-            raise ValueError(
-                f"L={self.L} too small for {body.describe()}: need L > {need:.4g}"
-            )
+            raise ValueError(f"L={self.L} too small for {body.describe()}: need L > {need:.4g}")
+
+
+def expected_count(domain: TorusDomain, Delta: float) -> float:
+    """2^-d Delta vol(domain), the mean point count of :func:`sample_poisson`;
+    a negative Delta, or a count above :data:`POINT_CAP`, raises a ValueError."""
+    if Delta < 0:
+        raise ValueError("Delta must be nonnegative")
+    mean = Delta / 2.0**domain.d * domain.volume
+    if mean > POINT_CAP:
+        raise ValueError(f"expected count {mean:.3g} exceeds cap {POINT_CAP}")
+    return mean
 
 
 def sample_poisson(domain: TorusDomain, Delta: float, rng: np.random.Generator) -> np.ndarray:
     """(n, d) points in [0, L)^d of a Poisson process with intensity
-    2^-d Delta on the domain.  Raises a ValueError when the expected count
-    exceeds :data:`DEFAULT_POINT_CAP`."""
-    if Delta < 0:
-        raise ValueError("Delta must be nonnegative")
-    lam = Delta / 2.0**domain.d
-    mean = lam * domain.volume
-    if mean > DEFAULT_POINT_CAP:
-        raise ValueError(f"expected count {mean:.3g} exceeds cap {DEFAULT_POINT_CAP}")
-    n = int(rng.poisson(mean))
+    2^-d Delta on the domain; its count is checked by :func:`expected_count`."""
+    n = int(rng.poisson(expected_count(domain, Delta)))
     return rng.uniform(0.0, domain.L, size=(n, domain.d))
 
 

@@ -211,10 +211,10 @@ def estimate_ik(
       ``[(V - delta)^d, (V log(V/delta))^d] vol(Pi* K)``, with the
       standard error of vol(Pi* K) scaled alike.  vol(Pi* K) comes from
       :func:`polar_proj_volume_mc`: over ``outer_samples`` directions
-      with the closed-form h_PiK of polytopes and of every body at d = 2,
-      and on its default direction net (at most ``outer_samples``
-      directions) with ``inner_samples`` Cauchy directions per h_PiK for
-      lp bodies at d >= 3.
+      where :func:`analytic_proj_support` has a closed form (polytopes
+      and every body at d = 2), and otherwise (lp bodies at d >= 3) over
+      min(``outer_samples``, max(2 d^2, 32)) directions with
+      ``inner_samples`` Cauchy directions per h_PiK.
 
     The profile's bracket is taken over the same directions as the
     volume, so for every body the volume lies inside it.
@@ -227,9 +227,8 @@ def estimate_ik(
         return IkProfile(body, delta, McEstimate(0.0, 0.0, 0), math.inf, (0.0, 0.0))
     lo_r, hi_r = V - delta, V * math.log(V / delta)  # radial bracket times h_PiK
     if not has_exact_intersection(body):
-        # each Monte Carlo h_PiK draws inner_samples directions, so lp bodies at
-        # d >= 3 cap the net at polar_proj_volume_mc's default size
-        closed = body.polytope is not None or d == 2
+        # a Monte Carlo h_PiK draws inner_samples directions: cap that net at max(2 d^2, 32)
+        closed = analytic_proj_support(body, np.eye(d)[0]) is not None
         net = outer_samples if closed else min(outer_samples, max(2 * d * d, 32))
         polar = polar_proj_volume_mc(body, rng, max(net, 2), inner_samples)
         vol = McEstimate(hi_r**d * polar.value, hi_r**d * polar.std_error, polar.samples)
@@ -413,11 +412,10 @@ def analytic_polar_proj_volume(body: ConvexBody) -> float | None:
 def polar_proj_volume_mc(
     body: ConvexBody,
     rng: np.random.Generator,
-    n_directions: int | None,
+    n_directions: int,
     support_samples: int,
 ) -> McEstimate:
-    """vol(Pi* K) from a net of ``n_directions`` uniform directions (None:
-    the default net of max(2 d^2, 32)), via the radial formula.
+    """vol(Pi* K) over a net of ``n_directions`` uniform directions, by the radial formula.
 
     Since gauge_{Pi* K}(x) = h_{Pi K}(x), the volume equals gamma_d *
     E_theta[h_{Pi K}(theta)^(-d)] over uniform unit theta, h_{Pi K} from
@@ -426,7 +424,5 @@ def polar_proj_volume_mc(
     limits accuracy; the standard error covers the directional average only.
     """
     d = body.d
-    if n_directions is None:
-        n_directions = max(2 * d * d, 32)
     thetas = _uniform_directions(rng, n_directions, d)
     return _radial_volume(1.0 / proj_support_rows(body, thetas, support_samples, rng), d, n_directions)

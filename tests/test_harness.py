@@ -236,7 +236,7 @@ class TestSweep:
         template = replace(default_config(2), L=20.0)
         rows = sweep(template, deltas=[20.0, 1e9])  # second exceeds point cap
         assert rows[0]["status"] == "ok"
-        assert rows[1]["status"].startswith("error: sample_poisson: ValueError: ")
+        assert rows[1]["status"] == "error: validate: ValueError: expected count 1e+11 exceeds cap 2000000"
         assert rows[1]["density"] is None
 
     def test_worker_count_invariant(self):
@@ -517,8 +517,8 @@ class TestCli:
             ({"body": {"kind": "lp", "d": 2}}, "normalize: body spec has no key 'p'$"),
             ({"d": 3}, "normalize: config d does not match body dimension"),
             ({"L": math.inf}, "validate: L must be finite and positive, got inf$"),
-            # the expected point count Delta / 4 * L^2 exceeds packing.DEFAULT_POINT_CAP
-            ({"Delta": 1e9}, "sample_poisson: expected count 1e\\+11 exceeds cap 2000000$"),
+            # the expected point count Delta / 4 * L^2 exceeds packing.POINT_CAP
+            ({"Delta": 1e9}, "validate: expected count 1e\\+11 exceeds cap 2000000$"),
         ],
         ids=["L_at_floor", "unknown_kind", "missing_key", "d_mismatch", "inf_L", "over_point_cap"],
     )

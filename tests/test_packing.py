@@ -158,7 +158,7 @@ class TestSamplePoisson:
 
     def test_point_cap(self):
         # expected count 1e9 / 4 * 100^2 = 2.5e12
-        with pytest.raises(ValueError, match=f"^expected count 2.5e\\+12 exceeds cap {packing.DEFAULT_POINT_CAP}$"):
+        with pytest.raises(ValueError, match=f"^expected count 2.5e\\+12 exceeds cap {packing.POINT_CAP}$"):
             sample_poisson(TorusDomain(2, 100.0), 1e9, np.random.default_rng(0))
 
     def test_deterministic(self):
