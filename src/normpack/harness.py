@@ -243,7 +243,7 @@ def _run_stages(config: ExperimentConfig) -> PipelineRun:
     pruned, report = _stage(
         "prune",
         timings,
-        lambda: prune(graph, ik, config.Delta, config.codegree_coeff, child_rng(seed, "prune")),
+        lambda: prune(graph, ik, config.Delta, config.codegree_coeff, child_rng(seed, "prune"), config.mc_samples),
     )
     # both only read the graph; after prune, the stats start from its codegree product
     stats_pre = _stage("stats_pre", timings, lambda: degree_codegree_stats(graph))

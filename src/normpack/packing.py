@@ -8,8 +8,9 @@ x_0 = L/2, one across that cut and one across each pair of opposite
 faces; CSR graph that keeps its points and domain), then remove
 
 * X1: points whose degree exceeds Delta + Delta^(2/3),
-* X2: endpoints of pairs whose difference lies in 2 I_K (deep overlap),
-* X3: endpoints of pairs outside 2 I_K whose codegree reaches
+* X2: endpoints of pairs whose difference lies in 2 I_K, or in twice a
+  region that holds I_K (deep overlap; :class:`OverlapClassifier`),
+* X3: endpoints of the other pairs whose codegree reaches
   codegree_coeff * Delta.
 
 :func:`prune` takes the body from the I_K profile and the domain from
@@ -381,47 +382,40 @@ def prune(
     ik: IkProfile,
     Delta: float,
     codegree_coeff: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
+    mc_samples: int,
 ) -> tuple[PackingGraph, PruneReport]:
     """Apply the X1/X2/X3 removal rules and return the pruned graph.
 
     The body is the one ``ik`` was estimated for, the domain the graph's.
-    Membership of a pair difference in 2 I_K is decided by the
-    threshold test f((y - x)/2) > delta; boundary-ambiguous Monte Carlo
-    classifications count as inside (removal), keeping the codegree
-    guarantee sound.  Marking is a read-only pass over the original
-    graph; the sweep rebuilds the subgraph afterwards.
+    A pair is deep when :class:`OverlapClassifier`, given ``rng`` and
+    ``mc_samples`` for its Cauchy estimates, puts its half-difference
+    inside; that region holds I_K, so the codegree guarantee stays sound.
+    Marking is a read-only pass over the original graph; the sweep
+    rebuilds the subgraph afterwards.
     """
     body, domain = ik.body, graph.domain
     n = graph.n
     pts = graph.points
-    clf = OverlapClassifier(body, ik.delta, rng)
+    clf = OverlapClassifier(body, ik.delta, rng, mc_samples)
     deg = graph.degree()
     mark_x1 = deg > Delta + Delta ** (2.0 / 3.0)
 
-    # X2: endpoints of pairs with difference in 2I (f of half-difference > delta),
+    # X2: endpoints of pairs whose half-difference the classifier puts inside,
     # among the pairs within gauge 2 g_ik, sorted by (i, j)
     mark_x2 = np.zeros(n, dtype=bool)
-    gi = gj = np.empty(0, dtype=np.int64)
-    x2_inside = np.empty(0, dtype=bool)
-    g_ik = ik_gauge_radius(body, ik.delta)
-    if g_ik > 0.0:
-        gi, gj = edges_within_gauge(graph, body, 2.0 * g_ik)
-        if len(gi):
-            x2_inside = clf.inside(domain.min_image(pts[gj] - pts[gi]) / 2.0)
-            mark_x2[gi[x2_inside]] = mark_x2[gj[x2_inside]] = True
+    gi, gj = edges_within_gauge(graph, body, 2.0 * ik_gauge_radius(body, ik.delta))
+    x2_inside = clf.inside(domain.min_image(pts[gj] - pts[gi]) / 2.0)
+    mark_x2[gi[x2_inside]] = mark_x2[gj[x2_inside]] = True
 
-    # X3: pairs outside 2I with codegree >= coeff * Delta.  Pairs X2 already
-    # classified reuse its decision; the rest go to the classifier in one batch.
+    # X3: pairs outside 2I with codegree >= coeff * Delta.  Pairs X2 read reuse
+    # its decision; the rest lie beyond gauge 2 g_ik, outside the region.
     mark_x3 = np.zeros(n, dtype=bool)
     hi, hj, _ = codegree_pairs(graph, codegree_coeff * Delta)
     x2_codes, hot_codes = gi * n + gj, hi * n + hj  # X2 pairs are sorted by (i, j)
     known = np.isin(hot_codes, x2_codes)
-    inside = np.empty(len(hi), dtype=bool)
+    inside = np.zeros(len(hi), dtype=bool)
     inside[known] = x2_inside[np.searchsorted(x2_codes, hot_codes[known])]
-    new = ~known
-    if new.any():
-        inside[new] = clf.inside(domain.min_image(pts[hj[new]] - pts[hi[new]]) / 2.0)
     mark_x3[hi[~inside]] = mark_x3[hj[~inside]] = True
 
     removed = mark_x1 | mark_x2 | mark_x3

@@ -3,8 +3,9 @@
 Covers plain rejection volume estimates, translate-intersection volumes
 f(x) = vol(K cap (K + x)) with exact formulas for Euclidean balls and
 cubes, the overlap region I_K = {x : f(x) > delta} with its intensity
-bound Delta_K = 1/(d vol I_K), and support/volume computations for the
-projection body and its polar.
+bound Delta_K = 1/(d vol I_K), the region pruning tests (I_K, or
+Schmuckenschläger's outer body where f has no closed form), and
+support/volume computations for the projection body and its polar.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .bodies import (
 )
 
 MC_MIN_SAMPLES = 1_000
-MC_BASE_SAMPLES = 2_000  # the MC classifier's first sample size
-MAX_ESCALATIONS = 4  # 4x sample increases before the MC classifier says "boundary"
 
 
 @dataclass(frozen=True)
@@ -132,39 +131,45 @@ def intersection_volume(
 
 
 class OverlapClassifier:
-    """Decides whether f(x) > delta, exactly or by escalating Monte Carlo.
+    """Decides whether half pair differences lie in the region prune calls deep.
 
-    The MC route starts at :data:`MC_BASE_SAMPLES` and multiplies by 4, at most
-    :data:`MAX_ESCALATIONS` times, until the 3-sigma band excludes delta;
-    still-ambiguous points are labeled boundary and, per the conservative
-    convention, treated as inside I_K.
+    The l2 ball and the cube test I_K = {x : f(x) > delta} on their exact f.
+    Every other body tests Schmuckenschläger's outer body {x : h_PiK(x) <= t},
+    t = V log(V/delta), which holds I_K as f(x) <= V exp(-h_PiK(x)/V), cut at
+    gauge g_ik (:func:`ik_gauge_radius`); it is empty once delta >= V.  Rows
+    whose width bound V |x|^2 / (2 h_K(x)) <= h_PiK(x) exceeds t are out; the
+    rest take :func:`proj_support_rows`, which for lp bodies at d >= 3 draws
+    ``samples`` directions from ``rng`` per row, counted in ``boundary_count``.
     """
 
-    def __init__(self, body: ConvexBody, delta: float, rng: np.random.Generator | None = None, force_mc: bool = False):
+    def __init__(self, body: ConvexBody, delta: float, rng: np.random.Generator | None = None, samples: int = 0):
         self.body = body
         self.delta = float(delta)
         self.rng = rng
-        self.exact = has_exact_intersection(body) and not force_mc
+        self.samples = samples
+        self.exact = has_exact_intersection(body)
+        self.cauchy = analytic_proj_support(body, np.eye(body.d)[0]) is None
         self.boundary_count = 0
-        if not self.exact and rng is None:
-            raise ValueError("MC classification needs an rng")
+        if self.cauchy and rng is None:
+            raise ValueError("h_PiK by Cauchy's formula needs an rng")
 
     def inside(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized membership x in I_K (boundary counts as inside)."""
+        """Vectorized membership of the rows of x."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.exact:
             return np.asarray(exact_intersection_volume(self.body, x)) > self.delta
-        return np.asarray([self._classify_one(xi) for xi in x])
-
-    def _classify_one(self, x: np.ndarray) -> bool:
-        n = MC_BASE_SAMPLES
-        for _ in range(MAX_ESCALATIONS + 1):
-            est = intersection_volume(self.body, x, n, self.rng)
-            if abs(est.value - self.delta) > 3.0 * est.std_error:
-                return est.value > self.delta
-            n *= 4
-        self.boundary_count += 1
-        return True  # conservative: ambiguous points count as inside I_K
+        body, V = self.body, closed_form_volume(self.body)
+        out = np.zeros(len(x), dtype=bool)
+        if self.delta >= V:
+            return out
+        t = V * math.log(V / self.delta)
+        # vol(K) <= 2 h_K(u) h_PiK(u) for symmetric K: the width bound
+        near = (body.gauge(x) <= ik_gauge_radius(body, self.delta)) & (
+            V * fold_columns(np.add, x * x) <= 2.0 * body.support(x) * t
+        )
+        out[near] = proj_support_rows(body, x[near], self.samples, self.rng) <= t
+        self.boundary_count += int(near.sum()) if self.cauchy else 0
+        return out
 
 
 @dataclass(frozen=True)

@@ -34,3 +34,10 @@ def criterion4_hpolytope() -> ConvexBody:
     dirs = rng.normal(size=(5, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return hpolytope(np.vstack([dirs, -dirs]), np.ones(10))
+
+
+def cube_hpolytope(d: int) -> ConvexBody:
+    """The unit cube [-1/2, 1/2]^d as an H-polytope: kind hpoly, so it takes
+    every polytope route, while ``cube(d)`` gives its exact f."""
+    eye = np.eye(d)
+    return hpolytope(np.vstack([eye, -eye]), np.full(2 * d, 0.5))

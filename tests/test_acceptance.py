@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from normpack import volumetrics
 from normpack.bodies import (
+    body_to_spec,
     closed_form_volume,
     cube,
     hpolytope,
@@ -40,6 +42,7 @@ from normpack.volumetrics import (
 
 from estimates import ball_lens_scalar, brackets
 from graph_oracles import brute_force_graph, exhaustive_max_independent, graph_from_edges, graphs_equal
+from polytope_oracles import criterion4_hpolytope
 
 
 @pytest.fixture
@@ -214,24 +217,45 @@ def test_c06_logconcavity_and_slope(conclude):
     )
 
 
-def test_c07_prune_bounds_brute_force(conclude):
-    runs = [(2, s) for s in range(1, 18)] + [(3, s) for s in range(1, 18)] + [
-        (4, s) for s in range(1, 17)
-    ]
+# bodies with no closed-form f, at default sizes: pairs are decided by
+# Schmuckenschläger's outer body
+OUTER_BODY_RUNS = (
+    ("lp3", {"kind": "lp", "d": 2, "p": 3, "scale": 1.0}),
+    ("lp3", {"kind": "lp", "d": 3, "p": 3, "scale": 1.0}),
+    ("lp1.5", {"kind": "lp", "d": 4, "p": 1.5, "scale": 1.0}),
+    ("simplex_diff", {"kind": "simplex_diff", "d": 3, "scale": 1.0}),
+    ("criterion-4 hpoly", body_to_spec(criterion4_hpolytope())),
+)
+
+
+def test_c07_prune_bounds_brute_force(conclude, monkeypatch):
+    runs = [default_config(d, seed=s) for d, last in ((2, 17), (3, 17), (4, 16)) for s in range(1, last + 1)]
     assert len(runs) == 50
+
+    def no_f_samples(*args, **kwargs):
+        raise AssertionError("the pipeline sampled f")
+
+    monkeypatch.setattr(volumetrics, "intersection_volume", no_f_samples)
+    runs += [replace(default_config(spec["d"], seed=1), body=spec) for _, spec in OUTER_BODY_RUNS]
     violations = 0
-    for d, seed in runs:
-        cfg = default_config(d, seed=seed)
+    for cfg in runs:
         run = run_stages(cfg)
         deg_cap = cfg.Delta + cfg.Delta ** (2.0 / 3.0)
         codeg_cap = cfg.codegree_coeff * cfg.Delta
         max_deg, max_codeg = _brute_force_degree_codegree(run.pruned, run.body, run.domain)
         if max_deg > deg_cap or max_codeg > codeg_cap:
             violations += 1
+    # X2 removes endpoints of pairs in twice the outer body, whose volume x2_bound is built on
+    simplex = replace(default_config(3), body=OUTER_BODY_RUNS[3][1])
+    reports = [run_pipeline(replace(simplex, seed=s)).prune_report for s in range(101, 201)]
+    mean_x2 = np.mean([r["removed_x2"] for r in reports])
+    mean_bound = np.mean([r["expected_sizes"]["x2_bound"] for r in reports])
     conclude(
         "criterion-7 prune-bounds",
-        violations == 0,
-        f"50 runs d=2..4, brute-force degree/codegree within caps, {violations} violations",
+        violations == 0 and mean_x2 <= mean_bound,
+        f"50 l2-ball runs d=2..4 and 5 outer-body runs ({', '.join(n for n, _ in OUTER_BODY_RUNS)}), "
+        f"brute-force degree/codegree within caps, {violations} violations; simplex_diff d=3 over "
+        f"100 seeds: mean removed_x2 {mean_x2:.1f} <= mean x2_bound {mean_bound:.1f}",
     )
 
 

@@ -1,16 +1,18 @@
 """Golden run records and verifier reports: fixed inputs must give
 byte-identical output.
 
-The run hashes pin ``RunRecord.to_json()`` of the default l2-ball configs.
-The report hashes pin the ``write_reports_jsonl`` bytes of the verify
-suite and of two Monte Carlo checks.  A refactor must keep them; re-pin
-one only when a change fixes a bug in the output, and say why in
-CHANGES.md.  Bodies whose pair classification draws Monte Carlo samples
-are not pinned among the runs: their records depend on the order in which
+The run hashes pin ``RunRecord.to_json()`` of the default l2-ball configs,
+and of lp3 at d = 2 and simplex_diff at d = 3 at the same sizes.  The
+report hashes pin the ``write_reports_jsonl`` bytes of the verify suite
+and of two Monte Carlo checks.  A refactor must keep them; re-pin one only
+when a change fixes a bug in the output, and say why in CHANGES.md.  Only
+lp bodies at d >= 3 stay unpinned among the runs: their pair decisions
+take Cauchy draws row by row, so their records follow the order in which
 candidate pairs are visited.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +28,15 @@ GOLDEN = {
     (3, 2): "44af22396b918296d344a87cd9a9c95f8feb670c9e1185b332d69a38d5a1a76a",
     (4, 1): "f2927146109ffe066e659af9b4b4e5a5514a14b7e86fc2e9475443aa60ce6a05",
     (4, 2): "0c6200e1f04ff9b6665bd8e0037b50074f82185ad1b930858812158e014f16a0",
+}
+
+# default sizes, seed 1, another body: decided by the outer body with a closed-form h_PiK
+GOLDEN_BODIES = {
+    "lp3_d2": ({"kind": "lp", "d": 2, "p": 3, "scale": 1.0}, "ac2f860f42f86c8b76c8f163d5198aa6b9a21d9779833bf5f099a82a0ee7057f"),
+    "simplex_diff_d3": (
+        {"kind": "simplex_diff", "d": 3, "scale": 1.0},
+        "a5d8d64c063d3c4e7fded5a167bc091ba935af0e7b28e4dde6eaf2eded6d24f6",
+    ),
 }
 
 GOLDEN_REPORTS = {
@@ -50,6 +61,13 @@ def _reports(name):
 def test_default_record_hash(d, seed):
     record = run_pipeline(default_config(d, seed)).to_json()
     assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN[(d, seed)]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BODIES))
+def test_body_record_hash(name):
+    spec, digest = GOLDEN_BODIES[name]
+    record = run_pipeline(replace(default_config(spec["d"], 1), body=spec)).to_json()
+    assert hashlib.sha256(record.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))

@@ -37,7 +37,7 @@ from graph_oracles import (
     periodic_query_reference,
     x2_pairs_reference,
 )
-from polytope_oracles import criterion4_hpolytope
+from polytope_oracles import criterion4_hpolytope, cube_hpolytope
 
 CORES = len(os.sched_getaffinity(0))
 
@@ -366,12 +366,12 @@ class TestPrune:
     def test_empty_graph(self):
         dom, body, rng, ik, _, Delta = self._setup()
         g = build_graph(np.empty((0, 2)), body, dom)
-        pruned, rep = prune(g, ik, Delta, 1.2, rng)
+        pruned, rep = prune(g, ik, Delta, 1.2, rng, 500)
         assert pruned.n == 0 and rep.retained == 0
 
     def test_postconditions_brute_force(self):
         dom, body, rng, ik, g, Delta = self._setup(seed=2)
-        pruned, rep = prune(g, ik, Delta, 1.2, rng)
+        pruned, rep = prune(g, ik, Delta, 1.2, rng, 500)
         assert rep.retained == pruned.n
         assert rep.removed_x1 + rep.removed_x2 + rep.removed_x3 == rep.removed_union
         assert rep.n_initial == g.n
@@ -413,7 +413,7 @@ class TestPrune:
         Delta = 30.0
         ik = estimate_ik(body, 0.95, 20_000, 500, rng)
         g = build_graph(sample_poisson(dom, Delta, rng), body, dom)
-        pruned, rep = prune(g, ik, Delta, 1.2, rng)
+        pruned, rep = prune(g, ik, Delta, 1.2, rng, 500)
         ei, ej = np.nonzero(np.triu(g.adj.toarray()))
         x2, x3 = self.assert_marks_match(g, ik, Delta, 1.2, ei, ej, rep, pruned)
         assert x2 > 0 and x3 > 0
@@ -429,7 +429,7 @@ class TestPrune:
         ik = estimate_ik(body, 0.3, 20_000, 500, rng)
         assert ik_gauge_radius(body, ik.delta) == pytest.approx(1.4)
         g = build_graph(sample_poisson(dom, Delta, rng), body, dom)
-        pruned, rep = prune(g, ik, Delta, coeff, rng)
+        pruned, rep = prune(g, ik, Delta, coeff, rng, 500)
         pts = g.points
         gauge = body.gauge(dom.min_image(pts[:, None, :] - pts[None, :, :]))
         ei, ej = np.nonzero(np.triu(gauge <= 4.0, k=1))
@@ -440,6 +440,22 @@ class TestPrune:
         clf = OverlapClassifier(body, ik.delta)
         assert clf.inside(dom.min_image(pts[ej[beyond]] - pts[ei[beyond]]) / 2.0).any()
 
+    def test_outer_body_route_keeps_the_caps(self):
+        # the hpoly cube decides pairs by Schmuckenschläger's outer body; at
+        # delta 0.55 that body reaches past gauge g_ik = 1, where X2 reads no pair
+        dom = TorusDomain(2, 30.0)
+        body = cube_hpolytope(2)
+        rng = np.random.default_rng(8)
+        Delta, coeff = 1.5, 0.6
+        ik = estimate_ik(body, 0.55, 20_000, 500, rng)
+        g = build_graph(sample_poisson(dom, Delta, rng), body, dom)
+        pruned, rep = prune(g, ik, Delta, coeff, rng, 500)
+        assert rep.removed_x2 > 0 and rep.removed_x3 > 0 and pruned.n > 0 and rep.boundary_pairs == 0
+        ref = brute_force_graph(pruned.points, body, dom)
+        assert graphs_equal(ref, pruned)
+        assert ref.degree().max() <= Delta + Delta ** (2.0 / 3.0)
+        assert brute_force_max_codegree(ref) <= coeff * Delta
+
     def test_cluster_removed_by_x2(self):
         # a tight cluster has differences deep in 2I, so X2 clears it
         dom = TorusDomain(2, 20.0)
@@ -448,7 +464,7 @@ class TestPrune:
         ik = estimate_ik(body, 0.95, 20_000, 500, rng)
         pts = 10.0 + rng.uniform(-0.05, 0.05, size=(8, 2))
         g = build_graph(pts, body, dom)
-        pruned, rep = prune(g, ik, 30.0, 1.2, rng)
+        pruned, rep = prune(g, ik, 30.0, 1.2, rng, 500)
         assert pruned.n == 0
         assert rep.removed_x2 + rep.removed_x1 == 8
 
@@ -459,12 +475,12 @@ class TestPrune:
         ik = estimate_ik(body, 0.95, 20_000, 500, rng)
         pts = np.array([[2.0, 2.0], [10.0, 10.0], [17.0, 4.0]])
         g = build_graph(pts, body, dom)
-        pruned, rep = prune(g, ik, 30.0, 1.2, rng)
+        pruned, rep = prune(g, ik, 30.0, 1.2, rng, 500)
         assert pruned.n == 3 and rep.removed_union == 0
 
     def test_expectation_bounds_present(self):
         dom, body, rng, ik, g, Delta = self._setup(seed=6)
-        _, rep = prune(g, ik, Delta, 1.2, rng)
+        _, rep = prune(g, ik, Delta, 1.2, rng, 500)
         for key in ("x1_bound", "x2_bound", "s3_bound"):
             assert key in rep.expected_sizes
             assert rep.expected_sizes[key] >= 0.0
@@ -490,7 +506,7 @@ class TestPrune:
         outs = []
         for _ in range(2):
             dom, body, rng, ik, g, Delta = self._setup(seed=7)
-            pruned, rep = prune(g, ik, Delta, 1.2, rng)
+            pruned, rep = prune(g, ik, Delta, 1.2, rng, 500)
             outs.append((pruned.n, rep.removed_x1, rep.removed_x2, rep.removed_x3,
                          pruned.points.tobytes()))
         assert outs[0] == outs[1]
@@ -648,7 +664,7 @@ class TestCodegreePairs:
         body = lp_ball(2, 2, scale=1.0)
         g = build_graph(sample_poisson(dom, 30.0, np.random.default_rng(3)), body, dom)
         ik = IkProfile(body, 0.95, McEstimate(1e-3, 0.0, 1), 1.0, (1e-3, 1e-3))
-        prune(g, ik, 30.0, 1.2, np.random.default_rng(0))
+        prune(g, ik, 30.0, 1.2, np.random.default_rng(0), 500)
         assert thresholds_seen == [pytest.approx(36.0)] and g._hot_max_codegree[0] == pytest.approx(36.0)
         assert np.quantile(g.degree(), 0.9) >= 36.0
         assert degree_codegree_stats(g)["max_codegree"] == brute_force_max_codegree(g)
@@ -797,7 +813,7 @@ class TestEdgeGauges:
             raise AssertionError("prune built a KD tree")
 
         monkeypatch.setattr(packing, "cKDTree", no_tree)
-        pruned, rep = prune(g, ik, 30.0, 1.2, np.random.default_rng(0))
+        pruned, rep = prune(g, ik, 30.0, 1.2, np.random.default_rng(0), 500)
         assert rep.removed_x2 == 2 and np.array_equal(pruned.points, pts[2:])
 
 

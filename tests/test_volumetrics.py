@@ -36,7 +36,7 @@ from normpack.volumetrics import (
     row_norms,
 )
 from estimates import ball_cap_volume, ball_ik_radius_loop, ball_lens_scalar, brackets
-from polytope_oracles import criterion4_hpolytope
+from polytope_oracles import criterion4_hpolytope, cube_hpolytope
 from verifier_oracles import h_proj_point
 
 
@@ -159,25 +159,40 @@ class TestOverlapClassifier:
         out = clf.inside(np.array([[0.0, 0.0], [1.9, 1.9]]))
         assert out.tolist() == [True, False]
 
-    def test_mc_route_agrees_far_from_boundary(self):
+    def test_outer_body_route_holds_ik(self):
+        # the hpoly cube takes the outer-body route, and cube(d) gives its
+        # exact f: every row of I_K is inside, and every inside row lies in
+        # Schmuckenschläger's outer body, within gauge g_ik
         rng = np.random.default_rng(9)
-        clf = OverlapClassifier(lp_ball(2, 2), delta=0.5, rng=rng, force_mc=True)
-        assert not clf.exact
-        out = clf.inside(np.array([[0.1, 0.0], [1.8, 0.0]]))
-        assert out.tolist() == [True, False]
+        for d in (2, 3):
+            body, ref = cube_hpolytope(d), cube(d)
+            # radii spread over two decades, so that I_K holds many rows at delta 0.95
+            x = rng.uniform(-1.0, 1.0, size=(100_000, d)) * 10.0 ** rng.uniform(-2.0, 0.0, size=(100_000, 1))
+            for delta in (0.95, 0.55, 0.3):
+                clf = OverlapClassifier(body, delta)
+                inside = clf.inside(x)
+                deep = exact_intersection_volume(ref, x) > delta
+                assert not clf.exact and clf.boundary_count == 0
+                assert deep.sum() > 1000 and inside[deep].all()
+                h = analytic_proj_support(ref, x[inside])
+                assert (h <= math.log(1.0 / delta) * (1.0 + 1e-12)).all()
+                assert (ref.gauge(x[inside]) <= ik_gauge_radius(body, delta) * (1.0 + 1e-12)).all()
 
-    def test_boundary_counted_inside(self):
-        # a point with f(x) = delta exactly can never be resolved
-        rng = np.random.default_rng(10)
-        b = cube(2, side=2.0)
-        x = np.array([1.0, 0.0])  # f(x) = (2 - 1) * 2 = delta exactly
-        clf = OverlapClassifier(b, delta=2.0, rng=rng, force_mc=True)
-        assert bool(clf.inside(x)[0])
+    def test_cauchy_rows_counted_as_boundary(self):
+        # lp3 at d = 3 has no closed-form h_PiK: a row past the width bound
+        # is out with no estimate, a row near 0 takes Cauchy's formula
+        body = normalize_to_unit_volume(lp_ball(3, 3))
+        clf = OverlapClassifier(body, 0.95, np.random.default_rng(10), 2000)
+        assert clf.inside(np.array([[0.01, 0.0, 0.0], [0.5, 0.0, 0.0]])).tolist() == [True, False]
         assert clf.boundary_count == 1
+
+    def test_empty_once_delta_reaches_the_volume(self):
+        clf = OverlapClassifier(cube_hpolytope(2), 1.0 + 1e-9)
+        assert not clf.inside(np.zeros((3, 2))).any()
 
     def test_rng_required_for_mc(self):
         with pytest.raises(ValueError):
-            OverlapClassifier(lp_ball(2, 3), delta=0.5)
+            OverlapClassifier(lp_ball(3, 3), delta=0.5)
 
 
 class TestEstimateIk:
