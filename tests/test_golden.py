@@ -32,7 +32,10 @@ GOLDEN = {
 
 # default sizes, seed 1, another body: decided by the outer body with a closed-form h_PiK
 GOLDEN_BODIES = {
-    "lp3_d2": ({"kind": "lp", "d": 2, "p": 3, "scale": 1.0}, "ac2f860f42f86c8b76c8f163d5198aa6b9a21d9779833bf5f099a82a0ee7057f"),
+    "lp3_d2": (
+        {"kind": "lp", "d": 2, "p": 3, "scale": 1.0},
+        "ac2f860f42f86c8b76c8f163d5198aa6b9a21d9779833bf5f099a82a0ee7057f",
+    ),
     "simplex_diff_d3": (
         {"kind": "simplex_diff", "d": 3, "scale": 1.0},
         "a5d8d64c063d3c4e7fded5a167bc091ba935af0e7b28e4dde6eaf2eded6d24f6",
