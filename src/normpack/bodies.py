@@ -17,8 +17,11 @@ All gauge/support evaluations are vectorized over a leading batch axis.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 import reprlib
+import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -250,6 +253,57 @@ def simplex_difference(d: int, scale: float = 1.0) -> ConvexBody:
 # the gauge filter's time on 445k pairs (2 cores, d = 3)
 GAUGE_CHUNK = 1 << 15
 
+# one token per core this process may run on: a pipeline run holds one for
+# its whole length, and :func:`in_parts` borrows one more if it is free.
+# Simpler designs lost on the sweep_d2_w2 benchmark (2 cores, median wall
+# time, tokens -> design, pairs the design won): a worker thread per call
+# 0.089 -> 0.107 s (1 of 10); one shared worker thread 0.089 -> 0.097 s
+# (0 of 8); tokens taken per kernel call 0.078 -> 0.096 s (0 of 10).
+CORE_TOKENS = threading.BoundedSemaphore(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+# fewest input rows worth a worker thread: the pair query over the ~300
+# centers of default d = 2 took 0.6 ms on the caller and 1.3 ms in two parts
+MIN_SPLIT_ROWS = 1024
+
+
+def in_parts(rows: int, first, second) -> list:
+    """[first(), second()], with ``second`` on a worker thread that holds a
+    borrowed core token until it ends, or here after ``first`` when the
+    input has fewer than :data:`MIN_SPLIT_ROWS` ``rows`` or no token is
+    free.
+
+    The parts should spend their time in code that releases the
+    interpreter lock.  An exception from either part propagates once both
+    have ended.
+    """
+    if rows < MIN_SPLIT_ROWS or not CORE_TOKENS.acquire(blocking=False):
+        return [first(), second()]
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            later = pool.submit(second)
+            return [first(), later.result()]
+    finally:
+        CORE_TOKENS.release()
+
+
+def skip_doubles(rng: np.random.Generator, k: int) -> None:
+    """Leave ``rng`` where drawing k doubles (``rng.random(k)``) would.
+
+    A PCG64 generator jumps ahead in O(log k) steps (O'Neill 2014), one
+    step per double.  ``advance`` clears the buffered 32-bit half that
+    32-bit integer and float draws keep, which doubles leave alone, so it
+    is put back.  Other bit generators draw the doubles and drop them.
+    """
+    bg = rng.bit_generator
+    if isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM)):
+        kept = bg.state
+        bg.advance(k)
+        bg.state = {**bg.state, "has_uint32": kept["has_uint32"], "uinteger": kept["uinteger"]}
+        return
+    for s in range(0, k, GAUGE_CHUNK):
+        rng.random(min(GAUGE_CHUNK, k - s))
+
 
 def fold_columns(op: np.ufunc, w: np.ndarray) -> np.ndarray:
     """``op.reduce(w, axis=-1)`` bit for bit, for op ``np.add``,
@@ -283,7 +337,12 @@ def _lp_norm(x: np.ndarray, p: float) -> np.ndarray:
     # rescale by the max to avoid overflow for large p
     m = fold_columns(np.maximum, a)
     safe = np.where(m > 0, m, 1.0)
-    s = fold_columns(np.add, (a / safe[..., None]) ** p)
+    if a.ndim < 2 or a.shape[-1] >= 8:  # fold_columns hands these to numpy
+        return m * fold_columns(np.add, (a / safe[..., None]) ** p) ** (1.0 / p)
+    # fold_columns' left-to-right sum, one column's terms at a time
+    s = (a[..., 0] / safe) ** p
+    for k in range(1, a.shape[-1]):
+        s += (a[..., k] / safe) ** p
     return m * s ** (1.0 / p)
 
 
@@ -331,12 +390,14 @@ def uniform_box(rng: np.random.Generator, half: np.ndarray, n: int) -> np.ndarra
 
     The same numbers as ``rng.uniform(-half, half, size=(n, len(half)))``,
     bit for bit, and the generator ends in the same state; scaling
-    ``rng.random`` in place skips the broadcast of the bounds.
+    ``rng.random`` in place, one column at a time, skips the broadcast of
+    the bounds over rows of a few columns.
     """
-    half = np.asarray(half, dtype=float)
     pts = rng.random((n, len(half)))
-    pts *= 2.0 * half
-    pts += -half
+    for k, h in enumerate(np.asarray(half, dtype=float)):
+        col = pts[:, k]
+        col *= 2.0 * h
+        col += -h
     return pts
 
 
@@ -348,12 +409,14 @@ def sample_uniform(
 ) -> np.ndarray:
     """n points uniform in the body, by rejection from its bounding box.
 
-    Draws batches of :func:`uniform_box` points and gauges each in
-    chunks of :data:`GAUGE_CHUNK` rows until n are accepted; every batch
-    is drawn in full, so the generator ends where the draws alone leave
-    it.  Deterministic given the generator state.  Raises
-    :class:`RejectionEfficiencyError` if the acceptance rate drops below
-    ``efficiency_floor`` (the body is too thin for rejection sampling).
+    Takes batches of max(4 n, 2^14) :func:`uniform_box` rows until n are
+    accepted, drawing and gauging each batch in slices of
+    :data:`GAUGE_CHUNK` rows.  Once n are accepted the generator skips the
+    batch's remaining rows (:func:`skip_doubles`), so it ends where
+    drawing every batch in full leaves it.  Deterministic given the
+    generator state.  Raises :class:`RejectionEfficiencyError` if the
+    acceptance rate drops below ``efficiency_floor`` (the body is too
+    thin for rejection sampling).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -363,14 +426,14 @@ def sample_uniform(
     drawn = 0
     batch = max(4 * n, 1 << 14)
     while got < n:
-        pts = uniform_box(rng, half, batch)
         for s in range(0, batch, GAUGE_CHUNK):
-            chunk = pts[s : s + GAUGE_CHUNK]
+            chunk = uniform_box(rng, half, min(GAUGE_CHUNK, batch - s))
             acc = chunk[body.gauge(chunk) <= 1.0]
             take = min(n - got, len(acc))
             out[got : got + take] = acc[:take]
             got += take
             if got == n:
+                skip_doubles(rng, (batch - s - len(chunk)) * body.d)
                 break
         drawn += batch
         if drawn >= 1_000_000 and got / drawn < efficiency_floor:

@@ -18,19 +18,17 @@ the graph.  By construction the surviving graph satisfies both the
 degree and the codegree bound; tests re-verify this by brute force.
 
 The pair queries and the hot-row codegree product run in scipy code that
-releases the interpreter lock.  Each runs in two parts (:func:`in_parts`):
-when one of :data:`CORE_TOKENS`, one per core, is free, one part runs on
-a worker thread; otherwise both run on the caller, one after the other.
-A pipeline run holds one token, so two sweep workers on two cores start
-no more threads.  The arrays are the same either way.
+releases the interpreter lock.  Each runs in two parts (``bodies.in_parts``,
+re-exported here with ``bodies.CORE_TOKENS``): when the input has at least
+``bodies.MIN_SPLIT_ROWS`` rows and one of the core tokens, one per core, is
+free, one part runs on a worker thread; otherwise both run on the caller,
+one after the other.  A pipeline run holds one token, so two sweep workers
+on two cores start no more threads.  The arrays are the same either way.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,22 +36,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .bodies import GAUGE_CHUNK, ConvexBody
+from .bodies import CORE_TOKENS, GAUGE_CHUNK, ConvexBody, in_parts  # noqa: F401 (CORE_TOKENS re-exported)
 from .volumetrics import IkProfile, OverlapClassifier, ik_gauge_radius
 
 POINT_CAP = 2_000_000
 # relative slack on every pair query radius: keeps pairs at exactly the gauge
 # limit despite rounding
 QUERY_SLACK = 1e-9
-# one token per core this process may run on: a pipeline run holds one for
-# its whole length, and :func:`in_parts` borrows one more if it is free.
-# Simpler designs lost on the sweep_d2_w2 benchmark (2 cores, median wall
-# time, tokens -> design, pairs the design won): a worker thread per call
-# 0.089 -> 0.107 s (1 of 10); one shared worker thread 0.089 -> 0.097 s
-# (0 of 8); tokens taken per kernel call 0.078 -> 0.096 s (0 of 10).
-CORE_TOKENS = threading.BoundedSemaphore(
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
 
 
 @dataclass(frozen=True)
@@ -189,25 +178,6 @@ class PackingGraph:
         return PackingGraph(points=self.points[keep], adj=adj, domain=self.domain)
 
 
-def in_parts(first, second) -> list:
-    """[first(), second()], with ``second`` on a worker thread that holds a
-    borrowed core token until it ends, or here after ``first`` when no
-    token is free.
-
-    The parts should spend their time in code that releases the
-    interpreter lock.  An exception from either part propagates once both
-    have ended.
-    """
-    if not CORE_TOKENS.acquire(blocking=False):
-        return [first(), second()]
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
-            later = pool.submit(second)
-            return [first(), later.result()]
-    finally:
-        CORE_TOKENS.release()
-
-
 def torus_pairs(wrapped: np.ndarray, L: float, radius: float, p: float = 2.0) -> np.ndarray:
     """The (m, 2) pairs i < j, in (i, j) order, of rows of ``wrapped`` (points
     in [0, L)^d) within Minkowski p-distance ``radius`` on the torus of
@@ -266,6 +236,7 @@ def torus_pairs(wrapped: np.ndarray, L: float, radius: float, p: float = 2.0) ->
         return across(np.flatnonzero(low & near), np.flatnonzero(~low & near))
 
     parts = in_parts(
+        n,
         lambda: [direct(np.flatnonzero(~low)), *map(face, range(1, d, 2))],
         lambda: [direct(np.flatnonzero(low)), cut(), *map(face, range(0, d, 2))],
     )
@@ -450,7 +421,7 @@ def _hot_codegrees(graph: PackingGraph, t: float) -> tuple[np.ndarray, np.ndarra
     B = graph.adj[hot]
     BT = B.T.tocsr()
     m = len(hot) // 2
-    blocks = in_parts(lambda: B[:m] @ BT, lambda: B[m:] @ BT)
+    blocks = in_parts(len(hot), lambda: B[:m] @ BT, lambda: B[m:] @ BT)
     row = np.repeat(np.arange(len(hot)), np.concatenate([np.diff(C.indptr) for C in blocks]))
     return hot, row, np.concatenate([C.indices for C in blocks]), np.concatenate([C.data for C in blocks])
 

@@ -10,6 +10,7 @@ support/volume computations for the projection body and its polar.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,9 @@ from .bodies import (
     ball_volume,
     closed_form_volume,
     fold_columns,
+    in_parts,
     sample_uniform,
+    skip_doubles,
     uniform_box,
 )
 
@@ -42,22 +45,33 @@ def mc_volume(body: ConvexBody, samples: int, rng: np.random.Generator) -> McEst
     """Volume by rejection from the support bounding box.
 
     Draws :func:`uniform_box` points in chunks of :data:`GAUGE_CHUNK`
-    rows, whose temporaries stay in cache; ``rng.random`` fills rows in
-    order, so the numbers and the generator's end state are those of one
-    draw of all rows.
+    rows, whose temporaries stay in cache, and counts those in the body.
+    The chunks run in two parts (:func:`in_parts`): the first half of them
+    from ``rng``, the rest from a copy of it moved past the first half's
+    rows (:func:`skip_doubles`); then ``rng`` moves past the rest.  The
+    numbers and the generator's end state are those of one draw of all
+    rows.  A call within one chunk leaves the second part empty and runs
+    here.
     """
     if samples < MC_MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MC_MIN_SAMPLES}")
     half = body.bounding_halfwidths()
     box_vol = float(np.prod(2.0 * half))
-    hits = 0
-    left = samples
-    while left > 0:
-        m = min(left, GAUGE_CHUNK)
-        pts = uniform_box(rng, half, m)
-        hits += int(np.count_nonzero(body.gauge(pts) <= 1.0))
-        left -= m
-    p = hits / samples
+
+    def hits(gen: np.random.Generator, rows: int) -> int:
+        count = 0
+        for s in range(0, rows, GAUGE_CHUNK):
+            pts = uniform_box(gen, half, min(GAUGE_CHUNK, rows - s))
+            count += int(np.count_nonzero(body.gauge(pts) <= 1.0))
+        return count
+
+    first = min(samples, GAUGE_CHUNK * -(-samples // (2 * GAUGE_CHUNK)))  # half the chunks, rounded up
+    rest = samples - first
+    later = copy.deepcopy(rng)
+    skip_doubles(later, first * body.d)
+    # the input a worker would take is the second part's rows
+    p = sum(in_parts(rest, lambda: hits(rng, first), lambda: hits(later, rest))) / samples
+    skip_doubles(rng, rest * body.d)
     return McEstimate(
         value=box_vol * p,
         std_error=box_vol * math.sqrt(p * (1.0 - p) / samples),
@@ -261,7 +275,9 @@ def _radial_volume(r: np.ndarray, d: int, n: int) -> McEstimate:
 def _uniform_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """n uniform unit vectors: normalized Gaussian rows."""
     theta = rng.normal(size=(n, d))
-    theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+    norm = np.sqrt(fold_columns(np.add, theta * theta))  # np.linalg.norm(axis=1), bit for bit
+    for k in range(d):
+        theta[:, k] /= norm
     return theta
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -18,8 +19,10 @@ from normpack.bodies import (
     hpolytope,
     lp_ball,
     normalize_to_unit_volume,
+    _lp_norm,
     sample_uniform,
     simplex_difference,
+    skip_doubles,
     uniform_box,
 )
 from normpack.checks import regular_simplex_volume
@@ -306,9 +309,11 @@ class TestSampleUniform:
     @pytest.mark.parametrize("n", [100, 30_000])
     def test_early_stop_matches_full_batch(self, body, n):
         # n = 30k draws 120k rows, 4 gauge chunks; the d = 4 cross-polytope
-        # accepts 1/24 of its box, so it needs a second batch
+        # accepts 1/24 of its box, so it needs a second batch.  Both
+        # generators hold a buffered 32-bit half, which the skip keeps
         assert 4 * 30_000 > 3 * GAUGE_CHUNK
         a, b = np.random.default_rng(n), np.random.default_rng(n)
+        assert a.integers(2**32, dtype=np.uint32) == b.integers(2**32, dtype=np.uint32)
         got = sample_uniform(body, a, n)
         want = self.full_batch_reference(body, b, n)
         assert np.array_equal(got, want)
@@ -319,6 +324,39 @@ class TestSampleUniform:
         slab = hpolytope([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]], [1e-4, 1e-4, 1.0, 1.0])
         with pytest.raises(RejectionEfficiencyError, match="acceptance rate"):
             sample_uniform(slab, np.random.default_rng(4), 1000, efficiency_floor=1e-3)
+
+
+def generator_state(rng: np.random.Generator) -> str:
+    """The bit generator's whole state, arrays included, as one string."""
+    return json.dumps(rng.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
+
+
+class TestSkipDoubles:
+    """skip_doubles(rng, k) leaves the state that drawing k doubles leaves."""
+
+    PREFIXES = {
+        "fresh": lambda g: None,
+        "after-uint32": lambda g: g.integers(1000, size=3, dtype=np.uint32),
+        "after-float32": lambda g: g.random(5, dtype=np.float32),
+    }
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 3 * GAUGE_CHUNK + 5])
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox]
+    )
+    def test_equals_drawing_the_doubles(self, bit_generator, prefix, k):
+        # MT19937 has no advance and Philox buffers its doubles: both draw
+        a, b = (np.random.Generator(bit_generator(k + 11)) for _ in range(2))
+        self.PREFIXES[prefix](a)
+        self.PREFIXES[prefix](b)
+        if prefix != "fresh" and bit_generator is np.random.PCG64:
+            assert a.bit_generator.state["has_uint32"] == 1
+        skip_doubles(a, k)
+        b.random(k)
+        assert generator_state(a) == generator_state(b)
+        assert a.integers(2**32, size=3, dtype=np.uint32).tolist() == b.integers(2**32, size=3, dtype=np.uint32).tolist()
+        assert a.random() == b.random()
 
 
 class TestFoldColumns:
@@ -358,16 +396,36 @@ class TestFoldColumns:
 
 class TestUniformBox:
     @pytest.mark.parametrize("n", [1, 7, 100_000])
-    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 8, 12])
     def test_equals_broadcast_uniform(self, d, n):
         half = np.random.default_rng(d).uniform(0.1, 3.0, size=d)
         a, b = np.random.default_rng(n + d), np.random.default_rng(n + d)
         got = uniform_box(a, half, n)
         want = b.uniform(-half, half, size=(n, d))
         assert got.shape == (n, d)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         # the generator is left in the same state
         assert np.array_equal(a.random(3), b.random(3))
+
+
+class TestLpNorm:
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 12])
+    def test_equals_broadcast_terms(self, d, p):
+        # the column terms against (|x| / max)^p over whole rows, summed by
+        # fold_columns: numpy's pairwise sum from d = 8 on
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((3000, d)) * 10.0 ** rng.integers(-8, 9, size=(3000, d))
+        x[:50] = 0.0
+        x[50:100] = rng.choice([0.0, -0.0, 1.0, -3.0], size=(50, d))
+        for v in (x, x.reshape(30, 100, d), x[7]):
+            a = np.abs(v)
+            m = fold_columns(np.maximum, a)
+            safe = np.where(m > 0, m, 1.0)
+            want = m * fold_columns(np.add, (a / safe[..., None]) ** p) ** (1.0 / p)
+            got = _lp_norm(v, p)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 vec = st.integers(-100, 100).map(lambda k: k / 25.0)

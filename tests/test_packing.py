@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normpack.bodies import cube, hpolytope, lp_ball, normalize_to_unit_volume
+import normpack.bodies as bodies
+from normpack.bodies import MIN_SPLIT_ROWS, cube, hpolytope, lp_ball, normalize_to_unit_volume
 from normpack.indset import verify_packing
 import normpack.packing as packing
 from normpack.packing import (
@@ -935,17 +936,18 @@ class TestTorusPairsInline(TestTorusPairs):
 
 class TestInParts:
     """Kernels run in two parts, the second on a worker thread only with a
-    borrowed core token, else after the first here; the arrays are the same."""
+    borrowed core token and at least MIN_SPLIT_ROWS input rows, else after
+    the first here; the arrays are the same."""
 
     @staticmethod
-    def threads_of_parts():
+    def threads_of_parts(rows=MIN_SPLIT_ROWS):
         """{part: thread it ran on} for the parts :func:`in_parts` ran."""
         ran = {}
 
         def part(name):
             return lambda: ran.setdefault(name, threading.get_ident()) and name
 
-        assert packing.in_parts(part("first"), part("second")) == ["first", "second"]
+        assert packing.in_parts(rows, part("first"), part("second")) == ["first", "second"]
         return ran
 
     def test_second_part_on_a_worker_with_a_free_token(self):
@@ -958,8 +960,12 @@ class TestInParts:
             assert set(self.threads_of_parts().values()) == {threading.get_ident()}
         assert free_core_tokens() == CORES
 
+    def test_both_parts_here_below_the_row_floor(self):
+        assert set(self.threads_of_parts(MIN_SPLIT_ROWS - 1).values()) == {threading.get_ident()}
+        assert free_core_tokens() == CORES
+
     def test_worker_holds_the_borrowed_token(self):
-        assert packing.in_parts(free_core_tokens, free_core_tokens) == [CORES - 1, CORES - 1]
+        assert packing.in_parts(MIN_SPLIT_ROWS, free_core_tokens, free_core_tokens) == [CORES - 1, CORES - 1]
 
     @pytest.mark.parametrize("held", [False, True], ids=["token-free", "tokens-held"])
     @pytest.mark.parametrize("failing", ["first", "second"])
@@ -970,7 +976,7 @@ class TestInParts:
         parts = (fail, lambda: 0) if failing == "first" else (lambda: 0, fail)
         with all_core_tokens_held() if held else contextlib.nullcontext():
             with pytest.raises(ZeroDivisionError, match=f"^{failing}$"):
-                packing.in_parts(*parts)
+                packing.in_parts(MIN_SPLIT_ROWS, *parts)
         assert free_core_tokens() == CORES
 
     def test_runs_never_take_more_cores_than_there_are(self):
@@ -991,7 +997,7 @@ class TestInParts:
             for _ in range(30):
                 with packing.CORE_TOKENS:
                     part()
-                    packing.in_parts(part, part)
+                    packing.in_parts(MIN_SPLIT_ROWS, part, part)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1019,8 +1025,10 @@ class TestInParts:
     @staticmethod
     def hot_codegrees_both_routes(g, t):
         """_hot_codegrees with a free token and with every token held, which
-        must agree."""
-        free = packing._hot_codegrees(g, t)
+        must agree.  The graphs are tiny, so the row floor is lifted."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bodies, "MIN_SPLIT_ROWS", 0)
+            free = packing._hot_codegrees(g, t)
         with all_core_tokens_held():
             held = packing._hot_codegrees(g, t)
         for a, b in zip(free, held):

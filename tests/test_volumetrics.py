@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.linalg import null_space
 
 from normpack.bodies import (
+    GAUGE_CHUNK,
     ball_volume,
     closed_form_volume,
     cube,
@@ -36,6 +37,7 @@ from normpack.volumetrics import (
     row_norms,
 )
 from estimates import ball_cap_volume, ball_ik_radius_loop, ball_lens_scalar, brackets
+from graph_oracles import all_core_tokens_held
 from polytope_oracles import criterion4_hpolytope, cube_hpolytope
 from verifier_oracles import h_proj_point
 
@@ -73,6 +75,38 @@ class TestMcVolume:
         p = np.count_nonzero(body.gauge(uniform_box(b, half, 1_000_000)) <= 1.0) / 1_000_000
         assert got == McEstimate(box_vol * p, box_vol * math.sqrt(p * (1.0 - p) / 1_000_000), 1_000_000)
         assert a.bit_generator.state == b.bit_generator.state
+
+    @staticmethod
+    def one_draw(body, samples, rng):
+        """mc_volume as one uniform_box draw of every row."""
+        half = body.bounding_halfwidths()
+        box_vol = float(np.prod(2.0 * half))
+        p = np.count_nonzero(body.gauge(uniform_box(rng, half, samples)) <= 1.0) / samples
+        return McEstimate(box_vol * p, box_vol * math.sqrt(p * (1.0 - p) / samples), samples)
+
+    @pytest.mark.parametrize("samples", [1000, GAUGE_CHUNK, GAUGE_CHUNK + 1, 1_000_000])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_parts_match_one_draw_with_and_without_a_free_core(self, d, samples):
+        # the second part draws from a copy moved past the first part's rows;
+        # a buffered 32-bit half must survive both jumps
+        body = simplex_difference(d)
+        gens = [np.random.default_rng(100 * d + samples % 97) for _ in range(3)]
+        for g in gens:
+            g.integers(2**32, dtype=np.uint32)
+        want = self.one_draw(body, samples, gens[0])
+        free = mc_volume(body, samples, gens[1])
+        with all_core_tokens_held():
+            held = mc_volume(body, samples, gens[2])
+        assert free == held == want
+        states = [g.bit_generator.state for g in gens]
+        assert states[0] == states[1] == states[2]
+
+    def test_parts_match_one_draw_without_a_jump_ahead(self):
+        # MT19937 has no advance: the copy and the caller draw the rows they skip
+        body = lp_ball(3, 3)
+        a, b = (np.random.Generator(np.random.MT19937(5)) for _ in range(2))
+        assert mc_volume(body, 3 * GAUGE_CHUNK, a) == self.one_draw(body, 3 * GAUGE_CHUNK, b)
+        assert np.array_equal(a.random(5), b.random(5))
 
     def test_resampled_spread_matches_reported_error(self):
         ests = [mc_volume(lp_ball(2, 2), 20_000, np.random.default_rng(s)) for s in range(40)]
@@ -647,6 +681,17 @@ class TestProjSupportRows:
         assert est.value == pytest.approx(w.mean(), rel=1e-12)
         assert est.std_error == pytest.approx(w.std(ddof=1) / math.sqrt(n), rel=1e-12)
         assert est.samples == n
+
+
+class TestUniformDirections:
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 12])
+    def test_equals_broadcast_norm(self, d):
+        # the per-column divide by fold_columns' norm against np.linalg.norm
+        # over rows: numpy's pairwise sum from d = 8 on
+        got = _uniform_directions(np.random.default_rng(d), 5000, d)
+        theta = np.random.default_rng(d).normal(size=(5000, d))
+        want = theta / np.linalg.norm(theta, axis=1, keepdims=True)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestPolarProjVolumes:
