@@ -138,8 +138,11 @@ class ConvexBody:
         if self.kind == "lp" and math.isinf(self.p):
             top = np.expand_dims(np.abs(x).argmax(axis=-1), -1)
             g = np.where(np.arange(self.d) == top, np.sign(x), 0.0)
-        elif self.kind == "lp":
-            g = np.sign(x) * (np.abs(x) / np.expand_dims(_lp_norm(x, self.p), -1)) ** (self.p - 1.0)
+        elif self.kind == "lp":  # |x_k| / |x|_p one column at a time, like _lp_norm
+            a, norm = np.abs(x), _lp_norm(x, self.p)
+            for k in range(self.d):
+                a[..., k] /= norm
+            g = np.sign(x) * a ** (self.p - 1.0)
         elif self.kind == "hpoly":
             k = (x @ self.normals.T / self.offsets).argmax(axis=-1)
             g = self.normals[k] / np.expand_dims(self.offsets[k], -1)
@@ -410,13 +413,15 @@ def sample_uniform(
     """n points uniform in the body, by rejection from its bounding box.
 
     Takes batches of max(4 n, 2^14) :func:`uniform_box` rows until n are
-    accepted, drawing and gauging each batch in slices of
-    :data:`GAUGE_CHUNK` rows.  Once n are accepted the generator skips the
-    batch's remaining rows (:func:`skip_doubles`), so it ends where
-    drawing every batch in full leaves it.  Deterministic given the
-    generator state.  Raises :class:`RejectionEfficiencyError` if the
-    acceptance rate drops below ``efficiency_floor`` (the body is too
-    thin for rejection sampling).
+    accepted, drawing and gauging each batch in slices: first the
+    ceil(1.25 n vol(box) / vol(body)) + 64 rows that n points are expected
+    to need, at most :data:`GAUGE_CHUNK`, then slices of
+    :data:`GAUGE_CHUNK` rows while points are missing.  Once n are
+    accepted the generator skips the batch's remaining rows
+    (:func:`skip_doubles`), so it ends where drawing every batch in full
+    leaves it.  Deterministic given the generator state.  Raises
+    :class:`RejectionEfficiencyError` if the acceptance rate drops below
+    ``efficiency_floor`` (the body is too thin for rejection sampling).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -425,15 +430,16 @@ def sample_uniform(
     got = 0
     drawn = 0
     batch = max(4 * n, 1 << 14)
+    first = min(math.ceil(1.25 * n * np.prod(2.0 * half) / closed_form_volume(body)) + 64, GAUGE_CHUNK)
+    bounds = [0, *range(first, batch, GAUGE_CHUNK), batch]
     while got < n:
-        for s in range(0, batch, GAUGE_CHUNK):
-            chunk = uniform_box(rng, half, min(GAUGE_CHUNK, batch - s))
-            acc = chunk[body.gauge(chunk) <= 1.0]
-            take = min(n - got, len(acc))
-            out[got : got + take] = acc[:take]
-            got += take
+        for s, e in zip(bounds, bounds[1:]):
+            chunk = uniform_box(rng, half, e - s)
+            acc = np.flatnonzero(body.gauge(chunk) <= 1.0)[: n - got]
+            np.take(chunk, acc, axis=0, out=out[got : got + len(acc)])
+            got += len(acc)
             if got == n:
-                skip_doubles(rng, (batch - s - len(chunk)) * body.d)
+                skip_doubles(rng, (batch - e) * body.d)
                 break
         drawn += batch
         if drawn >= 1_000_000 and got / drawn < efficiency_floor:

@@ -30,6 +30,7 @@ from .volumetrics import (
     polar_proj_ball_volume,
     polar_proj_volume_mc,
     proj_support_rows,
+    row_norms,
 )
 
 # Monte Carlo samples per f(x) estimate and per Cauchy h_{Pi K}(u) in the
@@ -149,9 +150,10 @@ def check_logconcavity(
     For each ray, picks 0 <= t1 < t2 inside the support and checks
     f(tm) >= f(t1)^lam f(t2)^(1-lam) up to 3-sigma Monte Carlo slack.
     Every ray draws its direction, t1, t2 and lam in turn.  Balls and
-    cubes then take the three exact f values of all rays in one call,
-    with standard error 0; other bodies estimate them ray by ray, between
-    the draws.  One inequality then tests every ray.
+    cubes only draw in that loop; then one batch normalizes, gauges and
+    sorts every ray and takes the three exact f values of all rays in one
+    call, with standard error 0.  Other bodies estimate them ray by ray,
+    between the draws.  One inequality then tests every ray.
     With ``slope_directions`` > 0, additionally compares the one-sided
     finite-difference slope of log f at 0 against -h_{Pi K} (within
     :data:`SLOPE_TOL` relative); the slope check uses exact f when available.
@@ -159,25 +161,32 @@ def check_logconcavity(
     if rays < 1:
         raise ValueError("rays >= 1 required")
     exact = has_exact_intersection(body)
-    points, lams, f, se = [], [], [], []
-    for _ in range(rays):
-        y = rng.normal(size=body.d)
-        y /= np.linalg.norm(y)
-        t_sup = 2.0 / body.gauge(y)
-        t1, t2 = np.sort(rng.uniform(0.0, 0.9 * t_sup, size=2))
-        lam = rng.uniform(0.1, 0.9)
-        tm = lam * t1 + (1.0 - lam) * t2
-        lams.append(lam)
-        points += [t1 * y, t2 * y, tm * y]
-        if not exact:
-            for x in points[-3:]:
+    if exact:
+        y, u = np.empty((rays, body.d)), np.empty((rays, 3))
+        for i in range(rays):
+            y[i], u[i, :2], u[i, 2] = rng.normal(size=body.d), rng.random(2), rng.random()
+        y /= row_norms(y)[:, None]
+        # Generator.uniform(low, high) is low + (high - low) U, for the U of rng.random
+        t1, t2 = np.sort(0.9 * (2.0 / body.gauge(y))[:, None] * u[:, :2], axis=1).T
+        lam = 0.1 + (0.9 - 0.1) * u[:, 2]
+        t = np.stack([t1, t2, lam * t1 + (1.0 - lam) * t2], axis=1)
+        f = exact_intersection_volume(body, (t[:, :, None] * y[:, None, :]).reshape(-1, body.d))
+        se = np.zeros(3 * rays)
+    else:
+        lams, f, se = [], [], []
+        for _ in range(rays):
+            y = rng.normal(size=body.d)
+            y /= np.linalg.norm(y)
+            t_sup = 2.0 / body.gauge(y)
+            t1, t2 = np.sort(rng.uniform(0.0, 0.9 * t_sup, size=2))
+            lam = rng.uniform(0.1, 0.9)
+            lams.append(lam)
+            for x in (t1 * y, t2 * y, (lam * t1 + (1.0 - lam) * t2) * y):
                 est = intersection_volume(body, x, mc_samples, rng)
                 f.append(est.value)
                 se.append(est.std_error)
-    if exact:
-        f, se = exact_intersection_volume(body, np.array(points)), np.zeros(3 * rays)
+        lam = np.array(lams)
     (f1, f2, fm), (s1, s2, sm) = np.reshape(f, (rays, 3)).T, np.reshape(se, (rays, 3)).T
-    lam = np.array(lams)
     rhs = f1**lam * f2 ** (1.0 - lam)
     with np.errstate(divide="ignore", invalid="ignore"):  # rhs = 0 where f1 or f2 is 0
         # first-order error: d rhs / d f1 = lam rhs / f1, likewise f2
@@ -309,32 +318,29 @@ def check_minkowski_equivalence(d: int, n_sets: int, rng: np.random.Generator, s
     difference body), and gauge >= 2 for the half-difference body.
     Counts predicate disagreements over random sets of
     :data:`MINKOWSKI_SET_SIZE` centers scaled to straddle the critical
-    packing distance.
+    packing distance.  Each set draws its spacing, subset and jitter in
+    turn; both predicates then test the pairs of every set in one batch.
     """
     body = simplex_difference(d)
     E = helmert_basis(d)
-    disagreements = 0
-    pack_true = pack_false = 0
     side = max(2, int(math.ceil(MINKOWSKI_SET_SIZE ** (1.0 / d))))
     grid = np.stack(np.meshgrid(*([np.arange(side)] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    for _ in range(n_sets):
+    pts = np.empty((n_sets, MINKOWSKI_SET_SIZE, d))
+    for s in range(n_sets):
         # jittered grid with spacing straddling the critical packing distance
         spacing = rng.uniform(1.0, 2.6)
         keep = rng.permutation(len(grid))[:MINKOWSKI_SET_SIZE]
-        pts = spacing * (grid[keep] + rng.uniform(-0.15, 0.15, size=(MINKOWSKI_SET_SIZE, d)))
-        ii, jj = np.triu_indices(MINKOWSKI_SET_SIZE, 1)
-        z = pts[ii] - pts[jj]
-        # simplex route: translates x+S, y+S disjoint iff z not interior to S-S
-        strict = np.maximum(np.atleast_2d(z) @ E.T, 0.0).sum(axis=-1) < 1.0 - 1e-12
-        packs_simplex = not bool(strict.any())
-        # difference-body route: gauge_{(S-S)/2}(z) >= 2
-        packs_diff = bool(np.all(body.gauge(z) >= 2.0 - 1e-12))
-        if packs_simplex != packs_diff:
-            disagreements += 1
-        if packs_simplex:
-            pack_true += 1
-        else:
-            pack_false += 1
+        pts[s] = spacing * (grid[keep] + rng.uniform(-0.15, 0.15, size=(MINKOWSKI_SET_SIZE, d)))
+    ii, jj = np.triu_indices(MINKOWSKI_SET_SIZE, 1)
+    z = (pts[:, ii] - pts[:, jj]).reshape(-1, d)
+    # simplex route: translates x+S, y+S disjoint iff z not interior to S-S
+    strict = np.maximum(z @ E.T, 0.0).sum(axis=-1) < 1.0 - 1e-12
+    packs_simplex = ~strict.reshape(n_sets, len(ii)).any(axis=1)
+    # difference-body route: gauge_{(S-S)/2}(z) >= 2
+    packs_diff = (body.gauge(z) >= 2.0 - 1e-12).reshape(n_sets, len(ii)).all(axis=1)
+    disagreements = int(np.count_nonzero(packs_simplex != packs_diff))
+    pack_true = int(np.count_nonzero(packs_simplex))
+    pack_false = n_sets - pack_true
     return CheckReport(
         check="minkowski_equivalence",
         body=f"simplex(d={d})",

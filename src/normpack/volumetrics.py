@@ -372,7 +372,7 @@ def proj_body_support(body: ConvexBody, u: np.ndarray, samples: int, rng: np.ran
     d = body.d
     theta = _uniform_directions(rng, samples, d)
     grad = body.gauge_gradient(theta)
-    w = 0.5 * d * ball_volume(d) * np.abs(grad @ u) / (theta * grad).sum(axis=1) ** d
+    w = 0.5 * d * ball_volume(d) * np.abs(grad @ u) / fold_columns(np.add, theta * grad) ** d
     return McEstimate(float(w.mean()), float(w.std(ddof=1)) / math.sqrt(samples), samples)
 
 

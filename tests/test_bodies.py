@@ -168,6 +168,23 @@ class TestGaugeGradient:
         np.testing.assert_allclose((xs * grad).sum(axis=1), body.gauge(xs), rtol=1e-13)
         assert body.gauge_gradient(xs[0]).tolist() == grad[0].tolist()
 
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 12])
+    def test_lp_columns_equal_broadcast(self, d, p, scale):
+        # |x_k| / |x|_p divided one column at a time against the broadcast
+        # over whole rows, for 2-D and 1-D input
+        body = lp_ball(d, p, scale)
+        x = np.random.default_rng(d).standard_normal((3000, d))
+        x[:50] = np.random.default_rng(int(2 * p)).choice([0.0, -0.0, 1.0, -3.0], size=(50, d))
+        x[:50, -1] = -3.0  # signed zeros and ties, but no zero row
+        x[50] = 0.5
+        for v in (x, x[7], x[0]):
+            want = np.sign(v) * (np.abs(v) / np.expand_dims(_lp_norm(v, p), -1)) ** (p - 1.0) / scale
+            got = body.gauge_gradient(v)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_large_p_is_the_cube(self):
         xs = np.random.default_rng(4).normal(size=(40, 3))
         grad = lp_ball(3, 1e6).gauge_gradient(xs)
@@ -306,17 +323,43 @@ class TestSampleUniform:
         [lp_ball(3, 3), cube(3), unit_cube_hpoly(2), criterion4_hpolytope(), simplex_difference(3), lp_ball(4, 1)],
         ids=["lp3", "cube", "hpoly_square", "hpoly_criterion4", "simplex_diff", "cross_polytope_d4"],
     )
-    @pytest.mark.parametrize("n", [100, 30_000])
+    @pytest.mark.parametrize("n", [1, 10, 100, 1000, 30_000])
     def test_early_stop_matches_full_batch(self, body, n):
-        # n = 30k draws 120k rows, 4 gauge chunks; the d = 4 cross-polytope
-        # accepts 1/24 of its box, so it needs a second batch.  Both
-        # generators hold a buffered 32-bit half, which the skip keeps
+        # n <= 1000 gauges a first slice shorter than a chunk; n = 30k draws
+        # 120k rows, 4 gauge chunks; the d = 4 cross-polytope accepts 1/24
+        # of its box, so it needs a second batch.  Both generators hold a
+        # buffered 32-bit half, which the skip keeps
         assert 4 * 30_000 > 3 * GAUGE_CHUNK
         a, b = np.random.default_rng(n), np.random.default_rng(n)
         assert a.integers(2**32, dtype=np.uint32) == b.integers(2**32, dtype=np.uint32)
         got = sample_uniform(body, a, n)
         want = self.full_batch_reference(body, b, n)
         assert np.array_equal(got, want)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_first_slice_gauges_the_expected_need(self, monkeypatch):
+        # 10 points of lp3 at d = 3 (about 0.71 of its box) gauge one slice
+        # of ceil(1.25 * 10 / 0.71) + 64 rows, not a whole chunk
+        body = lp_ball(3, 3)
+        rows = []
+        gauge = type(body).gauge
+        monkeypatch.setattr(type(body), "gauge", lambda self, x: rows.append(len(x)) or gauge(self, x))
+        sample_uniform(body, np.random.default_rng(0), 10)
+        assert rows == [math.ceil(12.5 * 8.0 / closed_form_volume(body)) + 64]
+
+    def test_more_slices_when_the_first_falls_short(self):
+        # one point of the d = 4 cross-polytope (1/24 of its box): a first
+        # slice of ceil(1.25 * 24) + 64 rows, float rounding included, that
+        # holds no point of the body on some seeds
+        body = lp_ball(4, 1)
+        first = math.ceil(1.25 * 16.0 / closed_form_volume(body)) + 64
+        assert first in (94, 95)
+        seed = 0
+        while (body.gauge(uniform_box(np.random.default_rng(seed), np.ones(4), first)) <= 1.0).any():
+            seed += 1
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_uniform(body, a, 1)
+        assert np.array_equal(got, self.full_batch_reference(body, b, 1))
         assert a.bit_generator.state == b.bit_generator.state
 
     def test_efficiency_floor_thin_slab(self):

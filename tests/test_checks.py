@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from normpack import checks
 from normpack.bodies import cube, lp_ball, normalize_to_unit_volume, simplex_difference
 from normpack.checks import (
     CheckReport,
@@ -18,9 +19,11 @@ from normpack.checks import (
     write_reports_jsonl,
 )
 from normpack.volumetrics import exact_intersection_volume, proj_support_rows
+import verifier_oracles
 from verifier_oracles import (
     h_proj_point,
     logconcavity_per_point,
+    minkowski_per_set,
     schmuckenschlager_per_point,
     simplex_diff_membership_dual,
 )
@@ -111,14 +114,31 @@ class TestBatchedMatchesPerPoint:
                 want = schmuckenschlager_per_point(body, delta, 300, np.random.default_rng(seed), slack=slack, seed=seed)
                 assert got.to_record() == want.to_record()
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["ball", "cube"])
-    def test_logconcavity(self, kind, d):
+    def test_logconcavity(self, kind, d, monkeypatch):
+        # the batch scales rng.random as Generator.uniform does, so the
+        # rays and the generator's end state are those of the loop.  The
+        # report holds only counts, so the points f is taken at are
+        # compared too, bit for bit
         body = closed_form_body(kind, d)
+        points = {}
+        for module in (checks, verifier_oracles):
+            monkeypatch.setattr(
+                module,
+                "exact_intersection_volume",
+                lambda b, x, seen=points.setdefault(module, []): seen.append(np.reshape(x, (-1, d)))
+                or exact_intersection_volume(b, x),
+            )
         for seed in range(3):
-            got = check_logconcavity(body, 100, np.random.default_rng(seed), slope_directions=5, seed=seed)
-            want = logconcavity_per_point(body, 100, np.random.default_rng(seed), slope_directions=5, seed=seed)
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = check_logconcavity(body, 100, a, slope_directions=5, seed=seed)
+            want = logconcavity_per_point(body, 100, b, slope_directions=5, seed=seed)
             assert got.to_record() == want.to_record()
+            assert a.bit_generator.state == b.bit_generator.state
+        batch, loop = (np.concatenate(points[m]) for m in (checks, verifier_oracles))
+        assert len(batch) == 3 * (3 * 100 + 5)
+        assert np.array_equal(batch.view(np.uint64), loop.view(np.uint64))
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("kind", ["ball", "cube"])
@@ -204,6 +224,16 @@ class TestMinkowskiEquivalence:
         # the sampler must exercise both verdicts or the test is vacuous
         assert rep.extra["packing_true_sets"] > 0
         assert rep.extra["packing_false_sets"] > 0
+
+    @pytest.mark.parametrize("n_sets", [1, 30])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_batch_matches_per_set(self, d, n_sets):
+        for seed in range(5):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = check_minkowski_equivalence(d, n_sets, a, seed=seed)
+            want = minkowski_per_set(d, n_sets, b, seed=seed)
+            assert got.to_record() == want.to_record()
+            assert a.bit_generator.state == b.bit_generator.state
 
     def test_dual_membership_matches_gauge(self):
         rng = np.random.default_rng(1)

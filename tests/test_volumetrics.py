@@ -516,6 +516,22 @@ class TestProjSupport:
         assert est.value - 3.0 * est.std_error > low
         assert est.value < 4.0  # below the circumscribing square
 
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_equals_row_sum_form(self, d):
+        # fold_columns' column sums against numpy's row sums: left to right
+        # below 8 terms, numpy's pairwise sum from 8 on.  A mean over
+        # thousands of rows can hide a last-bit change, so few samples too
+        body, u = lp_ball(d, 3), np.eye(d)[0]
+        for samples in (2, 3, 5, 10, 5000):
+            a, b = np.random.default_rng(d), np.random.default_rng(d)
+            got = proj_body_support(body, u, samples, a)
+            theta = _uniform_directions(b, samples, d)
+            grad = body.gauge_gradient(theta)
+            w = 0.5 * d * ball_volume(d) * np.abs(grad @ u) / (theta * grad).sum(axis=1) ** d
+            assert got.value == float(w.mean())
+            assert got.std_error == float(w.std(ddof=1)) / math.sqrt(samples)
+            assert a.bit_generator.state == b.bit_generator.state
+
     def test_unit_vector_required(self):
         with pytest.raises(ValueError):
             proj_body_support(lp_ball(2, 2), np.array([1.0, 1.0]), 1000, np.random.default_rng(0))

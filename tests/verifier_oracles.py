@@ -1,10 +1,12 @@
-"""Per-point reference loops for the verifiers on closed-form bodies,
-and the dual membership test of the simplex difference body.
+"""Per-point reference loops for the verifiers on closed-form bodies, a
+per-set loop for the Minkowski equivalence check, and the dual membership
+test of the simplex difference body.
 
 ``check_schmuckenschlager`` and ``check_logconcavity`` take the exact f
-and h_{Pi K} of a ball or cube in one call over all points.  These loops
-evaluate one point per call, in the order the rng draws them, and must
-give the same report.
+and h_{Pi K} of a ball or cube in one call over all points, and
+``check_minkowski_equivalence`` tests the pairs of all its sets in one
+batch.  These loops evaluate one point or one set per call, in the order
+the rng draws them, and must give the same report.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import math
 
 import numpy as np
 
-from normpack.bodies import helmert_basis, sample_uniform
-from normpack.checks import CheckReport
+from normpack.bodies import helmert_basis, sample_uniform, simplex_difference
+from normpack.checks import MINKOWSKI_SET_SIZE, CheckReport
 from normpack.volumetrics import analytic_proj_support, exact_intersection_volume
 
 
@@ -112,4 +114,41 @@ def logconcavity_per_point(body, rays, rng, slope_directions=0, slope_tol=0.05, 
             "slope_failures": slope_fail,
             "max_slope_rel_err": max(slope_errs) if slope_errs else 0.0,
         },
+    )
+
+
+def minkowski_per_set(d, n_sets, rng, seed=None):
+    body = simplex_difference(d)
+    E = helmert_basis(d)
+    disagreements = 0
+    pack_true = pack_false = 0
+    side = max(2, int(math.ceil(MINKOWSKI_SET_SIZE ** (1.0 / d))))
+    grid = np.stack(np.meshgrid(*([np.arange(side)] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    for _ in range(n_sets):
+        spacing = rng.uniform(1.0, 2.6)
+        keep = rng.permutation(len(grid))[:MINKOWSKI_SET_SIZE]
+        pts = spacing * (grid[keep] + rng.uniform(-0.15, 0.15, size=(MINKOWSKI_SET_SIZE, d)))
+        ii, jj = np.triu_indices(MINKOWSKI_SET_SIZE, 1)
+        z = pts[ii] - pts[jj]
+        strict = np.maximum(np.atleast_2d(z) @ E.T, 0.0).sum(axis=-1) < 1.0 - 1e-12
+        packs_simplex = not bool(strict.any())
+        packs_diff = bool(np.all(body.gauge(z) >= 2.0 - 1e-12))
+        if packs_simplex != packs_diff:
+            disagreements += 1
+        if packs_simplex:
+            pack_true += 1
+        else:
+            pack_false += 1
+    return CheckReport(
+        check="minkowski_equivalence",
+        body=f"simplex(d={d})",
+        d=d,
+        params={"set_size": MINKOWSKI_SET_SIZE},
+        value=float(disagreements),
+        std_error=0.0,
+        bound=0.0,
+        violations=disagreements,
+        trials=n_sets,
+        seed=seed,
+        extra={"packing_true_sets": pack_true, "packing_false_sets": pack_false},
     )
