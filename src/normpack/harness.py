@@ -21,11 +21,10 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import checks as checks_mod
-from .bodies import ConvexBody, body_from_spec, cube, lp_ball, normalize_to_unit_volume
+from .bodies import CORE_TOKENS, ConvexBody, body_from_spec, cube, lp_ball, normalize_to_unit_volume
 from .checks import CheckReport
 from .indset import PackingResult, greedy_independent_set, local_search_improve, verify_packing
 from .packing import (
-    CORE_TOKENS,
     PackingGraph,
     TorusDomain,
     build_graph,
@@ -202,7 +201,7 @@ def run_stages(config: ExperimentConfig) -> PipelineRun:
 
     The only place that knows the order of the stages.  With an output
     directory, the record is written there as ``run_<hash12>.jsonl``.
-    The run holds one of ``packing.CORE_TOKENS`` throughout, and waits for
+    The run holds one of ``bodies.CORE_TOKENS`` throughout, and waits for
     one when every core is taken.
     """
     with CORE_TOKENS:
@@ -245,7 +244,7 @@ def _run_stages(config: ExperimentConfig) -> PipelineRun:
         timings,
         lambda: prune(graph, ik, config.Delta, config.codegree_coeff, child_rng(seed, "prune"), config.mc_samples),
     )
-    # both only read the graph; after prune, the stats start from its codegree product
+    # both only read the graph, so their records do not depend on prune having run
     stats_pre = _stage("stats_pre", timings, lambda: degree_codegree_stats(graph))
     stats_post = _stage("stats_post", timings, lambda: degree_codegree_stats(pruned))
     indep = _stage(
@@ -327,7 +326,7 @@ def sweep(
     Exactly one of ``deltas`` / ``ds`` selects the grid axis.  Each grid
     point gets its own child seed, so results do not depend on
     ``workers`` (the size of the thread pool, at least 1) or completion
-    order.  Each run holds a core token (``packing.CORE_TOKENS``), so
+    order.  Each run holds a core token (``bodies.CORE_TOKENS``), so
     workers beyond the core count wait for one.
 
     A ``deltas`` point is the template with its Delta replaced.  A ``ds``

@@ -18,12 +18,12 @@ the graph.  By construction the surviving graph satisfies both the
 degree and the codegree bound; tests re-verify this by brute force.
 
 The pair queries and the hot-row codegree product run in scipy code that
-releases the interpreter lock.  Each runs in two parts (``bodies.in_parts``,
-re-exported here with ``bodies.CORE_TOKENS``): when the input has at least
-``bodies.MIN_SPLIT_ROWS`` rows and one of the core tokens, one per core, is
-free, one part runs on a worker thread; otherwise both run on the caller,
-one after the other.  A pipeline run holds one token, so two sweep workers
-on two cores start no more threads.  The arrays are the same either way.
+releases the interpreter lock.  Each runs in two parts (``bodies.in_parts``):
+when the input has at least ``bodies.MIN_SPLIT_ROWS`` rows and one of the
+core tokens, one per core, is free, one part runs on a worker thread;
+otherwise both run on the caller, one after the other.  A pipeline run holds
+one token, so two sweep workers on two cores start no more threads.  The
+arrays are the same either way.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .bodies import CORE_TOKENS, GAUGE_CHUNK, ConvexBody, in_parts  # noqa: F401 (CORE_TOKENS re-exported)
+from .bodies import GAUGE_CHUNK, ConvexBody, in_parts
 from .volumetrics import IkProfile, OverlapClassifier, ik_gauge_radius
 
 POINT_CAP = 2_000_000
@@ -118,16 +118,13 @@ class PackingGraph:
     exact_d3_large benchmark (2 cores, 10 alternating pairs): wall time
     0.0936 -> 0.1000 s (+6.8%, slower in 9 of 10) and peak RSS
     110.7 -> 120.0 MiB (+8.4%, higher in 10 of 10).  The pipeline reads
-    the CSR arrays; ``neighbors`` is kept for readers outside it.  The
-    threshold and largest codegree of the last :func:`codegree_pairs`
-    product are kept until :func:`degree_codegree_stats` has read them.
+    the CSR arrays; ``neighbors`` is kept for readers outside it.
     """
 
     points: np.ndarray
     adj: sp.csr_matrix
     domain: TorusDomain
     edge_gauges: sp.csr_matrix | None = None
-    _hot_max_codegree: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_pairs(cls, points, pairs, domain: TorusDomain, gauges) -> "PackingGraph":
@@ -431,14 +428,11 @@ def codegree_pairs(graph: PackingGraph, t: float) -> tuple[np.ndarray, np.ndarra
     (i, j): (rows, cols, codegrees).
 
     Both endpoints of such a pair have degree at least t, so
-    :func:`_hot_codegrees` at t holds them all.  The graph keeps t and the
-    largest codegree of that product for :func:`degree_codegree_stats`.
+    :func:`_hot_codegrees` at t holds them all.
     """
     t = max(t, 1)
     hot, row, col, count = _hot_codegrees(graph, t)
-    upper = row < col
-    graph._hot_max_codegree = (t, int(count[upper].max(initial=0)))
-    keep = upper & (count >= t)
+    keep = (row < col) & (count >= t)
     rows, cols = hot[row[keep]], hot[col[keep]]
     order = np.argsort(rows * graph.n + cols)  # unique codes: (i, j) order
     return rows[order], cols[order], count[keep][order].astype(np.int64)
@@ -453,25 +447,19 @@ def _max_hot_codegree(graph: PackingGraph, t: float) -> int:
 def degree_codegree_stats(graph: PackingGraph) -> dict:
     """Degree histogram plus max degree/codegree diagnostics.
 
-    The maximum codegree M comes from at most two products over the rows
-    of degree at least a threshold.  The first is the product of the last
-    :func:`codegree_pairs` call, whose threshold s and largest codegree the
-    graph keeps, when s is at most the 90th percentile t of the degrees
-    (floored at 1), and otherwise a new one at s = t; the graph forgets the
-    kept values here.  The largest
-    codegree m1 of the first product is a real pair, so m1 <= M.  Every
-    pair of codegree >= s lies among its vertices, so M = m1 once
-    m1 + 1 >= s.  Otherwise M < s, and a second product over the vertices
-    of degree >= m1 + 1 holds every pair that beats m1.
+    The maximum codegree M comes from a descent of products over the rows
+    of degree at least s, from the maximum degree down.  A pair with an
+    endpoint of degree below s has codegree at most s - 1, so the largest
+    codegree m of the product at s is M once m >= s - 1.  Otherwise s
+    falls to max(m + 1, s - step), the step doubling each time; at m + 1
+    the test holds.  So O(log(max degree)) products find M.
     """
     deg = graph.degree()
-    kept, graph._hot_max_codegree = graph._hot_max_codegree, None
     if graph.n == 0:
         return {"n": 0, "max_degree": 0, "mean_degree": 0.0, "max_codegree": 0, "degree_histogram": {}}
-    t = max(np.quantile(deg, 0.9), 1)
-    s, max_codeg = kept if kept is not None and kept[0] <= t else (t, _max_hot_codegree(graph, t))
-    if max_codeg + 1 < s:
-        max_codeg = max(max_codeg, _max_hot_codegree(graph, max_codeg + 1))
+    s, step = max(int(deg.max()), 1), 1
+    while (max_codeg := _max_hot_codegree(graph, s)) < s - 1:
+        s, step = max(max_codeg + 1, s - step), 2 * step
     hist = {int(k): int(v) for k, v in zip(*np.unique(deg, return_counts=True))}
     return {
         "n": graph.n,

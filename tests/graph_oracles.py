@@ -16,8 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from normpack.bodies import ConvexBody
-from normpack.packing import CORE_TOKENS, PackingGraph, TorusDomain
+from normpack.bodies import CORE_TOKENS, ConvexBody
+from normpack.packing import PackingGraph, TorusDomain
 
 
 @contextlib.contextmanager

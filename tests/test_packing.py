@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import os
 import sys
@@ -614,16 +615,19 @@ class TestCodegreePairs:
         monkeypatch.setattr(packing, "_hot_codegrees", spy)
         return seen
 
-    def test_second_round_when_quantile_misses(self, thresholds_seen):
+    @staticmethod
+    def assert_descent(g, thresholds_seen, want_max, want_thresholds):
+        assert degree_codegree_stats(g)["max_codegree"] == want_max == brute_force_max_codegree(g)
+        assert thresholds_seen == want_thresholds
+
+    def test_descent_beside_a_star(self, thresholds_seen):
         # a K5 (degree 4, codegree 3) beside a 20-leaf star (leaf pairs have
-        # codegree 1): the 90th degree percentile is 4, above every codegree.
-        # The first product over the degree-4+ rows finds the K5 pairs at 3,
-        # and 3 + 1 >= 4 leaves no room for a larger codegree elsewhere.
+        # codegree 1): the products over the center alone find no pair, and
+        # the step doubles until the descent reaches 1, where the K5 is hot
         clique = [(a, b) for a in range(5) for b in range(a + 1, 5)]
         star = [(5, leaf) for leaf in range(6, 26)]
         g = graph_from_edges(26, clique + star)
-        assert degree_codegree_stats(g)["max_codegree"] == 3 == brute_force_max_codegree(g)
-        assert thresholds_seen == [pytest.approx(4.0)]
+        self.assert_descent(g, thresholds_seen, 3, [20, 19, 17, 13, 5, 1])
 
     @staticmethod
     def centers_and_clique(k):
@@ -638,52 +642,55 @@ class TestCodegreePairs:
         return graph_from_edges(20 + k, edges)
 
     @pytest.mark.parametrize("k,want", [(5, 4), (7, 5)])
-    def test_second_round_above_first_maximum(self, thresholds_seen, k, want):
-        # the 90th degree percentile is 8 and the centers' codegree 4 leaves
-        # 5..7 open; the second product at 5 finds the K7 pairs, and finds
-        # nothing beside the K5, whose codegree 3 is below the centers' 4
-        g = self.centers_and_clique(k)
-        assert degree_codegree_stats(g)["max_codegree"] == want == brute_force_max_codegree(g)
-        assert thresholds_seen == [pytest.approx(8.0), 5]
+    def test_descent_to_the_clique(self, thresholds_seen, k, want):
+        # at s = 8 and 7 only the centers are hot, their codegree 4 below
+        # s - 1; s falls to 4 + 1 = 5, where the K7's degree-6 rows join and
+        # give 5, while the K5's codegree 3 stays below the centers' 4
+        self.assert_descent(self.centers_and_clique(k), thresholds_seen, want, [8, 7, 5])
+
+    def test_descent_stops_one_above_the_hot_maximum(self, thresholds_seen):
+        # two degree-20 hubs sharing 5 leaves beside a K8 (degree 7, codegree
+        # 6): from 13 the doubled step would reach 5, but s stops at 5 + 1
+        hubs = [(0, leaf) for leaf in range(2, 22)] + [(1, leaf) for leaf in range(17, 37)]
+        clique = [(a, b) for a in range(37, 45) for b in range(a + 1, 45)]
+        self.assert_descent(graph_from_edges(45, hubs + clique), thresholds_seen, 6, [20, 19, 17, 13, 6])
+
+    def test_descent_from_a_large_star(self, thresholds_seen):
+        # only the center has a high degree: the steps double down to 1
+        g = graph_from_edges(2001, [(0, leaf) for leaf in range(1, 2001)])
+        assert degree_codegree_stats(g)["max_codegree"] == 1 == brute_force_max_codegree(g)
+        assert thresholds_seen[0] == 2000 and thresholds_seen[-1] == 1
+        assert len(thresholds_seen) <= math.ceil(math.log2(2000)) + 2
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_stats_start_from_the_last_pair_product(self, thresholds_seen, seed):
-        # after codegree_pairs at t0 <= the degree quantile, the stats form at
-        # most the second-round product, and still find the exact maximum
+    def test_stats_ignore_an_earlier_pair_product(self, thresholds_seen, seed):
+        # the stats are a function of the graph alone: a codegree_pairs call
+        # before them changes neither their record nor their products
+        g = random_graph(seed)
+        want = degree_codegree_stats(g)
+        descent = thresholds_seen.copy()
+        assert want["max_codegree"] == full_product_pairs(g, 1)[2].max(initial=0)
+        assert len(descent) <= math.ceil(math.log2(max(want["max_degree"], 1))) + 2
         for t0 in self.THRESHOLDS:
-            g = random_graph(seed)
-            self.assert_matches_full(g, t0)
-            assert thresholds_seen == [max(t0, 1)]
-            assert degree_codegree_stats(g)["max_codegree"] == full_product_pairs(g, 1)[2].max(initial=0)
-            assert g._hot_max_codegree is None  # the stats forget it
-            if max(t0, 1) <= max(np.quantile(g.degree(), 0.9), 1):
-                assert len(thresholds_seen) <= 2
             thresholds_seen.clear()
+            self.assert_matches_full(g, t0)
+            assert degree_codegree_stats(g) == want
+            assert thresholds_seen == [max(t0, 1), *descent]
 
-    def test_stats_after_prune_form_no_product(self, thresholds_seen):
+    def test_stats_ignore_prune(self):
         dom = TorusDomain(2, 20.0)
         body = lp_ball(2, 2, scale=1.0)
         g = build_graph(sample_poisson(dom, 30.0, np.random.default_rng(3)), body, dom)
+        want = degree_codegree_stats(g)
+        assert want["max_codegree"] == brute_force_max_codegree(g)
+        codegree_pairs(g, 36.0)
+        assert degree_codegree_stats(g) == want
         ik = IkProfile(body, 0.95, McEstimate(1e-3, 0.0, 1), 1.0, (1e-3, 1e-3))
         prune(g, ik, 30.0, 1.2, np.random.default_rng(0), 500)
-        assert thresholds_seen == [pytest.approx(36.0)] and g._hot_max_codegree[0] == pytest.approx(36.0)
-        assert np.quantile(g.degree(), 0.9) >= 36.0
-        assert degree_codegree_stats(g)["max_codegree"] == brute_force_max_codegree(g)
-        assert thresholds_seen == [pytest.approx(36.0)]
-        assert g._hot_max_codegree is None
+        assert degree_codegree_stats(g) == want
 
-    def test_product_above_the_quantile_is_not_used(self, thresholds_seen):
-        g = self.centers_and_clique(7)  # 90th degree percentile 8
-        codegree_pairs(g, 9.0)
-        assert degree_codegree_stats(g)["max_codegree"] == 5 == brute_force_max_codegree(g)
-        assert thresholds_seen == [9.0, pytest.approx(8.0), 5]
-
-    def test_first_round_suffices_on_pipeline_graph(self, thresholds_seen):
-        dom = TorusDomain(2, 20.0)
-        body = lp_ball(2, 2, scale=1.0)
-        g = build_graph(sample_poisson(dom, 30.0, np.random.default_rng(3)), body, dom)
-        assert degree_codegree_stats(g)["max_codegree"] == brute_force_max_codegree(g)
-        assert len(thresholds_seen) == 1
+    def test_graph_keeps_no_product_state(self):
+        assert [f.name for f in dataclasses.fields(PackingGraph)] == ["points", "adj", "domain", "edge_gauges"]
 
 
 class TestCodegreePairsInline(TestCodegreePairs):
@@ -947,7 +954,7 @@ class TestInParts:
         def part(name):
             return lambda: ran.setdefault(name, threading.get_ident()) and name
 
-        assert packing.in_parts(rows, part("first"), part("second")) == ["first", "second"]
+        assert bodies.in_parts(rows, part("first"), part("second")) == ["first", "second"]
         return ran
 
     def test_second_part_on_a_worker_with_a_free_token(self):
@@ -965,7 +972,7 @@ class TestInParts:
         assert free_core_tokens() == CORES
 
     def test_worker_holds_the_borrowed_token(self):
-        assert packing.in_parts(MIN_SPLIT_ROWS, free_core_tokens, free_core_tokens) == [CORES - 1, CORES - 1]
+        assert bodies.in_parts(MIN_SPLIT_ROWS, free_core_tokens, free_core_tokens) == [CORES - 1, CORES - 1]
 
     @pytest.mark.parametrize("held", [False, True], ids=["token-free", "tokens-held"])
     @pytest.mark.parametrize("failing", ["first", "second"])
@@ -976,7 +983,7 @@ class TestInParts:
         parts = (fail, lambda: 0) if failing == "first" else (lambda: 0, fail)
         with all_core_tokens_held() if held else contextlib.nullcontext():
             with pytest.raises(ZeroDivisionError, match=f"^{failing}$"):
-                packing.in_parts(MIN_SPLIT_ROWS, *parts)
+                bodies.in_parts(MIN_SPLIT_ROWS, *parts)
         assert free_core_tokens() == CORES
 
     def test_runs_never_take_more_cores_than_there_are(self):
@@ -995,9 +1002,9 @@ class TestInParts:
 
         def run():
             for _ in range(30):
-                with packing.CORE_TOKENS:
+                with bodies.CORE_TOKENS:
                     part()
-                    packing.in_parts(MIN_SPLIT_ROWS, part, part)
+                    bodies.in_parts(MIN_SPLIT_ROWS, part, part)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
