@@ -96,23 +96,19 @@ def check_schmuckenschlager(
     Outer: f(x) > delta must imply h_{Pi K}(x) <= log(1/delta)(1+slack).
     Inner: h_{Pi K}(x) <= (1-delta)(1-slack) must imply f(x) > delta.
 
-    The trial points x are uniform in 2K.  Balls and cubes take f and
-    h_{Pi K} (:func:`proj_support_rows`) at all of them in one call each.
-    Other bodies run one point at a time, its f estimate then its h_{Pi K},
-    each from :data:`CHECK_MC_SAMPLES` draws, so their Monte Carlo draws
-    keep that order.
+    The trial points x are uniform in 2K.  h_{Pi K} at all of them comes
+    from one :func:`proj_support_rows` call, whose Cauchy estimates share
+    one draw of :data:`CHECK_MC_SAMPLES` directions.  Balls and cubes then
+    take f at all of them in one call; other bodies estimate f point by
+    point, each from :data:`CHECK_MC_SAMPLES` draws.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta in (0,1) required")
     xs = sample_uniform(body.scaled(2.0), rng, trials)
-    if has_exact_intersection(body):
-        fx = exact_intersection_volume(body, xs)
-        hx = proj_support_rows(body, xs, CHECK_MC_SAMPLES, rng)
-    else:
-        fx, hx = np.empty(trials), np.empty(trials)
-        for i, x in enumerate(xs):
-            fx[i] = intersection_volume(body, x, CHECK_MC_SAMPLES, rng).value
-            hx[i] = proj_support_rows(body, x[None], CHECK_MC_SAMPLES, rng)[0]
+    hx = proj_support_rows(body, xs, CHECK_MC_SAMPLES, rng)
+    fx = exact_intersection_volume(body, xs)  # None where f has no closed form
+    if fx is None:
+        fx = np.array([intersection_volume(body, x, CHECK_MC_SAMPLES, rng).value for x in xs])
     outer = fx > delta
     inner = hx <= (1.0 - delta) * (1.0 - slack)
     outer_viol = int(np.count_nonzero(outer & (hx > math.log(1.0 / delta) * (1.0 + slack))))

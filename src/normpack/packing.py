@@ -380,10 +380,9 @@ def prune(
     # its decision; the rest lie beyond gauge 2 g_ik, outside the region.
     mark_x3 = np.zeros(n, dtype=bool)
     hi, hj, _ = codegree_pairs(graph, codegree_coeff * Delta)
-    x2_codes, hot_codes = gi * n + gj, hi * n + hj  # X2 pairs are sorted by (i, j)
-    known = np.isin(hot_codes, x2_codes)
-    inside = np.zeros(len(hi), dtype=bool)
-    inside[known] = x2_inside[np.searchsorted(x2_codes, hot_codes[known])]
+    x2_codes, hot_codes = gi * n + gj, hi * n + hj  # X2 pairs are sorted by (i, j), codes unique
+    at = np.searchsorted(x2_codes, hot_codes)  # a code past the last X2 pair meets the -1
+    inside = (np.append(x2_codes, -1)[at] == hot_codes) & np.append(x2_inside, False)[at]
     mark_x3[hi[~inside]] = mark_x3[hj[~inside]] = True
 
     removed = mark_x1 | mark_x2 | mark_x3

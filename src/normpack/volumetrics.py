@@ -34,11 +34,16 @@ MC_MIN_SAMPLES = 1_000
 
 @dataclass(frozen=True)
 class McEstimate:
-    """A Monte Carlo estimate with its standard error."""
+    """A Monte Carlo estimate with its standard error (per row from :func:`proj_body_support`)."""
 
-    value: float
-    std_error: float
+    value: float | np.ndarray
+    std_error: float | np.ndarray
     samples: int
+
+    @classmethod
+    def hit_fraction(cls, volume: float, hits: int, samples: int) -> McEstimate:  # binomial standard error
+        p = hits / samples
+        return cls(volume * p, volume * math.sqrt(p * (1.0 - p) / samples), samples)
 
 
 def mc_volume(body: ConvexBody, samples: int, rng: np.random.Generator) -> McEstimate:
@@ -56,7 +61,6 @@ def mc_volume(body: ConvexBody, samples: int, rng: np.random.Generator) -> McEst
     if samples < MC_MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MC_MIN_SAMPLES}")
     half = body.bounding_halfwidths()
-    box_vol = float(np.prod(2.0 * half))
 
     def hits(gen: np.random.Generator, rows: int) -> int:
         count = 0
@@ -70,13 +74,9 @@ def mc_volume(body: ConvexBody, samples: int, rng: np.random.Generator) -> McEst
     later = copy.deepcopy(rng)
     skip_doubles(later, first * body.d)
     # the input a worker would take is the second part's rows
-    p = sum(in_parts(rest, lambda: hits(rng, first), lambda: hits(later, rest))) / samples
+    count = sum(in_parts(rest, lambda: hits(rng, first), lambda: hits(later, rest)))
     skip_doubles(rng, rest * body.d)
-    return McEstimate(
-        value=box_vol * p,
-        std_error=box_vol * math.sqrt(p * (1.0 - p) / samples),
-        samples=samples,
-    )
+    return McEstimate.hit_fraction(float(np.prod(2.0 * half)), count, samples)
 
 
 # -- intersection volumes ---------------------------------------------
@@ -134,14 +134,9 @@ def intersection_volume(
     fraction times the closed-form vol(body) is an unbiased estimate.
     """
     x = np.asarray(x, dtype=float)
-    volume = closed_form_volume(body)
     y = sample_uniform(body, rng, samples)
-    p = float(np.count_nonzero(body.gauge(y - x) <= 1.0)) / samples
-    return McEstimate(
-        value=volume * p,
-        std_error=volume * math.sqrt(p * (1.0 - p) / samples),
-        samples=samples,
-    )
+    hits = int(np.count_nonzero(body.gauge(y - x) <= 1.0))
+    return McEstimate.hit_fraction(closed_form_volume(body), hits, samples)
 
 
 class OverlapClassifier:
@@ -152,8 +147,8 @@ class OverlapClassifier:
     t = V log(V/delta), which holds I_K as f(x) <= V exp(-h_PiK(x)/V), cut at
     gauge g_ik (:func:`ik_gauge_radius`); it is empty once delta >= V.  Rows
     whose width bound V |x|^2 / (2 h_K(x)) <= h_PiK(x) exceeds t are out; the
-    rest take :func:`proj_support_rows`, which for lp bodies at d >= 3 draws
-    ``samples`` directions from ``rng`` per row, counted in ``boundary_count``.
+    rest take one :func:`proj_support_rows` call, whose rows share one draw of
+    ``samples`` directions for lp bodies at d >= 3, counted in ``boundary_count``.
     """
 
     def __init__(self, body: ConvexBody, delta: float, rng: np.random.Generator | None = None, samples: int = 0):
@@ -232,8 +227,8 @@ def estimate_ik(
       :func:`polar_proj_volume_mc`: over ``outer_samples`` directions
       where :func:`analytic_proj_support` has a closed form (polytopes
       and every body at d = 2), and otherwise (lp bodies at d >= 3) over
-      min(``outer_samples``, max(2 d^2, 32)) directions with
-      ``inner_samples`` Cauchy directions per h_PiK.
+      min(``outer_samples``, max(2 d^2, 32)) directions that share one
+      draw of ``inner_samples`` Cauchy directions.
 
     The profile's bracket is taken over the same directions as the
     volume, so for every body the volume lies inside it.
@@ -246,7 +241,7 @@ def estimate_ik(
         return IkProfile(body, delta, McEstimate(0.0, 0.0, 0), math.inf, (0.0, 0.0))
     lo_r, hi_r = V - delta, V * math.log(V / delta)  # radial bracket times h_PiK
     if not has_exact_intersection(body):
-        # a Monte Carlo h_PiK draws inner_samples directions: cap that net at max(2 d^2, 32)
+        # the Cauchy h_PiK weighs inner_samples directions per net row: the cap bounds that product
         closed = analytic_proj_support(body, np.eye(d)[0]) is not None
         net = outer_samples if closed else min(outer_samples, max(2 * d * d, 32))
         polar = polar_proj_volume_mc(body, rng, max(net, 2), inner_samples)
@@ -354,26 +349,36 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def proj_body_support(body: ConvexBody, u: np.ndarray, samples: int, rng: np.random.Generator) -> McEstimate:
-    """h_{Pi K}(u) for a unit vector u, the (d-1)-volume of the body's shadow
-    on u-perp, by Cauchy's formula in radial form over ``samples`` uniform
-    unit directions theta, with the standard error of the mean:
+    """h_{Pi K} at each row of ``u``, an (m, d) array of Euclidean unit vectors:
+    the (d-1)-volume of the body's shadow on u-perp, by Cauchy's formula in
+    radial form over one draw of ``samples`` uniform unit directions theta
+    that every row shares, with the standard error of the mean per row:
 
         h_{Pi K}(u) = (d kappa_d / 2) E_theta[|<u, grad g(theta)>| / <theta, grad g(theta)>^d].
 
     This is 1/2 of the integral of |<u, n>| over the boundary, rewritten by
     the cone identity <x, n> dS = g(theta)^-d dtheta and Euler's identity
-    <theta, grad g(theta)> = g(theta), for the gauge g.
+    <theta, grad g(theta)> = g(theta), for the gauge g.  Rows run in blocks of
+    4 GAUGE_CHUNK / samples and each is reduced alone, so no estimate depends
+    on its block or the row order.  An empty u draws nothing.
     """
     u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-        raise ValueError("u must be a Euclidean unit vector")
+    if np.any(np.abs(row_norms(u) - 1.0) > 1e-9):
+        raise ValueError("u must hold Euclidean unit rows")
     if samples < 2:
         raise ValueError("samples must be >= 2 for a standard error")
-    d = body.d
-    theta = _uniform_directions(rng, samples, d)
-    grad = body.gauge_gradient(theta)
-    w = 0.5 * d * ball_volume(d) * np.abs(grad @ u) / fold_columns(np.add, theta * grad) ** d
-    return McEstimate(float(w.mean()), float(w.std(ddof=1)) / math.sqrt(samples), samples)
+    d, m = body.d, len(u)
+    value, std_error = np.empty(m), np.empty(m)
+    if m:
+        theta = _uniform_directions(rng, samples, d)
+        grad = body.gauge_gradient(theta)
+        scale = 0.5 * d * ball_volume(d) / fold_columns(np.add, theta * grad) ** d
+        step = max(1, 4 * GAUGE_CHUNK // samples)
+        for s in range(0, m, step):
+            w = sum(u[s : s + step, k, None] * grad[:, k] for k in range(d))  # not BLAS: same bits in any block
+            w = np.multiply(np.abs(w, out=w), scale, out=w)
+            value[s : s + step], std_error[s : s + step] = w.mean(axis=1), w.std(axis=1, ddof=1) / math.sqrt(samples)
+    return McEstimate(value, std_error, samples)
 
 
 def proj_support_rows(body: ConvexBody, xs: np.ndarray, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -381,8 +386,8 @@ def proj_support_rows(body: ConvexBody, xs: np.ndarray, samples: int, rng: np.ra
 
     Balls, cubes, polytopes and every body at d = 2 take
     :func:`analytic_proj_support` of all rows in one call.  Other bodies
-    call :func:`proj_body_support` row by row, in row order, each drawing
-    ``samples`` directions from rng.
+    take :func:`proj_body_support` of all nonzero rows in one call, which
+    draws ``samples`` directions from rng once (none for no such row).
     """
     xs = np.asarray(xs, dtype=float)
     n = row_norms(xs)
@@ -390,7 +395,7 @@ def proj_support_rows(body: ConvexBody, xs: np.ndarray, samples: int, rng: np.ra
     u = xs[nz] / n[nz, None]
     h_u = analytic_proj_support(body, u)
     if h_u is None:
-        h_u = np.array([proj_body_support(body, ui, samples, rng).value for ui in u])
+        h_u = proj_body_support(body, u, samples, rng).value
     h = np.zeros(len(xs))
     h[nz] = h_u * n[nz]
     return h
@@ -440,8 +445,8 @@ def polar_proj_volume_mc(
 
     Since gauge_{Pi* K}(x) = h_{Pi K}(x), the volume equals gamma_d *
     E_theta[h_{Pi K}(theta)^(-d)] over uniform unit theta, h_{Pi K} from
-    :func:`proj_support_rows` with ``support_samples`` Cauchy directions
-    where it has no closed form.  Net resolution (not just sampling noise)
+    :func:`proj_support_rows`, whose Cauchy estimates share one draw of
+    ``support_samples`` directions.  Net resolution (not just sampling noise)
     limits accuracy; the standard error covers the directional average only.
     """
     d = body.d

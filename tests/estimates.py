@@ -11,9 +11,10 @@ from normpack.bodies import ball_volume
 from normpack.volumetrics import McEstimate, exact_intersection_volume
 
 
-def brackets(est: McEstimate, truth: float, sigmas: float = 3.0) -> bool:
-    """Is ``truth`` within ``sigmas`` standard errors of the estimate?"""
-    return abs(est.value - truth) <= sigmas * est.std_error + 1e-15
+def brackets(est: McEstimate, truth, sigmas: float = 3.0) -> bool:
+    """Is ``truth`` within ``sigmas`` standard errors of the estimate, in
+    every row of an estimate per row?"""
+    return bool(np.all(np.abs(est.value - truth) <= sigmas * est.std_error + 1e-15))
 
 
 def ball_cap_volume(d: int, r: float, a: float) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from normpack import checks
-from normpack.bodies import cube, lp_ball, normalize_to_unit_volume, simplex_difference
+from normpack.bodies import cube, lp_ball, normalize_to_unit_volume, sample_uniform, simplex_difference
 from normpack.checks import (
     CheckReport,
     check_logconcavity,
@@ -18,7 +18,7 @@ from normpack.checks import (
     write_reports_csv,
     write_reports_jsonl,
 )
-from normpack.volumetrics import exact_intersection_volume, proj_support_rows
+from normpack.volumetrics import exact_intersection_volume, intersection_volume, proj_support_rows
 import verifier_oracles
 from verifier_oracles import (
     h_proj_point,
@@ -52,6 +52,18 @@ class TestSchmuckenschlager:
         body = normalize_to_unit_volume(lp_ball(2, 2))
         rep = check_schmuckenschlager(body, 0.3, 300, np.random.default_rng(2), slack=0.0)
         assert rep.extra["inner_violations"] == 0
+
+    def test_lp3_h_in_one_call(self):
+        # the trial points, one Cauchy draw for h_PiK at all of them, then f point by point
+        body = normalize_to_unit_volume(lp_ball(3, 3))
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        rep = check_schmuckenschlager(body, 0.5, 6, a)
+        xs = sample_uniform(body.scaled(2.0), b, 6)
+        hx = proj_support_rows(body, xs, checks.CHECK_MC_SAMPLES, b)
+        fx = np.array([intersection_volume(body, x, checks.CHECK_MC_SAMPLES, b).value for x in xs])
+        assert rep.extra["outer_checked"] == np.count_nonzero(fx > 0.5)
+        assert rep.extra["inner_checked"] == np.count_nonzero(hx <= 0.5 * 0.95)
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestLogconcavity:

@@ -2,13 +2,10 @@
 byte-identical output.
 
 The run hashes pin ``RunRecord.to_json()`` of the default l2-ball configs,
-and of lp3 at d = 2 and simplex_diff at d = 3 at the same sizes.  The
+and of lp3 at d = 2 and 3 and simplex_diff at d = 3 at the same sizes.  The
 report hashes pin the ``write_reports_jsonl`` bytes of the verify suite
 and of two Monte Carlo checks.  A refactor must keep them; re-pin one only
-when a change fixes a bug in the output, and say why in CHANGES.md.  Only
-lp bodies at d >= 3 stay unpinned among the runs: their pair decisions
-take Cauchy draws row by row, so their records follow the order in which
-candidate pairs are visited.
+when a change fixes a bug in the output, and say why in CHANGES.md.
 """
 
 import hashlib
@@ -30,11 +27,16 @@ GOLDEN = {
     (4, 2): "0c6200e1f04ff9b6665bd8e0037b50074f82185ad1b930858812158e014f16a0",
 }
 
-# default sizes, seed 1, another body: decided by the outer body with a closed-form h_PiK
+# default sizes, seed 1, another body: decided by the outer body, with a closed-form
+# h_PiK, or at lp3 d = 3 with Cauchy estimates that share one draw
 GOLDEN_BODIES = {
     "lp3_d2": (
         {"kind": "lp", "d": 2, "p": 3, "scale": 1.0},
         "ac2f860f42f86c8b76c8f163d5198aa6b9a21d9779833bf5f099a82a0ee7057f",
+    ),
+    "lp3_d3": (
+        {"kind": "lp", "d": 3, "p": 3, "scale": 1.0},
+        "22f0aaab089db830ededc5596ff68b5b03f4e3a3998edb3cedd7c7d0871e2e25",
     ),
     "simplex_diff_d3": (
         {"kind": "simplex_diff", "d": 3, "scale": 1.0},

@@ -487,7 +487,7 @@ class TestProjSupport:
 
     def test_mc_ball_matches_analytic(self):
         rng = np.random.default_rng(11)
-        u = np.array([0.0, 1.0, 0.0])
+        u = np.array([[0.0, 1.0, 0.0]])
         est = proj_body_support(lp_ball(3, 2), u, 100_000, rng)
         assert brackets(est, math.pi)
 
@@ -503,7 +503,7 @@ class TestProjSupport:
         )
         hull = ConvexHull(verts @ null_space(u[None]))
         rng = np.random.default_rng(12)
-        est = proj_body_support(cube(3, side=2.0), u, 200_000, rng)
+        est = proj_body_support(cube(3, side=2.0), u[None], 200_000, rng)
         assert hull.volume == pytest.approx(4.0 * math.sqrt(3.0), rel=1e-9)
         assert brackets(est, hull.volume)
 
@@ -511,36 +511,40 @@ class TestProjSupport:
         # l_4 ball shadow is close to but above the l_2 shadow
         rng = np.random.default_rng(13)
         u = np.array([1.0, 0.0, 0.0])
-        est = proj_body_support(lp_ball(3, 4), u, 100_000, rng)
+        est = proj_body_support(lp_ball(3, 4), u[None], 100_000, rng)
         low = analytic_proj_support(lp_ball(3, 2), u)
-        assert est.value - 3.0 * est.std_error > low
-        assert est.value < 4.0  # below the circumscribing square
+        assert est.value[0] - 3.0 * est.std_error[0] > low
+        assert est.value[0] < 4.0  # below the circumscribing square
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_equals_row_sum_form(self, d):
         # fold_columns' column sums against numpy's row sums: left to right
-        # below 8 terms, numpy's pairwise sum from 8 on.  A mean over
-        # thousands of rows can hide a last-bit change, so few samples too
-        body, u = lp_ball(d, 3), np.eye(d)[0]
+        # below 8 terms, numpy's pairwise sum from 8 on; <u, grad g> left to
+        # right at any d.  A mean over thousands of rows can hide a last-bit
+        # change, so few samples too
+        body = lp_ball(d, 3)
+        us = np.vstack([np.eye(d)[:1], _uniform_directions(np.random.default_rng(99), 4, d)])
         for samples in (2, 3, 5, 10, 5000):
             a, b = np.random.default_rng(d), np.random.default_rng(d)
-            got = proj_body_support(body, u, samples, a)
+            got = proj_body_support(body, us, samples, a)
             theta = _uniform_directions(b, samples, d)
             grad = body.gauge_gradient(theta)
-            w = 0.5 * d * ball_volume(d) * np.abs(grad @ u) / (theta * grad).sum(axis=1) ** d
-            assert got.value == float(w.mean())
-            assert got.std_error == float(w.std(ddof=1)) / math.sqrt(samples)
+            scale = 0.5 * d * ball_volume(d) / (theta * grad).sum(axis=1) ** d
+            for i, u in enumerate(us):
+                w = np.abs(sum(grad[:, k] * u[k] for k in range(d))) * scale
+                assert got.value[i] == float(w.mean())
+                assert got.std_error[i] == float(w.std(ddof=1)) / math.sqrt(samples)
             assert a.bit_generator.state == b.bit_generator.state
 
     def test_unit_vector_required(self):
         with pytest.raises(ValueError):
-            proj_body_support(lp_ball(2, 2), np.array([1.0, 1.0]), 1000, np.random.default_rng(0))
+            proj_body_support(lp_ball(2, 2), np.array([[1.0, 0.0], [1.0, 1.0]]), 1000, np.random.default_rng(0))
 
     @pytest.mark.parametrize("samples", [0, 1])
     def test_two_samples_required(self, samples):
         # one direction has no standard error
         with pytest.raises(ValueError, match="samples must be >= 2"):
-            proj_body_support(lp_ball(3, 3), np.array([1.0, 0.0, 0.0]), samples, np.random.default_rng(0))
+            proj_body_support(lp_ball(3, 3), np.array([[1.0, 0.0, 0.0]]), samples, np.random.default_rng(0))
 
     def test_cauchy_formula_on_hpoly_cube(self):
         eye = np.eye(3)
@@ -558,15 +562,15 @@ class TestProjSupport:
     )
     def test_cauchy_formula_vs_shadow_mc(self, body):
         rng = np.random.default_rng(16)
-        for u in random_directions(3, 3, rng):
-            est = proj_body_support(body, u, 400_000, rng)
-            assert brackets(est, analytic_proj_support(body, u))
+        us = random_directions(3, 3, rng)
+        est = proj_body_support(body, us, 400_000, rng)
+        assert brackets(est, analytic_proj_support(body, us))
 
     def test_simplex_diff_shadow_positive(self):
         rng = np.random.default_rng(14)
-        u = np.array([1.0, 0.0])
+        u = np.array([[1.0, 0.0]])
         est = proj_body_support(simplex_difference(2), u, 50_000, rng)
-        assert 0.0 < est.value < 2.0 * simplex_difference(2).circumradius()
+        assert 0.0 < est.value[0] < 2.0 * simplex_difference(2).circumradius()
 
     EXACT = {
         "ball": lp_ball(3, 2, scale=0.8),
@@ -582,10 +586,10 @@ class TestProjSupport:
         # the coordinate axes and random directions
         body = self.EXACT[name]
         rng = np.random.default_rng(41)
-        for u in np.vstack([np.eye(body.d)[:2], random_directions(body.d, 3, rng)]):
-            est = proj_body_support(body, u, 200_000, rng)
-            assert est.samples == 200_000 and est.std_error < 0.01 * est.value
-            assert brackets(est, analytic_proj_support(body, u))
+        us = np.vstack([np.eye(body.d)[:2], random_directions(body.d, 3, rng)])
+        est = proj_body_support(body, us, 200_000, rng)
+        assert est.samples == 200_000 and np.all(est.std_error < 0.01 * est.value)
+        assert brackets(est, analytic_proj_support(body, us))
 
     def test_lp1_matches_octahedron(self):
         # lp with p = 1 has no closed form here; as the octahedron hpoly it
@@ -596,8 +600,8 @@ class TestProjSupport:
         lp1 = lp_ball(3, 1, scale=0.9)
         assert analytic_proj_support(lp1, eye[0]) is None
         rng = np.random.default_rng(42)
-        for u in np.vstack([eye[:1], random_directions(3, 3, rng)]):
-            assert brackets(proj_body_support(lp1, u, 200_000, rng), analytic_proj_support(octahedron, u))
+        us = np.vstack([eye[:1], random_directions(3, 3, rng)])
+        assert brackets(proj_body_support(lp1, us, 200_000, rng), analytic_proj_support(octahedron, us))
 
     @pytest.mark.parametrize("p", [3.0, 1.5])
     def test_d2_closed_form_is_the_width(self, p):
@@ -653,19 +657,54 @@ class TestProjSupportRows:
         return xs
 
     @pytest.mark.parametrize("d", [3, 4])
-    def test_lp3_is_shadow_mc_per_point(self, d):
-        # row by row, in row order: the same values and generator end state
+    def test_lp3_is_one_shared_draw(self, d):
+        # proj_body_support over the unit rows, rescaled: one draw of 2000
+        # directions for the whole batch
         body = normalize_to_unit_volume(lp_ball(d, 3))
         xs = self._rows(d)
-        a, b = np.random.default_rng(31), np.random.default_rng(31)
+        a, b, c = (np.random.default_rng(31) for _ in range(3))
         got = proj_support_rows(body, xs, 2000, a)
-        want = []
-        for x in xs:
-            n = np.linalg.norm(x)
-            want.append(proj_body_support(body, x / n, 2000, b).value * n if n else 0.0)
-        assert got.tolist() == want
+        nz = np.flatnonzero(row_norms(xs))
+        n = row_norms(xs[nz])
+        want = proj_body_support(body, xs[nz] / n[:, None], 2000, b).value * n
+        np.testing.assert_allclose(got[nz], want, rtol=1e-12, atol=0.0)
         assert got[3] == 0.0
-        assert a.bit_generator.state == b.bit_generator.state
+        _uniform_directions(c, 2000, d)
+        assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_lp3_row_order(self, d):
+        # a permutation of the rows permutes the values bit for bit
+        body = normalize_to_unit_volume(lp_ball(d, 3))
+        xs = np.random.default_rng(d).uniform(-1.5, 1.5, size=(40, d))
+        got = proj_support_rows(body, xs, 20_000, np.random.default_rng(32))
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(len(xs))
+            again = proj_support_rows(body, xs[perm], 20_000, np.random.default_rng(32))
+            assert again.tolist() == got[perm].tolist()
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_lp3_blocks(self, d):
+        # a batch of more than one block of rows equals the same rows in
+        # calls of one block each
+        body = normalize_to_unit_volume(lp_ball(d, 3))
+        step = 4 * GAUGE_CHUNK // 2000
+        xs = np.random.default_rng(d).uniform(-1.5, 1.5, size=(2 * step + 7, d))
+        got = proj_support_rows(body, xs, 2000, np.random.default_rng(33))
+        blocks = (xs[:step], xs[step : 2 * step], xs[2 * step :])
+        parts = [proj_support_rows(body, block, 2000, np.random.default_rng(33)) for block in blocks]
+        assert got.tolist() == np.concatenate(parts).tolist()
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_lp3_empty_batch_draws_nothing(self, d):
+        # no rows, or only zero rows: no Cauchy draw
+        body = normalize_to_unit_volume(lp_ball(d, 3))
+        rng = np.random.default_rng(34)
+        state = rng.bit_generator.state
+        assert proj_support_rows(body, np.empty((0, d)), 2000, rng).shape == (0,)
+        assert proj_support_rows(body, np.zeros((2, d)), 2000, rng).tolist() == [0.0, 0.0]
+        assert len(proj_body_support(body, np.empty((0, d)), 2000, rng).value) == 0
+        assert rng.bit_generator.state == state
 
     def test_lp3_d2_is_closed_form(self):
         # every body at d = 2 has a closed form: no draws
