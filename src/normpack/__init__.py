@@ -21,7 +21,7 @@ from .bodies import (
     simplex_difference,
 )
 from .harness import ExperimentConfig, default_config, run_pipeline, sweep, verify_suite
-from .indset import PackingResult, greedy_independent_set, local_search_improve, verify_packing
+from .indset import PackingResult, greedy_independent_set, verify_packing
 from .packing import PackingGraph, TorusDomain, build_graph, prune, sample_poisson
 from .volumetrics import (
     IkProfile,
@@ -51,7 +51,6 @@ __all__ = [
     "greedy_independent_set",
     "hpolytope",
     "intersection_volume",
-    "local_search_improve",
     "lp_ball",
     "mc_volume",
     "normalize_to_unit_volume",

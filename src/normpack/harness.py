@@ -23,7 +23,7 @@ import numpy as np
 from . import checks as checks_mod
 from .bodies import CORE_TOKENS, ConvexBody, body_from_spec, cube, lp_ball, normalize_to_unit_volume
 from .checks import CheckReport
-from .indset import PackingResult, greedy_independent_set, local_search_improve, verify_packing
+from .indset import PackingResult, greedy_independent_set, verify_packing
 from .packing import (
     PackingGraph,
     TorusDomain,
@@ -50,7 +50,7 @@ def child_rng(master: int, label: str) -> np.random.Generator:
 
 # (fields, type, name of the type); bool is neither here
 _FIELD_TYPES = (
-    (("d", "seed", "mc_samples", "ik_outer_samples", "local_search_budget"), numbers.Integral, "an integer"),
+    (("d", "seed", "mc_samples", "ik_outer_samples"), numbers.Integral, "an integer"),
     (("L", "Delta", "ik_delta", "codegree_coeff"), numbers.Real, "a real number"),
 )
 
@@ -69,7 +69,6 @@ class ExperimentConfig:
     mc_samples: int
     seed: int
     ik_outer_samples: int = 20_000
-    local_search_budget: int = 100
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -83,8 +82,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         if not self.ik_outer_samples >= 1:
             raise ValueError("ik_outer_samples must be at least 1")
-        if not self.local_search_budget >= 0:
-            raise ValueError("local_search_budget must be nonnegative")
 
     def canonical(self) -> dict:
         d = asdict(self)
@@ -246,17 +243,9 @@ def _run_stages(config: ExperimentConfig) -> PipelineRun:
     )
     # both only read the graph, so their records do not depend on prune having run
     stats_pre = _stage("stats_pre", timings, lambda: degree_codegree_stats(graph))
+    del graph  # nothing later reads the unpruned graph; free it before the set's arrays
     stats_post = _stage("stats_post", timings, lambda: degree_codegree_stats(pruned))
-    indep = _stage(
-        "greedy",
-        timings,
-        lambda: greedy_independent_set(pruned, child_rng(seed, "greedy")),
-    )
-    indep = _stage(
-        "local_search",
-        timings,
-        lambda: local_search_improve(pruned, indep, config.local_search_budget),
-    )
+    indep = _stage("greedy", timings, lambda: greedy_independent_set(pruned, child_rng(seed, "greedy")))
     result = _stage(
         "verify_packing",
         timings,

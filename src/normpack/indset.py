@@ -1,9 +1,9 @@
 """Independent-set extraction and packing verification.
 
-Greedy insertion in a random order plus a (1,2)-swap local search
-stand in for the existential graph-theoretic bound; the verifier
-re-derives disjointness from raw coordinates rather than trusting the
-graph.
+Local-minimum rounds keyed by live degree stand in for the existential
+graph-theoretic bound; the verifier re-derives disjointness from raw
+coordinates.  The pipeline calls neither :func:`is_independent` nor
+:func:`local_search_improve`; the benchmark's tracer looks both up by name.
 """
 
 from __future__ import annotations
@@ -30,21 +30,33 @@ class OverlapError(Exception):
 
 
 def greedy_independent_set(graph: PackingGraph, rng: np.random.Generator) -> np.ndarray:
-    """Maximal independent set by sequential insertion in the order of
-    ``rng.permutation``, sorted.
-
-    The greedy guarantee |A| >= n / (max_degree + 1) always holds for the
-    maximal output.
-    """
+    """Maximal independent set by local-minimum rounds, sorted: each round,
+    every live vertex whose (live degree, place in one ``rng.permutation``)
+    is below all its live neighbors' joins, and it and its neighbors leave.
+    A winner's live degree is at most each removed neighbor's, so the set
+    meets the Caro–Wei bound sum_v 1/(deg v + 1) >= n/(max degree + 1)."""
     n = graph.n
-    ptr, indices = graph.adj.indptr.tolist(), graph.adj.indices
-    blocked = np.zeros(n, dtype=bool)
-    chosen = np.zeros(n, dtype=bool)
-    for v in rng.permutation(n).tolist():  # each v comes once
-        if not blocked[v]:
-            chosen[v] = True
-            blocked[indices[ptr[v] : ptr[v + 1]]] = True
-    return np.flatnonzero(chosen)
+    place = np.empty(n, dtype=np.int64)
+    place[rng.permutation(n)] = np.arange(n)
+    deg, cols = graph.degree(), graph.adj.indices
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), deg)
+    upper = np.flatnonzero(cols > rows)  # the edges i < j of the sorted CSR rows
+    ei, ej = rows.take(upper), cols.take(upper)
+    del rows, upper  # freed before the rounds: a lower peak, and faster on reused pages
+    live, chosen = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    while len(ei):
+        key = deg.astype(np.int64) * n + place
+        loser = ei + (ej - ei) * (key.take(ej) > key.take(ei))  # each edge's larger key
+        win = live.copy()
+        win[loser] = False
+        chosen |= win
+        live ^= win
+        # a winner is the smaller end of each of its edges; the other end leaves
+        live[loser.take(np.flatnonzero(win.take(ei + ej - loser)))] = False
+        alive = np.flatnonzero(live.take(ei) & live.take(ej))
+        ei, ej = ei.take(alive), ej.take(alive)
+        deg = np.bincount(ei, minlength=n) + np.bincount(ej, minlength=n)
+    return np.flatnonzero(chosen | live)  # what is still live has no live neighbor
 
 
 def is_independent(graph: PackingGraph, vertices) -> bool:

@@ -2,9 +2,9 @@
 A @ A codegrees and exhaustive independent sets, independent of the
 KD-tree, codegree and local-search paths; plus the plain first versions of
 the minimal image, the CSR build, the independence test, the periodic
-KD-tree pair query, the greedy set and the local search, which the
-rewritten primitives must match exactly; and two probes of the core
-tokens that split kernels borrow."""
+KD-tree pair query and the local search, and a per-vertex loop of the
+local-minimum rounds, which the array code must match exactly; and two
+probes of the core tokens that split kernels borrow."""
 
 from __future__ import annotations
 
@@ -138,16 +138,21 @@ def x2_pairs_reference(points, body: ConvexBody, domain: TorusDomain, gauge_limi
     return periodic_pairs_reference(points, body, domain, gauge_limit)[0].T
 
 
-def greedy_reference(graph: PackingGraph, rng: np.random.Generator) -> np.ndarray:
-    """Sequential greedy in the order of ``rng.permutation``, blocking each
-    chosen vertex's ``neighbors`` view."""
-    blocked = np.zeros(graph.n, dtype=bool)
+def rounds_reference(graph: PackingGraph, rng: np.random.Generator) -> np.ndarray:
+    """Local-minimum rounds vertex by vertex: in each round every live vertex
+    whose (live degree, place in ``rng.permutation``) is below that of each
+    live neighbor joins, then the winners and their neighbors leave."""
+    place = {int(v): k for k, v in enumerate(rng.permutation(graph.n))}
+    live = set(range(graph.n))
     chosen = []
-    for v in rng.permutation(graph.n):
-        if not blocked[v]:
-            chosen.append(int(v))
-            blocked[v] = True
-            blocked[graph.neighbors[v]] = True
+    while live:
+        nbrs = {v: [int(u) for u in graph.neighbors[v] if u in live] for v in live}
+        key = {v: (len(nbrs[v]), place[v]) for v in live}
+        winners = [v for v in live if all(key[v] < key[u] for u in nbrs[v])]
+        chosen += winners
+        for v in winners:
+            live.discard(v)
+            live.difference_update(nbrs[v])
     return np.asarray(sorted(chosen), dtype=np.int64)
 
 

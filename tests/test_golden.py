@@ -19,12 +19,12 @@ from normpack.checks import check_rogers_shephard, check_schmuckenschlager, writ
 from normpack.harness import default_config, run_pipeline, verify_suite
 
 GOLDEN = {
-    (2, 1): "678c9b2d61ed1fe243fd4ecbb48d7fdc82b23b09ddecdd7c1f9da5d82cbbcb40",
-    (2, 2): "6bcd2b145a886083fa71151df54ec8ba38d54c102ef1b1186cc6d6941013ddff",
-    (3, 1): "a15cda9c9550737df09fcce7209f65fbd386f7a9a868c5998ab33ceddd8565b7",
-    (3, 2): "44af22396b918296d344a87cd9a9c95f8feb670c9e1185b332d69a38d5a1a76a",
-    (4, 1): "f2927146109ffe066e659af9b4b4e5a5514a14b7e86fc2e9475443aa60ce6a05",
-    (4, 2): "0c6200e1f04ff9b6665bd8e0037b50074f82185ad1b930858812158e014f16a0",
+    (2, 1): "931f7b1459f0a9859736f659eb5a7b29a6a381160145ee45894993387109ab25",
+    (2, 2): "8f49a3762a38b67dea6bd553567db6a627701ca2c3cba9725af2cab8bb298404",
+    (3, 1): "4c02ec5e654baf7e8b4c2ba8d6d782f79f8f087e740ba35313f0f24131831582",
+    (3, 2): "4b0ca193775bf470d6a202bd0d9a7827085a21962b5dff9d0dbdff343c1f3c98",
+    (4, 1): "017a8daad04719005cd3a6e2447683674d7c64c2214c768b5682b40c7256792b",
+    (4, 2): "e523134906ac9607d55bbf368c81d7d433e2370a59f1d9ca0679541f89c00e30",
 }
 
 # default sizes, seed 1, another body: decided by the outer body, with a closed-form
@@ -32,15 +32,15 @@ GOLDEN = {
 GOLDEN_BODIES = {
     "lp3_d2": (
         {"kind": "lp", "d": 2, "p": 3, "scale": 1.0},
-        "ac2f860f42f86c8b76c8f163d5198aa6b9a21d9779833bf5f099a82a0ee7057f",
+        "69c4cd76dbcc0af006067bf87323916f225514d773ebf7cf33d99424bbe298d0",
     ),
     "lp3_d3": (
         {"kind": "lp", "d": 3, "p": 3, "scale": 1.0},
-        "22f0aaab089db830ededc5596ff68b5b03f4e3a3998edb3cedd7c7d0871e2e25",
+        "a11120c5160694bcb363395e916197da09c4e01a53077ce1441161d836700167",
     ),
     "simplex_diff_d3": (
         {"kind": "simplex_diff", "d": 3, "scale": 1.0},
-        "a5d8d64c063d3c4e7fded5a167bc091ba935af0e7b28e4dde6eaf2eded6d24f6",
+        "2fbc780d0727afe74af59b10ca9d19944ac6bc76221391564d3f7ee0dfa28e9b",
     ),
 }
 

@@ -1,10 +1,12 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from normpack.bodies import body_to_spec, lp_ball, normalize_to_unit_volume
+from normpack.harness import default_config, run_stages
 from normpack.indset import (
     OverlapError,
     export_packing,
@@ -19,10 +21,11 @@ from normpack.packing import TorusDomain, build_graph, sample_poisson
 from graph_oracles import (
     exhaustive_max_independent,
     graph_from_edges,
-    greedy_reference,
     is_independent_reference,
     local_search_reference,
+    rounds_reference,
 )
+from indset_oracles import max_independent_set
 
 
 def random_graph(rng, n, p):
@@ -72,13 +75,36 @@ class TestGreedy:
             dmax = int(g.degree().max())
             assert len(out) >= n / (dmax + 1)
 
+    def test_caro_wei_bound(self):
+        # each winner's live degree is at most that of every neighbor it removes
+        rng = np.random.default_rng(12)
+        for trial in range(60):
+            n = int(rng.integers(1, 80))
+            g = graph_from_edges(n, random_graph(rng, n, float(rng.uniform(0.0, 0.6))))
+            out = greedy_independent_set(g, np.random.default_rng(trial))
+            assert len(out) >= np.sum(1.0 / (g.degree() + 1.0)) - 1e-9
+
+    def test_star_gives_its_leaves(self):
+        # random-order greedy takes the center alone whenever it comes first
+        g = graph_from_edges(21, [(0, leaf) for leaf in range(1, 21)])
+        for seed in range(200):
+            assert greedy_independent_set(g, np.random.default_rng(seed)).tolist() == list(range(1, 21))
+
+    def test_draws_one_permutation(self):
+        g = graph_from_edges(30, random_graph(np.random.default_rng(13), 30, 0.2))
+        used, want = np.random.default_rng(14), np.random.default_rng(14)
+        greedy_independent_set(g, used)
+        want.permutation(30)
+        assert used.bit_generator.state == want.bit_generator.state
+
     def test_matches_sequential_reference_on_random_graphs(self):
+        # the per-vertex loop of the same rounds, bit for bit
         rng = np.random.default_rng(11)
         for trial in range(60):
             n = int(rng.integers(0, 80))
             g = graph_from_edges(n, random_graph(rng, n, float(rng.uniform(0.0, 0.5))))
             got = greedy_independent_set(g, np.random.default_rng(trial))
-            want = greedy_reference(g, np.random.default_rng(trial))
+            want = rounds_reference(g, np.random.default_rng(trial))
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("p", [2.0, math.inf])
@@ -89,9 +115,7 @@ class TestGreedy:
         g = build_graph(sample_poisson(dom, 30.0, np.random.default_rng(d)), body, dom)
         for seed in range(3):
             got = greedy_independent_set(g, np.random.default_rng(seed))
-            assert np.array_equal(got, greedy_reference(g, np.random.default_rng(seed)))
-            out = local_search_improve(g, got, 100)
-            assert np.array_equal(out, local_search_reference(g, got, 100))
+            assert np.array_equal(got, rounds_reference(g, np.random.default_rng(seed)))
 
     def test_deterministic_given_seed(self):
         edges = random_graph(np.random.default_rng(3), 25, 0.2)
@@ -177,6 +201,19 @@ class TestLocalSearch:
             out = local_search_improve(g, seed, budget=100)
             dmax = int(g.degree().max(initial=0))
             assert n / (dmax + 1) <= len(out) <= opt
+
+
+class TestTrueAlpha:
+    # alpha of the pruned graph of default_config(2) at a smaller L, seed 1,
+    # proved optimal by the MILP oracle in seconds; no d = 3 graph is pinned yet
+    ALPHA = {5.0: 16, 6.0: 23, 8.0: 41}
+
+    @pytest.mark.parametrize("L", sorted(ALPHA))
+    def test_pipeline_set_reaches_085_alpha(self, L):
+        run = run_stages(replace(default_config(2), L=L))
+        best = max_independent_set(run.pruned)
+        assert len(best) == self.ALPHA[L] and is_independent(run.pruned, best)
+        assert run.packing.count >= 0.85 * len(best)
 
 
 class TestVerifyPacking:
