@@ -22,9 +22,9 @@ from .bodies import (
     simplex_difference,
 )
 from .volumetrics import (
+    McEstimate,
     analytic_polar_proj_volume,
     exact_intersection_volume,
-    has_exact_intersection,
     intersection_volume,
     mc_volume,
     polar_proj_ball_volume,
@@ -83,6 +83,13 @@ def write_reports_csv(reports, path) -> None:
             w.writerow(row)
 
 
+def _f_rows(body: ConvexBody, xs: np.ndarray, samples: int, rng: np.random.Generator) -> McEstimate:
+    """f at each row of xs: exact (standard error 0) where f has a closed
+    form, else :func:`intersection_volume` over one shared sample."""
+    f = exact_intersection_volume(body, xs)
+    return intersection_volume(body, xs, samples, rng) if f is None else McEstimate(f, np.zeros(len(xs)), 0)
+
+
 def check_schmuckenschlager(
     body: ConvexBody,
     delta: float,
@@ -98,17 +105,15 @@ def check_schmuckenschlager(
 
     The trial points x are uniform in 2K.  h_{Pi K} at all of them comes
     from one :func:`proj_support_rows` call, whose Cauchy estimates share
-    one draw of :data:`CHECK_MC_SAMPLES` directions.  Balls and cubes then
-    take f at all of them in one call; other bodies estimate f point by
-    point, each from :data:`CHECK_MC_SAMPLES` draws.
+    one draw of :data:`CHECK_MC_SAMPLES` directions, and f from one
+    :func:`_f_rows` call: exact for balls and cubes, else from one shared
+    sample of :data:`CHECK_MC_SAMPLES` points of K.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError("delta in (0,1) required")
     xs = sample_uniform(body.scaled(2.0), rng, trials)
     hx = proj_support_rows(body, xs, CHECK_MC_SAMPLES, rng)
-    fx = exact_intersection_volume(body, xs)  # None where f has no closed form
-    if fx is None:
-        fx = np.array([intersection_volume(body, x, CHECK_MC_SAMPLES, rng).value for x in xs])
+    fx = _f_rows(body, xs, CHECK_MC_SAMPLES, rng).value
     outer = fx > delta
     inner = hx <= (1.0 - delta) * (1.0 - slack)
     outer_viol = int(np.count_nonzero(outer & (hx > math.log(1.0 / delta) * (1.0 + slack))))
@@ -145,66 +150,46 @@ def check_logconcavity(
 
     For each ray, picks 0 <= t1 < t2 inside the support and checks
     f(tm) >= f(t1)^lam f(t2)^(1-lam) up to 3-sigma Monte Carlo slack.
-    Every ray draws its direction, t1, t2 and lam in turn.  Balls and
-    cubes only draw in that loop; then one batch normalizes, gauges and
-    sorts every ray and takes the three exact f values of all rays in one
-    call, with standard error 0.  Other bodies estimate them ray by ray,
-    between the draws.  One inequality then tests every ray.
+    Every ray draws its direction, t1, t2 and lam in turn; then one batch
+    normalizes, gauges and sorts every ray, and one :func:`_f_rows` call
+    takes the 3 f values of every ray (one shared sample of ``mc_samples``
+    points of K where f has no closed form).  The slack sums the errors of
+    the three estimates, which bounds the spread of their combination
+    however the shared sample correlates them.  One inequality then tests
+    every ray.
     With ``slope_directions`` > 0, additionally compares the one-sided
     finite-difference slope of log f at 0 against -h_{Pi K} (within
-    :data:`SLOPE_TOL` relative); the slope check uses exact f when available.
+    :data:`SLOPE_TOL` relative): the directions are drawn in turn, then take
+    h_{Pi K} from one :func:`proj_support_rows` call and f from one more
+    :func:`_f_rows` call, of at least 200k samples.
     """
     if rays < 1:
         raise ValueError("rays >= 1 required")
-    exact = has_exact_intersection(body)
-    if exact:
-        y, u = np.empty((rays, body.d)), np.empty((rays, 3))
-        for i in range(rays):
-            y[i], u[i, :2], u[i, 2] = rng.normal(size=body.d), rng.random(2), rng.random()
-        y /= row_norms(y)[:, None]
-        # Generator.uniform(low, high) is low + (high - low) U, for the U of rng.random
-        t1, t2 = np.sort(0.9 * (2.0 / body.gauge(y))[:, None] * u[:, :2], axis=1).T
-        lam = 0.1 + (0.9 - 0.1) * u[:, 2]
-        t = np.stack([t1, t2, lam * t1 + (1.0 - lam) * t2], axis=1)
-        f = exact_intersection_volume(body, (t[:, :, None] * y[:, None, :]).reshape(-1, body.d))
-        se = np.zeros(3 * rays)
-    else:
-        lams, f, se = [], [], []
-        for _ in range(rays):
-            y = rng.normal(size=body.d)
-            y /= np.linalg.norm(y)
-            t_sup = 2.0 / body.gauge(y)
-            t1, t2 = np.sort(rng.uniform(0.0, 0.9 * t_sup, size=2))
-            lam = rng.uniform(0.1, 0.9)
-            lams.append(lam)
-            for x in (t1 * y, t2 * y, (lam * t1 + (1.0 - lam) * t2) * y):
-                est = intersection_volume(body, x, mc_samples, rng)
-                f.append(est.value)
-                se.append(est.std_error)
-        lam = np.array(lams)
-    (f1, f2, fm), (s1, s2, sm) = np.reshape(f, (rays, 3)).T, np.reshape(se, (rays, 3)).T
+    y, u = np.empty((rays, body.d)), np.empty((rays, 3))
+    for i in range(rays):
+        y[i], u[i, :2], u[i, 2] = rng.normal(size=body.d), rng.random(2), rng.random()
+    y /= row_norms(y)[:, None]
+    # Generator.uniform(low, high) is low + (high - low) U, for the U of rng.random
+    t1, t2 = np.sort(0.9 * (2.0 / body.gauge(y))[:, None] * u[:, :2], axis=1).T
+    lam = 0.1 + (0.9 - 0.1) * u[:, 2]
+    t = np.stack([t1, t2, lam * t1 + (1.0 - lam) * t2], axis=1)
+    est = _f_rows(body, (t[:, :, None] * y[:, None, :]).reshape(-1, body.d), mc_samples, rng)
+    (f1, f2, fm), (s1, s2, sm) = est.value.reshape(rays, 3).T, est.std_error.reshape(rays, 3).T
     rhs = f1**lam * f2 ** (1.0 - lam)
     with np.errstate(divide="ignore", invalid="ignore"):  # rhs = 0 where f1 or f2 is 0
         # first-order error: d rhs / d f1 = lam rhs / f1, likewise f2
         sig = sm + np.where(rhs > 0.0, rhs * (lam * s1 / f1 + (1.0 - lam) * s2 / f2), 0.0)
     viol = int(np.count_nonzero(fm < rhs - 3.0 * sig - 1e-12))
-    slope_fail = 0
     slope_errs = []
     if slope_directions > 0:
-        for _ in range(slope_directions):
-            y = rng.normal(size=body.d)
-            y /= np.linalg.norm(y)
-            hy = proj_support_rows(body, y[None], mc_samples, rng)[0]
-            eps = 0.05 / hy
-            if exact:
-                fe = float(exact_intersection_volume(body, eps * y))
-            else:
-                fe = intersection_volume(body, eps * y, max(mc_samples, 200_000), rng).value
-            slope = math.log(fe) / eps  # f(0) = vol = 1 for normalized bodies
-            rel = abs(slope + hy) / hy
-            slope_errs.append(rel)
-            if rel > SLOPE_TOL:
-                slope_fail += 1
+        y = np.array([rng.normal(size=body.d) for _ in range(slope_directions)])
+        y /= row_norms(y)[:, None]
+        hy = proj_support_rows(body, y, mc_samples, rng)
+        eps = 0.05 / hy
+        fe = _f_rows(body, eps[:, None] * y, max(mc_samples, 200_000), rng).value
+        # f(0) = vol = 1 for normalized bodies; scalar math.log, as np.log can differ in the last bit
+        slope_errs = [abs(math.log(f) / e + h) / h for f, e, h in zip(fe, eps, hy)]
+    slope_fail = sum(1 for rel in slope_errs if rel > SLOPE_TOL)
     return CheckReport(
         check="logconcavity",
         body=body.describe(),

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .bodies import GAUGE_CHUNK, ConvexBody, in_parts
+from .bodies import GAUGE_CHUNK, MIN_SPLIT_ROWS, ConvexBody, in_parts
 from .volumetrics import IkProfile, OverlapClassifier, ik_gauge_radius
 
 POINT_CAP = 2_000_000
@@ -409,15 +409,16 @@ def _hot_codegrees(graph: PackingGraph, t: float) -> tuple[np.ndarray, np.ndarra
 
     The off-diagonal entries are the codegrees of the hot pairs.  The
     product still sums over every vertex, so each count is exact; A^2 over
-    all rows is never formed.  It runs as two blocks of B's rows
-    (:func:`in_parts`); each block's rows are those of the whole product,
-    and their entries are joined end to end.
+    all rows is never formed.  From :data:`MIN_SPLIT_ROWS` hot rows on it
+    runs as two blocks of B's rows (:func:`in_parts`); each block's rows are
+    those of the whole product, and their entries are joined end to end.
+    Fewer rows take one product, as both blocks would run on the caller.
     """
     hot = np.flatnonzero(graph.degree() >= t)
     B = graph.adj[hot]
     BT = B.T.tocsr()
     m = len(hot) // 2
-    blocks = in_parts(len(hot), lambda: B[:m] @ BT, lambda: B[m:] @ BT)
+    blocks = [B @ BT] if len(hot) < MIN_SPLIT_ROWS else in_parts(len(hot), lambda: B[:m] @ BT, lambda: B[m:] @ BT)
     row = np.repeat(np.arange(len(hot)), np.concatenate([np.diff(C.indptr) for C in blocks]))
     return hot, row, np.concatenate([C.indices for C in blocks]), np.concatenate([C.data for C in blocks])
 

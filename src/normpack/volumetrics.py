@@ -34,16 +34,17 @@ MC_MIN_SAMPLES = 1_000
 
 @dataclass(frozen=True)
 class McEstimate:
-    """A Monte Carlo estimate with its standard error (per row from :func:`proj_body_support`)."""
+    """A Monte Carlo estimate with its standard error (per row for a batch of rows)."""
 
     value: float | np.ndarray
     std_error: float | np.ndarray
     samples: int
 
     @classmethod
-    def hit_fraction(cls, volume: float, hits: int, samples: int) -> McEstimate:  # binomial standard error
-        p = hits / samples
-        return cls(volume * p, volume * math.sqrt(p * (1.0 - p) / samples), samples)
+    def hit_fraction(cls, volume: float, hits, samples: int) -> McEstimate:  # binomial, per entry of hits
+        p = np.asarray(hits) / samples
+        value, std_error = volume * p, volume * np.sqrt(p * (1.0 - p) / samples)
+        return cls(float(value), float(std_error), samples) if p.ndim == 0 else cls(value, std_error, samples)
 
 
 def mc_volume(body: ConvexBody, samples: int, rng: np.random.Generator) -> McEstimate:
@@ -128,15 +129,18 @@ def intersection_volume(
     samples: int,
     rng: np.random.Generator,
 ) -> McEstimate:
-    """Estimate f(x) = vol(body cap (body + x)).
+    """Estimate f(x) = vol(body cap (body + x)) at one point x or at each row of an (m, d) x.
 
-    Samples y uniform in the body and tests gauge(y - x) <= 1; the hit
-    fraction times the closed-form vol(body) is an unbiased estimate.
+    Draws ``samples`` points y uniform in the body once; every row tests
+    gauge(y - x) <= 1 on that one draw, alone, so a row's value does not
+    depend on the others.  The hit fraction times the closed-form vol(body)
+    is an unbiased estimate; value and standard error are per-row arrays
+    for an (m, d) x.  The rows' estimates are correlated through the draw.
     """
     x = np.asarray(x, dtype=float)
     y = sample_uniform(body, rng, samples)
-    hits = int(np.count_nonzero(body.gauge(y - x) <= 1.0))
-    return McEstimate.hit_fraction(closed_form_volume(body), hits, samples)
+    hits = [np.count_nonzero(body.gauge(y - row) <= 1.0) for row in np.reshape(x, (-1, body.d))]
+    return McEstimate.hit_fraction(closed_form_volume(body), hits if x.ndim == 2 else hits[0], samples)
 
 
 class OverlapClassifier:
@@ -169,7 +173,7 @@ class OverlapClassifier:
             return np.asarray(exact_intersection_volume(self.body, x)) > self.delta
         body, V = self.body, closed_form_volume(self.body)
         out = np.zeros(len(x), dtype=bool)
-        if self.delta >= V:
+        if ik_empty(V, self.delta):
             return out
         t = V * math.log(V / self.delta)
         # vol(K) <= 2 h_K(u) h_PiK(u) for symmetric K: the width bound
@@ -237,7 +241,7 @@ def estimate_ik(
         raise ValueError("delta must be positive")
     d = body.d
     V = closed_form_volume(body)
-    if delta >= V:  # f <= f(0) = V, so I_K is empty
+    if ik_empty(V, delta):
         return IkProfile(body, delta, McEstimate(0.0, 0.0, 0), math.inf, (0.0, 0.0))
     lo_r, hi_r = V - delta, V * math.log(V / delta)  # radial bracket times h_PiK
     if not has_exact_intersection(body):
@@ -288,6 +292,12 @@ def _radial_function(body, delta, theta, lo, hi, steps) -> np.ndarray:
     return hi
 
 
+def ik_empty(V: float, delta: float) -> bool:
+    """I_K is empty: f <= f(0) = V <= delta, with a delta up to 4 ulps below V
+    taken as V (a unit-volume body's closed-form V can read 1 + 2.2e-16)."""
+    return delta >= V - 4.0 * math.ulp(V)
+
+
 def ik_gauge_radius(body: ConvexBody, delta: float) -> float:
     """A g with I_K contained in {gauge <= g}: 0.0 once delta >= vol(K)
     (I_K is empty); for the l2 ball and the cube, the upper end of a
@@ -301,7 +311,7 @@ def ik_gauge_radius(body: ConvexBody, delta: float) -> float:
     whenever 2 g <= 2.
     """
     V = closed_form_volume(body)
-    if delta >= V:
+    if ik_empty(V, delta):
         return 0.0
     if has_exact_intersection(body):
         e1 = np.eye(body.d)[:1] * body.scale  # 31 halvings of [0, 2] leave a bracket below 1e-9

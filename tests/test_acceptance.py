@@ -56,28 +56,29 @@ def conclude(capsys):
 
 
 def _brute_force_degree_codegree(pruned: PackingGraph, body, domain):
-    """Chunked O(n^2) adjacency rebuild; also re-verifies stored neighbors.
+    """Chunked O(n^2) adjacency rebuild; also re-verifies the stored adjacency.
 
-    The codegrees come from the exact sparse product of the rebuilt
-    matrix with itself, independent of the pipeline's codegree path.
+    Each unordered pair is gauged once: every 256-row chunk against the
+    points from its own start on.  The codegrees come from the exact sparse
+    product of the rebuilt matrix with itself, independent of the
+    pipeline's codegree path.
     """
     pts = pruned.points
     n = pruned.n
     if n == 0:
         return 0, 0
-    blocks = []
+    rows, cols = [], []
     for start in range(0, n, 256):
         chunk = pts[start : start + 256]
-        diffs = domain.min_image(chunk[:, None, :] - pts[None, :, :])
-        adj = np.asarray(body.gauge(diffs)) <= 2.0
-        for i in range(len(chunk)):
-            adj[i, start + i] = False
-            if not np.array_equal(
-                np.flatnonzero(adj[i]).astype(np.int64), pruned.neighbors[start + i]
-            ):
-                raise AssertionError("stored adjacency disagrees with brute force")
-        blocks.append(sp.csr_matrix(adj, dtype=np.int64))
-    A = sp.vstack(blocks, format="csr")
+        diffs = domain.min_image(chunk[:, None, :] - pts[None, start:, :])
+        i, j = np.nonzero(np.triu(np.asarray(body.gauge(diffs)) <= 2.0, 1))  # j > i: the pairs above the diagonal
+        rows.append(start + i)
+        cols.append(start + j)
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    A = sp.csr_matrix((np.ones(2 * len(i), dtype=np.int64), (np.r_[i, j], np.r_[j, i])), shape=(n, n))
+    A.sort_indices()
+    if not (np.array_equal(A.indptr, pruned.adj.indptr) and np.array_equal(A.indices, pruned.adj.indices)):
+        raise AssertionError("stored adjacency disagrees with brute force")
     C = (A @ A).tocoo()
     off = C.row != C.col
     return int(A.sum(axis=1).max()), int(C.data[off].max(initial=0))

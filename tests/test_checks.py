@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from normpack import checks
+from normpack import checks, volumetrics
 from normpack.bodies import cube, lp_ball, normalize_to_unit_volume, sample_uniform, simplex_difference
 from normpack.checks import (
     CheckReport,
@@ -27,6 +27,21 @@ from verifier_oracles import (
     schmuckenschlager_per_point,
     simplex_diff_membership_dual,
 )
+
+
+MC_BODIES = [normalize_to_unit_volume(lp_ball(3, 3)), normalize_to_unit_volume(simplex_difference(3))]
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch module.name, a function (body, a, n, ...), to record the n of each call; returns that list."""
+    seen, real = [], getattr(module, name)
+
+    def spy(body, *args):
+        seen.append(args[1])
+        return real(body, *args)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
 
 
 class TestSchmuckenschlager:
@@ -54,16 +69,21 @@ class TestSchmuckenschlager:
         assert rep.extra["inner_violations"] == 0
 
     def test_lp3_h_in_one_call(self):
-        # the trial points, one Cauchy draw for h_PiK at all of them, then f point by point
+        # the trial points, one Cauchy draw for h_PiK at all of them, then f at all of them from one sample of K
         body = normalize_to_unit_volume(lp_ball(3, 3))
         a, b = np.random.default_rng(3), np.random.default_rng(3)
         rep = check_schmuckenschlager(body, 0.5, 6, a)
         xs = sample_uniform(body.scaled(2.0), b, 6)
         hx = proj_support_rows(body, xs, checks.CHECK_MC_SAMPLES, b)
-        fx = np.array([intersection_volume(body, x, checks.CHECK_MC_SAMPLES, b).value for x in xs])
+        fx = intersection_volume(body, xs, checks.CHECK_MC_SAMPLES, b).value
         assert rep.extra["outer_checked"] == np.count_nonzero(fx > 0.5)
         assert rep.extra["inner_checked"] == np.count_nonzero(hx <= 0.5 * 0.95)
         assert a.bit_generator.state == b.bit_generator.state
+
+    def test_lp3_f_from_one_sample(self, monkeypatch):
+        draws = count_calls(monkeypatch, volumetrics, "sample_uniform")
+        check_schmuckenschlager(normalize_to_unit_volume(lp_ball(3, 3)), 0.5, 10, np.random.default_rng(5))
+        assert draws == [checks.CHECK_MC_SAMPLES]
 
 
 class TestLogconcavity:
@@ -99,6 +119,23 @@ class TestLogconcavity:
         assert rep.params["slope_tol"] == 0.05
         assert rep.extra["slope_failures"] == 0
         assert rep.extra["max_slope_rel_err"] <= 0.05
+
+    @pytest.mark.parametrize("slope_directions", [0, 4])
+    @pytest.mark.parametrize("body", MC_BODIES, ids=["lp3", "simplex_diff"])
+    def test_mc_body_draws_once_per_batch(self, body, slope_directions, monkeypatch):
+        # one sample of K for the rays' f, one for the slope directions' f and, where h_PiK has no
+        # closed form (lp3, not the polytope), one Cauchy draw for their h_PiK
+        draws = count_calls(monkeypatch, volumetrics, "sample_uniform")
+        cauchy = count_calls(monkeypatch, volumetrics, "proj_body_support")
+        check_logconcavity(body, 20, np.random.default_rng(6), mc_samples=5_000, slope_directions=slope_directions)
+        assert draws == [5_000] + [200_000] * (slope_directions > 0)
+        assert cauchy == [5_000] * (slope_directions > 0 and body.polytope is None)
+
+    @pytest.mark.parametrize("body", MC_BODIES, ids=["lp3", "simplex_diff"])
+    def test_mc_ray_test_holds(self, body):
+        # the 3-sigma slack sums the errors of estimates that share one sample of K
+        for seed in range(9101, 9121):
+            assert check_logconcavity(body, 50, np.random.default_rng(seed)).violations == 0
 
     def test_rays_required(self):
         with pytest.raises(ValueError):

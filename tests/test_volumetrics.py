@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,15 +10,17 @@ from scipy.linalg import null_space
 from normpack.bodies import (
     GAUGE_CHUNK,
     ball_volume,
+    body_to_spec,
     closed_form_volume,
     cube,
     hpolytope,
     lp_ball,
     normalize_to_unit_volume,
+    sample_uniform,
     simplex_difference,
     uniform_box,
 )
-from normpack.harness import default_config
+from normpack.harness import default_config, run_pipeline
 from normpack.volumetrics import (
     McEstimate,
     OverlapClassifier,
@@ -170,6 +173,29 @@ class TestExactIntersection:
                 exact_intersection_volume(b, xs), exact_intersection_volume(b, -xs)
             )
 
+    @pytest.mark.parametrize(
+        "body", [lp_ball(3, 3), simplex_difference(2), cube(2)], ids=["lp3", "simplex_diff", "cube"]
+    )
+    def test_rows_share_one_sample(self, body):
+        # one row: the draw and the hit fraction of a per-point estimate, bit for bit; each row
+        # of a batch: the value that row alone gets from the same generator state
+        xs = np.random.default_rng(9).uniform(-0.8, 0.8, size=(5, body.d))
+        for x in xs:
+            a, b = np.random.default_rng(4), np.random.default_rng(4)
+            est = intersection_volume(body, x, 5_000, a)
+            hits = int(np.count_nonzero(body.gauge(sample_uniform(body, b, 5_000) - x) <= 1.0))
+            p, V = hits / 5_000, closed_form_volume(body)
+            assert (est.value, est.std_error) == (V * p, V * math.sqrt(p * (1.0 - p) / 5_000))
+            assert type(est.value) is float and type(est.std_error) is float
+            assert a.bit_generator.state == b.bit_generator.state
+        a = np.random.default_rng(4)
+        batch = intersection_volume(body, xs, 5_000, a)
+        assert batch.value.shape == batch.std_error.shape == (5,)
+        for i, x in enumerate(xs):
+            one = intersection_volume(body, x, 5_000, np.random.default_rng(4))
+            assert (batch.value[i], batch.std_error[i]) == (one.value, one.std_error)
+        assert a.bit_generator.state == b.bit_generator.state
+
     def test_mc_matches_exact(self):
         rng = np.random.default_rng(8)
         b = lp_ball(3, 2)
@@ -243,6 +269,19 @@ class TestEstimateIk:
         assert V > 1.0
         assert estimate_ik(body, 1.0, 1000, 2000, np.random.default_rng(0)).vol_ik > 0.0
         assert estimate_ik(body, V, 1000, 2000, np.random.default_rng(0)).vol_ik == 0.0
+
+    @pytest.mark.parametrize(
+        "body", [lp_ball(2, 2), lp_ball(3, 2), lp_ball(4, 2), cube(3)], ids=["l2_d2", "l2_d3", "l2_d4", "cube"]
+    )
+    def test_unit_volume_at_delta_one(self, body):
+        # the unit-volume l2 ball's closed-form volume reads 1 + 2.2e-16 at d = 2 and 4: delta = 1
+        # within a few ulps of it leaves I_K empty, not a sliver of volume 1e-16
+        unit = normalize_to_unit_volume(body)
+        prof = estimate_ik(unit, 1.0, 1000, 500, np.random.default_rng(0))
+        assert prof.vol_ik == 0.0 and math.isinf(prof.delta_k)
+        assert ik_gauge_radius(unit, 1.0) == 0.0
+        record = run_pipeline(replace(default_config(unit.d, seed=1), body=body_to_spec(unit), ik_delta=1.0, L=8.0))
+        assert record.ik["vol_ik"] == 0.0 and record.ik["delta_k"] is None
 
     def test_delta_nonpositive_rejected(self):
         with pytest.raises(ValueError):
