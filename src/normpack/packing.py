@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .bodies import GAUGE_CHUNK, MIN_SPLIT_ROWS, ConvexBody, in_parts
-from .volumetrics import IkProfile, OverlapClassifier, ik_gauge_radius
+from .volumetrics import IkProfile, OverlapClassifier
 
 POINT_CAP = 2_000_000
 # relative slack on every pair query radius: keeps pairs at exactly the gauge
@@ -202,10 +202,12 @@ def torus_pairs(wrapped: np.ndarray, L: float, radius: float, p: float = 2.0) ->
     x0, mid = wrapped[:, 0], 0.5 * L
     low = x0 < mid
 
+    def tree(rows, box=None):  # unbalanced, not compact: quicker to build, no slower to query here
+        return cKDTree(rows, boxsize=box, balanced_tree=False, compact_nodes=False)
+
     def direct(idx):
         """Codes of the pairs among rows ``idx`` within radius."""
-        tree = cKDTree(wrapped[idx], balanced_tree=False, compact_nodes=False)
-        i, j = tree.query_pairs(radius, p=p, output_type="ndarray").T
+        i, j = tree(wrapped[idx]).query_pairs(radius, p=p, output_type="ndarray").T
         return idx[i] * n + idx[j]
 
     def across(a, b, k=None):
@@ -216,9 +218,7 @@ def torus_pairs(wrapped: np.ndarray, L: float, radius: float, p: float = 2.0) ->
             box = np.full(d, L)
             box[k] = 0.0  # not periodic along k
             moved[:, k] += L
-        near = cKDTree(wrapped[a], boxsize=box).sparse_distance_matrix(
-            cKDTree(moved, boxsize=box), radius, p=p, output_type="ndarray"
-        )
+        near = tree(wrapped[a], box).sparse_distance_matrix(tree(moved, box), radius, p=p, output_type="ndarray")
         a, b = a[near["i"]], b[near["j"]]
         if k:
             first = (np.abs(wrapped[a, :k] - wrapped[b, :k]) <= 0.5 * L).all(axis=1)
@@ -365,14 +365,14 @@ def prune(
     body, domain = ik.body, graph.domain
     n = graph.n
     pts = graph.points
-    clf = OverlapClassifier(body, ik.delta, rng, mc_samples)
+    clf = OverlapClassifier(ik, rng, mc_samples)
     deg = graph.degree()
     mark_x1 = deg > Delta + Delta ** (2.0 / 3.0)
 
     # X2: endpoints of pairs whose half-difference the classifier puts inside,
     # among the pairs within gauge 2 g_ik, sorted by (i, j)
     mark_x2 = np.zeros(n, dtype=bool)
-    gi, gj = edges_within_gauge(graph, body, 2.0 * ik_gauge_radius(body, ik.delta))
+    gi, gj = edges_within_gauge(graph, body, 2.0 * ik.gauge_radius)
     x2_inside = clf.inside(domain.min_image(pts[gj] - pts[gi]) / 2.0)
     mark_x2[gi[x2_inside]] = mark_x2[gj[x2_inside]] = True
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, gammainc, gammaln
 
 from .bodies import (
     GAUGE_CHUNK,
@@ -123,6 +123,12 @@ def has_exact_intersection(body: ConvexBody) -> bool:
     return body.kind == "lp" and (body.p == 2.0 or math.isinf(body.p))
 
 
+def has_analytic_proj_support(body: ConvexBody) -> bool:
+    """h_PiK has a closed form (:func:`analytic_proj_support`); other bodies
+    take Cauchy's formula (:func:`proj_body_support`)."""
+    return analytic_proj_support(body, np.eye(body.d)[0]) is not None
+
+
 def intersection_volume(
     body: ConvexBody,
     x: np.ndarray,
@@ -144,24 +150,25 @@ def intersection_volume(
 
 
 class OverlapClassifier:
-    """Decides whether half pair differences lie in the region prune calls deep.
+    """Decides whether half pair differences lie in the region prune calls deep,
+    reading body, delta and g_ik once from the run's :class:`IkProfile`.
 
-    The l2 ball and the cube test I_K = {x : f(x) > delta} on their exact f.
-    Every other body tests Schmuckenschläger's outer body {x : h_PiK(x) <= t},
-    t = V log(V/delta), which holds I_K as f(x) <= V exp(-h_PiK(x)/V), cut at
-    gauge g_ik (:func:`ik_gauge_radius`); it is empty once delta >= V.  Rows
+    No row is inside once I_K is empty (g_ik = 0).  The l2 ball and the cube
+    test I_K = {x : f(x) > delta} on their exact f.  Every other body tests
+    Schmuckenschläger's outer body {x : h_PiK(x) <= t}, t = V log(V/delta),
+    which holds I_K as f(x) <= V exp(-h_PiK(x)/V), cut at gauge g_ik.  Rows
     whose width bound V |x|^2 / (2 h_K(x)) <= h_PiK(x) exceeds t are out; the
     rest take one :func:`proj_support_rows` call, whose rows share one draw of
     ``samples`` directions for lp bodies at d >= 3, counted in ``boundary_count``.
     """
 
-    def __init__(self, body: ConvexBody, delta: float, rng: np.random.Generator | None = None, samples: int = 0):
-        self.body = body
-        self.delta = float(delta)
+    def __init__(self, ik: IkProfile, rng: np.random.Generator | None = None, samples: int = 0):
+        self.body, self.delta, self.gauge_radius = ik.body, float(ik.delta), ik.gauge_radius
+        self.volume = closed_form_volume(self.body)
         self.rng = rng
         self.samples = samples
-        self.exact = has_exact_intersection(body)
-        self.cauchy = analytic_proj_support(body, np.eye(body.d)[0]) is None
+        self.exact = has_exact_intersection(self.body)
+        self.cauchy = not has_analytic_proj_support(self.body)
         self.boundary_count = 0
         if self.cauchy and rng is None:
             raise ValueError("h_PiK by Cauchy's formula needs an rng")
@@ -169,17 +176,15 @@ class OverlapClassifier:
     def inside(self, x: np.ndarray) -> np.ndarray:
         """Vectorized membership of the rows of x."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.exact:
-            return np.asarray(exact_intersection_volume(self.body, x)) > self.delta
-        body, V = self.body, closed_form_volume(self.body)
         out = np.zeros(len(x), dtype=bool)
-        if ik_empty(V, self.delta):
+        if not self.gauge_radius:
             return out
+        if self.exact:
+            return exact_intersection_volume(self.body, x) > self.delta
+        body, V = self.body, self.volume
         t = V * math.log(V / self.delta)
         # vol(K) <= 2 h_K(u) h_PiK(u) for symmetric K: the width bound
-        near = (body.gauge(x) <= ik_gauge_radius(body, self.delta)) & (
-            V * fold_columns(np.add, x * x) <= 2.0 * body.support(x) * t
-        )
+        near = (body.gauge(x) <= self.gauge_radius) & (V * fold_columns(np.add, x * x) <= 2.0 * body.support(x) * t)
         out[near] = proj_support_rows(body, x[near], self.samples, self.rng) <= t
         self.boundary_count += int(near.sum()) if self.cauchy else 0
         return out
@@ -187,21 +192,19 @@ class OverlapClassifier:
 
 @dataclass(frozen=True)
 class IkProfile:
-    """The overlap region I_K: its volume, the Schmuckenschläger bracket
-    (lower, upper) around that volume, and the intensity cap Delta_K."""
+    """The overlap region I_K: its volume, the Schmuckenschläger bracket (lower,
+    upper) around it, the intensity cap Delta_K and :func:`ik_gauge_radius`."""
 
     body: ConvexBody
     delta: float
     volume_estimate: McEstimate
     delta_k: float
     bracket: tuple[float, float]
+    gauge_radius: float
 
     @property
     def vol_ik(self) -> float:
         return self.volume_estimate.value
-
-
-BISECTION_STEPS = 24  # 2^-24 of the radial bracket: 1.5e-9 of the cube's r* at delta = 0.95
 
 
 def estimate_ik(
@@ -211,22 +214,22 @@ def estimate_ik(
     inner_samples: int,
     rng: np.random.Generator,
 ) -> IkProfile:
-    """vol(I_K) from the radial function r* of I_K = {x : f(x) > delta}.
+    """vol(I_K) from the radial function r* of I_K = {x : f(x) > delta}, and
+    g_ik (:func:`ik_gauge_radius`), once per run for prune to read.
 
     For K of volume V, f is log-concave with f(0) = V and slope -h_PiK(u)
     at 0 in direction u, and V - f(x) <= h_PiK(x).  So
     ``V - h_PiK(x) <= f(x) <= V exp(-h_PiK(x) / V)``, and along a unit
     direction theta, r*(theta) lies in ``[V - delta, V log(V/delta)] /
-    h_PiK(theta)``.  vol(I_K) = kappa_d E_theta[r*(theta)^d]: 0 once
-    delta >= V, and otherwise
+    h_PiK(theta)``: vol(I_K) = kappa_d E_theta[r*(theta)^d] lies in the
+    bracket ``[(V - delta)^d, (V log(V/delta))^d] vol(Pi* K)``.  It is 0
+    once delta >= V, and otherwise
 
-    * l2 ball: I_K is the ball of gauge radius :func:`ik_gauge_radius`,
-      exact, with a standard error of 0;
-    * cube: r* bisected on the exact f inside its bracket, along
-      ``outer_samples`` uniform directions (at least 2); the standard
-      error is that of the mean over the directions;
-    * every other body: the upper end of the bracket
-      ``[(V - delta)^d, (V log(V/delta))^d] vol(Pi* K)``, with the
+    * l2 ball: I_K is the ball of gauge radius g_ik, exact;
+    * cube of side a: f(x) = prod (a - |x_k|)_+ on 2K, and -log of a uniform
+      variable is Exp(1), so vol(I_K) = 2^d V P(Gamma(d, 1) < log(V/delta)),
+      exact;
+    * every other body: the upper end of the bracket, with the
       standard error of vol(Pi* K) scaled alike.  vol(Pi* K) comes from
       :func:`polar_proj_volume_mc`: over ``outer_samples`` directions
       where :func:`analytic_proj_support` has a closed form (polytopes
@@ -234,34 +237,33 @@ def estimate_ik(
       min(``outer_samples``, max(2 d^2, 32)) directions that share one
       draw of ``inner_samples`` Cauchy directions.
 
-    The profile's bracket is taken over the same directions as the
-    volume, so for every body the volume lies inside it.
+    Exact volumes have a standard error of 0, and only the last route
+    draws from ``rng``.  The bracket is taken as the volume is, so the
+    volume lies inside it.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     d = body.d
     V = closed_form_volume(body)
+    g = ik_gauge_radius(body, delta)
     if ik_empty(V, delta):
-        return IkProfile(body, delta, McEstimate(0.0, 0.0, 0), math.inf, (0.0, 0.0))
+        return IkProfile(body, delta, McEstimate(0.0, 0.0, 0), math.inf, (0.0, 0.0), g)
     lo_r, hi_r = V - delta, V * math.log(V / delta)  # radial bracket times h_PiK
     if not has_exact_intersection(body):
         # the Cauchy h_PiK weighs inner_samples directions per net row: the cap bounds that product
-        closed = analytic_proj_support(body, np.eye(d)[0]) is not None
-        net = outer_samples if closed else min(outer_samples, max(2 * d * d, 32))
+        net = outer_samples if has_analytic_proj_support(body) else min(outer_samples, max(2 * d * d, 32))
         polar = polar_proj_volume_mc(body, rng, max(net, 2), inner_samples)
         vol = McEstimate(hi_r**d * polar.value, hi_r**d * polar.std_error, polar.samples)
-        return IkProfile(body, delta, vol, 1.0 / (d * vol.value), (lo_r**d * polar.value, vol.value))
-    if body.p == 2.0:  # I_K is a ball: one exact radius serves every direction
-        n, inv_h = 0, 1.0 / analytic_proj_support(body, np.eye(d)[:1])
-        r = np.array([ik_gauge_radius(body, delta) * body.scale])
-    else:  # the cube
-        n = max(outer_samples, 2)
-        theta = _uniform_directions(rng, n, d)
-        inv_h = 1.0 / analytic_proj_support(body, theta)
-        r = _radial_function(body, delta, theta, lo_r * inv_h, hi_r * inv_h, BISECTION_STEPS)
-    vol = _radial_volume(r, d, n)
-    bracket = (_radial_volume(lo_r * inv_h, d, n).value, _radial_volume(hi_r * inv_h, d, n).value)
-    return IkProfile(body, delta, vol, 1.0 / (d * vol.value), bracket)
+        bracket = (lo_r**d * polar.value, vol.value)
+    elif body.p == 2.0:  # I_K is a ball: one exact radius serves every direction
+        inv_h = 1.0 / analytic_proj_support(body, np.eye(d)[:1])
+        vol = _radial_volume(np.array([g * body.scale]), d, 0)
+        bracket = (_radial_volume(lo_r * inv_h, d, 0).value, _radial_volume(hi_r * inv_h, d, 0).value)
+    else:  # the cube; the clip takes off rounding at d = 1, where vol(I_K) is the lower end
+        polar = analytic_polar_proj_volume(body)
+        bracket = (lo_r**d * polar, hi_r**d * polar)
+        vol = McEstimate(float(np.clip(2.0**d * V * gammainc(d, math.log(V / delta)), *bracket)), 0.0, 0)
+    return IkProfile(body, delta, vol, 1.0 / (d * vol.value), bracket, g)
 
 
 def _radial_volume(r: np.ndarray, d: int, n: int) -> McEstimate:
@@ -280,18 +282,6 @@ def _uniform_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return theta
 
 
-def _radial_function(body, delta, theta, lo, hi, steps) -> np.ndarray:
-    """r*(theta) of I_K per row of theta on the body's exact f: the upper
-    end after ``steps`` halvings of [lo, hi], where f(lo theta) >= delta
-    >= f(hi theta)."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        inside = exact_intersection_volume(body, mid[:, None] * theta) > delta
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    return hi
-
-
 def ik_empty(V: float, delta: float) -> bool:
     """I_K is empty: f <= f(0) = V <= delta, with a delta up to 4 ulps below V
     taken as V (a unit-volume body's closed-form V can read 1 + 2.2e-16)."""
@@ -300,9 +290,9 @@ def ik_empty(V: float, delta: float) -> bool:
 
 def ik_gauge_radius(body: ConvexBody, delta: float) -> float:
     """A g with I_K contained in {gauge <= g}: 0.0 once delta >= vol(K)
-    (I_K is empty); for the l2 ball and the cube, the upper end of a
-    bisection of r*(e_1), where their gauge on I_K is largest; for any other
-    body 1.0 when delta >= vol(K)/2, and 2.0 otherwise.
+    (I_K is empty); on e_1, where their gauge on I_K is largest, the cube's
+    2 (1 - delta/V) and the l2 ball's upper end of 31 halvings of [0, 2]
+    (below 1e-9); for any other body 1.0 when delta >= vol(K)/2, else 2.0.
 
     The 1.0 is a certificate for every symmetric K: at a point x of gauge
     at least 1, let u be the outer normal of K at x / gauge(x).  Then
@@ -313,10 +303,15 @@ def ik_gauge_radius(body: ConvexBody, delta: float) -> float:
     V = closed_form_volume(body)
     if ik_empty(V, delta):
         return 0.0
-    if has_exact_intersection(body):
-        e1 = np.eye(body.d)[:1] * body.scale  # 31 halvings of [0, 2] leave a bracket below 1e-9
-        return float(_radial_function(body, delta, e1, np.zeros(1), np.full(1, 2.0), 31)[0])
-    return 1.0 if delta >= 0.5 * V else 2.0
+    if not has_exact_intersection(body):
+        return 1.0 if delta >= 0.5 * V else 2.0
+    if math.isinf(body.p):
+        return 2.0 * (1.0 - delta / V)
+    e1, lo, hi = np.eye(body.d)[:1] * body.scale, 0.0, 2.0
+    for _ in range(31):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if exact_intersection_volume(body, mid * e1)[0] > delta else (lo, mid)
+    return hi
 
 
 # -- projection bodies ------------------------------------------------

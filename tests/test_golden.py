@@ -2,9 +2,9 @@
 byte-identical output.
 
 The run hashes pin ``RunRecord.to_json()`` of the default l2-ball configs,
-and of lp3 at d = 2 and 3 and simplex_diff at d = 3 at the same sizes.  The
-report hashes pin the ``write_reports_jsonl`` bytes of the verify suite
-and of two Monte Carlo checks.  A refactor must keep them; re-pin one only
+and of lp3 at d = 2 and 3, simplex_diff at d = 3 and the cube at d = 3 at
+the same sizes.  The report hashes pin the ``write_reports_jsonl`` bytes
+of the verify suite and of two Monte Carlo checks.  A refactor must keep them; re-pin one only
 when a change fixes a bug in the output, and say why in CHANGES.md.
 """
 
@@ -28,7 +28,8 @@ GOLDEN = {
 }
 
 # default sizes, seed 1, another body: decided by the outer body, with a closed-form
-# h_PiK, or at lp3 d = 3 with Cauchy estimates that share one draw
+# h_PiK, or at lp3 d = 3 with Cauchy estimates that share one draw; or the cube,
+# with its exact f and its vol(I_K) in closed form
 GOLDEN_BODIES = {
     "lp3_d2": (
         {"kind": "lp", "d": 2, "p": 3, "scale": 1.0},
@@ -41,6 +42,10 @@ GOLDEN_BODIES = {
     "simplex_diff_d3": (
         {"kind": "simplex_diff", "d": 3, "scale": 1.0},
         "2fbc780d0727afe74af59b10ca9d19944ac6bc76221391564d3f7ee0dfa28e9b",
+    ),
+    "cube_d3": (
+        {"kind": "lp", "d": 3, "p": "inf"},
+        "b6f3c78d4c6a92e2581416751bc552a07d8c76eef1dee1a6a0b47ea956d6a9f2",
     ),
 }
 

@@ -386,7 +386,7 @@ class TestPrune:
         """Compare prune's first-rule counts and survivors with brute-force
         marks: X1 by degree, X2 over the pairs (x2_rows, x2_cols), X3 over
         the pairs i < j of the full A @ A.  Returns the (X2, X3) counts."""
-        clf = OverlapClassifier(ik.body, ik.delta)  # the cube's f is exact
+        clf = OverlapClassifier(ik)  # the cube's f is exact
         dom, pts = g.domain, g.points
 
         def inside(i, j):
@@ -414,7 +414,7 @@ class TestPrune:
         rng = np.random.default_rng(2)
         Delta = 30.0
         ik = estimate_ik(body, 0.95, 20_000, 500, rng)
-        g = build_graph(sample_poisson(dom, Delta, rng), body, dom)
+        g = build_graph(sample_poisson(dom, Delta, np.random.default_rng(3)), body, dom)
         pruned, rep = prune(g, ik, Delta, 1.2, rng, 500)
         ei, ej = np.nonzero(np.triu(g.adj.toarray()))
         x2, x3 = self.assert_marks_match(g, ik, Delta, 1.2, ei, ej, rep, pruned)
@@ -429,8 +429,9 @@ class TestPrune:
         rng = np.random.default_rng(2)
         Delta, coeff = 1.5, 0.6
         ik = estimate_ik(body, 0.3, 20_000, 500, rng)
-        assert ik_gauge_radius(body, ik.delta) == pytest.approx(1.4)
-        g = build_graph(sample_poisson(dom, Delta, rng), body, dom)
+        assert ik.gauge_radius == pytest.approx(1.4)
+        # seed 27 places points where X3 fires (on 3 vertices)
+        g = build_graph(sample_poisson(dom, Delta, np.random.default_rng(27)), body, dom)
         pruned, rep = prune(g, ik, Delta, coeff, rng, 500)
         pts = g.points
         gauge = body.gauge(dom.min_image(pts[:, None, :] - pts[None, :, :]))
@@ -439,7 +440,7 @@ class TestPrune:
         assert x2 > 0 and x3 > 0 and pruned.n > 0
         # some deep pair is not an edge
         beyond = gauge[ei, ej] > 2.0
-        clf = OverlapClassifier(body, ik.delta)
+        clf = OverlapClassifier(ik)
         assert clf.inside(dom.min_image(pts[ej[beyond]] - pts[ei[beyond]]) / 2.0).any()
 
     def test_outer_body_route_keeps_the_caps(self):
@@ -685,7 +686,7 @@ class TestCodegreePairs:
         assert want["max_codegree"] == brute_force_max_codegree(g)
         codegree_pairs(g, 36.0)
         assert degree_codegree_stats(g) == want
-        ik = IkProfile(body, 0.95, McEstimate(1e-3, 0.0, 1), 1.0, (1e-3, 1e-3))
+        ik = IkProfile(body, 0.95, McEstimate(1e-3, 0.0, 1), 1.0, (1e-3, 1e-3), ik_gauge_radius(body, 0.95))
         prune(g, ik, 30.0, 1.2, np.random.default_rng(0), 500)
         assert degree_codegree_stats(g) == want
 
@@ -815,7 +816,7 @@ class TestEdgeGauges:
         pts[3, 0] += 1.5 / body.gauge(np.eye(d)[0])  # gauge 1.5 apart
         dom = TorusDomain(d, 12.0)
         g = build_graph(pts, body, dom)
-        ik = IkProfile(body, 0.95, McEstimate(1e-3, 0.0, 1), 1.0, (1e-3, 1e-3))
+        ik = IkProfile(body, 0.95, McEstimate(1e-3, 0.0, 1), 1.0, (1e-3, 1e-3), ik_gauge_radius(body, 0.95))
 
         def no_tree(*args, **kwargs):
             raise AssertionError("prune built a KD tree")

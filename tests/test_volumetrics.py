@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import null_space
 
+from normpack import harness, packing, volumetrics
 from normpack.bodies import (
     GAUGE_CHUNK,
     ball_volume,
@@ -212,12 +213,26 @@ class TestExactIntersection:
             assert all(a >= c - 1e-12 for a, c in zip(vals, vals[1:]))
 
 
+def profile(body, delta):
+    """The body's IkProfile from a small net: the classifier reads body, delta and g_ik."""
+    return estimate_ik(body, delta, 2, 2, np.random.default_rng(0))
+
+
 class TestOverlapClassifier:
     def test_exact_route(self):
-        clf = OverlapClassifier(cube(2), delta=0.5)
+        clf = OverlapClassifier(profile(cube(2), 0.5))
         assert clf.exact
         out = clf.inside(np.array([[0.0, 0.0], [1.9, 1.9]]))
         assert out.tolist() == [True, False]
+
+    def test_reads_the_profile(self):
+        # body, delta and g_ik come from the profile, not from new bisections
+        ik = replace(profile(cube_hpolytope(2), 0.55), gauge_radius=0.5)
+        clf = OverlapClassifier(ik)
+        assert (clf.body, clf.delta, clf.gauge_radius) == (ik.body, 0.55, 0.5)
+        # gauge 0.4 and 0.6, both in the outer body: g_ik = 0.5 in place of the profile's 1.0 cuts the second
+        x = np.array([[0.2, 0.0], [0.3, 0.0]])
+        assert clf.inside(x).tolist() == [True, False]
 
     def test_outer_body_route_holds_ik(self):
         # the hpoly cube takes the outer-body route, and cube(d) gives its
@@ -229,7 +244,7 @@ class TestOverlapClassifier:
             # radii spread over two decades, so that I_K holds many rows at delta 0.95
             x = rng.uniform(-1.0, 1.0, size=(100_000, d)) * 10.0 ** rng.uniform(-2.0, 0.0, size=(100_000, 1))
             for delta in (0.95, 0.55, 0.3):
-                clf = OverlapClassifier(body, delta)
+                clf = OverlapClassifier(profile(body, delta))
                 inside = clf.inside(x)
                 deep = exact_intersection_volume(ref, x) > delta
                 assert not clf.exact and clf.boundary_count == 0
@@ -242,17 +257,19 @@ class TestOverlapClassifier:
         # lp3 at d = 3 has no closed-form h_PiK: a row past the width bound
         # is out with no estimate, a row near 0 takes Cauchy's formula
         body = normalize_to_unit_volume(lp_ball(3, 3))
-        clf = OverlapClassifier(body, 0.95, np.random.default_rng(10), 2000)
+        clf = OverlapClassifier(profile(body, 0.95), np.random.default_rng(10), 2000)
         assert clf.inside(np.array([[0.01, 0.0, 0.0], [0.5, 0.0, 0.0]])).tolist() == [True, False]
         assert clf.boundary_count == 1
 
     def test_empty_once_delta_reaches_the_volume(self):
-        clf = OverlapClassifier(cube_hpolytope(2), 1.0 + 1e-9)
-        assert not clf.inside(np.zeros((3, 2))).any()
+        for body in (cube_hpolytope(2), cube(2)):  # the outer-body and the exact route
+            clf = OverlapClassifier(profile(body, 1.0 + 1e-9))
+            assert clf.gauge_radius == 0.0
+            assert not clf.inside(np.zeros((3, 2))).any()
 
     def test_rng_required_for_mc(self):
         with pytest.raises(ValueError):
-            OverlapClassifier(lp_ball(3, 3), delta=0.5)
+            OverlapClassifier(profile(lp_ball(3, 3), 0.5))
 
 
 class TestEstimateIk:
@@ -347,6 +364,44 @@ class TestEstimateIk:
         assert abs(prof.vol_ik - box * p) <= 3.0 * math.hypot(se, prof.volume_estimate.std_error)
         assert prof.volume_estimate.std_error < 0.01 * prof.vol_ik
 
+    @pytest.mark.parametrize("side", [0.5, 1.0, 1.7])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_cube_elementary_forms(self, d, side):
+        # vol(I_K) = 2^d V P(Gamma(d, 1) < log(V/delta)): at d = 1, 2V (1 - delta/V); at d = 2,
+        # 4V [1 - (delta/V)(1 + log(V/delta))].  delta runs below and above V/2.
+        body = cube(d, side=side)
+        V = side**d
+        polar = analytic_polar_proj_volume(body)
+        for q in (0.05, 0.3, 0.7, 0.95):
+            delta, rng = q * V, np.random.default_rng(11)
+            before = rng.bit_generator.state
+            prof = estimate_ik(body, delta, 20_000, 500, rng)
+            assert rng.bit_generator.state == before  # the cube draws nothing
+            want = 2.0 * V * (1.0 - q) if d == 1 else 4.0 * V * (1.0 - q * (1.0 + math.log(1.0 / q)))
+            assert prof.vol_ik == pytest.approx(want, rel=1e-12)
+            assert prof.volume_estimate.std_error == 0.0
+            assert prof.delta_k == 1.0 / (d * prof.vol_ik)
+            assert prof.gauge_radius == 2.0 * (1.0 - delta / V)
+            lo, hi = prof.bracket
+            assert lo == pytest.approx((V - delta) ** d * polar, rel=1e-12)
+            assert hi == pytest.approx((V * math.log(V / delta)) ** d * polar, rel=1e-12)
+            assert 0.0 < lo <= prof.vol_ik <= hi  # at d = 1, f = V - h_PiK: vol(I_K) is the lower end
+
+    def test_one_gauge_bisection_per_l2_run(self, monkeypatch):
+        # estimate_ik computes g_ik once; prune and its classifier read it from the profile
+        calls, real = [], volumetrics.ik_gauge_radius
+
+        def counted(body, delta):
+            calls.append(delta)
+            return real(body, delta)
+
+        for module in (volumetrics, packing, harness):
+            if hasattr(module, "ik_gauge_radius"):
+                monkeypatch.setattr(module, "ik_gauge_radius", counted)
+        record = run_pipeline(default_config(2, seed=1))
+        assert record.prune_report["removed_x2"] > 0
+        assert len(calls) == 1
+
     def test_lp3_default_sizes_in_bounded_time(self):
         # the default config's 20k directions and shadow points: 103 s on the 2K sampler
         cfg = default_config(2)
@@ -424,10 +479,8 @@ class TestEstimateIk:
 class TestIkGaugeRadius:
     def test_cube_closed_form(self):
         b = cube(2, side=2.0)  # vol 4
-        g = ik_gauge_radius(b, 1.0)
-        # f along an axis: (2 - |x|) * 2 = 1 at |x| = 1.5, gauge 1.5; the
-        # bisection returns its upper end, within 2^-30 above
-        assert 0.0 <= g - 2.0 * (1.0 - 1.0 / 4.0) <= 2.0**-30
+        # f along an axis: (2 - |x|) * 2 = 1 at |x| = 1.5, gauge 1.5
+        assert ik_gauge_radius(b, 1.0) == 2.0 * (1.0 - 1.0 / 4.0)
 
     def test_cube_delta_above_volume(self):
         assert ik_gauge_radius(cube(2), 5.0) == 0.0
@@ -455,7 +508,7 @@ class TestIkGaugeRadius:
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_ball_equals_scalar_bisection(self, d):
-        # the vectorized bisection makes the same probes as the scalar while-loop;
+        # the bisection makes the same probes as the scalar while-loop;
         # once delta >= vol(K), I_K is empty and no bisection runs
         for scale in (0.5, 1.0, ball_volume(d) ** (-1.0 / d)):
             b = lp_ball(d, 2, scale=scale)
