@@ -159,9 +159,9 @@ def check_logconcavity(
     every ray.
     With ``slope_directions`` > 0, additionally compares the one-sided
     finite-difference slope of log f at 0 against -h_{Pi K} (within
-    :data:`SLOPE_TOL` relative): the directions are drawn in turn, then take
-    h_{Pi K} from one :func:`proj_support_rows` call and f from one more
-    :func:`_f_rows` call, of at least 200k samples.
+    :data:`SLOPE_TOL` relative): the directions come from one normal draw,
+    then take h_{Pi K} from one :func:`proj_support_rows` call and f from
+    one more :func:`_f_rows` call, of at least 200k samples.
     """
     if rays < 1:
         raise ValueError("rays >= 1 required")
@@ -182,7 +182,7 @@ def check_logconcavity(
     viol = int(np.count_nonzero(fm < rhs - 3.0 * sig - 1e-12))
     slope_errs = []
     if slope_directions > 0:
-        y = np.array([rng.normal(size=body.d) for _ in range(slope_directions)])
+        y = rng.normal(size=(slope_directions, body.d))
         y /= row_norms(y)[:, None]
         hy = proj_support_rows(body, y, mc_samples, rng)
         eps = 0.05 / hy

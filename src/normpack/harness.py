@@ -322,7 +322,8 @@ def sweep(
     point is ``default_config(d)`` (unit-volume l2 ball, default L and
     Delta) with the template's ``ik_delta``, ``codegree_coeff`` and
     ``out_dir``; since it runs the l2 ball, the template body must be an
-    l2 ball too.
+    l2 ball too, and d must be integral (2.0 runs d = 2; 2.5 and inf
+    raise a ValueError).
     """
     if (deltas is None) == (ds is None):
         raise ValueError("specify exactly one of deltas / ds")
@@ -338,6 +339,8 @@ def sweep(
             raise ValueError(f"a sweep over d runs l2 balls, not the template body {body.describe()}")
         kept = {k: getattr(template, k) for k in ("ik_delta", "codegree_coeff", "out_dir")}
         for i, d in enumerate(ds):
+            if not float(d).is_integer():
+                raise ValueError(f"a sweep over d needs integral d, got {d!r}")
             base = default_config(int(d), seed=child_seed(template.seed, f"sweep:{i}") % 2**31)
             points.append(replace(base, **kept))
 

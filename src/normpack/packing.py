@@ -10,8 +10,8 @@ faces; CSR graph that keeps its points and domain), then remove
 * X1: points whose degree exceeds Delta + Delta^(2/3),
 * X2: endpoints of pairs whose difference lies in 2 I_K, or in twice a
   region that holds I_K (deep overlap; :class:`OverlapClassifier`),
-* X3: endpoints of the other pairs whose codegree reaches
-  codegree_coeff * Delta.
+* X3: endpoints of pairs whose codegree reaches codegree_coeff * Delta
+  (the paper's pairs outside 2 I_K: X2 holds both ends of one inside).
 
 :func:`prune` takes the body from the I_K profile and the domain from
 the graph.  By construction the surviving graph satisfies both the
@@ -359,6 +359,9 @@ def prune(
     A pair is deep when :class:`OverlapClassifier`, given ``rng`` and
     ``mc_samples`` for its Cauchy estimates, puts its half-difference
     inside; that region holds I_K, so the codegree guarantee stays sound.
+    X3 reads every pair at the codegree threshold off the hot-row product,
+    inside 2 I_K or not, and nothing of X2: both ends of a pair inside are
+    in X2 already, so counts and survivors are the paper's.
     Marking is a read-only pass over the original graph; the sweep
     rebuilds the subgraph afterwards.
     """
@@ -370,20 +373,19 @@ def prune(
     mark_x1 = deg > Delta + Delta ** (2.0 / 3.0)
 
     # X2: endpoints of pairs whose half-difference the classifier puts inside,
-    # among the pairs within gauge 2 g_ik, sorted by (i, j)
+    # among the pairs within gauge 2 g_ik
     mark_x2 = np.zeros(n, dtype=bool)
     gi, gj = edges_within_gauge(graph, body, 2.0 * ik.gauge_radius)
     x2_inside = clf.inside(domain.min_image(pts[gj] - pts[gi]) / 2.0)
     mark_x2[gi[x2_inside]] = mark_x2[gj[x2_inside]] = True
 
-    # X3: pairs outside 2I with codegree >= coeff * Delta.  Pairs X2 read reuse
-    # its decision; the rest lie beyond gauge 2 g_ik, outside the region.
+    # X3: endpoints of pairs with codegree >= max(coeff * Delta, 1); both are
+    # hot, and B B^T holds the pair once from each end, so its rows mark both
+    t = max(codegree_coeff * Delta, 1)
+    hot, row, col, count = _hot_codegrees(graph, t)
     mark_x3 = np.zeros(n, dtype=bool)
-    hi, hj, _ = codegree_pairs(graph, codegree_coeff * Delta)
-    x2_codes, hot_codes = gi * n + gj, hi * n + hj  # X2 pairs are sorted by (i, j), codes unique
-    at = np.searchsorted(x2_codes, hot_codes)  # a code past the last X2 pair meets the -1
-    inside = (np.append(x2_codes, -1)[at] == hot_codes) & np.append(x2_inside, False)[at]
-    mark_x3[hi[~inside]] = mark_x3[hj[~inside]] = True
+    mark_x3[hot[row[(row != col) & (count >= t)]]] = True
+    del hot, row, col, count  # the product's entries: freed before the subgraph is built
 
     removed = mark_x1 | mark_x2 | mark_x3
     first_x1 = int(mark_x1.sum())
@@ -421,21 +423,6 @@ def _hot_codegrees(graph: PackingGraph, t: float) -> tuple[np.ndarray, np.ndarra
     blocks = [B @ BT] if len(hot) < MIN_SPLIT_ROWS else in_parts(len(hot), lambda: B[:m] @ BT, lambda: B[m:] @ BT)
     row = np.repeat(np.arange(len(hot)), np.concatenate([np.diff(C.indptr) for C in blocks]))
     return hot, row, np.concatenate([C.indices for C in blocks]), np.concatenate([C.data for C in blocks])
-
-
-def codegree_pairs(graph: PackingGraph, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairs i < j with codegree at least ``t`` (floored at 1), sorted by
-    (i, j): (rows, cols, codegrees).
-
-    Both endpoints of such a pair have degree at least t, so
-    :func:`_hot_codegrees` at t holds them all.
-    """
-    t = max(t, 1)
-    hot, row, col, count = _hot_codegrees(graph, t)
-    keep = (row < col) & (count >= t)
-    rows, cols = hot[row[keep]], hot[col[keep]]
-    order = np.argsort(rows * graph.n + cols)  # unique codes: (i, j) order
-    return rows[order], cols[order], count[keep][order].astype(np.int64)
 
 
 def _max_hot_codegree(graph: PackingGraph, t: float) -> int:

@@ -274,9 +274,16 @@ class TestSweep:
             sweep(default_config(2), deltas=[15.0], workers=workers)
 
     def test_dimension_axis(self):
-        rows = sweep(default_config(2, seed=11), ds=[2, 3])
+        rows = sweep(default_config(2, seed=11), ds=[2, 3.0])  # `--grid d=2,3` gives floats
         assert [r["d"] for r in rows] == [2, 3]
         assert all(r["status"] == "ok" for r in rows)
+
+    @pytest.mark.parametrize("d, shown", [(2.5, "2.5"), (math.inf, "inf"), (math.nan, "nan")])
+    def test_dimension_axis_rejects_non_integral_d(self, monkeypatch, d, shown):
+        # before any run: d = 2.5 must not run d = 2, nor inf end in an OverflowError
+        monkeypatch.setattr(harness, "run_pipeline", lambda cfg: pytest.fail(f"ran d = {cfg.d}"))
+        with pytest.raises(ValueError, match=f"^a sweep over d needs integral d, got {shown}$"):
+            sweep(default_config(2), ds=[2, d])
 
     def test_dimension_axis_keeps_out_dir(self, tmp_path):
         sweep(replace(default_config(2, seed=11), out_dir=str(tmp_path)), ds=[2])
@@ -580,6 +587,18 @@ class TestCli:
         path = self._write_body(tmp_path)
         with pytest.raises(SystemExit, match=f"^vol intersection: {re.escape(path)}: n must be >= 1$"):
             vol_main(["intersection", path, "--x", "0,0", "--samples", "0"])
+
+    @pytest.mark.parametrize("value", ["2.5", "inf"])
+    def test_sweep_d_grid_rejects_non_integral_d(self, tmp_path, capsys, value):
+        cfg = self._write_config(tmp_path)
+        with pytest.raises(SystemExit, match=f"^pack sweep: a sweep over d needs integral d, got {value}$"):
+            pack_main(["sweep", cfg, "--grid", f"d={value}", "--out", str(tmp_path)])
+        assert capsys.readouterr().out == ""
+
+    def test_sweep_d_grid_of_floats(self, tmp_path, capsys):
+        assert pack_main(["sweep", self._write_config(tmp_path), "--grid", "d=2,3", "--out", str(tmp_path)]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(row["d"], row["status"]) for row in rows] == [(2, "ok"), (3, "ok")]
 
     def test_sweep_d_grid_rejects_cube(self, tmp_path):
         path = tmp_path / "cube.json"

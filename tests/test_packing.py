@@ -19,7 +19,6 @@ from normpack.packing import (
     PackingGraph,
     TorusDomain,
     build_graph,
-    codegree_pairs,
     degree_codegree_stats,
     prune,
     sample_poisson,
@@ -384,8 +383,10 @@ class TestPrune:
     @staticmethod
     def assert_marks_match(g, ik, Delta, coeff, x2_rows, x2_cols, rep, pruned):
         """Compare prune's first-rule counts and survivors with brute-force
-        marks: X1 by degree, X2 over the pairs (x2_rows, x2_cols), X3 over
-        the pairs i < j of the full A @ A.  Returns the (X2, X3) counts."""
+        marks: X1 by degree, X2 over the pairs (x2_rows, x2_cols), X3 by the
+        paper's rule, over the pairs i < j of the full A @ A outside 2I.
+        Returns the (X2, X3) counts and the number of hot pairs inside 2I,
+        whose ends X2 holds, so that prune's X3 may mark them too."""
         clf = OverlapClassifier(ik)  # the cube's f is exact
         dom, pts = g.domain, g.points
 
@@ -401,10 +402,11 @@ class TestPrune:
         out = ~inside(ci, cj)
         mark_x3 = np.zeros(g.n, dtype=bool)
         mark_x3[ci[out]] = mark_x3[cj[out]] = True
+        assert mark_x2[ci[~out]].all() and mark_x2[cj[~out]].all()
         x2, x3 = int((mark_x2 & ~mark_x1).sum()), int((mark_x3 & ~mark_x1 & ~mark_x2).sum())
         assert (rep.removed_x1, rep.removed_x2, rep.removed_x3) == (int(mark_x1.sum()), x2, x3)
         assert np.array_equal(pruned.points, pts[~(mark_x1 | mark_x2 | mark_x3)])
-        return x2, x3
+        return x2, x3, int(np.count_nonzero(~out))
 
     def test_marks_match_full_product_reference(self):
         # X2 over every edge and X3 from the full A @ A; the unit cube has a
@@ -417,8 +419,8 @@ class TestPrune:
         g = build_graph(sample_poisson(dom, Delta, np.random.default_rng(3)), body, dom)
         pruned, rep = prune(g, ik, Delta, 1.2, rng, 500)
         ei, ej = np.nonzero(np.triu(g.adj.toarray()))
-        x2, x3 = self.assert_marks_match(g, ik, Delta, 1.2, ei, ej, rep, pruned)
-        assert x2 > 0 and x3 > 0
+        x2, x3, hot_inside = self.assert_marks_match(g, ik, Delta, 1.2, ei, ej, rep, pruned)
+        assert x2 > 0 and x3 > 0 and hot_inside > 0  # 19 hot pairs lie inside 2I
 
     def test_marks_beyond_the_edges_match_dense_reference(self):
         # at ik_delta 0.3 the unit cube's g_ik is 1.4: X2's pairs reach gauge
@@ -436,8 +438,8 @@ class TestPrune:
         pts = g.points
         gauge = body.gauge(dom.min_image(pts[:, None, :] - pts[None, :, :]))
         ei, ej = np.nonzero(np.triu(gauge <= 4.0, k=1))
-        x2, x3 = self.assert_marks_match(g, ik, Delta, coeff, ei, ej, rep, pruned)
-        assert x2 > 0 and x3 > 0 and pruned.n > 0
+        x2, x3, hot_inside = self.assert_marks_match(g, ik, Delta, coeff, ei, ej, rep, pruned)
+        assert x2 > 0 and x3 > 0 and hot_inside > 0 and pruned.n > 0
         # some deep pair is not an edge
         beyond = gauge[ei, ej] > 2.0
         clf = OverlapClassifier(ik)
@@ -562,15 +564,39 @@ def random_graph(seed):
     return graph_from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
 
 
+def hot_pairs(g, t):
+    """(upper, lower, marks) from one hot-row product at t' = max(t, 1):
+    the pairs i < j of codegree at least t', with their codegrees, in (i, j)
+    order, read off the entries above the diagonal and, mirrored, off those
+    below it; and the vertices that prune's X3 marks, by row."""
+    t = max(t, 1)
+    hot, row, col, count = packing._hot_codegrees(g, t)
+
+    def pairs(keep, i, j):
+        i, j = hot[i[keep]], hot[j[keep]]
+        order = np.lexsort((j, i))
+        return i[order], j[order], count[keep][order]
+
+    marks = np.zeros(g.n, dtype=bool)
+    marks[hot[row[(row != col) & (count >= t)]]] = True
+    return pairs((row < col) & (count >= t), row, col), pairs((row > col) & (count >= t), col, row), marks
+
+
 class TestCodegreePairs:
+    """The hot-row codegree product, which X3 and the stats read, against
+    the full A @ A."""
+
     THRESHOLDS = (-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.7, 8.0, 100.0)
 
     @staticmethod
     def assert_matches_full(g, t):
-        got = codegree_pairs(g, t)
+        """The hot pairs at t are those of the full product, from either end
+        of each, so X3's row marks are their endpoints."""
+        upper, lower, marks = hot_pairs(g, t)
         want = full_product_pairs(g, t)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        for a, b, c in zip(upper, lower, want):
+            assert np.array_equal(a, c) and np.array_equal(b, c)
+        assert np.array_equal(np.flatnonzero(marks), np.union1d(want[0], want[1]))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_graphs_match_full_product(self, seed):
@@ -585,23 +611,24 @@ class TestCodegreePairs:
     def test_no_edges(self, n):
         g = graph_from_edges(n, np.empty((0, 2), dtype=np.int64))
         for t in self.THRESHOLDS:
-            rows, cols, counts = codegree_pairs(g, t)
-            assert len(rows) == len(cols) == len(counts) == 0
+            upper, lower, marks = hot_pairs(g, t)
+            assert all(len(a) == 0 for a in (*upper, *lower)) and not marks.any()
         assert degree_codegree_stats(g)["max_codegree"] == 0
 
     def test_threshold_at_most_zero_selects_shared_neighbors_only(self):
         # path 0-1-2 plus the isolated vertex 3: only (0, 2) shares a neighbor
         g = graph_from_edges(4, [(0, 1), (1, 2)])
         for t in (0.0, -5.0, 0.3):
-            rows, cols, counts = codegree_pairs(g, t)
+            (rows, cols, counts), _, marks = hot_pairs(g, t)
             assert rows.tolist() == [0] and cols.tolist() == [2] and counts.tolist() == [1]
+            assert np.flatnonzero(marks).tolist() == [0, 2]
 
     def test_non_integer_threshold(self):
         # K5: every pair has codegree 3
         g = graph_from_edges(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
-        assert len(codegree_pairs(g, 2.01)[0]) == 10
-        assert len(codegree_pairs(g, 3.0)[0]) == 10
-        assert len(codegree_pairs(g, 3.01)[0]) == 0
+        assert len(hot_pairs(g, 2.01)[0][0]) == 10
+        assert len(hot_pairs(g, 3.0)[0][0]) == 10
+        assert len(hot_pairs(g, 3.01)[0][0]) == 0
 
     @pytest.fixture
     def thresholds_seen(self, monkeypatch):
@@ -665,7 +692,7 @@ class TestCodegreePairs:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_stats_ignore_an_earlier_pair_product(self, thresholds_seen, seed):
-        # the stats are a function of the graph alone: a codegree_pairs call
+        # the stats are a function of the graph alone: a hot-row product
         # before them changes neither their record nor their products
         g = random_graph(seed)
         want = degree_codegree_stats(g)
@@ -684,7 +711,7 @@ class TestCodegreePairs:
         g = build_graph(sample_poisson(dom, 30.0, np.random.default_rng(3)), body, dom)
         want = degree_codegree_stats(g)
         assert want["max_codegree"] == brute_force_max_codegree(g)
-        codegree_pairs(g, 36.0)
+        packing._hot_codegrees(g, 36.0)
         assert degree_codegree_stats(g) == want
         ik = IkProfile(body, 0.95, McEstimate(1e-3, 0.0, 1), 1.0, (1e-3, 1e-3), ik_gauge_radius(body, 0.95))
         prune(g, ik, 30.0, 1.2, np.random.default_rng(0), 500)
