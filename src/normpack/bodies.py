@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import numbers
 import os
 import reprlib
 import threading
@@ -47,6 +48,11 @@ def helmert_basis(d: int) -> np.ndarray:
         E[:k, k - 1] = c
         E[k, k - 1] = -k * c
     return E
+
+
+def _is_integer(value) -> bool:
+    """The config's integer rule: any integral number but a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def ball_volume(k: int) -> float:
@@ -87,7 +93,8 @@ class ConvexBody:
     """A centrally symmetric convex body: ``scale`` times a canonical body.
 
     Do not construct directly; use :func:`lp_ball`, :func:`hpolytope`
-    or :func:`simplex_difference`.
+    or :func:`simplex_difference`.  Every body, scaled copies included,
+    has an integer d >= 1 and a finite positive scale.
     """
 
     kind: str
@@ -100,6 +107,12 @@ class ConvexBody:
     # a C-contiguous copy of embedding.T: numpy's matmul by the transposed view is 2-4x slower
     embedding_t: np.ndarray | None = field(default=None, repr=False)
     polytope: Polytope | None = field(default=None, repr=False)  # shared by scaled copies
+
+    def __post_init__(self):
+        if not _is_integer(self.d) or self.d < 1:
+            raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
+        if not 0.0 < self.scale < math.inf:  # NaN fails this test too
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
     # -- evaluation ----------------------------------------------------
 
@@ -169,8 +182,6 @@ class ConvexBody:
         return np.asarray([self.support(eye[i]) for i in range(self.d)])
 
     def scaled(self, factor: float) -> "ConvexBody":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
         return replace(self, scale=self.scale * factor)
 
     def _check_vec(self, x) -> np.ndarray:
@@ -192,8 +203,6 @@ class ConvexBody:
 def lp_ball(d: int, p: float, scale: float = 1.0) -> ConvexBody:
     if not (1.0 <= p):
         raise ValueError(f"p must be in [1, inf], got {p}")
-    if d < 1 or scale <= 0:
-        raise ValueError("need d >= 1 and scale > 0")
     return ConvexBody(kind="lp", d=d, scale=scale, p=float(p))
 
 
@@ -210,16 +219,19 @@ def hpolytope(normals, offsets, scale: float = 1.0) -> ConvexBody:
     """Symmetric H-polytope {x : a_i . x <= b_i}, facets in +/- pairs.
 
     Normals are renormalized to unit length (offsets rescaled to keep the
-    same halfspaces).  Raises if offsets are not positive, if some facet
-    lacks its antipodal partner (within :data:`ANTIPODAL_TOL`), or if the
-    normals do not span R^d (unbounded).
+    same halfspaces).  Raises if a normal is not finite, if offsets are
+    not finite and positive, if some facet lacks its antipodal partner
+    (within :data:`ANTIPODAL_TOL`), or if the normals do not span R^d
+    (unbounded).
     """
     A = np.asarray(normals, dtype=float)
     b = np.asarray(offsets, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or len(A) != len(b):
         raise ValueError("normals must be (m, d), offsets (m,)")
-    if np.any(b <= 0):
-        raise ValueError("offsets must be positive (origin must be interior)")
+    if not np.isfinite(A).all():
+        raise ValueError("facet normals must be finite")
+    if not (np.isfinite(b) & (b > 0)).all():
+        raise ValueError("offsets must be finite and positive (origin must be interior)")
     norms = np.linalg.norm(A, axis=1)
     if np.any(norms == 0):
         raise ValueError("zero facet normal")
@@ -247,11 +259,9 @@ def simplex_difference(d: int, scale: float = 1.0) -> ConvexBody:
     section of the (d+1)-dimensional cross-polytope; the gauge is the
     l_1 norm of the embedded vector.
     """
-    if d < 1 or scale <= 0:
-        raise ValueError("need d >= 1 and scale > 0")
+    body = ConvexBody(kind="simplex_diff", d=d, scale=scale)  # checks d before the embedding is built
     E = helmert_basis(d)
-    polytope = _simplex_diff_polytope(d)
-    return ConvexBody(kind="simplex_diff", d=d, scale=scale, embedding=E, embedding_t=E.T.copy(), polytope=polytope)
+    return replace(body, embedding=E, embedding_t=E.T.copy(), polytope=_simplex_diff_polytope(d))
 
 
 # rows per gauge batch: a batch's temporaries stay in L2 cache, which halves
@@ -493,6 +503,12 @@ def _spec_value(spec: dict, key: str, convert, what: str, default=None):
         raise ValueError(f"body spec key {key!r} must be {what}, got {reprlib.repr(value)}") from None
 
 
+def _integer(value) -> int:
+    if not _is_integer(value):
+        raise TypeError(value)
+    return int(value)
+
+
 def _p_value(p) -> float:
     return math.inf if p in ("inf", "Infinity") else float(p)
 
@@ -503,7 +519,7 @@ def _facet_arrays(facets) -> tuple[list, list]:
 
 def _body_from_spec(spec: dict) -> ConvexBody:
     kind = spec["kind"]
-    d = _spec_value(spec, "d", int, "an integer")
+    d = _spec_value(spec, "d", _integer, "an integer")
     scale = _spec_value(spec, "scale", float, "a real number", default=1.0)
     if kind == "lp":
         return lp_ball(d, _spec_value(spec, "p", _p_value, "a real number or 'inf'"), scale)

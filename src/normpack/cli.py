@@ -17,8 +17,10 @@ Three commands are installed:
   [--out PATH]`` for the verification suite; PATH ending in ``.csv``
   gets CSV, any other PATH JSON lines,
 * ``verify packing FILE`` re-verifies a packing file that ``pack run``
-  wrote, from its raw coordinates, body and L; an overlap, or an L the
-  body cannot take, ends it non-zero with a message naming the fault.
+  wrote, from its raw coordinates, body and L; an overlap, an L the
+  body cannot take, or centers that are not finite or not of the body's
+  d end it non-zero with a message naming the fault; it takes no
+  ``--out``.
 
 Grid specs look like ``Delta=20,30,40`` or ``d=2:4``.
 """
@@ -176,6 +178,8 @@ def verify_main(argv=None) -> int:
     if (args.which == "packing") != (args.file is not None):
         ap.error("a FILE goes with `verify packing`, and only there")
     if args.which == "packing":
+        if args.out is not None:
+            ap.error("`verify packing` writes no reports, so it takes no --out")
         return _verify_packing_file(args.file)
     reports = verify_suite(args.level, args.seed, args.which)
     bad = 0

@@ -171,9 +171,17 @@ def verify_packing(
 
     Every pair must satisfy gauge(min image difference) >= 2 - tol
     (closed translates may touch).  Raises :class:`OverlapError` naming
-    the pair of smallest gauge when any pair violates this.
+    the pair of smallest gauge when any pair violates this, and a
+    ValueError unless the centers are finite and of shape (m, d).  An
+    empty array of any shape is no centers.
     """
     centers = np.asarray(centers, dtype=float)
+    if centers.size == 0:
+        centers = centers.reshape(0, body.d)
+    if centers.ndim != 2 or centers.shape[1] != body.d:
+        raise ValueError(f"centers must have shape (m, {body.d}), got {centers.shape}")
+    if not np.isfinite(centers).all():
+        raise ValueError("centers must be finite")
     m = len(centers)
     min_gauge = math.inf
     if m > 1:

@@ -585,12 +585,44 @@ class TestSpecFiles:
             ({"kind": "lp", "d": 2, "p": 2, "scale": None}, "'scale' must be a real number, got None"),
             ({"kind": "hpoly", "d": 1, "facets": 3}, "'facets' must be a list of objects with a normal and an offset, got 3"),
             ({"kind": "hpoly", "d": 1, "facets": [1.0]}, "'facets' must be a list of objects with a normal and an offset, got [1.0]"),
+            # d follows the config's integer rule: no float, bool or string, even one int() reads
+            ({"kind": "lp", "d": 2.7, "p": 2}, "'d' must be an integer, got 2.7"),
+            ({"kind": "lp", "d": 2.0, "p": 2}, "'d' must be an integer, got 2.0"),
+            ({"kind": "lp", "d": True, "p": 2}, "'d' must be an integer, got True"),
+            ({"kind": "simplex_diff", "d": "3"}, "'d' must be an integer, got '3'"),
         ],
-        ids=["null-d", "str-d", "list-p", "null-scale", "int-facets", "number-facet"],
+        ids=["null-d", "str-d", "list-p", "null-scale", "int-facets", "number-facet",
+             "fractional-d", "float-d", "bool-d", "numeric-str-d"],
     )
     def test_wrong_type_named(self, spec, message):
         with pytest.raises(ValueError, match=f"^body spec key {re.escape(message)}$"):
             body_from_spec(spec)
+
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, -0.0, math.nan, math.inf], ids=["negative", "zero", "minus-zero", "nan", "inf"])
+    @pytest.mark.parametrize("body", [lp_ball(2, 2), cube(3), unit_cube_hpoly(2), simplex_difference(3)],
+                             ids=["lp", "cube", "hpoly", "simplex_diff"])
+    def test_scale_finite_and_positive(self, body, scale):
+        # every kind, from a spec and by scaling a body
+        with pytest.raises(ValueError, match=f"^scale must be finite and positive, got {scale}$"):
+            body_from_spec({**body_to_spec(body), "scale": scale})
+        with pytest.raises(ValueError, match=f"^scale must be finite and positive, got {body.scale * scale}$"):
+            body.scaled(scale)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_dimension_at_least_one(self, d):
+        for spec in ({"kind": "lp", "d": d, "p": 2}, {"kind": "simplex_diff", "d": d}):
+            with pytest.raises(ValueError, match=f"^d must be an integer >= 1, got {d}$"):
+                body_from_spec(spec)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_hpoly_numbers_finite(self, bad):
+        eye = np.eye(2)
+        normals, offsets = np.vstack([eye, -eye]), np.ones(4)
+        with pytest.raises(ValueError, match="^offsets must be finite and positive"):
+            hpolytope(normals, np.where([True, False, True, False], bad, offsets))
+        normals[[0, 2], 0] = bad, -bad
+        with pytest.raises(ValueError, match="^facet normals must be finite$"):
+            hpolytope(normals, offsets)
 
     @pytest.mark.parametrize("spec", [[1], "lp", None], ids=["list", "str", "null"])
     def test_not_an_object(self, spec):

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from normpack.bodies import body_from_spec, body_to_spec, closed_form_volume, normalize_to_unit_volume
+from normpack.bodies import body_from_spec, body_to_spec, closed_form_volume, hpolytope, normalize_to_unit_volume
 from normpack.cli import pack_main, verify_main, vol_main
 from normpack.harness import (
     OUTPUT_DIR_ENV,
@@ -31,6 +31,7 @@ from polytope_oracles import criterion4_hpolytope
 
 
 UNIT_BALL_2 = normalize_to_unit_volume(body_from_spec(default_config(2).body))
+SQUARE = hpolytope(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
 
 
 def hpoly_config() -> ExperimentConfig:
@@ -159,7 +160,8 @@ class TestRunPipeline:
         for seed in range(1, 11):
             rec = run_pipeline(default_config(d, seed))
             bound = rec.prune_report["expected_sizes"]["x2_bound"]
-            assert rec.ik["delta_k"] is not None and bound > 0.0
+            assert rec.ik["delta_k"] is not None and math.isfinite(rec.ik["delta_k"]) and bound > 0.0
+            assert rec.preconditions["Delta_le_Delta_K"] is True
             assert rec.prune_report["removed_x2"] <= bound + 3.0 * math.sqrt(2.0 * bound)
 
     def test_deterministic_records(self):
@@ -183,6 +185,24 @@ class TestRunPipeline:
         with pytest.raises(PipelineStageError) as exc:
             run_pipeline(cfg)
         assert exc.value.stage == "normalize"
+
+    def test_exact_d3_large_config_removes_x3(self):
+        # the benchmark's exact_d3_large config at seed 1, about 30k points,
+        # whose hot-row product runs in two row blocks (MIN_SPLIT_ROWS): CI
+        # compares its record on every core and on one
+        rec = run_pipeline(replace(default_config(3), L=20.0))
+        assert rec.prune_report["removed_x3"] > 0
+
+    def test_runs_just_above_the_floor(self):
+        # simplex_diff queries pairs within its circumscribed ball, whose
+        # radius at the smallest L validate takes is just below L / 2
+        spec = {"kind": "simplex_diff", "d": 3, "scale": 1.0}
+        floor = 8.0 * normalize_to_unit_volume(body_from_spec(spec)).circumradius() * (1.0 + QUERY_SLACK)
+        cfg = replace(default_config(3), body=spec, Delta=2.0, L=math.nextafter(floor, math.inf),
+                      ik_outer_samples=200, mc_samples=2000)
+        with pytest.raises(PipelineStageError, match="validate"):
+            run_pipeline(replace(cfg, L=floor))
+        assert run_pipeline(cfg).packing["count"] > 0
 
     def test_persists_record(self, tmp_path):
         cfg = replace(default_config(2, seed=6), out_dir=str(tmp_path))
@@ -392,27 +412,31 @@ class TestCli:
         assert str(exc.value) == f"verify packing: {bad}: centers 3 and 7 overlap: gauge 0.5 < 2"
 
     @pytest.mark.parametrize(
-        "edit,message",
+        "edit,rows,message",
         [
-            (lambda h: {"body": h["body"]}, "packing header has no key 'L'"),
-            (lambda h: {"L": h["L"]}, "packing header has no key 'body'"),
-            (lambda h: [1], "the packing header must be a JSON object"),
-            (lambda h: {**h, "body": {"kind": "lp", "d": 2}}, "body spec has no key 'p'"),
-            (lambda h: {**h, "L": math.nan}, "L must be finite and positive, got nan"),
-            (lambda h: {**h, "L": math.inf}, "L must be finite and positive, got inf"),
+            (lambda h: {"body": h["body"]}, None, "packing header has no key 'L'"),
+            (lambda h: {"L": h["L"]}, None, "packing header has no key 'body'"),
+            (lambda h: [1], None, "the packing header must be a JSON object"),
+            (lambda h: {**h, "body": {"kind": "lp", "d": 2}}, None, "body spec has no key 'p'"),
+            (lambda h: {**h, "L": math.nan}, None, "L must be finite and positive, got nan"),
+            (lambda h: {**h, "L": math.inf}, None, "L must be finite and positive, got inf"),
+            # no pair of these d = 3 centers comes near enough to reach the gauge
+            (lambda h: h, ["1 2 3", "5 5 5"], "centers must have shape (m, 2), got (2, 3)"),
+            (lambda h: h, ["inf 1.0"], "centers must be finite"),
         ],
-        ids=["no_L", "no_body", "not_object", "body_missing_key", "nan_L", "inf_L"],
+        ids=["no_L", "no_body", "not_object", "body_missing_key", "nan_L", "inf_L", "wrong_width", "inf_center"],
     )
-    def test_verify_packing_bad_header(self, tmp_path, capsys, edit, message):
+    def test_verify_packing_bad_header(self, tmp_path, capsys, edit, rows, message):
+        # the header edited, and the centers' rows replaced unless rows is None
         path, _ = self._write_packing(tmp_path, capsys)
-        header, *rows = path.read_text().splitlines()
+        header, *written = path.read_text().splitlines()
         bad = tmp_path / "bad_header.txt"
-        bad.write_text("\n".join(["# " + json.dumps(edit(json.loads(header[1:])))] + rows) + "\n")
+        bad.write_text("\n".join(["# " + json.dumps(edit(json.loads(header[1:])))] + (rows or written)) + "\n")
         with pytest.raises(SystemExit) as exc:
             verify_main(["packing", str(bad)])
         assert str(exc.value) == f"verify packing: {bad}: {message}"
 
-    @pytest.mark.parametrize("argv", [["packing"], ["poisson", "file.txt"]])
+    @pytest.mark.parametrize("argv", [["packing"], ["poisson", "file.txt"], ["packing", "file.txt", "--out", "r.csv"]])
     def test_verify_file_only_with_packing(self, argv):
         with pytest.raises(SystemExit) as exc:
             verify_main(argv)
@@ -439,6 +463,9 @@ class TestCli:
         assert rec["packing"]["min_pairwise_gauge"] is None
         tag = rec["config_hash"][:12]
         assert json.loads((tmp_path / f"run_{tag}.jsonl").read_text(), parse_constant=reject) == rec
+        # its packing file is a header alone, and still verifies
+        assert verify_main(["packing", str(tmp_path / f"packing_{tag}.txt")]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 0
 
     def test_pack_sweep(self, tmp_path, capsys):
         rc = pack_main(
@@ -527,8 +554,9 @@ class TestCli:
             ({"L": math.inf}, "validate: L must be finite and positive, got inf$"),
             # the expected point count Delta / 4 * L^2 exceeds packing.POINT_CAP
             ({"Delta": 1e9}, "validate: expected count 1e\\+11 exceeds cap 2000000$"),
+            ({"body": {**body_to_spec(SQUARE), "scale": -1.0}}, "normalize: scale must be finite and positive, got -1.0$"),
         ],
-        ids=["L_at_floor", "unknown_kind", "missing_key", "d_mismatch", "inf_L", "over_point_cap"],
+        ids=["L_at_floor", "unknown_kind", "missing_key", "d_mismatch", "inf_L", "over_point_cap", "hpoly_negative_scale"],
     )
     def test_pack_run_config_fault(self, tmp_path, edit, message):
         path = tmp_path / "fault.json"
@@ -572,8 +600,13 @@ class TestCli:
             ('{"kind": "lp", "d": 2}', "body spec has no key 'p'"),
             ("[1]", "a body spec must be a JSON object"),
             ('{"kind": "lp", "d": null, "p": 2}', "body spec key 'd' must be an integer, got None"),
+            ('{"kind": "lp", "d": 2.7, "p": 2}', "body spec key 'd' must be an integer, got 2.7"),
+            ('{"kind": "simplex_diff", "d": 2, "scale": NaN}', "scale must be finite and positive, got nan"),
+            # JSON reads 1e400 as inf
+            ('{"kind": "lp", "d": 2, "p": 2, "scale": 1e400}', "scale must be finite and positive, got inf"),
         ],
-        ids=["missing", "bad_json", "unknown_kind", "missing_key", "not_object", "null_d"],
+        ids=["missing", "bad_json", "unknown_kind", "missing_key", "not_object", "null_d", "fractional_d", "nan_scale",
+             "huge_scale"],
     )
     @pytest.mark.parametrize("cmd", [["body-info"], ["intersection", "--x", "0,0"]], ids=["body-info", "intersection"])
     def test_vol_unreadable_body(self, tmp_path, cmd, text, message):
