@@ -50,9 +50,10 @@ def helmert_basis(d: int) -> np.ndarray:
     return E
 
 
-def _is_integer(value) -> bool:
-    """The config's integer rule: any integral number but a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def is_number(value, kind: type) -> bool:
+    """The number rule of configs and body specs: an instance of ``kind``
+    (``numbers.Integral`` or ``numbers.Real``), but not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def ball_volume(k: int) -> float:
@@ -109,7 +110,7 @@ class ConvexBody:
     polytope: Polytope | None = field(default=None, repr=False)  # shared by scaled copies
 
     def __post_init__(self):
-        if not _is_integer(self.d) or self.d < 1:
+        if not is_number(self.d, numbers.Integral) or self.d < 1:
             raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
         if not 0.0 < self.scale < math.inf:  # NaN fails this test too
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
@@ -504,7 +505,8 @@ def _spec_value(spec: dict, key: str, convert, what: str, default=None):
 
 
 def _integer(value) -> int:
-    if not _is_integer(value):
+    """``value`` as an int by the config's integer rule, else a TypeError."""
+    if not is_number(value, numbers.Integral):
         raise TypeError(value)
     return int(value)
 

@@ -19,8 +19,8 @@ Three commands are installed:
 * ``verify packing FILE`` re-verifies a packing file that ``pack run``
   wrote, from its raw coordinates, body and L; an overlap, an L the
   body cannot take, or centers that are not finite or not of the body's
-  d end it non-zero with a message naming the fault; it takes no
-  ``--out``.
+  d end it non-zero with a message naming the fault; it runs no suite,
+  so it takes no ``--level``, ``--seed`` or ``--out``.
 
 Grid specs look like ``Delta=20,30,40`` or ``d=2:4``.
 """
@@ -171,17 +171,19 @@ def verify_main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="verify", description="numerical verification suite")
     ap.add_argument("which", choices=SUITE_CHECKS + ("packing",))
     ap.add_argument("file", nargs="?", help="the packing file of `verify packing FILE`")
-    ap.add_argument("--level", choices=["fast", "full"], default="fast")
-    ap.add_argument("--seed", type=int, default=1)
+    # None marks an option not given, which `verify packing` requires
+    ap.add_argument("--level", choices=["fast", "full"], default=None, help="default: fast")
+    ap.add_argument("--seed", type=int, default=None, help="default: 1")
     ap.add_argument("--out", default=None, help="write reports: CSV if PATH ends in .csv, else JSON lines")
     args = ap.parse_args(argv)
     if (args.which == "packing") != (args.file is not None):
         ap.error("a FILE goes with `verify packing`, and only there")
     if args.which == "packing":
-        if args.out is not None:
-            ap.error("`verify packing` writes no reports, so it takes no --out")
+        given = [f"--{name}" for name in ("level", "seed", "out") if getattr(args, name) is not None]
+        if given:
+            ap.error(f"`verify packing` runs no suite, so it takes no {', '.join(given)}")
         return _verify_packing_file(args.file)
-    reports = verify_suite(args.level, args.seed, args.which)
+    reports = verify_suite(args.level or "fast", 1 if args.seed is None else args.seed, args.which)
     bad = 0
     for rep in reports:
         status = "ok" if rep.violations == 0 and rep.conclusive else (

@@ -21,7 +21,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import checks as checks_mod
-from .bodies import CORE_TOKENS, ConvexBody, body_from_spec, cube, lp_ball, normalize_to_unit_volume
+from .bodies import CORE_TOKENS, ConvexBody, body_from_spec, cube, is_number, lp_ball, normalize_to_unit_volume
 from .checks import CheckReport
 from .indset import PackingResult, greedy_independent_set, verify_packing
 from .packing import (
@@ -48,7 +48,7 @@ def child_rng(master: int, label: str) -> np.random.Generator:
     return np.random.default_rng(child_seed(master, label))
 
 
-# (fields, type, name of the type); bool is neither here
+# (fields, type, name of the type), read by bodies.is_number: bool is neither here
 _FIELD_TYPES = (
     (("d", "seed", "mc_samples", "ik_outer_samples"), numbers.Integral, "an integer"),
     (("L", "Delta", "ik_delta", "codegree_coeff"), numbers.Real, "a real number"),
@@ -75,7 +75,7 @@ class ExperimentConfig:
         for names, kind, label in _FIELD_TYPES:
             for name in names:
                 value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kind):
+                if not is_number(value, kind):
                     raise ValueError(f"{name} must be {label}, got {value!r}")
         for name in ("L", "Delta", "ik_delta", "codegree_coeff", "mc_samples"):
             if not getattr(self, name) > 0:  # NaN fails this test too

@@ -200,9 +200,22 @@ class TestRunPipeline:
         floor = 8.0 * normalize_to_unit_volume(body_from_spec(spec)).circumradius() * (1.0 + QUERY_SLACK)
         cfg = replace(default_config(3), body=spec, Delta=2.0, L=math.nextafter(floor, math.inf),
                       ik_outer_samples=200, mc_samples=2000)
-        with pytest.raises(PipelineStageError, match="validate"):
-            run_pipeline(replace(cfg, L=floor))
         assert run_pipeline(cfg).packing["count"] > 0
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            replace(default_config(3), L=6.0, Delta=300.0),
+            replace(default_config(3), L=20.0, body={"kind": "lp", "d": 3, "p": 3, "scale": 1.0}),
+        ],
+        ids=["d3_Delta300", "lp3_L20"],
+    )
+    def test_pruned_graph_within_the_caps(self, cfg):
+        # the paper's caps at Delta = 300 (about 8100 points), and on lp3 at
+        # L = 20, whose Cauchy estimates of h_PiK run in row blocks on about 30k points
+        stats = run_pipeline(cfg).stats_post
+        assert stats["max_degree"] <= cfg.Delta + cfg.Delta ** (2.0 / 3.0)
+        assert stats["max_codegree"] < cfg.codegree_coeff * cfg.Delta
 
     def test_persists_record(self, tmp_path):
         cfg = replace(default_config(2, seed=6), out_dir=str(tmp_path))
@@ -436,11 +449,22 @@ class TestCli:
             verify_main(["packing", str(bad)])
         assert str(exc.value) == f"verify packing: {bad}: {message}"
 
-    @pytest.mark.parametrize("argv", [["packing"], ["poisson", "file.txt"], ["packing", "file.txt", "--out", "r.csv"]])
-    def test_verify_file_only_with_packing(self, argv):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["packing"], "a FILE goes with `verify packing`, and only there"),
+            (["poisson", "file.txt"], "a FILE goes with `verify packing`, and only there"),
+            (["packing", "file.txt", "--out", "r.csv"], "takes no --out$"),
+            # given at their defaults, still refused
+            (["packing", "file.txt", "--level", "fast", "--seed", "1"], "takes no --level, --seed$"),
+        ],
+        ids=["argv0", "argv1", "argv2", "argv3"],
+    )
+    def test_verify_file_only_with_packing(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             verify_main(argv)
         assert exc.value.code == 2
+        assert re.search(message, capsys.readouterr().err.strip().splitlines()[-1])
 
     def test_pack_run_hpoly_packing_reverifies(self, tmp_path, capsys):
         path = tmp_path / "hpoly_cfg.json"
