@@ -511,8 +511,15 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """``value`` as a float by the config's real-number rule, else a TypeError."""
+    if not is_number(value, numbers.Real):
+        raise TypeError(value)
+    return float(value)
+
+
 def _p_value(p) -> float:
-    return math.inf if p in ("inf", "Infinity") else float(p)
+    return math.inf if p in ("inf", "Infinity") else _real(p)
 
 
 def _facet_arrays(facets) -> tuple[list, list]:
@@ -522,7 +529,7 @@ def _facet_arrays(facets) -> tuple[list, list]:
 def _body_from_spec(spec: dict) -> ConvexBody:
     kind = spec["kind"]
     d = _spec_value(spec, "d", _integer, "an integer")
-    scale = _spec_value(spec, "scale", float, "a real number", default=1.0)
+    scale = _spec_value(spec, "scale", _real, "a real number", default=1.0)
     if kind == "lp":
         return lp_ball(d, _spec_value(spec, "p", _p_value, "a real number or 'inf'"), scale)
     if kind == "hpoly":

@@ -187,11 +187,11 @@ def verify_packing(
     if m > 1:
         # search slightly beyond 2 so min_pairwise_gauge is informative; the
         # pairs come in (i, j) order, so the first smallest gauge is reported
-        pairs, g = pairs_within_gauge(centers, body, domain, 2.5)
+        codes, g = pairs_within_gauge(centers, body, domain, 2.5)
         if len(g):
             worst = int(np.argmin(g))
             if g[worst] < 2.0 - DISJOINT_TOL * 2.0:
-                i, j = pairs[worst].tolist()
+                i, j = divmod(int(codes[worst]), m)
                 raise OverlapError(i, j, float(g[worst]))
             min_gauge = float(g[worst])
     density = m * body_volume / domain.volume

@@ -107,13 +107,16 @@ def sample_poisson(domain: TorusDomain, Delta: float, rng: np.random.Generator) 
 class PackingGraph:
     """Intersection graph over a point set, stored as a CSR adjacency.
 
-    ``adj`` is symmetric with sorted indices, no diagonal and unit data.
+    ``adj`` is symmetric with sorted indices, no diagonal and 1-byte unit
+    data (int8): 5 bytes per entry, 10 per edge.  Products that count
+    (:func:`_hot_codegrees`) cast it wider first.
     ``edge_gauges`` (U) is the upper triangle of the same pattern, built
-    straight from the build's pairs, which come in (i, j) order: entry
+    straight from the build's pair codes, which come sorted: entry
     (i, j), i < j, holds the gauge of the edge's minimal-image difference,
     as an explicit entry even when it is 0 (coincident points).  It is None
     on subgraphs and on graphs made straight from an adjacency.  U costs
-    12 bytes per edge (a float64 gauge and an int32 column); one symmetric
+    12 bytes per edge (a float64 gauge and an int32 column), so a built
+    graph keeps about 22 bytes per edge; one symmetric
     adjacency that held the gauges instead measured worse on the
     exact_d3_large benchmark (2 cores, 10 alternating pairs): wall time
     0.0936 -> 0.1000 s (+6.8%, slower in 9 of 10) and peak RSS
@@ -127,27 +130,38 @@ class PackingGraph:
     edge_gauges: sp.csr_matrix | None = None
 
     @classmethod
-    def from_pairs(cls, points, pairs, domain: TorusDomain, gauges) -> "PackingGraph":
-        """Graph on ``points`` whose edges are the rows (i, j) of ``pairs``,
-        with one gauge per pair.
+    def from_pairs(cls, points, pairs: tuple, domain: TorusDomain) -> "PackingGraph":
+        """Graph on the n ``points`` from ``pairs`` = (codes, gauges), as
+        :func:`pairs_within_gauge` returns them: the edges (i, j) as codes
+        i n + j, and one gauge per edge.
 
-        The pairs must be distinct with i < j and in (i, j) order, as
-        :func:`pairs_within_gauge` returns them: they are U's rows and
-        columns as they stand, and the gauges become ``edge_gauges``.
+        The codes must lie in [0, n^2) and strictly increase, so that the
+        pairs are distinct and in (i, j) order, and each must have i < j:
+        U takes its rows and columns from them as they stand, and the
+        gauges become ``edge_gauges``.  The codes are let go once U's
+        columns are made; a caller that passes the tuple in without keeping
+        it, as :func:`build_graph` does, frees them before ``adj`` is
+        assembled.
         """
-        n = len(points)
-        i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-        idx = np.int32 if max(n, len(j)) < 2**31 else np.int64
-        indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(np.bincount(i, minlength=n), out=indptr[1:])
-        indices = j.astype(idx)
-        upper = sp.csr_matrix((np.asarray(gauges, dtype=float), indices, indptr), shape=(n, n))
-        # (i, j) order: rows nondecreasing, columns strictly increasing in each
-        if not ((i < j).all() and (i[1:] >= i[:-1]).all() and upper.has_canonical_format):
+        codes, gauges = pairs
+        del pairs  # then this frame holds the caller's only reference to the codes
+        codes = np.asarray(codes, dtype=np.int64).reshape(-1)
+        n, m = len(points), len(codes)
+        if m and not (codes[0] >= 0 and codes[-1] < n * n and (codes[1:] > codes[:-1]).all()):
             raise ValueError("pairs must be distinct with i < j, in (i, j) order")
+        idx = np.int32 if max(n, m) < 2**31 else np.int64
+        indptr = np.searchsorted(codes, np.arange(n + 1) * n).astype(idx)  # row i: codes in [i n, (i + 1) n)
+        indices = np.empty(m, dtype=idx)
+        np.remainder(codes, n, out=indices, casting="unsafe")  # in buffered chunks: no int64 copy
+        del codes
+        # each row's columns increase, so i < j holds when it holds for the first
+        starts, filled = indptr[:-1], np.flatnonzero(np.diff(indptr))
+        if not (indices[starts[filled]] > filled).all():
+            raise ValueError("pairs must be distinct with i < j, in (i, j) order")
+        upper = sp.csr_matrix((np.asarray(gauges, dtype=float), indices, indptr), shape=(n, n))
         # the pattern with unit data: sparse + would drop U's explicit zeros;
         # the two triangles share no entry, so the sum's data stays 1
-        half = sp.csr_matrix((np.ones(len(j), dtype=np.float32), indices, indptr), shape=(n, n))
+        half = sp.csr_matrix((np.ones(m, dtype=np.int8), indices, indptr), shape=(n, n))
         return cls(points=points, adj=half + half.T, domain=domain, edge_gauges=upper)
 
     @property
@@ -176,9 +190,10 @@ class PackingGraph:
 
 
 def torus_pairs(wrapped: np.ndarray, L: float, radius: float, p: float = 2.0) -> np.ndarray:
-    """The (m, 2) pairs i < j, in (i, j) order, of rows of ``wrapped`` (points
-    in [0, L)^d) within Minkowski p-distance ``radius`` on the torus of
-    side L.  Needs 2 radius < L; no periodic tree spans the whole set.
+    """The sorted int64 codes i n + j of the pairs i < j of the n rows of
+    ``wrapped`` (points in [0, L)^d) within Minkowski p-distance ``radius``
+    on the torus of side L: the pairs in (i, j) order, 8 bytes each.
+    Needs 2 radius < L; no periodic tree spans the whole set.
 
     The box is cut at x_0 = L/2 into two slabs.  One non-periodic KD tree
     per slab finds the pairs inside it whose direct difference is within
@@ -240,17 +255,15 @@ def torus_pairs(wrapped: np.ndarray, L: float, radius: float, p: float = 2.0) ->
     codes = np.concatenate([c for part in parts for c in part])
     del parts
     codes.sort()
-    pairs = np.empty((2, len(codes)), dtype=np.int64)
-    np.divmod(codes, n, out=(pairs[0], pairs[1]))
-    return pairs.T  # each column contiguous
+    return codes
 
 
 def pairs_within_gauge(
     points: np.ndarray, body: ConvexBody, domain: TorusDomain, gauge_limit: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(pairs, gauges): the (m, 2) pairs i < j, in (i, j) order, whose
-    minimal-image difference has gauge at most ``gauge_limit``, and those
-    m gauges.
+    """(codes, gauges): the sorted codes i n + j, n = len(points), of the
+    pairs i < j whose minimal-image difference has gauge at most
+    ``gauge_limit``, and those gauges.
 
     :func:`torus_pairs` finds the candidates, with no periodic tree: for an
     lp body with p in {1, 2, inf}, those within lp distance
@@ -258,7 +271,8 @@ def pairs_within_gauge(
     within Euclidean distance ``gauge_limit * circumradius``.  The gauge
     filter then runs on the original coordinates, so the result does not
     depend on the query.  The query alone sees coordinates wrapped into
-    [0, L), so points outside the box are accepted.
+    [0, L), so points outside the box are accepted.  Each chunk of codes
+    is split into (i, j) by itself, so no (m, 2) pair array is formed.
     """
     points = np.asarray(points, dtype=float)
     wrapped = points % domain.L
@@ -269,17 +283,17 @@ def pairs_within_gauge(
         p, radius = body.p, gauge_limit * body.scale
     else:
         p, radius = 2.0, gauge_limit * body.circumradius()
-    pairs = torus_pairs(wrapped, domain.L, radius * (1.0 + QUERY_SLACK), p)
-    i, j = pairs.T  # contiguous columns gather faster
-    g = np.empty(len(pairs))
-    for s in range(0, len(pairs), GAUGE_CHUNK):
+    codes = torus_pairs(wrapped, domain.L, radius * (1.0 + QUERY_SLACK), p)
+    del wrapped
+    g = np.empty(len(codes))
+    for s in range(0, len(codes), GAUGE_CHUNK):
         batch = slice(s, s + GAUGE_CHUNK)
-        diff = points.take(i[batch], axis=0) - points.take(j[batch], axis=0)
-        g[batch] = body.gauge(domain.min_image(diff))
+        i, j = np.divmod(codes[batch], len(points))
+        g[batch] = body.gauge(domain.min_image(points.take(i, axis=0) - points.take(j, axis=0)))
     within = g <= gauge_limit
     if within.all():
-        return pairs, g
-    return np.array([i[within], j[within]]).T, g[within]
+        return codes, g
+    return codes[within], g[within]
 
 
 def edges_within_gauge(graph: PackingGraph, body: ConvexBody, gauge_limit: float) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +306,7 @@ def edges_within_gauge(graph: PackingGraph, body: ConvexBody, gauge_limit: float
     finds them.
     """
     if gauge_limit > 2.0:
-        return pairs_within_gauge(graph.points, body, graph.domain, gauge_limit)[0].T
+        return np.divmod(pairs_within_gauge(graph.points, body, graph.domain, gauge_limit)[0], graph.n)
     U = graph.edge_gauges
     if U is None:
         raise ValueError("the graph carries no edge gauges: build it with build_graph")
@@ -307,12 +321,13 @@ def build_graph(points: np.ndarray, body: ConvexBody, domain: TorusDomain) -> Pa
 
     Edges are the torus pairs within gauge 2, in (i, j) order; the graph
     is stored as a CSR adjacency and keeps their gauges as
-    ``edge_gauges``.
+    ``edge_gauges``.  Its peak is about 28 traced bytes per edge, and the
+    graph keeps about 22 (:class:`PackingGraph`).
     """
     domain.validate_for_body(body)
     pts = np.asarray(points, dtype=float)
-    pairs, gauges = pairs_within_gauge(pts, body, domain, 2.0)
-    return PackingGraph.from_pairs(pts, pairs, domain, gauges)
+    # the query's result goes straight in, so from_pairs frees its codes
+    return PackingGraph.from_pairs(pts, pairs_within_gauge(pts, body, domain, 2.0), domain)
 
 
 @dataclass(frozen=True)
@@ -359,9 +374,10 @@ def prune(
     A pair is deep when :class:`OverlapClassifier`, given ``rng`` and
     ``mc_samples`` for its Cauchy estimates, puts its half-difference
     inside; that region holds I_K, so the codegree guarantee stays sound.
-    X3 reads every pair at the codegree threshold off the hot-row product,
-    inside 2 I_K or not, and nothing of X2: both ends of a pair inside are
-    in X2 already, so counts and survivors are the paper's.
+    X3 reads every pair at the codegree threshold with an end that X1 and
+    X2 leave off the hot-row product over those ends' rows, inside 2 I_K
+    or not, and nothing else of X2: both ends of a pair inside are in X2
+    already, so counts and survivors are the paper's.
     Marking is a read-only pass over the original graph; the sweep
     rebuilds the subgraph afterwards.
     """
@@ -380,9 +396,11 @@ def prune(
     mark_x2[gi[x2_inside]] = mark_x2[gj[x2_inside]] = True
 
     # X3: endpoints of pairs with codegree >= max(coeff * Delta, 1); both are
-    # hot, and B B^T holds the pair once from each end, so its rows mark both
+    # hot.  The product's rows are the hot vertices X1 and X2 leave, its
+    # columns every hot one, so each such end marks itself from its own row;
+    # the removed ends need no mark
     t = max(codegree_coeff * Delta, 1)
-    hot, row, col, count = _hot_codegrees(graph, t)
+    hot, row, col, count = _hot_codegrees(graph, t, ~(mark_x1 | mark_x2))
     mark_x3 = np.zeros(n, dtype=bool)
     mark_x3[hot[row[(row != col) & (count >= t)]]] = True
     del hot, row, col, count  # the product's entries: freed before the subgraph is built
@@ -405,23 +423,32 @@ def prune(
     return pruned, report
 
 
-def _hot_codegrees(graph: PackingGraph, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _hot_codegrees(
+    graph: PackingGraph, t: float, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(hot, row, col, count): the vertices of degree at least ``t``, and
-    the entries of B B^T, row by row, for B the rows of A at those vertices.
+    the entries of B H^T, row by row, for H the rows of A at those vertices
+    and B those of H at the vertices in the mask ``rows`` (all of H without
+    one).  ``row`` and ``col`` are places in ``hot``.
 
-    The off-diagonal entries are the codegrees of the hot pairs.  The
-    product still sums over every vertex, so each count is exact; A^2 over
-    all rows is never formed.  From :data:`MIN_SPLIT_ROWS` hot rows on it
-    runs as two blocks of B's rows (:func:`in_parts`); each block's rows are
-    those of the whole product, and their entries are joined end to end.
-    Fewer rows take one product, as both blocks would run on the caller.
+    The entries off the diagonal (row != col) are the codegrees of the hot
+    pairs with a row end in B.  The product still sums over every vertex,
+    so each count is exact; A^2 over all rows is never formed.  The 1-byte
+    adjacency is cast to int32 first: a count is at most n, below 2^31.
+    From :data:`MIN_SPLIT_ROWS` rows of B on it runs as two blocks of
+    those rows (:func:`in_parts`); each block's rows are those of the whole
+    product, and their entries are joined end to end.  Fewer rows take one
+    product, as both blocks would run on the caller.
     """
     hot = np.flatnonzero(graph.degree() >= t)
-    B = graph.adj[hot]
-    BT = B.T.tocsr()
-    m = len(hot) // 2
-    blocks = [B @ BT] if len(hot) < MIN_SPLIT_ROWS else in_parts(len(hot), lambda: B[:m] @ BT, lambda: B[m:] @ BT)
-    row = np.repeat(np.arange(len(hot)), np.concatenate([np.diff(C.indptr) for C in blocks]))
+    H = graph.adj[hot].astype(np.int32)
+    HT = H.T.tocsr()
+    at = np.arange(len(hot)) if rows is None else np.flatnonzero(rows[hot])
+    B = H if rows is None else H[at]
+    del H  # a masked product keeps only its own rows
+    m = len(at) // 2
+    blocks = [B @ HT] if len(at) < MIN_SPLIT_ROWS else in_parts(len(at), lambda: B[:m] @ HT, lambda: B[m:] @ HT)
+    row = np.repeat(at, np.concatenate([np.diff(C.indptr) for C in blocks]))
     return hot, row, np.concatenate([C.indices for C in blocks]), np.concatenate([C.data for C in blocks])
 
 

@@ -61,10 +61,13 @@ def graphs_equal(a: PackingGraph, b: PackingGraph) -> bool:
 
 
 def brute_force_max_codegree(graph: PackingGraph) -> int:
-    """Dense boolean-matmul codegree maximum; oracle for prune postconditions."""
+    """Dense matmul codegree maximum; oracle for prune postconditions.  It
+    counts in float64, not in adj's 1-byte dtype, which would wrap: exact
+    for counts below 2^53, and a BLAS product, where numpy's int64 matmul
+    has none."""
     if graph.n == 0:
         return 0
-    A = graph.adj.toarray()
+    A = graph.adj.toarray().astype(np.float64)
     C = A @ A
     np.fill_diagonal(C, 0.0)
     return int(C.max())
@@ -93,12 +96,13 @@ def min_image_reference(domain: TorusDomain, v) -> np.ndarray:
 
 def adjacency_reference(n, pairs) -> sp.csr_matrix:
     """Symmetric CSR adjacency from COO entries in both directions,
-    duplicates summed, then unit data."""
+    duplicates summed (in int64), then 1-byte unit data."""
     i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
-    adj = sp.csr_matrix((np.ones(len(rows), dtype=np.float32), (rows, cols)), shape=(n, n))
+    adj = sp.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n))
     adj.sum_duplicates()
-    adj.data.fill(1.0)
+    adj = adj.astype(np.int8)
+    adj.data.fill(1)
     return adj
 
 

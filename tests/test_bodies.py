@@ -561,6 +561,7 @@ class TestSpecFiles:
         spec = body_to_spec(lp_ball(2, math.inf))
         assert spec["p"] == "inf"
         assert math.isinf(body_from_spec(spec).p)
+        assert math.isinf(body_from_spec({**spec, "p": "Infinity"}).p)
 
     @pytest.mark.parametrize(
         "spec,key",
@@ -590,9 +591,15 @@ class TestSpecFiles:
             ({"kind": "lp", "d": 2.0, "p": 2}, "'d' must be an integer, got 2.0"),
             ({"kind": "lp", "d": True, "p": 2}, "'d' must be an integer, got True"),
             ({"kind": "simplex_diff", "d": "3"}, "'d' must be an integer, got '3'"),
+            # scale and p follow the config's real-number rule: no bool or numeric string
+            ({"kind": "lp", "d": 2, "p": 2, "scale": "2"}, "'scale' must be a real number, got '2'"),
+            ({"kind": "simplex_diff", "d": 2, "scale": True}, "'scale' must be a real number, got True"),
+            ({"kind": "lp", "d": 2, "p": "3"}, "'p' must be a real number or 'inf', got '3'"),
+            ({"kind": "lp", "d": 2, "p": False}, "'p' must be a real number or 'inf', got False"),
         ],
         ids=["null-d", "str-d", "list-p", "null-scale", "int-facets", "number-facet",
-             "fractional-d", "float-d", "bool-d", "numeric-str-d"],
+             "fractional-d", "float-d", "bool-d", "numeric-str-d", "numeric-str-scale", "bool-scale",
+             "numeric-str-p", "bool-p"],
     )
     def test_wrong_type_named(self, spec, message):
         with pytest.raises(ValueError, match=f"^body spec key {re.escape(message)}$"):

@@ -628,9 +628,11 @@ class TestCli:
             ('{"kind": "simplex_diff", "d": 2, "scale": NaN}', "scale must be finite and positive, got nan"),
             # JSON reads 1e400 as inf
             ('{"kind": "lp", "d": 2, "p": 2, "scale": 1e400}', "scale must be finite and positive, got inf"),
+            ('{"kind": "lp", "d": 2, "p": 2, "scale": "2"}', "body spec key 'scale' must be a real number, got '2'"),
+            ('{"kind": "lp", "d": 2, "p": "3"}', "body spec key 'p' must be a real number or 'inf', got '3'"),
         ],
         ids=["missing", "bad_json", "unknown_kind", "missing_key", "not_object", "null_d", "fractional_d", "nan_scale",
-             "huge_scale"],
+             "huge_scale", "str_scale", "str_p"],
     )
     @pytest.mark.parametrize("cmd", [["body-info"], ["intersection", "--x", "0,0"]], ids=["body-info", "intersection"])
     def test_vol_unreadable_body(self, tmp_path, cmd, text, message):

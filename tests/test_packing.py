@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,11 @@ from graph_oracles import (
 from polytope_oracles import criterion4_hpolytope, cube_hpolytope
 
 CORES = len(os.sched_getaffinity(0))
+
+
+def decoded(codes, n):
+    """The (m, 2) pairs (i, j) of the pair codes i n + j."""
+    return np.stack(np.divmod(codes, n), axis=1)
 
 
 class TestTorusDomain:
@@ -186,22 +192,41 @@ class TestFromPairs:
             i = rng.integers(0, n, size=m)
             j = (i + rng.integers(1, n + 1, size=m)) % n if n > 1 else i
             codes = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
-            pairs = np.stack(np.divmod(codes, n), axis=1)
-            pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+            codes = codes[codes // n < codes % n]
+            pairs = decoded(codes, n)
             gauges = rng.uniform(0.0, 2.0, size=len(pairs))
-            g = PackingGraph.from_pairs(np.zeros((n, 2)), pairs, TorusDomain(2, 10.0), gauges)
+            g = PackingGraph.from_pairs(np.zeros((n, 2)), (codes, gauges), TorusDomain(2, 10.0))
             self.assert_same_csr(g.adj, adjacency_reference(n, pairs))
             assert g.edge_gauges[pairs[:, 0], pairs[:, 1]].tolist() == [gauges.tolist()]
 
     @pytest.mark.parametrize("n", [0, 5])
     def test_empty(self, n):
-        for pairs in ([], np.empty((0, 2), dtype=np.int64)):
-            g = PackingGraph.from_pairs(np.zeros((n, 2)), pairs, TorusDomain(2, 10.0), [])
-            self.assert_same_csr(g.adj, adjacency_reference(n, pairs))
+        for codes in ([], np.empty(0, dtype=np.int64)):
+            g = PackingGraph.from_pairs(np.zeros((n, 2)), (codes, []), TorusDomain(2, 10.0))
+            self.assert_same_csr(g.adj, adjacency_reference(n, []))
             assert g.edge_count() == 0 and g.edge_gauges.nnz == 0
 
 
 class TestBuildGraph:
+    @pytest.mark.parametrize("held", [False, True], ids=["split", "inline"])
+    def test_traced_bytes_per_edge(self, held):
+        # d = 3, L = 6, Delta = 300: about 8,000 points and 1.2M edges.  No
+        # (m, 2) pair array is formed, the pair codes are freed before adj is
+        # assembled, and adj's data is 1 byte: about 28 traced bytes per edge
+        # at the peak and 22 kept
+        dom, body = TorusDomain(3, 6.0), normalize_to_unit_volume(lp_ball(3, 2))
+        pts = sample_poisson(dom, 300.0, np.random.default_rng(1))
+        with all_core_tokens_held() if held else contextlib.nullcontext():
+            tracemalloc.start()
+            try:
+                g = build_graph(pts, body, dom)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        m = g.edge_count()
+        assert m > 1_000_000
+        assert peak <= 32 * m and kept <= 24 * m
+
     def test_two_touching_points(self):
         dom = TorusDomain(2, 20.0)
         body = lp_ball(2, 2, scale=1.0)
@@ -355,6 +380,37 @@ class TestOutOfBoxCoordinates:
 
 
 class TestPrune:
+    @staticmethod
+    def empty_ik(body):
+        """An I_K profile at delta = vol(K), where I_K is empty: X2 marks nothing."""
+        V = bodies.closed_form_volume(body)
+        return IkProfile(body, V, McEstimate(0.0, 0.0, 1), math.inf, (0.0, 0.0), ik_gauge_radius(body, V))
+
+    def test_codegrees_past_one_byte(self):
+        # K_260, every point within distance 1 of the others: codegree 258,
+        # past int8's 127 and uint8's 255, where a 1-byte count reads 2
+        body = lp_ball(2, 2, scale=1.0)
+        angle = np.linspace(0.0, 2.0 * math.pi, 260, endpoint=False)
+        g = build_graph(10.0 + 0.5 * np.stack([np.cos(angle), np.sin(angle)], axis=1), body, TorusDomain(2, 20.0))
+        assert g.adj.dtype == np.int8 and g.edge_count() == 260 * 259 // 2
+        assert degree_codegree_stats(g)["max_codegree"] == 258 == brute_force_max_codegree(g)
+        # X1 caps the degree at Delta + Delta^(2/3) > 290; X3's threshold is Delta
+        for Delta, x3 in ((258.0, 260), (259.0, 0)):
+            pruned, rep = prune(g, self.empty_ik(body), Delta, 1.0, np.random.default_rng(0), 500)
+            assert (rep.removed_x1, rep.removed_x2, rep.removed_x3, pruned.n) == (0, 0, x3, 260 - x3)
+
+    def test_x3_marks_the_live_end_of_a_removed_vertex_pair(self):
+        # vertex 0 has 14 neighbors, past X1's cap 8 + 4; vertex 1 shares 5 of
+        # them, at least t = 0.5 * 8.  B's rows hold vertex 1 alone, and it
+        # marks itself from the pair (1, 0)
+        edges = [(0, v) for v in range(2, 16)] + [(1, v) for v in range(2, 7)]
+        codes = np.sort([i * 16 + j for i, j in edges])
+        pts = np.arange(16.0)[:, None] * [1.0, 0.0]
+        g = PackingGraph.from_pairs(pts, (codes, np.ones(len(codes))), TorusDomain(2, 100.0))
+        pruned, rep = prune(g, self.empty_ik(lp_ball(2, 2, scale=1.0)), 8.0, 0.5, np.random.default_rng(0), 500)
+        assert (rep.removed_x1, rep.removed_x2, rep.removed_x3) == (1, 0, 1)
+        assert pruned.points[:, 0].tolist() == list(range(2, 16))
+
     def _setup(self, seed=0, Delta=30.0, delta=0.95):
         dom = TorusDomain(2, 20.0)
         body = lp_ball(2, 2, scale=1.0)
@@ -820,14 +876,20 @@ class TestEdgeGauges:
     def test_from_pairs_with_gauges(self):
         pts, dom = np.zeros((4, 2)), TorusDomain(2, 10.0)
         pairs = np.array([[0, 1], [0, 3], [2, 3]])
-        g = PackingGraph.from_pairs(pts, pairs, dom, np.array([0.0, 1.5, 0.5]))
+        g = PackingGraph.from_pairs(pts, (pairs[:, 0] * 4 + pairs[:, 1], np.array([0.0, 1.5, 0.5])), dom)
         TestFromPairs.assert_same_csr(g.adj, adjacency_reference(4, pairs))
+        assert g.adj.dtype == np.int8 and g.adj.data.nbytes == 6
         assert g.edge_gauges.toarray()[0].tolist() == [0.0, 0.0, 0.0, 1.5]
         assert g.edge_gauges.nnz == 3  # the gauge-0 entry stays explicit
         # U is built from the pairs as they stand, so they must come in (i, j) order
-        for bad in ([[1, 0]], [[0, 1], [0, 1]], [[1, 1]], [[2, 3], [0, 1], [0, 3]], [[0, 3], [0, 1]]):
+        for bad in ([[1, 0]], [[0, 1], [0, 1]], [[1, 1]], [[2, 3], [0, 1], [0, 3]], [[0, 3], [0, 1]], [[3, 3]]):
+            bad = np.array(bad)
             with pytest.raises(ValueError, match="distinct with i < j"):
-                PackingGraph.from_pairs(pts, bad, dom, np.ones(len(bad)))
+                PackingGraph.from_pairs(pts, (bad[:, 0] * 4 + bad[:, 1], np.ones(len(bad))), dom)
+        # codes outside [0, n^2) name no pair of the points
+        for bad in ([-1], [16], [1, 2, 3, 16]):
+            with pytest.raises(ValueError, match="distinct with i < j"):
+                PackingGraph.from_pairs(pts, (np.array(bad), np.ones(len(bad))), dom)
 
     @pytest.mark.parametrize(
         "body",
@@ -889,8 +951,8 @@ class TestTorusPairs:
             pts = self.points(d, L, r, seed=d + int(p if math.isfinite(p) else 9))
             got = packing.torus_pairs(pts, L, r, p)
             want = periodic_query_reference(pts, L, r, p)
-            assert got.dtype == np.int64 and np.array_equal(got, want)
-            assert len(np.unique(got[:, 0] * len(pts) + got[:, 1])) == len(got)
+            assert got.dtype == np.int64 and np.array_equal(decoded(got, len(pts)), want)
+            assert (np.diff(got) > 0).all()
 
     @pytest.mark.parametrize("slab", ["low", "high"])
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
@@ -900,7 +962,7 @@ class TestTorusPairs:
         for r in (0.5, 1.75, np.nextafter(L / 2, 0.0)):
             pts = self.points(d, L, r, seed=d)
             pts[:, 0] = pts[:, 0] / 2 + (L / 2 if slab == "high" else 0.0)
-            got = packing.torus_pairs(pts, L, r, p)
+            got = decoded(packing.torus_pairs(pts, L, r, p), len(pts))
             assert np.array_equal(got, periodic_query_reference(pts, L, r, p)) and len(got) > 0
 
     def test_pairs_across_several_faces(self):
@@ -908,7 +970,7 @@ class TestTorusPairs:
         # (1, 3) axes 1 and 2: each pair comes once, from its first axis
         L, r = 10.0, 1.0
         pts = np.array([[0.25, 0.25, 0.25], [9.75, 0.25, 0.25], [9.75, 9.75, 0.25], [9.75, 9.75, 9.75]])
-        got = packing.torus_pairs(pts, L, r)
+        got = decoded(packing.torus_pairs(pts, L, r), len(pts))
         assert got.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
         assert np.array_equal(got, periodic_query_reference(pts, L, r))
 
@@ -916,20 +978,20 @@ class TestTorusPairs:
         # x = L - r and x = 0 are exactly r apart around the torus (dyadic values)
         L, r = 8.0, 1.75
         pts = np.array([[3.0, 6.25], [3.0, 0.0], [6.25, 5.0], [0.0, 5.0], [6.25, 1.0], [0.125, 1.0]])
-        got = packing.torus_pairs(pts, L, r)
+        got = decoded(packing.torus_pairs(pts, L, r), len(pts))
         assert got.tolist() == [[0, 1], [2, 3]]
         assert np.array_equal(got, periodic_query_reference(pts, L, r))
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_no_pairs(self, n):
-        assert packing.torus_pairs(np.zeros((n, 3)), 10.0, 1.0).shape == (0, 2)
+        assert packing.torus_pairs(np.zeros((n, 3)), 10.0, 1.0).shape == (0,)
 
     def test_radius_must_stay_below_half_the_side(self):
         pts = np.zeros((3, 2))
         for r in (5.0, 6.0):
             with pytest.raises(ValueError, match=r"radius .* 2 \* radius < L = 10"):
                 packing.torus_pairs(pts, 10.0, r)
-        assert packing.torus_pairs(pts, 10.0, np.nextafter(5.0, 0.0)).shape == (3, 2)
+        assert packing.torus_pairs(pts, 10.0, np.nextafter(5.0, 0.0)).tolist() == [1, 2, 5]
 
     @pytest.mark.parametrize(
         "body",
@@ -953,7 +1015,8 @@ class TestTorusPairs:
             pts = self.points(d, L, limit * R, seed=int(rng.integers(1 << 30)), n=n)
             # points just outside the box are accepted as well
             pts[:5] -= L
-            pairs, g = packing.pairs_within_gauge(pts, body, dom, limit)
+            codes, g = packing.pairs_within_gauge(pts, body, dom, limit)
+            pairs = decoded(codes, len(pts))
             want_pairs, want_g = periodic_pairs_reference(pts, body, dom, limit)
             assert np.array_equal(pairs, want_pairs) and np.array_equal(g, want_g)
             assert len(pairs) > 0
@@ -1058,14 +1121,14 @@ class TestInParts:
         assert np.array_equal(free, held) and len(free) > 0
 
     @staticmethod
-    def hot_codegrees_both_routes(g, t):
+    def hot_codegrees_both_routes(g, t, rows=None):
         """_hot_codegrees with a free token and with every token held, which
         must agree.  The graphs are tiny, so the row floor is lifted."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bodies, "MIN_SPLIT_ROWS", 0)
-            free = packing._hot_codegrees(g, t)
+            free = packing._hot_codegrees(g, t, rows)
         with all_core_tokens_held():
-            held = packing._hot_codegrees(g, t)
+            held = packing._hot_codegrees(g, t, rows)
         for a, b in zip(free, held):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         return free
@@ -1094,3 +1157,15 @@ class TestInParts:
         g = random_graph(seed)
         for t in (1.0, 3.0, 6.0):
             self.hot_codegrees_both_routes(g, t)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hot_codegrees_over_masked_rows(self, seed):
+        # B's rows at the mask's hot vertices: the whole product's entries in those rows
+        g = random_graph(seed)
+        mask = np.random.default_rng(seed).random(g.n) < 0.5
+        for t in (1.0, 3.0, 6.0):
+            hot, row, col, count = self.hot_codegrees_both_routes(g, t)
+            keep = mask[hot[row]]
+            got = self.hot_codegrees_both_routes(g, t, mask)
+            for a, b in zip(got, (hot, row[keep], col[keep], count[keep])):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
