@@ -123,8 +123,9 @@ class ConvexBody:
         if self.kind == "lp":
             g = _lp_norm(x, self.p)
         elif self.kind == "hpoly":
-            g = fold_columns(np.maximum, x @ self.normals.T / self.offsets)
-            g = np.maximum(g, 0.0)
+            w = x @ self.normals.T
+            g = fold_columns(np.maximum, np.divide(w, self.offsets, out=w))  # (rows, facets): one array
+            g = np.maximum(g, 0.0, out=g if g.ndim else None)
         else:  # simplex_diff
             w = x @ self.embedding_t
             g = fold_columns(np.add, np.abs(w, out=w))
@@ -278,22 +279,36 @@ GAUGE_CHUNK = 1 << 15
 CORE_TOKENS = threading.BoundedSemaphore(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
-# fewest input rows worth a worker thread: the pair query over the ~300
-# centers of default d = 2 took 0.6 ms on the caller and 1.3 ms in two parts
-MIN_SPLIT_ROWS = 1024
+# least work worth a worker thread, per caller of :func:`in_parts`.  Two busy
+# threads on the 2 vCPUs each run slower than one alone, so a split pays only
+# on large kernels.  Split against caller-only, medians of 9-15 alternating
+# calls timed together (2 cores, d = 3 unit-volume bodies):
+# - the pair query, by expected pairs: 0.45M 65 vs 61 ms, 1.0M 121 vs 110,
+#   1.2M 91 vs 91, 2.2M 151 vs 174, 3.4M 206 vs 282, 4.9M 309 vs 401,
+#   8.6M 574 vs 751, 13.5M 735 vs 988;
+# - the codegree product, by B's nonzeros: at mean degree 30, 0.15M 28 vs
+#   25 ms, 0.4M 96 vs 91, 0.8M 293 vs 287; at 300, 0.25M 53 vs 52, 0.5M 113
+#   vs 164, 1.2M 516 vs 881; at 1000, 0.25M 26 vs 38, 0.5M 76 vs 125, 2M 680
+#   vs 1097;
+# - mc_volume, by the second part's doubles: 22k-52k lost in every run (lp3,
+#   2.2 vs 1.8 ms); 0.1-0.2M won in one run (lp3, 5.6 vs 7.3) and lost in
+#   another (11.6 vs 10.5); 5.9M 101 vs 188 (lp3) and 210 vs 367 (hpoly).
+SPLIT_PAIRS = 2_000_000  # expected pairs of a torus_pairs query
+SPLIT_NONZEROS = 500_000  # nonzeros of B in the hot-row codegree product
+SPLIT_DOUBLES = 100_000  # doubles that mc_volume's second part draws
 
 
-def in_parts(rows: int, first, second) -> list:
+def in_parts(work: float, crossover: float, first, second) -> list:
     """[first(), second()], with ``second`` on a worker thread that holds a
     borrowed core token until it ends, or here after ``first`` when the
-    input has fewer than :data:`MIN_SPLIT_ROWS` ``rows`` or no token is
-    free.
+    ``work`` the caller is about to do is below its ``crossover`` or no
+    token is free.
 
     The parts should spend their time in code that releases the
     interpreter lock.  An exception from either part propagates once both
     have ended.
     """
-    if rows < MIN_SPLIT_ROWS or not CORE_TOKENS.acquire(blocking=False):
+    if work < crossover or not CORE_TOKENS.acquire(blocking=False):
         return [first(), second()]
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:

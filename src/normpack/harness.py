@@ -235,7 +235,8 @@ def _run_stages(config: ExperimentConfig) -> PipelineRun:
         timings,
         lambda: sample_poisson(domain, config.Delta, child_rng(seed, "poisson")),
     )
-    graph = _stage("build_graph", timings, lambda: build_graph(points, body, domain))
+    # the build keeps X2's candidates, the edges within gauge 2 g_ik, for prune
+    graph = _stage("build_graph", timings, lambda: build_graph(points, body, domain, 2.0 * ik.gauge_radius))
     pruned, report = _stage(
         "prune",
         timings,

@@ -18,25 +18,27 @@ the graph.  By construction the surviving graph satisfies both the
 degree and the codegree bound; tests re-verify this by brute force.
 
 The pair queries and the hot-row codegree product run in scipy code that
-releases the interpreter lock.  Each runs in two parts (``bodies.in_parts``):
-when the input has at least ``bodies.MIN_SPLIT_ROWS`` rows and one of the
-core tokens, one per core, is free, one part runs on a worker thread;
-otherwise both run on the caller, one after the other.  A pipeline run holds
-one token, so two sweep workers on two cores start no more threads.  The
-arrays are the same either way.
+releases the interpreter lock.  Each passes the work it is about to do to
+``bodies.in_parts``: the query its expected pair count, the product the
+nonzeros of its rows.  From the caller's crossover (``SPLIT_PAIRS``,
+``SPLIT_NONZEROS``), and when one of the core tokens, one per core, is
+free, one part runs on a worker thread; otherwise both run on the caller,
+one after the other, and below its crossover the product runs as one.  A
+pipeline run holds one token, so two sweep workers on two cores start no
+more threads.  The arrays are the same either way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .bodies import GAUGE_CHUNK, MIN_SPLIT_ROWS, ConvexBody, in_parts
+from .bodies import GAUGE_CHUNK, SPLIT_NONZEROS, SPLIT_PAIRS, ConvexBody, in_parts
 from .volumetrics import IkProfile, OverlapClassifier
 
 POINT_CAP = 2_000_000
@@ -108,43 +110,34 @@ class PackingGraph:
     """Intersection graph over a point set, stored as a CSR adjacency.
 
     ``adj`` is symmetric with sorted indices, no diagonal and 1-byte unit
-    data (int8): 5 bytes per entry, 10 per edge.  Products that count
-    (:func:`_hot_codegrees`) cast it wider first.
-    ``edge_gauges`` (U) is the upper triangle of the same pattern, built
-    straight from the build's pair codes, which come sorted: entry
-    (i, j), i < j, holds the gauge of the edge's minimal-image difference,
-    as an explicit entry even when it is 0 (coincident points).  It is None
-    on subgraphs and on graphs made straight from an adjacency.  U costs
-    12 bytes per edge (a float64 gauge and an int32 column), so a built
-    graph keeps about 22 bytes per edge; one symmetric
-    adjacency that held the gauges instead measured worse on the
-    exact_d3_large benchmark (2 cores, 10 alternating pairs): wall time
-    0.0936 -> 0.1000 s (+6.8%, slower in 9 of 10) and peak RSS
-    110.7 -> 120.0 MiB (+8.4%, higher in 10 of 10).  The pipeline reads
-    the CSR arrays; ``neighbors`` is kept for readers outside it.
+    data (int8): 5 bytes per entry, so the graph keeps about 10 bytes per
+    edge.  Products that count (:func:`_hot_codegrees`) cast it wider
+    first.  A built graph also carries ``near_codes``: the sorted codes
+    i n + j of its edges at gauge at most ``near_gauge``, X2's candidates,
+    which :func:`build_graph` picks out in its gauge pass (8 bytes per
+    such edge, a small share of them).  Both are None on graphs made any
+    other way.  The pipeline reads the CSR arrays; ``neighbors`` is kept
+    for readers outside it.
     """
 
     points: np.ndarray
     adj: sp.csr_matrix
     domain: TorusDomain
-    edge_gauges: sp.csr_matrix | None = None
+    near_gauge: float | None = None
+    near_codes: np.ndarray | None = None
 
     @classmethod
-    def from_pairs(cls, points, pairs: tuple, domain: TorusDomain) -> "PackingGraph":
-        """Graph on the n ``points`` from ``pairs`` = (codes, gauges), as
-        :func:`pairs_within_gauge` returns them: the edges (i, j) as codes
-        i n + j, and one gauge per edge.
+    def from_pairs(cls, points, codes: np.ndarray, domain: TorusDomain) -> "PackingGraph":
+        """Graph on the n ``points`` from the edges (i, j) as codes i n + j,
+        as :func:`torus_pairs` and :func:`pairs_within_gauge` give them.
 
         The codes must lie in [0, n^2) and strictly increase, so that the
         pairs are distinct and in (i, j) order, and each must have i < j:
-        U takes its rows and columns from them as they stand, and the
-        gauges become ``edge_gauges``.  The codes are let go once U's
-        columns are made; a caller that passes the tuple in without keeping
-        it, as :func:`build_graph` does, frees them before ``adj`` is
+        the upper triangle takes its rows and columns from them as they
+        stand.  They are let go once its columns are made; a caller that
+        passes them in without keeping them frees them before ``adj`` is
         assembled.
         """
-        codes, gauges = pairs
-        del pairs  # then this frame holds the caller's only reference to the codes
         codes = np.asarray(codes, dtype=np.int64).reshape(-1)
         n, m = len(points), len(codes)
         if m and not (codes[0] >= 0 and codes[-1] < n * n and (codes[1:] > codes[:-1]).all()):
@@ -158,11 +151,9 @@ class PackingGraph:
         starts, filled = indptr[:-1], np.flatnonzero(np.diff(indptr))
         if not (indices[starts[filled]] > filled).all():
             raise ValueError("pairs must be distinct with i < j, in (i, j) order")
-        upper = sp.csr_matrix((np.asarray(gauges, dtype=float), indices, indptr), shape=(n, n))
-        # the pattern with unit data: sparse + would drop U's explicit zeros;
         # the two triangles share no entry, so the sum's data stays 1
         half = sp.csr_matrix((np.ones(m, dtype=np.int8), indices, indptr), shape=(n, n))
-        return cls(points=points, adj=half + half.T, domain=domain, edge_gauges=upper)
+        return cls(points=points, adj=half + half.T, domain=domain)
 
     @property
     def n(self) -> int:
@@ -189,6 +180,14 @@ class PackingGraph:
         return PackingGraph(points=self.points[keep], adj=adj, domain=self.domain)
 
 
+def expected_pairs(n: int, d: int, L: float, radius: float, p: float = 2.0) -> float:
+    """Mean count of the pairs among n uniform points on the torus [0, L)^d
+    within Minkowski p-distance ``radius`` < L/2: n (n - 1) / 2 times the
+    share of the torus that the lp ball of that radius fills."""
+    ball = math.exp(d * math.log(2.0) + d * math.lgamma(1.0 + 1.0 / p) - math.lgamma(1.0 + d / p))
+    return 0.5 * n * (n - 1) * ball * (radius / L) ** d
+
+
 def torus_pairs(wrapped: np.ndarray, L: float, radius: float, p: float = 2.0) -> np.ndarray:
     """The sorted int64 codes i n + j of the pairs i < j of the n rows of
     ``wrapped`` (points in [0, L)^d) within Minkowski p-distance ``radius``
@@ -208,8 +207,11 @@ def torus_pairs(wrapped: np.ndarray, L: float, radius: float, p: float = 2.0) ->
     axis k not periodic and the others periodic, finds those pairs.  A
     pair is kept at the first axis it crosses: band k drops it when its
     direct difference exceeds L/2 on an earlier axis.  So no pair is found
-    twice.  The queries run in two parts (:func:`in_parts`): one slab with
-    the odd face bands, the other with the cut and the even ones.
+    twice.  The queries run in two parts (:func:`in_parts`), one slab with
+    the odd face bands, the other with the cut and the even ones, split
+    from :data:`SPLIT_PAIRS` expected pairs (:func:`expected_pairs`).
+    Below that both run here, one after the other: one query over the
+    whole box would hold a transient buffer twice as large.
     """
     if not 2.0 * radius < L:
         raise ValueError(f"pair radius {radius:.9g} needs 2 * radius < L = {L:.9g}")
@@ -248,7 +250,8 @@ def torus_pairs(wrapped: np.ndarray, L: float, radius: float, p: float = 2.0) ->
         return across(np.flatnonzero(low & near), np.flatnonzero(~low & near))
 
     parts = in_parts(
-        n,
+        expected_pairs(n, d, L, radius, p),
+        SPLIT_PAIRS,
         lambda: [direct(np.flatnonzero(~low)), *map(face, range(1, d, 2))],
         lambda: [direct(np.flatnonzero(low)), cut(), *map(face, range(0, d, 2))],
     )
@@ -301,33 +304,45 @@ def edges_within_gauge(graph: PackingGraph, body: ConvexBody, gauge_limit: float
     order, whose minimal-image difference has gauge at most
     ``gauge_limit``.
 
-    Up to gauge 2 these are edges, read off the build's ``edge_gauges``
-    (CSR rows come in (i, j) order); beyond it :func:`pairs_within_gauge`
-    finds them.
+    At the graph's ``near_gauge`` these are its ``near_codes``, which the
+    build picked out under the same body; at any other limit
+    :func:`pairs_within_gauge` finds them.
     """
-    if gauge_limit > 2.0:
-        return np.divmod(pairs_within_gauge(graph.points, body, graph.domain, gauge_limit)[0], graph.n)
-    U = graph.edge_gauges
-    if U is None:
-        raise ValueError("the graph carries no edge gauges: build it with build_graph")
-    at = np.flatnonzero(U.data <= gauge_limit)
-    rows = np.searchsorted(U.indptr, at, side="right") - 1
-    return rows, U.indices[at].astype(np.int64)
+    if graph.near_codes is not None and graph.near_gauge == gauge_limit:
+        codes = graph.near_codes
+    else:
+        codes = pairs_within_gauge(graph.points, body, graph.domain, gauge_limit)[0]
+    return np.divmod(codes, graph.n)
 
 
-def build_graph(points: np.ndarray, body: ConvexBody, domain: TorusDomain) -> PackingGraph:
+def build_graph(
+    points: np.ndarray, body: ConvexBody, domain: TorusDomain, near_gauge: float | None = None
+) -> PackingGraph:
     """Intersection graph on the (n, d) ``points``: edge iff
     gauge(min image(x - y)) <= 2.
 
-    Edges are the torus pairs within gauge 2, in (i, j) order; the graph
-    is stored as a CSR adjacency and keeps their gauges as
-    ``edge_gauges``.  Its peak is about 28 traced bytes per edge, and the
-    graph keeps about 22 (:class:`PackingGraph`).
+    Edges are the torus pairs within gauge 2, in (i, j) order, and the
+    graph is stored as a CSR adjacency (:class:`PackingGraph`).  With a
+    ``near_gauge`` of at most 2, the gauge pass also keeps the codes of the
+    edges within it as the graph's ``near_codes``: prune reads X2's
+    candidates there at 2 g_ik.  The graph keeps about 10 bytes per edge,
+    and the build's traced peak is about 20: the codes (8) are freed once
+    the upper triangle's columns (4) are made, and ``adj`` (10) is summed
+    from that triangle and its transpose (5 and 5).
     """
     domain.validate_for_body(body)
     pts = np.asarray(points, dtype=float)
-    # the query's result goes straight in, so from_pairs frees its codes
-    return PackingGraph.from_pairs(pts, pairs_within_gauge(pts, body, domain, 2.0), domain)
+    codes, gauges = pairs_within_gauge(pts, body, domain, 2.0)
+    if near_gauge is not None and near_gauge > 2.0:
+        near_gauge = None  # pairs beyond gauge 2 are not edges
+    near = None if near_gauge is None else codes[gauges <= near_gauge]
+    del gauges
+    # hand the codes over with no reference left here, so that from_pairs
+    # frees them before adj is assembled
+    handoff = [codes]
+    del codes
+    graph = PackingGraph.from_pairs(pts, handoff.pop(), domain)
+    return replace(graph, near_gauge=near_gauge, near_codes=near)
 
 
 @dataclass(frozen=True)
@@ -435,10 +450,10 @@ def _hot_codegrees(
     pairs with a row end in B.  The product still sums over every vertex,
     so each count is exact; A^2 over all rows is never formed.  The 1-byte
     adjacency is cast to int32 first: a count is at most n, below 2^31.
-    From :data:`MIN_SPLIT_ROWS` rows of B on it runs as two blocks of
-    those rows (:func:`in_parts`); each block's rows are those of the whole
-    product, and their entries are joined end to end.  Fewer rows take one
-    product, as both blocks would run on the caller.
+    From :data:`SPLIT_NONZEROS` nonzeros of B on it runs as two blocks of
+    B's rows (:func:`in_parts`); each block's rows are those of the whole
+    product, and their entries are joined end to end.  Fewer nonzeros take
+    one product on the caller.
     """
     hot = np.flatnonzero(graph.degree() >= t)
     H = graph.adj[hot].astype(np.int32)
@@ -446,8 +461,11 @@ def _hot_codegrees(
     at = np.arange(len(hot)) if rows is None else np.flatnonzero(rows[hot])
     B = H if rows is None else H[at]
     del H  # a masked product keeps only its own rows
-    m = len(at) // 2
-    blocks = [B @ HT] if len(at) < MIN_SPLIT_ROWS else in_parts(len(at), lambda: B[:m] @ HT, lambda: B[m:] @ HT)
+    if B.nnz < SPLIT_NONZEROS:  # both blocks would run here: one product
+        blocks = [B @ HT]
+    else:
+        m = len(at) // 2
+        blocks = in_parts(B.nnz, SPLIT_NONZEROS, lambda: B[:m] @ HT, lambda: B[m:] @ HT)
     row = np.repeat(at, np.concatenate([np.diff(C.indptr) for C in blocks]))
     return hot, row, np.concatenate([C.indices for C in blocks]), np.concatenate([C.data for C in blocks])
 

@@ -19,6 +19,7 @@ from scipy.special import betainc, gammainc, gammaln
 
 from .bodies import (
     GAUGE_CHUNK,
+    SPLIT_DOUBLES,
     ConvexBody,
     ball_volume,
     closed_form_volume,
@@ -74,8 +75,8 @@ def mc_volume(body: ConvexBody, samples: int, rng: np.random.Generator) -> McEst
     rest = samples - first
     later = copy.deepcopy(rng)
     skip_doubles(later, first * body.d)
-    # the input a worker would take is the second part's rows
-    count = sum(in_parts(rest, lambda: hits(rng, first), lambda: hits(later, rest)))
+    # the work a worker would take is the second part's draws
+    count = sum(in_parts(rest * body.d, SPLIT_DOUBLES, lambda: hits(rng, first), lambda: hits(later, rest)))
     skip_doubles(rng, rest * body.d)
     return McEstimate.hit_fraction(float(np.prod(2.0 * half)), count, samples)
 

@@ -3,19 +3,23 @@ A @ A codegrees and exhaustive independent sets, independent of the
 KD-tree, codegree and local-search paths; plus the plain first versions of
 the minimal image, the CSR build, the independence test, the periodic
 KD-tree pair query and the local search, and a per-vertex loop of the
-local-minimum rounds, which the array code must match exactly; and two
-probes of the core tokens that split kernels borrow."""
+local-minimum rounds, which the array code must match exactly; two
+probes of the core tokens that split kernels borrow, and a switch of the
+work crossovers at which they split."""
 
 from __future__ import annotations
 
 import contextlib
 import itertools
 import math
+import threading
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
+from normpack import bodies, packing, volumetrics
 from normpack.bodies import CORE_TOKENS, ConvexBody
 from normpack.packing import PackingGraph, TorusDomain
 
@@ -27,6 +31,24 @@ def all_core_tokens_held():
         while CORE_TOKENS.acquire(blocking=False):
             stack.callback(CORE_TOKENS.release)
         yield
+
+
+@contextlib.contextmanager
+def crossovers_at(value: float):
+    """Every :func:`in_parts` crossover set to ``value``: 0 splits each kernel
+    whenever a core token is free, inf runs every part on the caller.
+    Yields the list of the threads that second parts ran on."""
+    seconds = []
+
+    def in_parts(work, crossover, first, second):
+        return bodies.in_parts(work, crossover, first, lambda: seconds.append(threading.get_ident()) or second())
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((packing, "SPLIT_PAIRS"), (packing, "SPLIT_NONZEROS"), (volumetrics, "SPLIT_DOUBLES")):
+            mp.setattr(module, name, value)
+        for module in (packing, volumetrics):
+            mp.setattr(module, "in_parts", in_parts)
+        yield seconds
 
 
 def free_core_tokens() -> int:

@@ -101,6 +101,22 @@ class TestGauge:
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), body.describe()
 
+    @pytest.mark.parametrize("extra", [0, 1, 2, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_hpoly_equals_reduction(self, d, extra):
+        # 2 (d + extra) facets: the facet values are divided in place and
+        # folded column by column (up to 7) or reduced by numpy; the
+        # reference divides into a new array and reduces
+        rng = np.random.default_rng(10 * d + extra)
+        body = random_symmetric_hpolytope(rng, d, d + extra).scaled(0.7)
+        x = rng.standard_normal((2000, d)) * rng.uniform(1e-3, 1e3, size=(2000, 1))
+        x[:20] = 0.0
+        for v in (x, np.asfortranarray(x), x.reshape(40, 50, d), x[25], x[3]):
+            want = np.maximum(np.maximum.reduce(v @ body.normals.T / body.offsets, axis=-1), 0.0) / 0.7
+            got = np.asarray(body.gauge(v))
+            assert got.shape == np.shape(want)
+            assert np.array_equal(got.view(np.int64), np.asarray(want).view(np.int64))
+
 
 class TestSupport:
     def test_ball_homogeneity(self):

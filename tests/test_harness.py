@@ -25,7 +25,8 @@ from normpack.harness import (
 )
 from normpack.indset import import_packing, verify_packing
 import normpack.harness as harness
-from normpack.packing import QUERY_SLACK, TorusDomain, build_graph
+import normpack.packing as packing
+from normpack.packing import QUERY_SLACK, TorusDomain, build_graph, pairs_within_gauge
 from graph_oracles import free_core_tokens
 from polytope_oracles import criterion4_hpolytope
 
@@ -188,8 +189,7 @@ class TestRunPipeline:
 
     def test_exact_d3_large_config_removes_x3(self):
         # the benchmark's exact_d3_large config at seed 1, about 30k points,
-        # whose hot-row product runs in two row blocks (MIN_SPLIT_ROWS): CI
-        # compares its record on every core and on one
+        # whose X3 product has about 0.12M nonzeros in B
         rec = run_pipeline(replace(default_config(3), L=20.0))
         assert rec.prune_report["removed_x3"] > 0
 
@@ -300,6 +300,20 @@ class TestSweep:
         monkeypatch.setattr(harness, "build_graph", spy)
         run_pipeline(default_config(2, seed=3))
         assert free == [len(os.sched_getaffinity(0)) - 1]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_prune_reads_the_x2_codes_of_the_build(self, monkeypatch, d):
+        # 2 g_ik < 2 for the unit ball: the build's gauge pass keeps X2's
+        # pairs, so the run's one pair query in packing is the build's
+        limits = []
+
+        def spy(points, body, domain, gauge_limit):
+            limits.append(gauge_limit)
+            return pairs_within_gauge(points, body, domain, gauge_limit)
+
+        monkeypatch.setattr(packing, "pairs_within_gauge", spy)
+        run = run_stages(default_config(d, seed=3))
+        assert limits == [2.0] and run.record.prune_report["removed_x2"] > 0
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, workers):

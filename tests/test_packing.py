@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normpack.bodies as bodies
-from normpack.bodies import MIN_SPLIT_ROWS, cube, hpolytope, lp_ball, normalize_to_unit_volume
+from normpack.bodies import body_from_spec, cube, hpolytope, lp_ball, normalize_to_unit_volume
+from normpack.harness import default_config, run_pipeline
 from normpack.indset import verify_packing
 import normpack.packing as packing
 from normpack.packing import (
@@ -29,6 +30,7 @@ from normpack.volumetrics import IkProfile, McEstimate, OverlapClassifier, estim
 from graph_oracles import (
     adjacency_reference,
     all_core_tokens_held,
+    crossovers_at,
     brute_force_graph,
     brute_force_max_codegree,
     free_core_tokens,
@@ -193,39 +195,39 @@ class TestFromPairs:
             j = (i + rng.integers(1, n + 1, size=m)) % n if n > 1 else i
             codes = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
             codes = codes[codes // n < codes % n]
-            pairs = decoded(codes, n)
-            gauges = rng.uniform(0.0, 2.0, size=len(pairs))
-            g = PackingGraph.from_pairs(np.zeros((n, 2)), (codes, gauges), TorusDomain(2, 10.0))
-            self.assert_same_csr(g.adj, adjacency_reference(n, pairs))
-            assert g.edge_gauges[pairs[:, 0], pairs[:, 1]].tolist() == [gauges.tolist()]
+            g = PackingGraph.from_pairs(np.zeros((n, 2)), codes, TorusDomain(2, 10.0))
+            self.assert_same_csr(g.adj, adjacency_reference(n, decoded(codes, n)))
+            assert g.near_gauge is None and g.near_codes is None
 
     @pytest.mark.parametrize("n", [0, 5])
     def test_empty(self, n):
         for codes in ([], np.empty(0, dtype=np.int64)):
-            g = PackingGraph.from_pairs(np.zeros((n, 2)), (codes, []), TorusDomain(2, 10.0))
+            g = PackingGraph.from_pairs(np.zeros((n, 2)), codes, TorusDomain(2, 10.0))
             self.assert_same_csr(g.adj, adjacency_reference(n, []))
-            assert g.edge_count() == 0 and g.edge_gauges.nnz == 0
+            assert g.edge_count() == 0
 
 
 class TestBuildGraph:
     @pytest.mark.parametrize("held", [False, True], ids=["split", "inline"])
     def test_traced_bytes_per_edge(self, held):
-        # d = 3, L = 6, Delta = 300: about 8,000 points and 1.2M edges.  No
-        # (m, 2) pair array is formed, the pair codes are freed before adj is
-        # assembled, and adj's data is 1 byte: about 28 traced bytes per edge
-        # at the peak and 22 kept
+        # d = 3, L = 6, Delta = 300: about 8,000 points and 1.2M edges, below
+        # the pair query's crossover, so "split" lowers it.  No (m, 2) pair
+        # array is formed, the pair codes are freed before adj is assembled,
+        # adj's data is 1 byte and no per-edge gauge is kept: about 20 traced
+        # bytes per edge at the peak and 10 kept, with X2's few codes
         dom, body = TorusDomain(3, 6.0), normalize_to_unit_volume(lp_ball(3, 2))
         pts = sample_poisson(dom, 300.0, np.random.default_rng(1))
-        with all_core_tokens_held() if held else contextlib.nullcontext():
+        near = 2.0 * ik_gauge_radius(body, 0.95)
+        with all_core_tokens_held() if held else crossovers_at(0.0):
             tracemalloc.start()
             try:
-                g = build_graph(pts, body, dom)
+                g = build_graph(pts, body, dom, near)
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         m = g.edge_count()
-        assert m > 1_000_000
-        assert peak <= 32 * m and kept <= 24 * m
+        assert m > 1_000_000 and len(g.near_codes) > 0
+        assert peak <= 22 * m and kept <= 11 * m
 
     def test_two_touching_points(self):
         dom = TorusDomain(2, 20.0)
@@ -406,7 +408,7 @@ class TestPrune:
         edges = [(0, v) for v in range(2, 16)] + [(1, v) for v in range(2, 7)]
         codes = np.sort([i * 16 + j for i, j in edges])
         pts = np.arange(16.0)[:, None] * [1.0, 0.0]
-        g = PackingGraph.from_pairs(pts, (codes, np.ones(len(codes))), TorusDomain(2, 100.0))
+        g = PackingGraph.from_pairs(pts, codes, TorusDomain(2, 100.0))
         pruned, rep = prune(g, self.empty_ik(lp_ball(2, 2, scale=1.0)), 8.0, 0.5, np.random.default_rng(0), 500)
         assert (rep.removed_x1, rep.removed_x2, rep.removed_x3) == (1, 0, 1)
         assert pruned.points[:, 0].tolist() == list(range(2, 16))
@@ -417,7 +419,7 @@ class TestPrune:
         rng = np.random.default_rng(seed)
         ik = estimate_ik(body, delta, 20_000, 500, rng)
         ps = sample_poisson(dom, Delta, rng)
-        g = build_graph(ps, body, dom)
+        g = build_graph(ps, body, dom, 2.0 * ik.gauge_radius)  # X2's pairs kept, as in the pipeline
         return dom, body, rng, ik, g, Delta
 
     def test_empty_graph(self):
@@ -774,7 +776,7 @@ class TestCodegreePairs:
         assert degree_codegree_stats(g) == want
 
     def test_graph_keeps_no_product_state(self):
-        assert [f.name for f in dataclasses.fields(PackingGraph)] == ["points", "adj", "domain", "edge_gauges"]
+        assert [f.name for f in dataclasses.fields(PackingGraph)] == ["points", "adj", "domain", "near_gauge", "near_codes"]
 
 
 class TestCodegreePairsInline(TestCodegreePairs):
@@ -788,8 +790,9 @@ class TestCodegreePairsInline(TestCodegreePairs):
 
 
 class TestEdgeGauges:
-    """X2 reads its candidate pairs off the build's edge gauges; the oracle
-    is X2's former KD-tree query at 2 g_ik, sorted by (i, j)."""
+    """X2 reads its candidate pairs off the codes that the build's gauge pass
+    keeps at the graph's near gauge, and any other limit queries them; the
+    oracle is X2's first KD-tree query, sorted by (i, j)."""
 
     @staticmethod
     def points(body, seed, n=1500, mean_degree=30.0, duplicates=25):
@@ -813,12 +816,28 @@ class TestEdgeGauges:
     def test_l2_and_cube_match_query(self, d, p):
         body = normalize_to_unit_volume(lp_ball(d, p))
         dom, pts = self.points(body, seed=10 * d + int(math.isinf(p)))
-        g = build_graph(pts, body, dom)
         limit = 2.0 * ik_gauge_radius(body, 0.95)
         assert 0.0 < limit < 2.0
+        g = build_graph(pts, body, dom, limit)
+        assert g.near_gauge == limit
         for lim in (limit, 0.5, 1.0, 2.0, 2.5):
             self.assert_matches_reference(g, body, lim)
         assert len(packing.edges_within_gauge(g, body, limit)[0]) >= 25
+
+    @pytest.mark.parametrize(
+        "d,p", [(2, 2.0), (3, 2.0), (2, 3.0), (3, 3.0)], ids=["l2-d2", "l2-d3", "lp3-d2", "lp3-d3"]
+    )
+    def test_build_keeps_the_x2_query(self, d, p):
+        # the default config's points and X2 limit 2 g_ik, for l2 and lp3
+        cfg = dataclasses.replace(default_config(d), body={"kind": "lp", "d": d, "p": p, "scale": 1.0})
+        body = normalize_to_unit_volume(body_from_spec(cfg.body))
+        dom = TorusDomain(d, cfg.L)
+        pts = sample_poisson(dom, cfg.Delta, np.random.default_rng(cfg.seed))
+        limit = 2.0 * ik_gauge_radius(body, cfg.ik_delta)
+        g = build_graph(pts, body, dom, limit)
+        want = packing.pairs_within_gauge(pts, body, dom, limit)[0]
+        assert g.near_gauge == limit and g.near_codes.dtype == np.int64 and len(want) > 0
+        assert np.array_equal(g.near_codes, want)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_other_bodies_match_query(self, seed):
@@ -826,20 +845,20 @@ class TestEdgeGauges:
         for body in bodies:
             body = normalize_to_unit_volume(body)
             dom, pts = self.points(body, seed=100 + seed, n=600)
-            g = build_graph(pts, body, dom)
-            for lim in (0.3, 1.0, 2.0, 2.5):
-                self.assert_matches_reference(g, body, lim)
+            for near in (None, 0.3, 1.0, 2.0):
+                g = build_graph(pts, body, dom, near)
+                for lim in (0.3, 1.0, 2.0, 2.5):
+                    self.assert_matches_reference(g, body, lim)
 
     def test_coincident_points_keep_a_gauge_zero_edge(self):
         dom = TorusDomain(2, 20.0)
         body = lp_ball(2, 2)
         pts = np.array([[3.0, 3.0], [3.0, 3.0], [8.0, 8.0], [8.0, 8.0], [8.0, 8.5]])
-        g = build_graph(pts, body, dom)
-        U = g.edge_gauges
-        assert g.edge_count() == U.nnz == 4
-        assert U.indices[U.indptr[0] : U.indptr[1]].tolist() == [1]
-        assert U.data[U.indptr[0] : U.indptr[1]].tolist() == [0.0]
+        g = build_graph(pts, body, dom, 0.1)
+        assert g.edge_count() == 4
+        assert g.near_codes.tolist() == [0 * 5 + 1, 2 * 5 + 3]  # both gauge-0 edges
         assert g.neighbors[0].tolist() == [1] and g.neighbors[1].tolist() == [0]
+        assert build_graph(pts, body, dom, 0.0).near_codes.tolist() == [1, 13]
         rows, cols = packing.edges_within_gauge(g, body, 0.1)
         assert rows.tolist() == [0, 2] and cols.tolist() == [1, 3]
         self.assert_matches_reference(g, body, 0.1)
@@ -856,40 +875,49 @@ class TestEdgeGauges:
         dom = TorusDomain(2, 20.0)
         base = np.array([[4.0, 4.0], [10.0, 4.0], [19.75, 12.0]])  # the last wraps around
         pts = np.concatenate([base, (base + np.array(diffs)) % dom.L])
-        g = build_graph(pts, body, dom)
-        assert np.all(g.edge_gauges.data == 1.0)
+        below = np.nextafter(1.0, 0.0)
+        g = build_graph(pts, body, dom, 1.0)
+        assert g.edge_count() == 3 and g.near_codes.tolist() == [0 * 6 + 3, 1 * 6 + 4, 2 * 6 + 5]
+        assert len(build_graph(pts, body, dom, below).near_codes) == 0
         rows, cols = packing.edges_within_gauge(g, body, 1.0)
         assert rows.tolist() == [0, 1, 2] and cols.tolist() == [3, 4, 5]
-        assert len(packing.edges_within_gauge(g, body, np.nextafter(1.0, 0.0))[0]) == 0
-        for lim in (1.0, np.nextafter(1.0, 0.0)):
+        assert len(packing.edges_within_gauge(g, body, below)[0]) == 0
+        for lim in (1.0, below):
             self.assert_matches_reference(g, body, lim)
 
     def test_graph_without_gauges(self):
+        # a graph with no codes kept, or kept at another gauge, answers from
+        # its points: graph_from_edges puts every point at the origin
         g = graph_from_edges(3, [(0, 1)])
-        assert g.edge_gauges is None
-        with pytest.raises(ValueError, match="edge gauges"):
-            packing.edges_within_gauge(g, lp_ball(2, 2), 1.0)
-        assert build_graph(np.zeros((2, 2)), lp_ball(2, 2), TorusDomain(2, 10.0)).subgraph(
-            np.array([True, True])
-        ).edge_gauges is None
+        assert g.near_codes is None
+        rows, cols = packing.edges_within_gauge(g, lp_ball(2, 2), 1.0)
+        assert rows.tolist() == [0, 0, 1] and cols.tolist() == [1, 2, 2]
+        built = build_graph(np.array([[0.0, 0.0], [0.0, 1.5], [5.0, 5.0]]), lp_ball(2, 2), TorusDomain(2, 10.0), 1.0)
+        assert built.near_codes.tolist() == [] and built.edge_count() == 1
+        rows, cols = packing.edges_within_gauge(built, lp_ball(2, 2), 2.0)
+        assert rows.tolist() == [0] and cols.tolist() == [1]
+        sub = built.subgraph(np.array([True, True, False]))
+        assert sub.near_gauge is None and sub.near_codes is None
+        # above gauge 2 the pairs are not edges: the build keeps none
+        assert build_graph(built.points, lp_ball(2, 2), built.domain, 2.5).near_codes is None
 
     def test_from_pairs_with_gauges(self):
+        # from_pairs takes the codes alone: the gauges stay with the build,
+        # whose gauge-0 edges test_coincident_points_keep_a_gauge_zero_edge covers
         pts, dom = np.zeros((4, 2)), TorusDomain(2, 10.0)
         pairs = np.array([[0, 1], [0, 3], [2, 3]])
-        g = PackingGraph.from_pairs(pts, (pairs[:, 0] * 4 + pairs[:, 1], np.array([0.0, 1.5, 0.5])), dom)
+        g = PackingGraph.from_pairs(pts, pairs[:, 0] * 4 + pairs[:, 1], dom)
         TestFromPairs.assert_same_csr(g.adj, adjacency_reference(4, pairs))
         assert g.adj.dtype == np.int8 and g.adj.data.nbytes == 6
-        assert g.edge_gauges.toarray()[0].tolist() == [0.0, 0.0, 0.0, 1.5]
-        assert g.edge_gauges.nnz == 3  # the gauge-0 entry stays explicit
-        # U is built from the pairs as they stand, so they must come in (i, j) order
+        # the upper triangle is built from the pairs as they stand, so they must come in (i, j) order
         for bad in ([[1, 0]], [[0, 1], [0, 1]], [[1, 1]], [[2, 3], [0, 1], [0, 3]], [[0, 3], [0, 1]], [[3, 3]]):
             bad = np.array(bad)
             with pytest.raises(ValueError, match="distinct with i < j"):
-                PackingGraph.from_pairs(pts, (bad[:, 0] * 4 + bad[:, 1], np.ones(len(bad))), dom)
+                PackingGraph.from_pairs(pts, bad[:, 0] * 4 + bad[:, 1], dom)
         # codes outside [0, n^2) name no pair of the points
         for bad in ([-1], [16], [1, 2, 3, 16]):
             with pytest.raises(ValueError, match="distinct with i < j"):
-                PackingGraph.from_pairs(pts, (np.array(bad), np.ones(len(bad))), dom)
+                PackingGraph.from_pairs(pts, np.array(bad), dom)
 
     @pytest.mark.parametrize(
         "body",
@@ -904,8 +932,8 @@ class TestEdgeGauges:
         pts[2:] = 3.0
         pts[3, 0] += 1.5 / body.gauge(np.eye(d)[0])  # gauge 1.5 apart
         dom = TorusDomain(d, 12.0)
-        g = build_graph(pts, body, dom)
         ik = IkProfile(body, 0.95, McEstimate(1e-3, 0.0, 1), 1.0, (1e-3, 1e-3), ik_gauge_radius(body, 0.95))
+        g = build_graph(pts, body, dom, 2.0 * ik.gauge_radius)
 
         def no_tree(*args, **kwargs):
             raise AssertionError("prune built a KD tree")
@@ -982,6 +1010,21 @@ class TestTorusPairs:
         assert got.tolist() == [[0, 1], [2, 3]]
         assert np.array_equal(got, periodic_query_reference(pts, L, r))
 
+    def test_expected_pairs(self):
+        # n (n - 1) / 2 times the ball's share of the torus: pi r^2 for l2 at
+        # d = 2, 2 r^2 for l1, (2 r)^2 for the cube, 4/3 pi r^3 for l2 at d = 3
+        n, L, r = 500, 10.0, 1.5
+        pairs = n * (n - 1) / 2
+        for d, p, ball in ((2, 2.0, math.pi * r**2), (2, 1.0, 2 * r**2), (2, math.inf, (2 * r) ** 2),
+                           (3, 2.0, 4 / 3 * math.pi * r**3), (1, 3.0, 2 * r)):
+            assert packing.expected_pairs(n, d, L, r, p) == pytest.approx(pairs * ball / L**d, rel=1e-12)
+        # and the mean count of the query over uniform points
+        rng = np.random.default_rng(7)
+        for d, p in ((2, 2.0), (3, 1.0), (3, math.inf)):
+            counts = [len(packing.torus_pairs(rng.uniform(0.0, L, size=(n, d)), L, 2.0 * r, p)) for _ in range(20)]
+            assert np.mean(counts) == pytest.approx(packing.expected_pairs(n, d, L, 2.0 * r, p), rel=0.05)
+        assert packing.expected_pairs(0, 3, L, r) == packing.expected_pairs(1, 3, L, r) == 0.0
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_no_pairs(self, n):
         assert packing.torus_pairs(np.zeros((n, 3)), 10.0, 1.0).shape == (0,)
@@ -1034,18 +1077,18 @@ class TestTorusPairsInline(TestTorusPairs):
 
 class TestInParts:
     """Kernels run in two parts, the second on a worker thread only with a
-    borrowed core token and at least MIN_SPLIT_ROWS input rows, else after
-    the first here; the arrays are the same."""
+    borrowed core token and work at or above the caller's crossover, else
+    after the first here; the arrays are the same."""
 
     @staticmethod
-    def threads_of_parts(rows=MIN_SPLIT_ROWS):
+    def threads_of_parts(work=1.0, crossover=1.0):
         """{part: thread it ran on} for the parts :func:`in_parts` ran."""
         ran = {}
 
         def part(name):
             return lambda: ran.setdefault(name, threading.get_ident()) and name
 
-        assert bodies.in_parts(rows, part("first"), part("second")) == ["first", "second"]
+        assert bodies.in_parts(work, crossover, part("first"), part("second")) == ["first", "second"]
         return ran
 
     def test_second_part_on_a_worker_with_a_free_token(self):
@@ -1058,12 +1101,13 @@ class TestInParts:
             assert set(self.threads_of_parts().values()) == {threading.get_ident()}
         assert free_core_tokens() == CORES
 
-    def test_both_parts_here_below_the_row_floor(self):
-        assert set(self.threads_of_parts(MIN_SPLIT_ROWS - 1).values()) == {threading.get_ident()}
+    def test_both_parts_here_below_the_crossover(self):
+        for work, crossover in ((0.0, 1.0), (np.nextafter(4e6, 0.0), 4e6), (1.0, math.inf)):
+            assert set(self.threads_of_parts(work, crossover).values()) == {threading.get_ident()}
         assert free_core_tokens() == CORES
 
     def test_worker_holds_the_borrowed_token(self):
-        assert bodies.in_parts(MIN_SPLIT_ROWS, free_core_tokens, free_core_tokens) == [CORES - 1, CORES - 1]
+        assert bodies.in_parts(1, 1, free_core_tokens, free_core_tokens) == [CORES - 1, CORES - 1]
 
     @pytest.mark.parametrize("held", [False, True], ids=["token-free", "tokens-held"])
     @pytest.mark.parametrize("failing", ["first", "second"])
@@ -1074,7 +1118,7 @@ class TestInParts:
         parts = (fail, lambda: 0) if failing == "first" else (lambda: 0, fail)
         with all_core_tokens_held() if held else contextlib.nullcontext():
             with pytest.raises(ZeroDivisionError, match=f"^{failing}$"):
-                bodies.in_parts(MIN_SPLIT_ROWS, *parts)
+                bodies.in_parts(1, 1, *parts)
         assert free_core_tokens() == CORES
 
     def test_runs_never_take_more_cores_than_there_are(self):
@@ -1095,7 +1139,7 @@ class TestInParts:
             for _ in range(30):
                 with bodies.CORE_TOKENS:
                     part()
-                    bodies.in_parts(MIN_SPLIT_ROWS, part, part)
+                    bodies.in_parts(1, 1, part, part)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1111,27 +1155,45 @@ class TestInParts:
         assert 1 <= peak[0] <= CORES and running[0] == 0
         assert free_core_tokens() == CORES
 
+    @staticmethod
+    def routes(fn, held=True):
+        """fn() split wherever a core token is free (every crossover at 0),
+        on the caller alone (every crossover at inf) and, for a kernel,
+        with every token held, which must agree array for array."""
+        with crossovers_at(0.0) as seconds:
+            outs = [fn()]
+        assert CORES == 1 or any(t != threading.get_ident() for t in seconds)
+        with crossovers_at(math.inf) as seconds:
+            outs.append(fn())
+        assert seconds == [threading.get_ident()] * len(seconds)
+        if held:
+            with all_core_tokens_held():
+                outs.append(fn())
+        for other in outs[1:]:
+            for a, b in zip(outs[0], other):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        return outs[0]
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_torus_pairs_routes_agree(self, d):
         L = 10.0
         pts = TestTorusPairs.points(d, L, 2.0, seed=40 + d, n=2000)
-        free = packing.torus_pairs(pts, L, 2.0)
-        with all_core_tokens_held():
-            held = packing.torus_pairs(pts, L, 2.0)
-        assert np.array_equal(free, held) and len(free) > 0
+        codes = self.routes(lambda: [packing.torus_pairs(pts, L, 2.0)])[0]
+        assert len(codes) > 0
 
-    @staticmethod
-    def hot_codegrees_both_routes(g, t, rows=None):
-        """_hot_codegrees with a free token and with every token held, which
-        must agree.  The graphs are tiny, so the row floor is lifted."""
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bodies, "MIN_SPLIT_ROWS", 0)
-            free = packing._hot_codegrees(g, t, rows)
-        with all_core_tokens_held():
-            held = packing._hot_codegrees(g, t, rows)
-        for a, b in zip(free, held):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        return free
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_record_routes_agree(self, seed):
+        # a run holds one core token throughout, so it cannot run with every
+        # token held; with two cores its kernels split only when the
+        # crossovers are lowered
+        cfg = dataclasses.replace(default_config(3), seed=seed)
+        record = self.routes(lambda: [np.frombuffer(run_pipeline(cfg).to_json().encode(), dtype=np.uint8)], held=False)
+        assert len(record[0]) > 0
+
+    @classmethod
+    def hot_codegrees_both_routes(cls, g, t, rows=None):
+        """_hot_codegrees on every route, which must agree."""
+        return cls.routes(lambda: packing._hot_codegrees(g, t, rows))
 
     @pytest.mark.parametrize(
         "edges,t,want_hot",
