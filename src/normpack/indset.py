@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import ConvexBody
-from .packing import PackingGraph, TorusDomain, pairs_within_gauge
+from .packing import PackingGraph, TorusDomain, pairs_within_gauge, row_blocks
 
 DISJOINT_TOL = 1e-12
 
@@ -34,28 +34,69 @@ def greedy_independent_set(graph: PackingGraph, rng: np.random.Generator) -> np.
     every live vertex whose (live degree, place in one ``rng.permutation``)
     is below all its live neighbors' joins, and it and its neighbors leave.
     A winner's live degree is at most each removed neighbor's, so the set
-    meets the Caro–Wei bound sum_v 1/(deg v + 1) >= n/(max degree + 1)."""
+    meets the Caro–Wei bound sum_v 1/(deg v + 1) >= n/(max degree + 1).
+
+    The pair is one key, degree n + place: int32 while (max degree + 1) n
+    < 2^31.  Round one reads the CSR rows in blocks of :func:`row_blocks`,
+    where a vertex wins when its key is below each neighbor's; a second
+    pass keeps the edges i < j whose ends are both still live, and the
+    later rounds run on that smaller list.  Beside the graph it holds
+    n-sized arrays, one block's temporaries and that list (8 bytes per
+    live edge) with each round's temporaries: about 11 traced bytes per
+    edge of the graph at d = 3, where about 40% of the edges are left
+    after round one.
+    """
     n = graph.n
-    place = np.empty(n, dtype=np.int64)
-    place[rng.permutation(n)] = np.arange(n)
-    deg, cols = graph.degree(), graph.adj.indices
-    rows = np.repeat(np.arange(n, dtype=cols.dtype), deg)
-    upper = np.flatnonzero(cols > rows)  # the edges i < j of the sorted CSR rows
-    ei, ej = rows.take(upper), cols.take(upper)
-    del rows, upper  # freed before the rounds: a lower peak, and faster on reused pages
-    live, chosen = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    ptr, cols = graph.adj.indptr, graph.adj.indices
+    deg = np.diff(ptr)
+    key_type = np.int32 if (int(deg.max(initial=0)) + 1) * n < 2**31 else np.int64
+    place = np.empty(n, dtype=key_type)
+    place[rng.permutation(n)] = np.arange(n, dtype=key_type)
+    key = deg.astype(key_type)
+    key *= n
+    key += place
+    win, live = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    blocks = list(row_blocks(deg))
+    for a, b in blocks:
+        nb, has = cols[ptr[a] : ptr[b]], deg[a:b] > 0
+        w = ~has  # an isolated vertex wins
+        if len(nb):
+            # numpy copies an int32 index to int64 first: one block's worth
+            w[has] = key[a:b][has] < np.minimum.reduceat(key.take(nb), (ptr[a:b] - ptr[a])[has])
+        win[a:b] = w
+        live[nb[np.repeat(w, deg[a:b])]] = False  # a winner's neighbors leave
+    live &= ~win
+    ei, ej = [], []  # the edges i < j between live vertices, in (i, j) order
+    for a, b in blocks:
+        nb = cols[ptr[a] : ptr[b]]
+        rows = np.repeat(np.arange(a, b, dtype=cols.dtype), deg[a:b])
+        both = nb > rows
+        both &= live.take(nb)
+        both &= np.repeat(live[a:b], deg[a:b])
+        ei.append(rows[both])
+        ej.append(nb[both])
+    ei = np.concatenate([*ei, cols[:0]])  # one list at a time: the lists and one whole array at the peak
+    ej = np.concatenate([*ej, cols[:0]])
+    chosen = win
     while len(ei):
-        key = deg.astype(np.int64) * n + place
-        loser = ei + (ej - ei) * (key.take(ej) > key.take(ei))  # each edge's larger key
+        deg = np.bincount(ei, minlength=n)
+        deg += np.bincount(ej, minlength=n)
+        key = deg.astype(key_type)
+        key *= n
+        key += place
+        larger = key.take(ej) > key.take(ei)
+        loser, other = np.where(larger, ej, ei), np.where(larger, ei, ej)  # each edge's larger key, and its smaller
+        del larger
         win = live.copy()
         win[loser] = False
         chosen |= win
         live ^= win
         # a winner is the smaller end of each of its edges; the other end leaves
-        live[loser.take(np.flatnonzero(win.take(ei + ej - loser)))] = False
-        alive = np.flatnonzero(live.take(ei) & live.take(ej))
-        ei, ej = ei.take(alive), ej.take(alive)
-        deg = np.bincount(ei, minlength=n) + np.bincount(ej, minlength=n)
+        live[loser[win.take(other)]] = False
+        del loser, other
+        alive = live.take(ei)
+        alive &= live.take(ej)
+        ei, ej = ei[alive], ej[alive]
     return np.flatnonzero(chosen | live)  # what is still live has no live neighbor
 
 

@@ -116,8 +116,11 @@ class PackingGraph:
     i n + j of its edges at gauge at most ``near_gauge``, X2's candidates,
     which :func:`build_graph` picks out in its gauge pass (8 bytes per
     such edge, a small share of them).  Both are None on graphs made any
-    other way.  The pipeline reads the CSR arrays; ``neighbors`` is kept
-    for readers outside it.
+    other way.  The pipeline reads the CSR arrays, in blocks of whole rows
+    (:func:`row_blocks`) where a gather would copy a per-entry index:
+    :meth:`subgraph` holds about 9 bytes per edge of the graph it reads
+    beside it, the subgraph included.  ``neighbors`` is kept for readers
+    outside the pipeline.
     """
 
     points: np.ndarray
@@ -174,10 +177,58 @@ class PackingGraph:
         return self.adj.nnz // 2
 
     def subgraph(self, keep_mask: np.ndarray) -> "PackingGraph":
-        keep = np.flatnonzero(keep_mask)
-        adj = self.adj[keep][:, keep]
-        adj.sort_indices()
-        return PackingGraph(points=self.points[keep], adj=adj, domain=self.domain)
+        """The graph induced on the vertices in ``keep_mask``, numbered in
+        order: its adjacency is ``adj[keep][:, keep]`` with sorted indices,
+        and it carries no ``near_codes``.
+
+        The adjacency is symmetric, so the removed rows alone say how many
+        neighbors each kept vertex loses, and the new ``indptr`` is known
+        before a kept row is read.  The kept rows are then read in blocks of
+        :func:`row_blocks` and their kept columns, renumbered, are written
+        into the preallocated arrays.  Beside the graph it reads and the one
+        it returns (5 bytes per kept entry, about 10 per kept edge), it holds
+        n-sized arrays and one block's temporaries.  The data is the unit
+        int8 of every :class:`PackingGraph`.
+        """
+        keep_mask = np.asarray(keep_mask, dtype=bool)
+        adj, n = self.adj, self.n
+        ptr, cols = adj.indptr, adj.indices
+        deg = np.diff(ptr)
+        keep, removed = np.flatnonzero(keep_mask), np.flatnonzero(~keep_mask)
+        new = np.full(n, -1, dtype=cols.dtype)  # each kept vertex's new number, -1 if removed
+        new[keep] = np.arange(len(keep), dtype=cols.dtype)
+        lost = np.zeros(n, dtype=np.int64)
+        for a, b in row_blocks(deg[removed]):
+            lost += np.bincount(adj[removed[a:b]].indices, minlength=n)
+        indptr = np.zeros(len(keep) + 1, dtype=ptr.dtype)
+        np.cumsum(deg[keep] - lost[keep], out=indptr[1:])
+        del lost
+        indices = np.empty(indptr[-1], dtype=cols.dtype)
+        at = 0
+        for a, b in row_blocks(deg):
+            renamed = new.take(cols[ptr[a] : ptr[b]])  # numpy copies an int32 index to int64 first: one block's worth
+            kept = renamed >= 0
+            kept &= np.repeat(keep_mask[a:b], deg[a:b])
+            k = at + np.count_nonzero(kept)
+            np.compress(kept, renamed, out=indices[at:k])  # unlike renamed[kept], no slower on a random mask
+            at = k
+        data = np.ones(len(indices), dtype=adj.dtype)
+        sub = sp.csr_matrix((data, indices, indptr), shape=(len(keep), len(keep)))
+        sub.sort_indices()
+        return PackingGraph(points=self.points[keep], adj=sub, domain=self.domain)
+
+
+def row_blocks(counts: np.ndarray):
+    """Yield the bounds (a, b) of consecutive runs of the rows with
+    ``counts`` entries each, in order: a run holds at most
+    :data:`GAUGE_CHUNK` entries, or is one row that holds more."""
+    ends = np.cumsum(counts)
+    a = 0
+    while a < len(ends):
+        start = ends[a] - counts[a]
+        b = max(int(np.searchsorted(ends, start + GAUGE_CHUNK, side="right")), a + 1)
+        yield a, b
+        a = b
 
 
 def expected_pairs(n: int, d: int, L: float, radius: float, p: float = 2.0) -> float:
@@ -451,8 +502,8 @@ def _hot_codegrees(
     so each count is exact; A^2 over all rows is never formed.  The 1-byte
     adjacency is cast to int32 first: a count is at most n, below 2^31.
     From :data:`SPLIT_NONZEROS` nonzeros of B on it runs as two blocks of
-    B's rows (:func:`in_parts`); each block's rows are those of the whole
-    product, and their entries are joined end to end.  Fewer nonzeros take
+    B's rows (:func:`in_parts`), over views of B's arrays; each block's rows
+    are those of the whole product, and their entries are joined end to end.  Fewer nonzeros take
     one product on the caller.
     """
     hot = np.flatnonzero(graph.degree() >= t)
@@ -465,9 +516,19 @@ def _hot_codegrees(
         blocks = [B @ HT]
     else:
         m = len(at) // 2
-        blocks = in_parts(B.nnz, SPLIT_NONZEROS, lambda: B[:m] @ HT, lambda: B[m:] @ HT)
+        blocks = in_parts(B.nnz, SPLIT_NONZEROS, lambda: _rows(B, 0, m) @ HT, lambda: _rows(B, m, len(at)) @ HT)
     row = np.repeat(at, np.concatenate([np.diff(C.indptr) for C in blocks]))
     return hot, row, np.concatenate([C.indices for C in blocks]), np.concatenate([C.data for C in blocks])
+
+
+def _rows(M: sp.csr_matrix, a: int, b: int) -> sp.csr_matrix:
+    """Rows a..b-1 of ``M`` over views of its ``indices`` and ``data``, with
+    a rebased ``indptr``: no copy of the entries, which slicing ``M[a:b]``
+    makes and the constructor makes of a view under half its base."""
+    s, e = M.indptr[a], M.indptr[b]
+    block = sp.csr_matrix((b - a, M.shape[1]), dtype=M.dtype)
+    block.indptr, block.indices, block.data = M.indptr[a : b + 1] - s, M.indices[s:e], M.data[s:e]
+    return block
 
 
 def _max_hot_codegree(graph: PackingGraph, t: float) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -116,6 +117,44 @@ class TestGreedy:
         for seed in range(3):
             got = greedy_independent_set(g, np.random.default_rng(seed))
             assert np.array_equal(got, rounds_reference(g, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize(
+        "n,edges",
+        [(0, []), (1, []), (6, [(1, 2)]), (7, [(0, 3), (3, 6), (0, 6)]), (9, [(1, 2), (2, 3), (5, 6)])],
+        ids=["empty", "one-vertex", "isolated-around-an-edge", "isolated-ends", "isolated-between"],
+    )
+    def test_matches_sequential_reference_with_isolated_vertices(self, n, edges):
+        g = graph_from_edges(n, edges)
+        for seed in range(5):
+            got = greedy_independent_set(g, np.random.default_rng(seed))
+            want = rounds_reference(g, np.random.default_rng(seed))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_star_past_int32_keys(self):
+        # K_{1,m} with (m + 1)^2 >= 2^31: the center's key, m (m + 1) + place,
+        # does not fit in int32, and a wrapped key would make the center win
+        m = 46_341
+        assert (m + 1) ** 2 >= 2**31
+        g = graph_from_edges(m + 1, [(0, leaf) for leaf in range(1, m + 1)])
+        got = greedy_independent_set(g, np.random.default_rng(0))
+        assert np.array_equal(got, np.arange(1, m + 1))
+        assert np.array_equal(got, rounds_reference(g, np.random.default_rng(0)))
+
+    def test_traced_bytes_per_edge(self):
+        # d = 3, L = 6, Delta = 300: about 1.2M edges.  Round one reads the
+        # CSR rows in blocks and the later rounds run on the live edges i < j,
+        # so beside the graph greedy holds about 11 traced bytes per edge
+        dom, body = TorusDomain(3, 6.0), normalize_to_unit_volume(lp_ball(3, 2))
+        g = build_graph(sample_poisson(dom, 300.0, np.random.default_rng(1)), body, dom)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            greedy_independent_set(g, np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = g.edge_count()
+        assert m > 1_000_000 and peak - held <= 12 * m
 
     def test_deterministic_given_seed(self):
         edges = random_graph(np.random.default_rng(3), 25, 0.2)

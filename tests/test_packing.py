@@ -338,6 +338,50 @@ class TestBuildGraph:
         assert np.array_equal(sub.points, ps[[0, 2]])
 
 
+class TestSubgraph:
+    """subgraph against scipy's adj[keep][:, keep] with sorted indices."""
+
+    MASKS = {
+        "all": lambda n: np.ones(n, dtype=bool),
+        "none": lambda n: np.zeros(n, dtype=bool),
+        "first-removed": lambda n: np.arange(n) > 0,
+        "last-removed": lambda n: np.arange(n) < n - 1,
+        "even": lambda n: np.arange(n) % 2 == 0,
+        "odd": lambda n: np.arange(n) % 2 == 1,
+    }
+
+    @staticmethod
+    def assert_matches_slicing(g, keep_mask):
+        keep = np.flatnonzero(keep_mask)
+        want = g.adj[keep][:, keep]
+        want.sort_indices()
+        sub = g.subgraph(keep_mask)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(sub.adj, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert sub.adj.shape == want.shape and sub.adj.has_sorted_indices == want.has_sorted_indices
+        assert np.array_equal(sub.points, g.points[keep]) and sub.domain == g.domain and sub.near_codes is None
+
+    @pytest.mark.parametrize("mask", MASKS)
+    @pytest.mark.parametrize("chunk", [7, bodies.GAUGE_CHUNK], ids=["blocks-of-few-rows", "one-block"])
+    def test_random_graphs(self, mask, chunk, monkeypatch):
+        # at 7 entries a block, many rows hold more than a block alone
+        monkeypatch.setattr(packing, "GAUGE_CHUNK", chunk)
+        self.assert_matches_slicing(graph_from_edges(0, []), np.zeros(0, dtype=bool))
+        for seed in range(12):
+            g = random_graph(seed)
+            self.assert_matches_slicing(g, self.MASKS[mask](g.n))
+            self.assert_matches_slicing(g, np.random.default_rng(seed).random(g.n) < 0.7)
+
+    @pytest.mark.parametrize("mask", MASKS)
+    def test_packing_graph(self, mask):
+        # about 3,000 points and 100k entries: several blocks of whole rows
+        dom, body = TorusDomain(3, 6.0), normalize_to_unit_volume(lp_ball(3, 2))
+        g = build_graph(sample_poisson(dom, 100.0, np.random.default_rng(4)), body, dom)
+        assert g.adj.nnz > 3 * bodies.GAUGE_CHUNK
+        self.assert_matches_slicing(g, self.MASKS[mask](g.n))
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=100, deadline=None)
 def test_min_image_gauge_symmetric(seed):
@@ -421,6 +465,25 @@ class TestPrune:
         ps = sample_poisson(dom, Delta, rng)
         g = build_graph(ps, body, dom, 2.0 * ik.gauge_radius)  # X2's pairs kept, as in the pipeline
         return dom, body, rng, ik, g, Delta
+
+    def test_traced_bytes_per_edge(self):
+        # d = 3, L = 6, Delta = 300, built as in the pipeline: about 1.2M
+        # edges.  The subgraph is filled block by block into arrays sized from
+        # the removed rows, so beside the graph it gets prune holds about 9
+        # traced bytes per edge at its peak, the pruned graph included
+        dom, body = TorusDomain(3, 6.0), normalize_to_unit_volume(lp_ball(3, 2))
+        rng = np.random.default_rng(1)
+        ik = estimate_ik(body, 0.95, 20_000, 500, rng)
+        g = build_graph(sample_poisson(dom, 300.0, rng), body, dom, 2.0 * ik.gauge_radius)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            pruned, rep = prune(g, ik, 300.0, 1.2, rng, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = g.edge_count()
+        assert m > 1_000_000 and rep.removed_union > 0 and peak - held <= 12 * m
 
     def test_empty_graph(self):
         dom, body, rng, ik, _, Delta = self._setup()
@@ -1213,6 +1276,17 @@ class TestInParts:
         got[row, col] = count
         assert np.array_equal(got, (A @ A)[np.ix_(hot, hot)])
         assert len(set(zip(row.tolist(), col.tolist()))) == len(row) and np.all(count > 0)
+
+    def test_product_blocks_view_the_rows(self):
+        # _hot_codegrees' two row blocks of B read B's entries, not copies of them
+        B = random_graph(3).adj.astype(np.int32)
+        n = B.shape[0]
+        assert B.nnz > 0
+        for a, b in ((0, n // 2), (n // 2, n), (0, n), (n - 1, n), (n, n)):
+            block, want = packing._rows(B, a, b), B[a:b]
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(block, name), getattr(want, name)), name
+            assert block.nnz == 0 or (np.shares_memory(block.data, B.data) and np.shares_memory(block.indices, B.indices))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hot_codegrees_routes_agree(self, seed):
