@@ -55,7 +55,7 @@ def greedy_independent_set(graph: PackingGraph, rng: np.random.Generator) -> np.
     key = deg.astype(key_type)
     key *= n
     key += place
-    win, live = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    chosen, live = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
     blocks = list(row_blocks(deg))
     for a, b in blocks:
         nb, has = cols[ptr[a] : ptr[b]], deg[a:b] > 0
@@ -63,9 +63,9 @@ def greedy_independent_set(graph: PackingGraph, rng: np.random.Generator) -> np.
         if len(nb):
             # numpy copies an int32 index to int64 first: one block's worth
             w[has] = key[a:b][has] < np.minimum.reduceat(key.take(nb), (ptr[a:b] - ptr[a])[has])
-        win[a:b] = w
+        chosen[a:b] = w
         live[nb[np.repeat(w, deg[a:b])]] = False  # a winner's neighbors leave
-    live &= ~win
+    live &= ~chosen
     ei, ej = [], []  # the edges i < j between live vertices, in (i, j) order
     for a, b in blocks:
         nb = cols[ptr[a] : ptr[b]]
@@ -77,7 +77,6 @@ def greedy_independent_set(graph: PackingGraph, rng: np.random.Generator) -> np.
         ej.append(nb[both])
     ei = np.concatenate([*ei, cols[:0]])  # one list at a time: the lists and one whole array at the peak
     ej = np.concatenate([*ej, cols[:0]])
-    chosen = win
     while len(ei):
         deg = np.bincount(ei, minlength=n)
         deg += np.bincount(ej, minlength=n)

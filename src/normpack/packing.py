@@ -214,7 +214,7 @@ class PackingGraph:
             at = k
         data = np.ones(len(indices), dtype=adj.dtype)
         sub = sp.csr_matrix((data, indices, indptr), shape=(len(keep), len(keep)))
-        sub.sort_indices()
+        sub.has_sorted_indices = True  # renumbering keeps the order of adj's sorted rows
         return PackingGraph(points=self.points[keep], adj=sub, domain=self.domain)
 
 
@@ -502,9 +502,9 @@ def _hot_codegrees(
     so each count is exact; A^2 over all rows is never formed.  The 1-byte
     adjacency is cast to int32 first: a count is at most n, below 2^31.
     From :data:`SPLIT_NONZEROS` nonzeros of B on it runs as two blocks of
-    B's rows (:func:`in_parts`), over views of B's arrays; each block's rows
-    are those of the whole product, and their entries are joined end to end.  Fewer nonzeros take
-    one product on the caller.
+    B's rows (:func:`in_parts`) over views of B's arrays (:func:`_rows`);
+    each block's rows are those of the whole product, and their entries
+    are joined end to end.  Fewer nonzeros take one product on the caller.
     """
     hot = np.flatnonzero(graph.degree() >= t)
     H = graph.adj[hot].astype(np.int32)

@@ -1286,7 +1286,8 @@ class TestInParts:
             block, want = packing._rows(B, a, b), B[a:b]
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(block, name), getattr(want, name)), name
-            assert block.nnz == 0 or (np.shares_memory(block.data, B.data) and np.shares_memory(block.indices, B.indices))
+            views = np.shares_memory(block.data, B.data) and np.shares_memory(block.indices, B.indices)
+            assert block.nnz == 0 or views
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hot_codegrees_routes_agree(self, seed):
